@@ -226,7 +226,8 @@ def _left_sweep(Wl, psi, offset, scaling, policy):
     lo = policy.low_dtype
     hi = policy.high_dtype
     n, b = Wl.shape
-    U = np.zeros((n, b))
+    # rh_vector already rounds u to policy.low, so storing U there is exact
+    U = np.zeros((n, b), dtype=lo)
     S = np.zeros((psi.out_dim, b))
     T = np.zeros((b, b))
     R = np.zeros((offset + b, b))
@@ -239,7 +240,11 @@ def _left_sweep(Wl, psi, offset, scaling, policy):
         if c:
             y = psi.apply(w, dtype=lo)
             coef = to_dtype(T[:c, :c].T, hi) @ (to_dtype(S[:, :c], hi).T @ to_dtype(y, hi))
-            w = (to_dtype(w, lo) - to_dtype(U[:, :c], lo) @ to_dtype(coef, lo)).astype(np.float64)
+            # float64 U goes to BLAS in place; lower formats pass a
+            # C-contiguous block, because float32 gemv rounds differently
+            # under another leading dimension and recipe CSVs pin these bits
+            Uc = U[:, :c] if lo == np.float64 else np.ascontiguousarray(U[:, :c])
+            w = (to_dtype(w, lo) - Uc @ to_dtype(coef, lo)).astype(np.float64)
         y = psi.apply(w, dtype=lo)
         step = rh_vector(w, y, j, scaling, policy)
         U[:, c] = step.u
@@ -248,7 +253,7 @@ def _left_sweep(Wl, psi, offset, scaling, policy):
         R[: j - 1, c] = w[: j - 1]
         R[j - 1, c] = -step.sigma * step.rho
         sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
-    return U, S, T, R, sigmas, rhos, betas
+    return U.astype(np.float64, copy=False), S, T, R, sigmas, rhos, betas
 
 
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):

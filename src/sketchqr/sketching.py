@@ -18,29 +18,70 @@ from .linalg import as_array, orthogonality_error, to_dtype
 from .precision import DOUBLE_POLICY
 
 
+# From this many columns on, every butterfly already runs over k*h >= 64
+# contiguous elements, so the transposes would cost more than they save.
+_WIDE_BLOCK = 64
+
+
+def _butterflies(src, dst, h, stop, width):
+    """Stages h, 2h, ... < stop along axis 0 of a buffer whose rows hold
+    `width` contiguous elements, alternating between src and dst.  Returns
+    (result, spare)."""
+    while h < stop:
+        s = src.reshape(-1, 2, h * width)
+        d = dst.reshape(-1, 2, h * width)
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        src, dst = dst, src
+        h *= 2
+    return src, dst
+
+
 def fwht(x):
     """Normalized fast Walsh-Hadamard transform along axis 0.
 
-    x has 2**p rows; columns are transformed independently.  Arithmetic runs
-    in x's own dtype; the 2**(-p/2) normalization is a single multiply after
-    the butterfly passes.
+    x has n = 2**p rows; columns are transformed independently.  Arithmetic
+    runs in x's own dtype; the 2**(-p/2) normalization is a single multiply
+    after the butterfly passes.
+
+    Stage h (h = 1, 2, 4, ..., n/2) replaces each row pair (i, i+h) with
+    i & h == 0 by (x_i + x_{i+h}, x_i - x_{i+h}).  The stages always run in
+    this order, because rounding depends on it: criterion 10 compares the
+    result with an extended-precision replay of this sequence, and any
+    reordering would change the bits of every SRHT sketch.  The memory
+    layout below changes only which elements are contiguous, never the
+    operands or the order of any element's operations.
+
+    Layout: a butterfly of stage h on k columns covers runs of h*k
+    contiguous elements, which for few columns and small h are too short
+    for a vectorized loop.  So for k < 64 the row index is split as
+    i = i_hi * 2**r + i_lo with r = p // 2.  One transpose makes i_lo the
+    slow index; stages h < 2**r then run over runs of at least 2**(p-r)*k.
+    One transpose back, and stages h >= 2**r run over runs of at least
+    2**r*k.  Blocks of 64 or more columns skip both transposes.  Every
+    stage writes into the other of two preallocated buffers.
     """
     a = np.asarray(x)
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     vec = a.ndim == 1
-    a = a.reshape(n, -1).copy()
+    a = a.reshape(n, -1)
     k = a.shape[1]
-    h = 1
-    while h < n:
-        b = a.reshape(-1, 2, h, k)
-        top = b[:, 0] + b[:, 1]
-        bot = b[:, 0] - b[:, 1]
-        a = np.stack((top, bot), axis=1).reshape(n, k)
-        h *= 2
-    a = a * a.dtype.type(n ** -0.5)
-    return a[:, 0] if vec else a
+    lo = 1 << ((n.bit_length() - 1) // 2 if k < _WIDE_BLOCK else 0)
+    hi = n // lo
+    src = np.empty((n, k), dtype=a.dtype)
+    dst = np.empty_like(src)
+    if lo > 1:
+        src.reshape(lo, hi, k)[...] = a.reshape(hi, lo, k).transpose(1, 0, 2)
+        src, dst = _butterflies(src, dst, 1, lo, hi * k)
+        dst.reshape(hi, lo, k)[...] = src.reshape(lo, hi, k).transpose(1, 0, 2)
+        src, dst = dst, src
+    else:
+        src[...] = a
+    src, _ = _butterflies(src, dst, lo, n, k)
+    np.multiply(src, src.dtype.type(n ** -0.5), out=src)
+    return src[:, 0] if vec else src
 
 
 def _columns(X, n):

@@ -46,6 +46,33 @@ def hadamard_reference(x):
     return np.concatenate([a + b, a - b], axis=0)
 
 
+def fwht_stack_reference(x):
+    """The normalized fast Walsh-Hadamard transform as first implemented:
+    stage h = 1, 2, ..., n/2 of the butterfly, each built with np.stack from
+    newly allocated sums and differences, then one normalizing multiply.
+
+    sketchqr.sketching.fwht reorganizes memory but not arithmetic; this copy
+    of the earlier implementation is kept so agreement can be checked bit
+    for bit.
+    """
+    a = np.asarray(x)
+    n = a.shape[0]
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"length {n} is not a power of two")
+    vec = a.ndim == 1
+    a = a.reshape(n, -1).copy()
+    k = a.shape[1]
+    h = 1
+    while h < n:
+        b = a.reshape(-1, 2, h, k)
+        top = b[:, 0] + b[:, 1]
+        bot = b[:, 0] - b[:, 1]
+        a = np.stack((top, bot), axis=1).reshape(n, k)
+        h *= 2
+    a = a * a.dtype.type(n ** -0.5)
+    return a[:, 0] if vec else a
+
+
 def dense_operator_matrix(op):
     """Materialize a sketch operator by applying it to the identity."""
     return op.apply(np.eye(op.n))

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sketchqr.precision import PrecisionPolicy, round_to
 from sketchqr.sketching import (
@@ -16,7 +18,12 @@ from sketchqr.sketching import (
     fwht,
     make_sketch,
 )
-from oracles import dense_embedded_matrix, dense_operator_matrix, hadamard_reference
+from oracles import (
+    dense_embedded_matrix,
+    dense_operator_matrix,
+    fwht_stack_reference,
+    hadamard_reference,
+)
 
 
 def test_fwht_known_values():
@@ -61,6 +68,126 @@ def test_fwht_linearity(seed, n):
     x, y = g.standard_normal(n), g.standard_normal(n)
     a = g.standard_normal()
     assert np.allclose(fwht(a * x + y), a * fwht(x) + fwht(y), atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(0, 14),
+    k=st.sampled_from([1, 2, 3, 63, 64, 65, 300]),
+    dtype=st.sampled_from([np.float16, np.float32, np.float64, np.longdouble]),
+    layout=st.sampled_from(["1d", "C", "F", "reversed"]),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+@example(p=14, k=1, dtype=np.longdouble, layout="1d", seed=0)
+@example(p=14, k=63, dtype=np.float16, layout="reversed", seed=1)
+@example(p=14, k=65, dtype=np.float32, layout="F", seed=2)
+@example(p=12, k=300, dtype=np.float64, layout="C", seed=3)
+def test_fwht_bitwise_matches_stack_reference(p, k, dtype, layout, seed):
+    # at most 2**21 entries, since the reference keeps several copies alive
+    p = min(p, (2 ** 21 // k).bit_length() - 1)
+    X = np.random.default_rng(seed).standard_normal((1 << p, k)).astype(dtype)
+    x = {"1d": X[:, 0], "C": X, "F": np.asfortranarray(X), "reversed": X[::-1, ::-1]}[layout]
+    before = x.copy()
+    out = fwht(x)
+    ref = fwht_stack_reference(x)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert np.array_equal(x, before)
+
+
+def _exact_inputs(n, k):
+    # integer arithmetic and one correctly rounded division: no libm call,
+    # so the same bits on every machine
+    i = np.arange(n)[:, None]
+    j = np.arange(k)[None, :]
+    return ((i * 7919 + j * 104729) % 2003 - 1001) / 1001.0
+
+
+def _digest(Y):
+    data = np.ascontiguousarray(Y, dtype=np.float64).tobytes()
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+# Digests recorded with the stack-based transform (fwht_stack_reference).
+# Scaling, sign flips, the butterflies and the gather are elementwise IEEE
+# operations with no BLAS call, so they hold on any machine; a change to
+# the transform's arithmetic or stage order breaks them.
+# (ell, n, seed, block columns, dtype) -> (vector digest, block digest)
+SRHT_DIGESTS = {
+    (24, 100, 5, 3, "float16"): (
+        "729ea7177b5a7f8b591b299410ab2585",
+        "87581614ee864d60e84cd85145bb8b1c",
+    ),
+    (24, 100, 5, 3, "float32"): (
+        "a146367c858cf5a77d5b633d27eef748",
+        "2c881123d7689a09ad00c0217ca9f982",
+    ),
+    (24, 100, 5, 3, "float64"): (
+        "bc9aa567009a9bba094fe5c0fce0894b",
+        "b14f4b46a7a419f487abdc40cba92b2c",
+    ),
+    (64, 1000, 3, 7, "float16"): (
+        "e726d9e8eb923511767ab61d1e260bfd",
+        "b9d9875183ddd055e0eba250d7c2938f",
+    ),
+    (64, 1000, 3, 7, "float32"): (
+        "72a904076cc2f59fab51b751bac29672",
+        "585043d32ae21430ae953750477b0dc1",
+    ),
+    (64, 1000, 3, 7, "float64"): (
+        "c7db466a71d6d0f577a0070700f43c94",
+        "7128375eacf651ee6a565ef485b6af07",
+    ),
+    (200, 3000, 11, 70, "float16"): (
+        "4be1e0149f229b32b418991a9f8d12bd",
+        "77467ee578a89a9ffb1f866b9612c792",
+    ),
+    (200, 3000, 11, 70, "float32"): (
+        "3a76866fefcc47ebbbf71076987aa9d3",
+        "94856f7dfe0eedb3428290d7658ab637",
+    ),
+    (200, 3000, 11, 70, "float64"): (
+        "7a1f0e6c7b2ade96800c72bfc11c8e4b",
+        "52c6b34a8ddecfa7d1f806cb2e61656e",
+    ),
+    (120, 4096, 7, 2, "float16"): (
+        "8478f5089d77e5116f4558c505181225",
+        "1f419bcc816872b917364c52b5597228",
+    ),
+    (120, 4096, 7, 2, "float32"): (
+        "f546739728a228d9362aa2cc3e5187de",
+        "29bd6e15208411914e676f3159f88f65",
+    ),
+    (120, 4096, 7, 2, "float64"): (
+        "cba76b72a60fade561c9ef20a6182c5e",
+        "2e981bbd5dc7fa212bb87eafbe9c9f1a",
+    ),
+}
+# dtype -> digest of [I_20; SRHT(90, 1500, seed 13)] applied to 20 columns
+EMBEDDED_DIGESTS = {
+    "float16": "5634af61e4b5cbd99bded1ea2fba6243",
+    "float32": "89a87a1d88cf9963821bcda0797c8b2e",
+    "float64": "216f0d46f0de5eb881a196319b517d69",
+}
+
+
+@pytest.mark.parametrize("case", list(SRHT_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_srht_golden_digests(case):
+    ell, n, seed, k, dtype = case
+    op = SRHTSketch(ell, n, seed)
+    v = op.apply(_exact_inputs(n, 1)[:, 0], dtype=dtype)
+    B = op.apply(_exact_inputs(n, k), dtype=dtype)
+    assert v.shape == (ell,) and B.shape == (ell, k)
+    assert (_digest(v), _digest(B)) == SRHT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("dtype", list(EMBEDDED_DIGESTS))
+def test_embedded_srht_golden_digest(dtype):
+    psi = EmbeddedSketch(20, SRHTSketch(90, 1500, 13))
+    Y = psi.apply(_exact_inputs(1520, 20), dtype=dtype)
+    assert Y.shape == (110, 20)
+    assert _digest(Y) == EMBEDDED_DIGESTS[dtype]
 
 
 def test_operators_are_deterministic(rng):
