@@ -61,7 +61,8 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=None):
             w = (to_dtype(w, lo) - to_dtype(U[:, :c], lo) @ to_dtype(coef, lo)).astype(np.float64)
         rho = float(round_to(np.linalg.norm(w[c:]), policy.high))
         if rho == 0.0:
-            raise BreakdownError(f"column {c + 1} exactly dependent on its predecessors")
+            raise BreakdownError(f"column {c + 1} exactly dependent on its predecessors",
+                                 column=c + 1)
         sigma = sign(w[c])
         gamma = float(hi(w[c] + sigma * rho))
         beta = float(hi(1.0 / (rho * sigma * gamma)))
@@ -182,7 +183,7 @@ def _gram_schmidt(W, policy, modified):
             w = w - Q[:, :c] @ r
         rjj = float(round_to(np.linalg.norm(w.astype(np.float64)), policy.high))
         if rjj == 0.0:
-            raise BreakdownError(f"zero pivot norm at column {c + 1}")
+            raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1)
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
     return QRResult(Q=Q.astype(np.float64), R=R,
@@ -222,7 +223,8 @@ def rgs(W, omega, policy=None):
         # singularity the process is expected to keep going on noise, that is
         # the degradation the benchmarks measure
         if rjj == 0.0:
-            raise BreakdownError(f"sketched pivot annihilated at column {c + 1}")
+            raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
+                                 column=c + 1)
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
         Sb[:, c] = (to_dtype(z, lo) / lo(rjj)).astype(np.float64)
@@ -264,7 +266,8 @@ def blas2_rgs(W, omega, policy=None):
         z = omega.apply(w.astype(np.float64), dtype=lo)
         rho = float(round_to(np.linalg.norm(z), policy.high))
         if rho == 0.0:
-            raise BreakdownError(f"sketched pivot annihilated at column {c + 1}")
+            raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
+                                 column=c + 1)
         R[c, c] = rho
         Q[:, c] = w / lo(rho)
         Sb[:, c] = (to_dtype(z, lo) / lo(rho)).astype(np.float64)

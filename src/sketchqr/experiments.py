@@ -9,7 +9,6 @@ column prefixes; sketch-then-factor methods (rec-rhqr, rcholqr) are rerun
 per sampled width since their output depends on the full input.
 """
 
-import re
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -175,11 +174,6 @@ def _factor_once(W, config, policy, ell):
     return rand_cholesky_qr(W, omega, policy=policy)
 
 
-def _breakdown_column(exc, fallback):
-    hit = re.search(r"column (\d+)", str(exc))
-    return int(hit.group(1)) if hit else fallback
-
-
 def _prefix_rows(out, config, j, Wl):
     """Materialize (Q, R, sketched Q) for the leading j columns of a full-run
     factorization object."""
@@ -211,12 +205,10 @@ def _prefix_sweep(W, Wl, config, policy, ell, js):
             # keep the columns before the failure; the sweeps are
             # left-looking, so a run on the shortened input is the same
             # computation (the embedded sketch is rebuilt for its width)
-            col = _breakdown_column(exc, attained)
+            col = getattr(exc, "column", attained)
             if status == "ok":
                 status = f"breakdown@{col}"
             attained = min(col - 1, attained - 1)
-    if config.algo == "rhqr-block" and out is not None:
-        out = out.stacked()
     rows = []
     for j in js:
         if j > attained:
@@ -233,7 +225,7 @@ def _rerun_sweep(W, Wl, config, policy, ell, js):
         try:
             out = _factor_once(W[:, :j], config, policy, ell)
         except (BreakdownError, PrecisionRangeError) as exc:
-            rows.append(_nan_row(j, f"breakdown@{_breakdown_column(exc, j)}"))
+            rows.append(_nan_row(j, f"breakdown@{getattr(exc, 'column', j)}"))
             continue
         if config.algo == "rec-rhqr":
             Q = thin_q(out)

@@ -1,4 +1,4 @@
-"""Dense matrix container, triangular solves, and the error metrics.
+"""Shared conventions, triangular solves, and the error metrics.
 
 Metrics (condition numbers, orthogonality, factorization residuals) are
 always evaluated in float64 regardless of the precision an experiment ran
@@ -6,17 +6,23 @@ in, so precision sweeps measure the stored factors rather than remeasuring
 through the low format.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .precision import DOUBLE, DOUBLE_POLICY, round_to
+from .precision import DOUBLE_POLICY
 
 
 class BreakdownError(RuntimeError):
-    """A factorization step cannot continue (annihilated pivot or sketch)."""
+    """A factorization step cannot continue (annihilated pivot or sketch).
+
+    `column` is the 1-based column at which the step failed.
+    """
+
+    def __init__(self, message, column):
+        super().__init__(message)
+        self.column = column
 
 
 # reflector scaling conventions shared by the deterministic and randomized
@@ -36,57 +42,9 @@ class SingularFactorError(np.linalg.LinAlgError):
     """Triangular solve hit a zero or subnormal diagonal entry."""
 
 
-@dataclass
-class DenseMatrix:
-    """Column-major float64 storage tagged with the precision its values honor.
-
-    The data array always holds float64 values; on construction they are
-    rounded to the tagged precision, so a "half" DenseMatrix contains float64
-    entries that are exactly representable in float16.
-    """
-
-    data: np.ndarray
-    precision: str = DOUBLE
-
-    def __post_init__(self):
-        a = np.array(self.data, dtype=np.float64, order="F", ndmin=2)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-        self.data = np.asfortranarray(round_to(a, self.precision))
-
-    @property
-    def rows(self):
-        return self.data.shape[0]
-
-    @property
-    def cols(self):
-        return self.data.shape[1]
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            dtype = np.float64
-        return np.array(self.data, dtype=dtype, copy=bool(copy) or None)
-
-
 def as_array(M):
-    """Accept DenseMatrix or array-like, return a float64 ndarray."""
-    if isinstance(M, DenseMatrix):
-        return M.data
+    """Accept any array-like, return a float64 ndarray."""
     return np.asarray(M, dtype=np.float64)
-
-
-def cast_precision(M, tag):
-    """Round a matrix to `tag`, returning a DenseMatrix tagged with it.
-
-    Idempotent: casting an already-cast matrix changes nothing.  Rounding is
-    round-to-nearest-even through the native format; finite values outside
-    the target range raise PrecisionRangeError.
-    """
-    return DenseMatrix(as_array(M), tag)
 
 
 def _check_diagonal(R, dtype):

@@ -21,8 +21,6 @@ import numpy as np
 from .baselines import householder_qr
 from .linalg import (
     SCALE_SQRT2,
-    SCALE_UNIT,
-    SCALINGS,
     BreakdownError,
     as_array,
     check_scaling,
@@ -71,12 +69,13 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=None):
     # reductions accumulate in float64, the result lives in the high format
     rho = float(round_to(np.linalg.norm(y[jj:]), policy.high))
     if rho == 0.0:
-        raise BreakdownError(f"sketched tail annihilated at column {j}")
+        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j)
     sigma = sign(y[jj])
     gamma = float(hi(y[jj] + sigma * rho))
     beta = float(hi(1.0 / (rho * sigma * gamma)))  # == 2/||s||^2, positive for either sigma
     if not np.isfinite(beta):
-        raise BreakdownError(f"reflector scale degenerated at column {j} (rho={rho:.3e})")
+        raise BreakdownError(f"reflector scale degenerated at column {j} (rho={rho:.3e})",
+                             column=j)
     u = np.zeros(w.shape[0])
     u[jj:] = w[jj:]
     u[jj] += sigma * rho
@@ -100,13 +99,13 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=None):
 def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=None):
     """(I - U T S^t Psi) X, or the reversed product with transpose_t=True.
 
-    The sketch and the n-dimensional update run in policy.low, the
-    coefficient products in policy.high.
+    The compact-form step every sweep repeats: the sketch and the
+    n-dimensional update run in policy.low, the coefficient products in
+    policy.high.  U may already be stored in policy.low.
     """
     policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
-    U = as_array(U)
     S = as_array(S)
     T = as_array(T)
     X = as_array(X)
@@ -115,7 +114,13 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=None):
     Y = psi.apply(Xc, dtype=lo)
     C = to_dtype(S, hi).T @ to_dtype(Y, hi)
     C = to_dtype(T.T if transpose_t else T, hi) @ C
-    out = (to_dtype(Xc, lo) - to_dtype(U, lo) @ to_dtype(C, lo)).astype(np.float64)
+    # float64 U goes to BLAS in place; lower formats pass a C-contiguous
+    # block, because float32 gemv rounds differently under another leading
+    # dimension and recipe CSVs pin these bits
+    Ul = to_dtype(U, lo)
+    if lo != np.float64:
+        Ul = np.ascontiguousarray(Ul)
+    out = (to_dtype(Xc, lo) - Ul @ to_dtype(C, lo)).astype(np.float64)
     return out[:, 0] if vec else out
 
 
@@ -216,60 +221,63 @@ def _embed(omega, n, m):
     return EmbeddedSketch(m, omega)
 
 
-def _left_sweep(Wl, psi, offset, scaling, policy):
-    """Left-looking reflector sweep over the columns of Wl.
+def _sweep(W, omega, block_size, scaling, policy):
+    """Left-looking sweep over panels of block_size columns (None: one panel).
 
-    Column c is eliminated at global index offset+c+1; earlier reflectors of
-    this sweep are applied compactly (sketch, coefficients in high, update in
-    low, re-sketch).  Wl carries policy.low values.
+    All reflectors so far form one compact form U, S = Psi U, T, with U
+    stored in policy.low.  A panel after the first is brought up to date by
+    one application of every earlier reflector, so it is sketched once.
+    Column c of the panel starting at j0 then gets the panel's own
+    reflectors j0..c-1, whose triangle is the diagonal block T[j0:c, j0:c]
+    of the global T.  Returns the fields of RHQRFactors.
     """
+    check_scaling(scaling)
+    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
-    n, b = Wl.shape
+    Wa = as_array(W)
+    n, m = Wa.shape
+    psi = _embed(omega, n, m)
+    if block_size is None:
+        block_size = max(m, 1)
+    Wl = round_to(Wa, policy.low)
     # rh_vector already rounds u to policy.low, so storing U there is exact
-    U = np.zeros((n, b), dtype=lo)
-    S = np.zeros((psi.out_dim, b))
-    T = np.zeros((b, b))
-    R = np.zeros((offset + b, b))
-    sigmas = np.zeros(b)
-    rhos = np.zeros(b)
-    betas = np.zeros(b)
-    for c in range(b):
-        j = offset + c + 1
-        w = Wl[:, c].astype(np.float64)
-        if c:
-            y = psi.apply(w, dtype=lo)
-            coef = to_dtype(T[:c, :c].T, hi) @ (to_dtype(S[:, :c], hi).T @ to_dtype(y, hi))
-            # float64 U goes to BLAS in place; lower formats pass a
-            # C-contiguous block, because float32 gemv rounds differently
-            # under another leading dimension and recipe CSVs pin these bits
-            Uc = U[:, :c] if lo == np.float64 else np.ascontiguousarray(U[:, :c])
-            w = (to_dtype(w, lo) - Uc @ to_dtype(coef, lo)).astype(np.float64)
-        y = psi.apply(w, dtype=lo)
-        step = rh_vector(w, y, j, scaling, policy)
-        U[:, c] = step.u
-        S[:, c] = step.s
-        _extend_t(T, S, step.s, step.beta, c, hi)
-        R[: j - 1, c] = w[: j - 1]
-        R[j - 1, c] = -step.sigma * step.rho
-        sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
-    return U.astype(np.float64, copy=False), S, T, R, sigmas, rhos, betas
+    U = np.zeros((n, m), dtype=lo)
+    S = np.zeros((psi.out_dim, m))
+    T = np.zeros((m, m))
+    R = np.zeros((m, m))
+    sigmas = np.zeros(m)
+    rhos = np.zeros(m)
+    betas = np.zeros(m)
+    for j0 in range(0, m, block_size):
+        j1 = min(j0 + block_size, m)
+        panel = Wl[:, j0:j1]
+        if j0:
+            panel = apply_reflectors_compact(U[:, :j0], S[:, :j0], T[:j0, :j0], panel, psi,
+                                             transpose_t=True, policy=policy)
+        for c in range(j0, j1):
+            w = panel[:, c - j0].copy()
+            if c > j0:
+                w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
+                                             transpose_t=True, policy=policy)
+            step = rh_vector(w, psi.apply(w, dtype=lo), c + 1, scaling, policy)
+            U[:, c] = step.u
+            S[:, c] = step.s
+            _extend_t(T, S, step.s, step.beta, c, hi)
+            R[:c, c] = w[:c]
+            R[c, c] = -step.sigma * step.rho
+            sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
+    return dict(U=U.astype(np.float64, copy=False), S=S, T=T, R=R, psi=psi,
+                scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
     """Left-looking randomized Householder QR of a tall W (n x m, n > m).
 
-    omega sketches the trailing n-m coordinates; two sketches per column.
+    omega sketches the trailing n-m coordinates; two sketches per column,
+    one for the first.  This is the blocked sweep with a single panel.
     """
-    check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
-    Wa = as_array(W)
-    n, m = Wa.shape
-    psi = _embed(omega, n, m)
-    Wl = round_to(Wa, policy.low)
-    U, S, T, R, sigmas, rhos, betas = _left_sweep(Wl, psi, 0, scaling, policy)
-    return RHQRFactors(U=U, S=S, T=T, R=R, psi=psi, scaling=scaling,
-                       sigmas=sigmas, rhos=rhos, betas=betas)
+    return RHQRFactors(**_sweep(W, omega, None, scaling, policy))
 
 
 def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=None):
@@ -306,68 +314,23 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=None):
                        sigmas=sigmas, rhos=rhos, betas=betas)
 
 
-@dataclass
-class BlockPanel:
-    U: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
-    offset: int
-
-
-@dataclass
-class BlockRHQRFactors:
-    """Panel-compact output of the blocked sweep; `stacked()` merges the
-    panels into a single compact form (the global T is rebuilt from S)."""
-
-    panels: list
-    R: np.ndarray
-    psi: EmbeddedSketch
-    scaling: str
-    sigmas: np.ndarray
-    rhos: np.ndarray
-    betas: np.ndarray
+class BlockRHQRFactors(RHQRFactors):
+    """Output of rhqr_block: the same single compact form as rhqr_left's."""
 
     def stacked(self):
-        U = np.concatenate([p.U for p in self.panels], axis=1)
-        S = np.concatenate([p.S for p in self.panels], axis=1)
-        T = t_factor_from_sketches(S)
-        return RHQRFactors(U=U, S=S, T=T, R=self.R, psi=self.psi,
-                           scaling=self.scaling, sigmas=self.sigmas,
-                           rhos=self.rhos, betas=self.betas)
+        """The factors as one compact form, which they already are."""
+        return self
 
 
 def rhqr_block(W, omega, block_size=32, scaling=SCALE_SQRT2, policy=None):
-    """Blocked left-looking sweep: earlier panels are applied compactly
-    (one re-sketch per panel), then the panel is factored in place.  A final
-    panel narrower than block_size is processed as-is."""
-    check_scaling(scaling)
+    """Blocked left-looking sweep: each panel of block_size columns is
+    sketched once, brought up to date by every earlier reflector in one
+    compact-form application, and then factored column by column.  A final
+    panel narrower than block_size is processed as-is; block_size >= m is
+    rhqr_left exactly."""
     if block_size < 1:
         raise ValueError("block_size must be positive")
-    policy = policy or DOUBLE_POLICY
-    lo = policy.low_dtype
-    Wa = as_array(W)
-    n, m = Wa.shape
-    psi = _embed(omega, n, m)
-    Wl = round_to(Wa, policy.low)
-    panels = []
-    R = np.zeros((m, m))
-    sigmas = np.zeros(m)
-    rhos = np.zeros(m)
-    betas = np.zeros(m)
-    for j0 in range(0, m, block_size):
-        j1 = min(j0 + block_size, m)
-        panel = Wl[:, j0:j1].copy()
-        hi = policy.high_dtype
-        for p in panels:
-            Y = psi.apply(panel, dtype=lo)
-            coef = to_dtype(p.T.T, hi) @ (to_dtype(p.S, hi).T @ to_dtype(Y, hi))
-            panel = (to_dtype(panel, lo) - to_dtype(p.U, lo) @ to_dtype(coef, lo)).astype(np.float64)
-        U, S, T, Rp, sg, rh, bt = _left_sweep(panel, psi, j0, scaling, policy)
-        R[:j1, j0:j1] = Rp
-        sigmas[j0:j1], rhos[j0:j1], betas[j0:j1] = sg, rh, bt
-        panels.append(BlockPanel(U=U, S=S, T=T, offset=j0))
-    return BlockRHQRFactors(panels=panels, R=R, psi=psi, scaling=scaling,
-                            sigmas=sigmas, rhos=rhos, betas=betas)
+    return BlockRHQRFactors(**_sweep(W, omega, block_size, scaling, policy))
 
 
 def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=None):
@@ -393,7 +356,8 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=None):
     d = np.abs(np.diagonal(Mfac))
     if np.any(d < np.finfo(np.float64).tiny):
         k = int(np.argmin(d))
-        raise BreakdownError(f"reconstruction factor has zero diagonal at column {k + 1}")
+        raise BreakdownError(f"reconstruction factor has zero diagonal at column {k + 1}",
+                             column=k + 1)
     U2 = right_tri_solve(Wl[m:], Mfac, policy=policy)
     U = np.concatenate([S[:m], round_to(U2, policy.low)], axis=0)
     return RHQRFactors(U=U, S=S, T=T, R=hq.R, psi=psi, scaling=scaling,

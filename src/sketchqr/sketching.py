@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import as_array, orthogonality_error, to_dtype
-from .precision import DOUBLE_POLICY
 
 
 # From this many columns on, every butterfly already runs over k*h >= 64
@@ -310,18 +309,6 @@ def make_sketch(kind, ell, n, seed, s=8):
     if kind in ("sparse", "sparse_sign"):
         return SparseSignSketch(ell, n, seed, s=s)
     raise ValueError(f"unknown sketch kind {kind!r}")
-
-
-def apply_sketch(omega, X, policy=None):
-    """Apply an ell x n operator in the low precision of the policy."""
-    policy = policy or DOUBLE_POLICY
-    return omega.apply(X, dtype=policy.low_dtype)
-
-
-def apply_psi(psi, X, policy=None):
-    """Apply an embedded [I; Omega] operator in the low precision of the policy."""
-    policy = policy or DOUBLE_POLICY
-    return psi.apply(X, dtype=policy.low_dtype)
 
 
 def check_embedding(op, Q, orth_tol=1e-12):

@@ -104,7 +104,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
     z = omega.apply(x, dtype=lo).astype(np.float64)
     rho = float(round_to(np.linalg.norm(z), policy.high))
     if rho == 0.0:
-        raise BreakdownError(f"sketched tail annihilated at column {j}")
+        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j)
     sigma = sign(w_tail[0])
     v = w_tail.copy()
     v[0] += sigma * rho
@@ -115,7 +115,8 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
     if nv <= 8.0 * policy.u_high * (float(np.linalg.norm(z)) + rho):
         raise BreakdownError(
             f"sketched reflector vector cancelled at column {j} "
-            f"(degenerate sketch geometry, norm {nv:.3e})"
+            f"(degenerate sketch geometry, norm {nv:.3e})",
+            column=j,
         )
     beta = float(hi(2.0 / (nv * nv)))
     if scaling == SCALE_SQRT2:
@@ -127,7 +128,8 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
         piv = float(vs[0])
         if abs(piv) <= 8.0 * policy.u_high * nv:
             raise BreakdownError(
-                f"unit scaling pivot vanished at column {j} (sketched entry {piv:.3e})"
+                f"unit scaling pivot vanished at column {j} (sketched entry {piv:.3e})",
+                column=j,
             )
         v = v / piv
         vs = vs / piv
@@ -285,7 +287,8 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
     W, omega = _trim_setup(W, omega, m)
     E = omega.unit_column_sketches[:, :m].copy()
     Wl = round_to(W, policy.low)
-    U = np.zeros((n, m))
+    # trim_rh_vector already rounds v to policy.low, so storing U there is exact
+    U = np.zeros((n, m), dtype=lo)
     S = np.zeros((omega.ell, m))
     R = np.zeros((m, m))
     T = np.zeros((m, m))
@@ -299,7 +302,9 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
             h = (to_dtype(S[:, :c], hi).T @ to_dtype(z, hi)).astype(np.float64)
             h -= (to_dtype(L[:c, :c], hi) @ to_dtype(w[:c], hi)).astype(np.float64)
             coef = (to_dtype(Tt[:c, :c], hi).T @ to_dtype(h, hi)).astype(np.float64)
-            w = (to_dtype(w, lo) - to_dtype(U[:, :c], lo) @ to_dtype(coef, lo)).astype(np.float64)
+            # the C-contiguous rule of rhqr.apply_reflectors_compact
+            Uc = U[:, :c] if lo == np.float64 else np.ascontiguousarray(U[:, :c])
+            w = (to_dtype(w, lo) - Uc @ to_dtype(coef, lo)).astype(np.float64)
         step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
         U[c:, c] = step.v
         S[:, c] = step.s
@@ -319,7 +324,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
         rhos.append(step.rho)
         betas.append(step.beta)
     return TrimFactors(
-        U=U, S=S, T=T, T_tilde=Tt, R=R, L=L, E=E, omega=omega,
+        U=U.astype(np.float64, copy=False), S=S, T=T, T_tilde=Tt, R=R, L=L, E=E, omega=omega,
         scaling=scaling, sigmas=np.array(sigmas), rhos=np.array(rhos),
         betas=np.array(betas),
     )

@@ -12,10 +12,10 @@ from sketchqr.precision import (
     policy_from_tag,
     round_to,
 )
+from sketchqr.baselines import householder_qr, rgs
 from sketchqr.linalg import (
-    DenseMatrix,
+    BreakdownError,
     SingularFactorError,
-    cast_precision,
     cond_number,
     factorization_errors,
     orthogonality_error,
@@ -23,13 +23,15 @@ from sketchqr.linalg import (
     sign,
     upper_tri_solve,
 )
+from sketchqr.rhqr import rh_vector
+from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch
+from sketchqr.trim import normalize_leading_columns, trim_rh_vector
 from oracles import jacobi_singular_values
 
 
 def test_round_to_half_known_value():
     # 1.1 = 1126.4/1024, nearest float16 is 1126/1024
     assert round_to(1.1, "half") == 1.099609375
-    assert cast_precision([[1.1]], "half").data[0, 0] == 1.099609375
 
 
 def test_round_to_nearest_even_ties():
@@ -83,16 +85,6 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         policy_from_tag("quad")
     assert policy_from_tag("mixed").low == HALF
-
-
-def test_dense_matrix_rounds_and_is_fortran(rng):
-    A = rng.standard_normal((5, 3))
-    M = DenseMatrix(A, "half")
-    assert M.data.flags.f_contiguous
-    assert np.array_equal(M.data, round_to(A, "half"))
-    assert (M.rows, M.cols) == (5, 3)
-    # casting twice changes nothing
-    assert np.array_equal(cast_precision(M, "half").data, M.data)
 
 
 def test_upper_tri_solve_known():
@@ -188,3 +180,22 @@ def test_sign_convention():
     assert sign(-0.0) == 1.0
     assert sign(3.5) == 1.0
     assert sign(-1e-300) == -1.0
+
+
+def test_breakdown_error_carries_column():
+    psi = EmbeddedSketch(2, IdentitySketch(2))
+    w = np.array([1.0, 0.0, 0.0, 0.0])
+    A = np.zeros((6, 3))
+    A[0] = 1.0
+    Wz = np.zeros((32, 3))
+    Wz[0, 0] = Wz[1, 1] = 1.0
+    cases = [
+        (lambda: rh_vector(w, psi.apply(w), 2), 2),
+        (lambda: trim_rh_vector(np.zeros(4), normalize_leading_columns(GaussianSketch(4, 6, 1), 3), 3), 3),
+        (lambda: householder_qr(A), 2),
+        (lambda: rgs(Wz, IdentitySketch(32)), 3),
+    ]
+    for run, column in cases:
+        with pytest.raises(BreakdownError, match=f"column {column}") as info:
+            run()
+        assert info.value.column == column

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,9 @@ from sketchqr.rhqr import (
     t_factor_from_sketches,
     thin_q,
 )
+from sketchqr.experiments import gen_cmatrix
 from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
+from sketchqr.trim import trim_rhqr_left
 from oracles import dense_embedded_matrix, dense_reflector
 
 
@@ -233,6 +238,88 @@ def test_block_matches_unblocked(rng):
         assert np.allclose(F.U, ref.U, atol=1e-12 * np.linalg.norm(ref.U))
         errs = factorization_errors(W, thin_q(F), F.R)
         assert errs.fro_rel_err <= 1e-13
+
+
+def _factor_arrays(f):
+    return [getattr(f, fld.name) for fld in dataclasses.fields(f)
+            if isinstance(getattr(f, fld.name), np.ndarray)]
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
+def test_block_with_one_panel_is_left_sweep(rng, tag):
+    n, m = 60, 8
+    W = rng.standard_normal((n, m))
+    om = SRHTSketch(24, n - m, 22)
+    policy = policy_from_tag(tag)
+    ref = _factor_arrays(rhqr_left(W, om, policy=policy))
+    for bs in (m, m + 5):
+        got = _factor_arrays(rhqr_block(W, om, block_size=bs, policy=policy))
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, ref))
+
+
+class CountingSketch:
+    """Passes applications through to `base`, recording each one's width."""
+
+    def __init__(self, base):
+        self.base = base
+        self.n = base.n
+        self.ell = base.ell
+        self.widths = []
+
+    def apply(self, X, dtype=np.float64):
+        self.widths.append(1 if np.ndim(X) == 1 else np.shape(X)[1])
+        return self.base.apply(X, dtype=dtype)
+
+
+@pytest.mark.parametrize("bs", [4, 7, 20])
+def test_block_sketches_each_panel_once(rng, bs):
+    n, m = 80, 20
+    W = rng.standard_normal((n, m))
+    om = CountingSketch(GaussianSketch(60, n - m, 40))
+    rhqr_block(W, om, block_size=bs)
+    starts = range(0, m, bs)
+    # every panel but the first is sketched once, as a whole; each column
+    # then needs one sketch, plus one for its update unless it opens a panel
+    assert [w for w in om.widths if w > 1] == [min(bs, m - j0) for j0 in starts[1:]]
+    assert om.widths.count(1) == 2 * m - len(starts)
+
+
+# blake2b digests of every factor array of the two left sweeps.  Their
+# updates run through BLAS, so the digests pin the numpy/OpenBLAS build as
+# well as the sweeps' arithmetic and the memory layout of float32 blocks.
+LEFT_SWEEP_DIGESTS = {
+    ("rhqr_left", "double", "sqrt2"): "f3c005b62121b347fbb166dd9ac6d848",
+    ("rhqr_left", "double", "unit"): "a4e4be1277ada187c842cd0fadb814c5",
+    ("rhqr_left", "single", "sqrt2"): "86c05c8f7e9454f84386af012b9a80e7",
+    ("rhqr_left", "single", "unit"): "b01bc32ed4d64ad6814ebc59fb5f708f",
+    ("rhqr_left", "mixed", "sqrt2"): "2347e512a7a6e6d47fc67dbba9b651d6",
+    ("rhqr_left", "mixed", "unit"): "a94f4227e3bb3538fb02ae5c7bb17990",
+    ("rhqr_left", "half", "sqrt2"): "022c40dd5c51472ca7330c45447cbe8d",
+    ("rhqr_left", "half", "unit"): "1c0be5440341f5b4efe1be52861e6bc7",
+    ("trim_rhqr_left", "double", "sqrt2"): "2fb9b42d6424a208d797efd547a3ab5e",
+    ("trim_rhqr_left", "double", "unit"): "f64f943f1e253063e579871f6417d985",
+    ("trim_rhqr_left", "single", "sqrt2"): "18cbd59949bd7448aebff6ba10027b50",
+    ("trim_rhqr_left", "single", "unit"): "69340f0431319432d0870a7006aad7ff",
+    ("trim_rhqr_left", "mixed", "sqrt2"): "d6c76bf7961fda16d6faf1d9371ccf23",
+    ("trim_rhqr_left", "mixed", "unit"): "d0e4daff5d5bff4c9b717f4bc904f880",
+    ("trim_rhqr_left", "half", "sqrt2"): "e439b2f560a3a8af72278bbdc330bce1",
+    ("trim_rhqr_left", "half", "unit"): "b33462965186cc18f93ae1dbca280a01",
+}
+
+
+@pytest.mark.parametrize("case", list(LEFT_SWEEP_DIGESTS), ids="-".join)
+def test_left_sweep_golden_digests(case):
+    algo, tag, scaling = case
+    W = gen_cmatrix(256, 24)
+    policy = policy_from_tag(tag)
+    if algo == "rhqr_left":
+        f = rhqr_left(W, SRHTSketch(96, 232, 17), scaling=scaling, policy=policy)
+    else:
+        f = trim_rhqr_left(W, SRHTSketch(48, 256, 16), scaling=scaling, policy=policy)
+    h = hashlib.blake2b(digest_size=16)
+    for a in _factor_arrays(f):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert h.hexdigest() == LEFT_SWEEP_DIGESTS[case]
 
 
 def test_rec_rhqr_identity_block(rng):

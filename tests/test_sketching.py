@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sketchqr.precision import PrecisionPolicy, round_to
+from sketchqr.precision import round_to
 from sketchqr.sketching import (
     ColumnScaledSketch,
     EmbeddedSketch,
@@ -12,8 +12,6 @@ from sketchqr.sketching import (
     IdentitySketch,
     SRHTSketch,
     SparseSignSketch,
-    apply_psi,
-    apply_sketch,
     check_embedding,
     fwht,
     make_sketch,
@@ -278,14 +276,13 @@ def test_mat_vec_consistency(rng):
 
 
 def test_low_precision_apply_is_representable(rng):
-    half = PrecisionPolicy.mixed()
     X = round_to(rng.standard_normal((24, 2)), "half")
     for op in (make_sketch("srht", 8, 24, 1), make_sketch("gauss", 8, 24, 1),
                make_sketch("sparse", 8, 24, 1)):
-        Y = apply_sketch(op, X, policy=half)
+        Y = op.apply(X, dtype=np.float16)
         assert np.array_equal(round_to(Y, "half"), Y)
     psi = EmbeddedSketch(4, make_sketch("srht", 8, 20, 1))
-    Y = apply_psi(psi, X, policy=half)
+    Y = psi.apply(X, dtype=np.float16)
     assert np.array_equal(Y[:4], X[:4])
 
 
