@@ -228,8 +228,7 @@ def rgs(W, omega, policy=None):
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
         Sb[:, c] = (to_dtype(z, lo) / lo(rjj)).astype(np.float64)
-    return QRResult(Q=Q.astype(np.float64), R=R, method="rgs",
-                    aux={"sketch_basis": Sb, "omega": omega})
+    return QRResult(Q=Q.astype(np.float64), R=R, method="rgs", aux={"omega": omega})
 
 
 def blas2_rgs(W, omega, policy=None):
@@ -237,9 +236,9 @@ def blas2_rgs(W, omega, policy=None):
     from the compact triangle T instead of a least-squares solve.
 
     T carries unit diagonal and, in exact arithmetic, equals the identity;
-    its drift from I measures the loss the correction repairs.  aux holds T,
-    the maintained sketched basis, and the corrected bases Q T and
-    [I - T; Q T] used by the metrics.
+    its drift from I measures the loss the correction repairs.  aux holds T
+    and omega, from which blas2_corrected_sketch forms the sketch of the
+    corrected basis [I - T; Q T].
     """
     policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
@@ -275,12 +274,8 @@ def blas2_rgs(W, omega, policy=None):
             col = to_dtype(T[:c, :c], hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(Sb[:, c], hi))
             T[:c, c] = -col.astype(np.float64)
         T[c, c] = 1.0
-    Qd = Q.astype(np.float64)
-    corrected = Qd @ T
-    stacked = np.concatenate([np.eye(m) - T, corrected], axis=0)
-    return QRResult(Q=Qd, R=R, method="blas2_rgs",
-                    aux={"T": T, "sketch_basis": Sb, "omega": omega,
-                         "corrected_q": corrected, "stacked_q": stacked})
+    return QRResult(Q=Q.astype(np.float64), R=R, method="blas2_rgs",
+                    aux={"T": T, "omega": omega})
 
 
 def blas2_corrected_sketch(result):

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from .baselines import blas2_rgs, cgs, householder_qr, mgs, rand_cholesky_qr, rgs
-from .krylov import arnoldi_q, hessenberg_lstsq, rgs_arnoldi, rhqr_arnoldi
+from .krylov import _apply_basis, _as_operator, _gmres_solve, arnoldi_q, rgs_arnoldi, rhqr_arnoldi
 from .linalg import (
     BreakdownError,
     as_array,
@@ -25,16 +26,9 @@ from .linalg import (
     orthogonality_error,
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
-from .rhqr import (
-    apply_reflectors_compact,
-    rec_rhqr,
-    rhqr_block,
-    rhqr_left,
-    rhqr_right,
-    thin_q,
-)
+from .rhqr import rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
 from .sketching import make_sketch
-from .trim import normalize_leading_columns, trim_rhqr_left, trim_rhqr_right, trim_thin_q
+from .trim import trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 FACTOR_ALGOS = ("rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr",
                 "trim-left", "trim-right", "rgs", "blas2-rgs", "cgs", "mgs",
@@ -239,50 +233,49 @@ def _rerun_sweep(W, Wl, config, policy, ell, js):
 def run_gmres_experiment(A, b, m, config, x0=None):
     """Per-iteration GMRES metrics for algo 'rhqr' or 'rgs': sketched and
     true residuals, the scaled Arnoldi relation error
-    ||A Q_j - Q_{j+1} H_j||_F / (||A||_F ||Q_j||_F), and cond(Q_{j+1})."""
+    ||A Q_j - Q_{j+1} H_j||_F / (||A||_F ||Q_j||_F), and cond(Q_{j+1}).
+
+    A is a scipy sparse or a dense matrix; a callable has no Frobenius norm
+    to scale by and raises TypeError."""
+    if callable(A):
+        raise TypeError("run_gmres_experiment needs a sparse or dense matrix, not a callable")
     policy = policy_from_tag(config.precision)
     b = as_array(b)
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else as_array(x0)
     ell = config.ell or 4 * (m + 1)
-    anorm = _operator_fro_norm(A, n)
+    anorm = _operator_fro_norm(A)
     if config.algo == "rhqr":
         omega = make_sketch(config.sketch, ell, n - m - 1, config.seed, s=config.s)
         bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=config.scaling,
                               policy=policy)
-        k = bundle.dim
         H, beta = bundle.H, bundle.beta
-        Qext = arnoldi_q(bundle, min(k + 1, bundle.U.shape[1]))
+        Qext = arnoldi_q(bundle, min(bundle.dim + 1, bundle.U.shape[1]))
 
-        def solution(j, y):
-            pad = np.zeros(n)
-            pad[:j] = y
-            return x0 + apply_reflectors_compact(
-                bundle.U[:, :j], bundle.S[:, :j], bundle.T[:j, :j], pad,
-                bundle.psi, policy=policy)
+        def apply_basis(y):
+            return _apply_basis(bundle, y, policy)
     elif config.algo == "rgs":
         omega = make_sketch(config.sketch, ell, n, config.seed, s=config.s)
-        Qext, H, beta, attained = rgs_arnoldi(A, b, x0, m, omega, policy=policy)
-        k = H.shape[1]
+        Qext, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy)
 
-        def solution(j, y):
-            return x0 + Qext[:, :j] @ y
+        def apply_basis(y):
+            return Qext[:, :y.shape[0]] @ y
     else:
         raise ValueError(f"unknown solver {config.algo!r}")
-    matvec = A if callable(A) else (lambda v: A @ v)
+    k = H.shape[1]
+    matvec = _as_operator(A)
     AQ = np.stack([matvec(Qext[:, i]) for i in range(min(k, Qext.shape[1]))], axis=1) \
         if k else np.zeros((n, 0))
     rows = []
     status = "ok" if k == m else f"closed@{k}"
     for j in range(1, k + 1):
-        y, resid = hessenberg_lstsq(H[: j + 1, :j], beta)
-        x = solution(j, y)
+        x, hist = _gmres_solve(H[: j + 1, :j], beta, x0, apply_basis)
         ncols = min(j + 1, Qext.shape[1])
         rel = np.linalg.norm(AQ[:, :j] - Qext[:, :ncols] @ H[:ncols, :j])
         rel /= anorm * max(np.linalg.norm(Qext[:, :j]), 1e-300)
         rows.append(GmresRow(
             j=j,
-            sketched_resid=resid,
+            sketched_resid=float(hist[-1]),
             true_resid=float(np.linalg.norm(b - matvec(x))),
             relation_err=float(rel),
             cond_basis=cond_number(Qext[:, :ncols]),
@@ -291,19 +284,9 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     return rows
 
 
-def _operator_fro_norm(A, n):
-    import scipy.sparse
+def _operator_fro_norm(A):
     if scipy.sparse.issparse(A):
         return float(np.sqrt(A.multiply(A).sum()))
-    if callable(A):
-        total = 0.0
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            col = A(e)
-            total += float(col @ col)
-            e[i] = 0.0
-        return float(np.sqrt(total))
     return float(np.linalg.norm(as_array(A)))
 
 

@@ -1,15 +1,18 @@
 """Arnoldi and GMRES on top of the randomized Householder kernels.
 
-The Arnoldi driver keeps the basis in the compact reflector form
-I - U T (Psi U)^t Psi and extracts explicit columns q_j on the fly (one
-generalized matvec each); the Hessenberg column for A q_{j-1} falls out of
-the j-th reflector as [head of w, -sigma*rho, 0...].  Because the sketched
+Arnoldi is the left-looking factorization of the Krylov matrix
+K = [r0, A q_1, A q_2, ...], whose columns are formed one at a time: R[0, 0]
+is beta, column j of R is the Hessenberg column of A q_j, and H is R without
+its first column.  The RHQR process runs the randomized Householder column
+step of rhqr.py on K and extracts explicit columns q_j from the compact
+reflector form I - U T (Psi U)^t Psi on the fly.  Because the sketched
 basis Psi Q is orthonormal, minimizing the Hessenberg residual minimizes
 the sketched residual ||Psi(b - A x)|| over the Krylov space, which is the
 whole point of running GMRES this way.
 
-A randomized Gram-Schmidt GMRES with an explicit basis is included as the
-natural point of comparison.
+A randomized Gram-Schmidt GMRES with an explicit basis, the RGS
+factorization of the same K, is included as the natural point of
+comparison.
 """
 
 import warnings
@@ -19,9 +22,9 @@ import numpy as np
 import scipy.sparse
 
 from .baselines import pivoted_qr_lstsq
-from .linalg import SCALE_SQRT2, as_array, check_scaling, to_dtype
+from .linalg import SCALE_SQRT2, as_array, check_scaling, sign, to_dtype
 from .precision import DOUBLE_POLICY, round_to
-from .rhqr import _embed, _extend_t, apply_reflectors_compact, rh_vector
+from .rhqr import _add_reflector, _embed, apply_reflectors_compact
 from .sketching import EmbeddedSketch
 
 
@@ -41,7 +44,7 @@ class KrylovBundle:
     Hessenberg, and the signed sketched norm of the starting residual
     (beta, the coordinate of r0 in the computed basis).  breakdown is None
     for a full run, or the attained dimension when the Krylov space closed
-    early.  y and resid_history are filled in by the GMRES driver.
+    early.
     """
 
     U: np.ndarray
@@ -51,10 +54,7 @@ class KrylovBundle:
     psi: EmbeddedSketch
     beta: float
     scaling: str
-    Q_cols: np.ndarray = None
     breakdown: int = None
-    y: np.ndarray = None
-    resid_history: np.ndarray = None
 
     @property
     def dim(self):
@@ -79,9 +79,21 @@ def arnoldi_q(bundle, cols=None):
     return Q
 
 
+def _apply_basis(bundle, y, policy):
+    """Q_k y for k = len(y), by one pass of the compact form over the
+    zero-padded y."""
+    k = y.shape[0]
+    pad = np.zeros(bundle.U.shape[0])
+    pad[:k] = y
+    return apply_reflectors_compact(bundle.U[:, :k], bundle.S[:, :k], bundle.T[:k, :k],
+                                    pad, bundle.psi, policy=policy)
+
+
 def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
-                 store_q=True, happy_tol=None):
-    """Krylov basis of (A, b - A x0) through randomized Householder QR.
+                 happy_tol=None):
+    """Krylov basis of (A, b - A x0) through randomized Householder QR: the
+    left-looking column step of rhqr.py on [r0, A q_1, ..., A q_m], whose
+    R holds beta in R[0, 0] and H in its other columns.
 
     omega sketches the trailing n-m-1 coordinates (the identity block of the
     embedding covers the m+1 Hessenberg rows).  A is applied only as a
@@ -100,53 +112,44 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     psi = _embed(omega, n, m + 1)
     if happy_tol is None:
         happy_tol = 32.0 * policy.u_high
-    steps = m + 1
-    U = np.zeros((n, steps))
-    S = np.zeros((psi.out_dim, steps))
-    T = np.zeros((steps, steps))
-    hcols = np.zeros((m + 1, m))
-    Q = np.zeros((n, m))
-    beta = 0.0
+    # rh_vector already rounds u to policy.low, so storing U there is exact
+    U = np.zeros((n, m + 1), dtype=lo)
+    S = np.zeros((psi.out_dim, m + 1))
+    T = np.zeros((m + 1, m + 1))
+    R = np.zeros((m + 1, m + 1))
     attained = None
     w = round_to(b - matvec(round_to(x0, policy.low)), policy.low).astype(np.float64)
-    z = psi.apply(w, dtype=lo)
-    for j in range(1, steps + 1):
-        zt = z.astype(np.float64)
-        tail = float(np.linalg.norm(zt[j - 1:]))
-        if tail <= happy_tol * float(np.linalg.norm(zt)):
+    for c in range(m + 1):
+        z = psi.apply(w, dtype=lo)
+        tail = float(np.linalg.norm(z[c:]))
+        if tail <= happy_tol * float(np.linalg.norm(z)):
             # the new direction is numerically inside the span already: close
             # the space, finishing the current Hessenberg column with the
             # (tiny) subdiagonal the reflector would have produced
-            attained = j - 1
-            if j >= 2:
-                sg = 1.0 if zt[j - 1] >= 0 else -1.0
-                hcols[: j - 1, j - 2] = w[: j - 1]
-                hcols[j - 1, j - 2] = -sg * tail
+            attained = c
+            if c:
+                R[:c, c] = w[:c]
+                R[c, c] = -sign(z[c]) * tail
             break
-        step = rh_vector(w, z, j, scaling, policy)
-        U[:, j - 1] = step.u
-        S[:, j - 1] = step.s
-        _extend_t(T, S, step.s, step.beta, j - 1, hi)
-        if j == 1:
-            beta = -step.sigma * step.rho
-        else:
-            hcols[: j - 1, j - 2] = w[: j - 1]
-            hcols[j - 1, j - 2] = -step.sigma * step.rho
-        if j <= m:
-            coef = to_dtype(T[:j, :j], hi) @ to_dtype(S[j - 1, :j], hi)
-            q = -(to_dtype(U[:, :j], lo) @ to_dtype(coef, lo)).astype(np.float64)
-            q[j - 1] += 1.0
-            Q[:, j - 1] = q
+        _add_reflector(w, z, c, U, S, T, R, scaling, policy)
+        if c < m:
+            # q_j = Q e_j needs no sketch, since Psi e_j = e_j; float64 U goes
+            # to BLAS in place, lower formats C-contiguous, as in
+            # apply_reflectors_compact
+            j = c + 1
+            coef = to_dtype(T[:j, :j], hi) @ to_dtype(S[c, :j], hi)
+            Uj = U[:, :j] if lo == np.float64 else np.ascontiguousarray(U[:, :j])
+            q = -(Uj @ to_dtype(coef, lo)).astype(np.float64)
+            q[c] += 1.0
             w = round_to(matvec(round_to(q, policy.low)), policy.low).astype(np.float64)
             w = apply_reflectors_compact(U[:, :j], S[:, :j], T[:j, :j], w, psi,
                                          transpose_t=True, policy=policy)
-            z = psi.apply(w, dtype=lo)
     k = m if attained is None else attained
-    r = steps if attained is None else attained
+    r = k + 1 if attained is None else k
     return KrylovBundle(
-        U=U[:, :r], S=S[:, :r], T=T[:r, :r], H=hcols[: k + 1, :k].copy(),
-        psi=psi, beta=beta, scaling=scaling,
-        Q_cols=Q[:, :k].copy() if store_q else None, breakdown=attained,
+        U=U[:, :r].astype(np.float64, copy=False), S=S[:, :r], T=T[:r, :r],
+        H=R[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]), scaling=scaling,
+        breakdown=attained,
     )
 
 
@@ -190,6 +193,19 @@ def hessenberg_lstsq(H, beta, history=False):
     return y, resid
 
 
+def _gmres_solve(H, beta, x0, apply_basis):
+    """x0 + Q_k y for the y that minimizes ||beta e_1 - H y||, where
+    apply_basis(y) computes Q_k y; returns (x, resid_history) as
+    hessenberg_lstsq's history gives it."""
+    y, _, hist = hessenberg_lstsq(H, beta, history=True)
+    if np.any(np.diagonal(H) == 0.0):
+        warnings.warn("Hessenberg system is rank deficient; dependent "
+                      "coordinates were zeroed", RuntimeWarning)
+    if H.shape[1] == 0:
+        return x0.copy(), hist
+    return x0 + apply_basis(y), hist
+
+
 def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
                happy_tol=None):
     """GMRES in the sketched norm: Arnoldi via randomized Householder QR,
@@ -201,31 +217,20 @@ def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     """
     policy = policy or DOUBLE_POLICY
     b = as_array(b)
-    n = b.shape[0]
-    x0 = np.zeros(n) if x0 is None else as_array(x0)
+    x0 = np.zeros(b.shape[0]) if x0 is None else as_array(x0)
     bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=scaling, policy=policy,
-                          store_q=False, happy_tol=happy_tol)
-    k = bundle.dim
-    y, resid, hist = hessenberg_lstsq(bundle.H, bundle.beta, history=True)
-    if k and np.any(np.diagonal(bundle.H)[:k] == 0.0):
-        warnings.warn("Hessenberg system is rank deficient; dependent "
-                      "coordinates were zeroed", RuntimeWarning)
-    bundle.y = y
-    bundle.resid_history = hist
-    if k == 0:
-        return x0.copy(), hist
-    pad = np.zeros(n)
-    pad[:k] = y
-    corr = apply_reflectors_compact(bundle.U[:, :k], bundle.S[:, :k],
-                                    bundle.T[:k, :k], pad, bundle.psi,
-                                    policy=policy)
-    return x0 + corr, hist
+                          happy_tol=happy_tol)
+    return _gmres_solve(bundle.H, bundle.beta, x0,
+                        lambda y: _apply_basis(bundle, y, policy))
 
 
 def rgs_arnoldi(A, b, x0, m, omega, policy=None, happy_tol=None):
     """Arnoldi with randomized Gram-Schmidt orthogonalization and an
     explicit basis: projection coefficients from a sketched least-squares
-    solve, normalization by the sketched norm.
+    solve, normalization by the sketched norm.  This is rgs run on the
+    Krylov matrix, with the basis and its update in policy.low; the space
+    closes when the sketched norm after projection falls below happy_tol
+    times the one before.
 
     omega sketches all n coordinates, ell >= m+1.  Returns
     (Q, H, beta, attained) with Q of k+1 columns and H of shape (k+1) x k.
@@ -242,51 +247,37 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=None, happy_tol=None):
         raise ValueError("sampling size below basis size")
     if happy_tol is None:
         happy_tol = 32.0 * policy.u_high
-    Q = np.zeros((n, m + 1))
+    Q = np.zeros((n, m + 1), dtype=lo)
     Sb = np.zeros((omega.ell, m + 1))
-    H = np.zeros((m + 1, m))
-    r0 = round_to(b - matvec(round_to(x0, policy.low)), policy.low).astype(np.float64)
-    p = omega.apply(r0, dtype=lo).astype(np.float64)
-    beta = float(round_to(np.linalg.norm(p), policy.high))
-    if beta == 0.0:
-        return Q[:, :0], H[:1, :0], 0.0, 0
-    Q[:, 0] = r0 / beta
-    Sb[:, 0] = p / beta
+    R = np.zeros((m + 1, m + 1))
     attained = None
-    for j in range(1, m + 1):
-        w = round_to(matvec(round_to(Q[:, j - 1], policy.low)), policy.low).astype(np.float64)
-        p = omega.apply(w, dtype=lo).astype(np.float64)
-        scale = float(np.linalg.norm(p))
-        r = pivoted_qr_lstsq(Sb[:, :j], p, dtype=policy.high_dtype)
-        H[:j, j - 1] = r
-        w = w - Q[:, :j] @ r
-        z = omega.apply(w, dtype=lo).astype(np.float64)
+    w = to_dtype(round_to(b - matvec(round_to(x0, policy.low)), policy.low), lo)
+    for c in range(m + 1):
+        p = omega.apply(w.astype(np.float64), dtype=lo)
+        z = p
+        if c:
+            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=policy.high_dtype)
+            R[:c, c] = r
+            w = w - Q[:, :c] @ to_dtype(r, lo)
+            z = omega.apply(w.astype(np.float64), dtype=lo)
         h = float(round_to(np.linalg.norm(z), policy.high))
-        H[j, j - 1] = h
-        if h <= happy_tol * scale:
-            attained = j
+        R[c, c] = h
+        if h <= happy_tol * float(np.linalg.norm(p)):
+            attained = c
             break
-        Q[:, j] = w / h
-        Sb[:, j] = z / h
+        Q[:, c] = w / lo(h)
+        Sb[:, c] = (to_dtype(z, lo) / lo(h)).astype(np.float64)
+        if c < m:
+            w = to_dtype(round_to(matvec(Q[:, c].astype(np.float64)), policy.low), lo)
     k = m if attained is None else attained
     cols = k + 1 if attained is None else k
-    return Q[:, :cols].copy(), H[: k + 1, :k].copy(), beta, attained
+    return Q[:, :cols].astype(np.float64), R[:k + 1, 1:k + 1], float(R[0, 0]), attained
 
 
 def rgs_gmres(A, b, x0, m, omega, policy=None, happy_tol=None):
     """GMRES on the randomized Gram-Schmidt Arnoldi basis; same Hessenberg
     solve and history convention as rhqr_gmres."""
-    policy = policy or DOUBLE_POLICY
     b = as_array(b)
-    n = b.shape[0]
-    x0 = np.zeros(n) if x0 is None else as_array(x0)
-    Q, H, beta, attained = rgs_arnoldi(A, b, x0, m, omega, policy=policy,
-                                       happy_tol=happy_tol)
-    k = H.shape[1]
-    y, resid, hist = hessenberg_lstsq(H, beta, history=True)
-    if k and np.any(np.diagonal(H)[:k] == 0.0):
-        warnings.warn("Hessenberg system is rank deficient; dependent "
-                      "coordinates were zeroed", RuntimeWarning)
-    if k == 0:
-        return x0.copy(), hist
-    return x0 + Q[:, :k] @ y, hist
+    x0 = np.zeros(b.shape[0]) if x0 is None else as_array(x0)
+    Q, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy, happy_tol=happy_tol)
+    return _gmres_solve(H, beta, x0, lambda y: Q[:, :y.shape[0]] @ y)

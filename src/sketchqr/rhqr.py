@@ -145,6 +145,20 @@ def _extend_t(T, S, s_new, beta, c, hi=np.float64):
     T[c, c] = beta
 
 
+def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
+    """The left-looking column step: the reflector that eliminates entries
+    c+1.. of y = Psi w becomes column c of the compact form (U, S, T), and
+    w's head with the new diagonal -sigma*rho becomes column c of R.
+    Returns the HouseholderStep."""
+    step = rh_vector(w, y, c + 1, scaling, policy)
+    U[:, c] = step.u
+    S[:, c] = step.s
+    _extend_t(T, S, step.s, step.beta, c, policy.high_dtype)
+    R[:c, c] = w[:c]
+    R[c, c] = -step.sigma * step.rho
+    return step
+
+
 @dataclass
 class RHQRFactors:
     """Compact factorization output: W = Q R with Q = [I;0] - U T U1^t."""
@@ -234,7 +248,6 @@ def _sweep(W, omega, block_size, scaling, policy):
     check_scaling(scaling)
     policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
-    hi = policy.high_dtype
     Wa = as_array(W)
     n, m = Wa.shape
     psi = _embed(omega, n, m)
@@ -260,12 +273,7 @@ def _sweep(W, omega, block_size, scaling, policy):
             if c > j0:
                 w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
                                              transpose_t=True, policy=policy)
-            step = rh_vector(w, psi.apply(w, dtype=lo), c + 1, scaling, policy)
-            U[:, c] = step.u
-            S[:, c] = step.s
-            _extend_t(T, S, step.s, step.beta, c, hi)
-            R[:c, c] = w[:c]
-            R[c, c] = -step.sigma * step.rho
+            step = _add_reflector(w, psi.apply(w, dtype=lo), c, U, S, T, R, scaling, policy)
             sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
     return dict(U=U.astype(np.float64, copy=False), S=S, T=T, R=R, psi=psi,
                 scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)

@@ -14,7 +14,7 @@ result to float16 once, which is how half-precision hardware behaves.
 import numpy as np
 import scipy.sparse
 
-from .linalg import as_array, orthogonality_error, to_dtype
+from .linalg import as_array, orthogonality_error
 
 
 # From this many columns on, every butterfly already runs over k*h >= 64
@@ -93,6 +93,17 @@ def _columns(X, n):
     return X, vec
 
 
+def _matmul_in(cast, M, X, dtype):
+    """M @ X in dtype's arithmetic (float32 for half, rounded to half once
+    at the end).  M is cast to that format on first use and kept in the
+    cast dict, so an apply copies neither the operator nor a float64 X."""
+    adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
+    Ma = cast.get(adtype)
+    if Ma is None:
+        Ma = cast[adtype] = M.astype(adtype, copy=False)
+    return (Ma @ X.astype(adtype, copy=False)).astype(dtype, copy=False)
+
+
 class SketchOperator:
     """Base class: seeded linear map R^n -> R^ell applied column by column."""
 
@@ -148,20 +159,15 @@ class GaussianSketch(SketchOperator):
 
     def _apply(self, X, dtype):
         cached = self._cache.get(np.dtype(np.float64))
-        adtype = np.float32 if dtype == np.float16 else dtype
         if cached is not None:
-            G = self._cache.get(dtype)
-            if G is None:
-                G = cached if cached.dtype == adtype else cached.astype(adtype)
-                self._cache[dtype] = G
-            Y = G @ to_dtype(X, adtype)
-        else:
-            Y = np.empty((self.ell, X.shape[1]), dtype=adtype)
-            Xa = X.astype(adtype)
-            step = max(1, self._CACHE_ENTRIES // self.n)
-            for i0 in range(0, self.ell, step):
-                i1 = min(i0 + step, self.ell)
-                Y[i0:i1] = self._rows(i0, i1).astype(adtype) @ Xa
+            return _matmul_in(self._cache, cached, X, dtype)
+        adtype = np.float32 if dtype == np.float16 else dtype
+        Y = np.empty((self.ell, X.shape[1]), dtype=adtype)
+        Xa = X.astype(adtype)
+        step = max(1, self._CACHE_ENTRIES // self.n)
+        for i0 in range(0, self.ell, step):
+            i1 = min(i0 + step, self.ell)
+            Y[i0:i1] = self._rows(i0, i1).astype(adtype) @ Xa
         return Y.astype(dtype)
 
 
@@ -216,11 +222,10 @@ class SparseSignSketch(SketchOperator):
         self._matrix = scipy.sparse.csc_array(
             (vals.T.ravel(), (rows.T.ravel(), cols)), shape=(ell, n)
         )
+        self._cast = {}
 
     def _apply(self, X, dtype):
-        adtype = np.float32 if dtype == np.float16 else dtype
-        Y = self._matrix.astype(adtype) @ X.astype(adtype)
-        return Y.astype(dtype)
+        return _matmul_in(self._cast, self._matrix, X, dtype)
 
 
 class IdentitySketch(SketchOperator):
@@ -246,11 +251,10 @@ class MatrixSketch(SketchOperator):
             raise ValueError("sketch matrix must be two dimensional")
         super().__init__(matrix.shape[0], matrix.shape[1], 0)
         self.matrix = matrix
+        self._cast = {}
 
     def _apply(self, X, dtype):
-        adtype = np.float32 if dtype == np.float16 else dtype
-        Y = self.matrix.astype(adtype) @ X.astype(adtype)
-        return Y.astype(dtype)
+        return _matmul_in(self._cast, self.matrix, X, dtype)
 
 
 class ColumnScaledSketch(SketchOperator):

@@ -86,7 +86,9 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
     the sketched tail is exactly annihilated (rho == 0) or when the sketched
     reflector vector cancels, which the sign choice cannot rule out once the
     pivot's sketched column may anti-align with the tail; noise-floor tails
-    proceed, matching the main algorithm's convention.
+    proceed, matching the main algorithm's convention.  Unit scaling also
+    stops on an exactly zero sketched pivot, or when dividing by it leaves a
+    non-finite value.
     """
     check_scaling(scaling)
     policy = policy or DOUBLE_POLICY
@@ -125,15 +127,19 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
         vs = vs * f
         beta = 1.0
     else:
+        # as in rh_vector, only an exactly zero pivot or a scale that leaves
+        # a non-finite value stops the sweep; a small pivot is legitimate
         piv = float(vs[0])
-        if abs(piv) <= 8.0 * policy.u_high * nv:
-            raise BreakdownError(
-                f"unit scaling pivot vanished at column {j} (sketched entry {piv:.3e})",
-                column=j,
-            )
+        if piv == 0.0:
+            raise BreakdownError(f"unit scaling pivot vanished at column {j}", column=j)
         v = v / piv
         vs = vs / piv
         beta = float(hi(beta * piv * piv))
+        if not (np.isfinite(beta) and np.isfinite(v).all() and np.isfinite(vs).all()):
+            raise BreakdownError(
+                f"unit scaling degenerated at column {j} (sketched entry {piv:.3e})",
+                column=j,
+            )
     v = round_to(v, policy.low)
     vs = round_to(vs, policy.high)
     return TrimStep(j=j, v=v, s=vs, sigma=sigma, rho=rho, beta=beta)

@@ -149,6 +149,13 @@ def test_gmres_rejects_unknown_solver():
                              ExperimentConfig(algo="hqr"))
 
 
+def test_gmres_rejects_callable_operator():
+    # the relation error is scaled by ||A||_F, which a matvec alone would
+    # need n calls to compute
+    with pytest.raises(TypeError):
+        run_gmres_experiment(lambda v: v, np.ones(16), 2, ExperimentConfig(algo="rgs"))
+
+
 def read_back(path):
     comments, header, data = [], None, []
     with open(path) as fh:

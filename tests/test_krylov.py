@@ -1,5 +1,9 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sketchqr.krylov import (
     arnoldi_q,
@@ -9,8 +13,9 @@ from sketchqr.krylov import (
     rhqr_arnoldi,
     rhqr_gmres,
 )
+from sketchqr.experiments import ExperimentConfig, run_gmres_experiment
 from sketchqr.linalg import orthogonality_error
-from sketchqr.precision import policy_from_tag
+from sketchqr.precision import policy_from_tag, round_to
 from sketchqr.sketching import GaussianSketch, IdentitySketch, SRHTSketch, check_embedding
 
 from oracles import householder_arnoldi, mgs_gmres
@@ -72,7 +77,7 @@ def test_arnoldi_identity_operator_closes_at_one(rng):
     assert bun.H.shape == (2, 1)
     assert abs(bun.H[0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(bun.H[1, 0]) <= 1e-12
-    assert bun.Q_cols.shape[1] == 1
+    assert arnoldi_q(bun, bun.dim).shape[1] == 1
 
 
 def test_arnoldi_identity_embedding_matches_householder_oracle(rng):
@@ -81,7 +86,7 @@ def test_arnoldi_identity_embedding_matches_householder_oracle(rng):
     bun = rhqr_arnoldi(A, b, np.zeros(20), 5, IdentitySketch(14))
     Qo, Ho = householder_arnoldi(A, b, np.zeros(20), 5)
     assert np.abs(bun.H - Ho).max() <= 1e-12
-    assert np.abs(bun.Q_cols - Qo).max() <= 1e-12
+    assert np.abs(arnoldi_q(bun, 5) - Qo).max() <= 1e-12
 
 
 def test_arnoldi_relation_and_sketched_orthogonality(rng):
@@ -92,7 +97,7 @@ def test_arnoldi_relation_and_sketched_orthogonality(rng):
     bun = rhqr_arnoldi(A, b, None, m, GaussianSketch(4 * (m + 1), n - m - 1, 2))
     assert bun.breakdown is None
     Qm1 = arnoldi_q(bun, m + 1)
-    rel = np.linalg.norm(A @ bun.Q_cols - Qm1 @ bun.H)
+    rel = np.linalg.norm(A @ arnoldi_q(bun, m) - Qm1 @ bun.H)
     assert rel <= 1e-12 * np.linalg.norm(A)
     assert orthogonality_error(bun.psi.apply(Qm1)) <= 1e-10
     assert np.abs(np.tril(bun.H, -2)).max() == 0.0
@@ -105,7 +110,7 @@ def test_arnoldi_first_column_spans_residual(rng):
     x0 = rng.standard_normal(n)
     bun = rhqr_arnoldi(A, b, x0, 6, GaussianSketch(40, n - 7, 3))
     r0 = b - A @ x0
-    assert np.allclose(bun.Q_cols[:, 0] * bun.beta, r0, atol=1e-12 * np.linalg.norm(r0))
+    assert np.allclose(arnoldi_q(bun, 1)[:, 0] * bun.beta, r0, atol=1e-12 * np.linalg.norm(r0))
     assert abs(bun.beta) == pytest.approx(np.linalg.norm(bun.psi.apply(r0)), rel=1e-12)
 
 
@@ -198,6 +203,21 @@ def test_rgs_arnoldi_relation(rng):
     assert beta == pytest.approx(np.linalg.norm(b) , rel=0.5)
 
 
+@pytest.mark.parametrize("tag", ["single", "mixed"])
+def test_arnoldi_bases_are_stored_in_low_precision(rng, tag):
+    n, m = 200, 15
+    A = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+    b = rng.standard_normal(n)
+    policy = policy_from_tag(tag)
+    Q, H, beta, attained = rgs_arnoldi(A, b, None, m, SRHTSketch(4 * (m + 1), n, 23),
+                                       policy=policy)
+    assert attained is None and Q.dtype == np.float64
+    assert np.array_equal(Q, round_to(Q, policy.low))
+    bun = rhqr_arnoldi(A, b, None, m, SRHTSketch(4 * (m + 1), n - m - 1, 23), policy=policy)
+    assert bun.U.dtype == np.float64
+    assert np.array_equal(bun.U, round_to(bun.U, policy.low))
+
+
 def test_rgs_gmres_identity_operator(rng):
     b = rng.standard_normal(35)
     x, hist = rgs_gmres(np.eye(35), b, None, 1, GaussianSketch(20, 35, 3))
@@ -224,12 +244,104 @@ def test_rgs_gmres_identity_embedding_matches_mgs(rng):
     assert hist[-1] == pytest.approx(ro, abs=1e-10 * np.linalg.norm(b))
 
 
-def test_arnoldi_q_prefix_agrees_with_stored_columns(rng):
+def test_arnoldi_q_agrees_with_the_matvec_inputs(rng):
     n, m = 90, 10
     A = rng.standard_normal((n, n))
     b = rng.standard_normal(n)
-    bun = rhqr_arnoldi(A, b, None, m, GaussianSketch(48, n - m - 1, 21))
+    seen = []
+
+    def op(v):
+        seen.append(v.copy())
+        return A @ v
+
+    bun = rhqr_arnoldi(op, b, None, m, GaussianSketch(48, n - m - 1, 21))
+    # the first call forms r0 = b - A x0, the next m apply A to the q_j
+    # extracted through Psi e_j = e_j
+    assert len(seen) == m + 1
     Q = arnoldi_q(bun, m)
-    assert np.abs(Q - bun.Q_cols).max() <= 1e-13
+    assert np.abs(np.stack(seen[1:], axis=1) - Q).max() <= 1e-13
     with pytest.raises(ValueError):
         arnoldi_q(bun, m + 5)
+
+
+def _krylov_operator(name):
+    rng = np.random.default_rng(31)
+    n = 160
+    if name == "dense":
+        return rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n), rng.standard_normal(n)
+    if name == "sparse":
+        A = scipy.sparse.random(n, n, density=0.05, random_state=31) + 2.0 * scipy.sparse.identity(n)
+        return A.tocsr(), rng.standard_normal(n)
+    return (np.eye(n) if name == "identity" else np.zeros((n, n))), rng.standard_normal(n)
+
+
+def _krylov_digest(case):
+    what, op, tag, scaling = case
+    A, b = _krylov_operator(op)
+    n, m = b.shape[0], 12
+    policy = policy_from_tag(tag)
+    h = hashlib.blake2b(digest_size=16)
+
+    def put(*arrays):
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if what == "rhqr_arnoldi":
+            bun = rhqr_arnoldi(A, b, None, m, SRHTSketch(4 * (m + 1), n - m - 1, 41),
+                               scaling=scaling, policy=policy)
+            put(bun.U, bun.S, bun.T, bun.H, [bun.beta],
+                [-1 if bun.breakdown is None else bun.breakdown])
+        elif what == "rhqr_gmres":
+            put(*rhqr_gmres(A, b, None, m, SRHTSketch(4 * (m + 1), n - m - 1, 41),
+                            scaling=scaling, policy=policy))
+        elif what == "rgs_gmres":
+            put(*rgs_gmres(A, b, None, m, GaussianSketch(4 * (m + 1), n, 43), policy=policy))
+        else:
+            cfg = ExperimentConfig(algo=what.split(":")[1], sketch="gauss", seed=45,
+                                   precision=tag, scaling=scaling, deterministic=True)
+            for row in run_gmres_experiment(A, b, m, cfg):
+                put(row[:-1])
+                h.update(row.status.encode())
+    return h.hexdigest()
+
+
+# blake2b digests of the Arnoldi factors and GMRES outputs.  Like the sweep
+# digests in test_rhqr.py they go through BLAS, so they also pin the
+# numpy/OpenBLAS build.  "identity" closes the Krylov space after one step
+# and "zero" has a zero Hessenberg column.
+KRYLOV_DIGESTS = {
+    ("rhqr_arnoldi", "dense", "double", "sqrt2"): "f8b9906c2ac81aa8f247fe0574fc2387",
+    ("rhqr_arnoldi", "dense", "double", "unit"): "436477c82e9550d56835ac0fc4493a0c",
+    ("rhqr_arnoldi", "dense", "single", "sqrt2"): "6a4c3a336ad658761a5acc823af634ab",
+    ("rhqr_arnoldi", "dense", "single", "unit"): "7b65b6540b50a527608e6a4898b84c13",
+    ("rhqr_arnoldi", "dense", "mixed", "sqrt2"): "93ccd2201d21c45dcd3d7adc53d518f1",
+    ("rhqr_arnoldi", "dense", "mixed", "unit"): "b182c43f5cd306626bbe31d32d24d30e",
+    ("rhqr_arnoldi", "dense", "half", "sqrt2"): "8f4a227c0a734fd240a99a6f2360e095",
+    ("rhqr_arnoldi", "dense", "half", "unit"): "d0138d44263e4945806f23fc42b810cf",
+    ("rhqr_arnoldi", "identity", "double", "sqrt2"): "d8420839c5f62f339109981afbf937e8",
+    ("rhqr_arnoldi", "zero", "double", "sqrt2"): "827b077cad2328eec446a046f0e25ad6",
+    ("rhqr_gmres", "dense", "double", "sqrt2"): "e28a3f9fa1f503105d16c31558dd4e42",
+    ("rhqr_gmres", "dense", "double", "unit"): "a2e25528526f766ad16081b2c7c51b4f",
+    ("rhqr_gmres", "dense", "single", "sqrt2"): "1f630ef11888249459120511c071d6d0",
+    ("rhqr_gmres", "dense", "single", "unit"): "ce1938f0cfb109096d84a6be18bb5b52",
+    ("rhqr_gmres", "dense", "mixed", "sqrt2"): "f4b48f88ce333812207db42bbe6d6a70",
+    ("rhqr_gmres", "dense", "mixed", "unit"): "78378c17b4ccfd14785ae379cab2d569",
+    ("rhqr_gmres", "dense", "half", "sqrt2"): "32aa00dbf9eb03510252a34c5e469fba",
+    ("rhqr_gmres", "dense", "half", "unit"): "026de61dd434a9ce0d2b800e346ed1c5",
+    ("rhqr_gmres", "identity", "double", "sqrt2"): "8b621486063adb71db4119ed3e4a008e",
+    ("rhqr_gmres", "zero", "double", "unit"): "4b9d4c30d38a4b087c3b747491e2d812",
+    ("rgs_gmres", "dense", "double", "-"): "49f32409b7ac4463215e784a443f066d",
+    ("rgs_gmres", "identity", "double", "-"): "f88284cc365b81fdd4c6f4856c8d1765",
+    ("rgs_gmres", "zero", "double", "-"): "4a0e7e53d9a2e55d3a8c38cded5c9ddd",
+    ("run_gmres_experiment:rhqr", "sparse", "double", "sqrt2"): "66edf17ed4ed5376df320da7450105ab",
+    ("run_gmres_experiment:rhqr", "identity", "double", "unit"): "71f88b3e7f5343aa869c1a7b3cc612fc",
+    ("run_gmres_experiment:rgs", "sparse", "double", "sqrt2"): "20039f2e00167638f22d8cac3222c58d",
+    ("run_gmres_experiment:rgs", "identity", "double", "sqrt2"): "ef4e50ab27d08cbdb686724e5e23ab45",
+}
+
+
+@pytest.mark.parametrize("case", list(KRYLOV_DIGESTS), ids="-".join)
+def test_krylov_golden_digests(case):
+    assert _krylov_digest(case) == KRYLOV_DIGESTS[case]

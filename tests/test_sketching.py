@@ -10,6 +10,7 @@ from sketchqr.sketching import (
     EmbeddedSketch,
     GaussianSketch,
     IdentitySketch,
+    MatrixSketch,
     SRHTSketch,
     SparseSignSketch,
     check_embedding,
@@ -186,6 +187,28 @@ def test_embedded_srht_golden_digest(dtype):
     Y = psi.apply(_exact_inputs(1520, 20), dtype=dtype)
     assert Y.shape == (110, 20)
     assert _digest(Y) == EMBEDDED_DIGESTS[dtype]
+
+
+# dtype -> (block, vector) digests of SparseSignSketch(60, 500, seed 3, s=4)
+# on 5 exact columns; its explicit matrix as a MatrixSketch gives the same.
+# The sparse product is scipy's own loop, so these hold on any machine.
+SPARSE_SIGN_DIGESTS = {
+    "float16": ("385e46c8f258fdfc087ecf5995c08e62", "ab6093f866729ef6c7907862e8d606c9"),
+    "float32": ("907b1d0ed0f41bee364a74ee619cd3a0", "1938724891bc8531a12b5a21c215f511"),
+    "float64": ("e01391a322d7dd954dcd11ee95c39342", "6d819fe893bbbcbbefdfe2bdd43b75c9"),
+}
+
+
+def test_sparse_and_matrix_sketch_golden_digests():
+    sp = SparseSignSketch(60, 500, 3, s=4)
+    ms = MatrixSketch(sp._matrix.toarray())
+    X = _exact_inputs(500, 5)
+    # twice round, so the second apply in each format reuses the cast operator
+    for dtype in 2 * list(SPARSE_SIGN_DIGESTS):
+        block, vec = SPARSE_SIGN_DIGESTS[dtype]
+        assert _digest(sp.apply(X, dtype=dtype)) == block
+        assert _digest(ms.apply(X, dtype=dtype)) == block
+        assert _digest(sp.apply(X[:, 2], dtype=dtype)) == vec
 
 
 def test_operators_are_deterministic(rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sketchqr.baselines import householder_qr
+from sketchqr.experiments import gen_cmatrix
 from sketchqr.linalg import (
     SCALE_SQRT2,
     SCALE_UNIT,
@@ -10,7 +11,7 @@ from sketchqr.linalg import (
     cond_number,
     factorization_errors,
 )
-from sketchqr.precision import policy_from_tag
+from sketchqr.precision import policy_from_tag, round_to
 from sketchqr.rhqr import t_factor_from_sketches
 from sketchqr.sketching import (
     ColumnScaledSketch,
@@ -280,3 +281,15 @@ def test_small_sketch_stays_bounded_in_single(rng):
     assert all(np.isfinite(conds))
     assert conds == sorted(conds) or max(conds) < 1e3
     assert cond_number(trim_thin_q(F)) < 1e3
+
+
+@pytest.mark.parametrize("seed", [15, 19, 20, 22, 23, 27, 33])
+def test_unit_scaling_runs_through_small_pivots_in_half(seed):
+    # a pivot of a fraction of a percent of the sketched norm is an ordinary
+    # value in half precision; only an exactly zero or a non-finite scale
+    # stops the sweep, as in rh_vector
+    W = gen_cmatrix(256, 24)
+    policy = policy_from_tag("half")
+    F = trim_rhqr_left(W, SRHTSketch(48, 256, seed), scaling=SCALE_UNIT, policy=policy)
+    Wl = round_to(W, "half")
+    assert np.linalg.norm(Wl - trim_thin_q(F) @ F.R) <= 5e-3 * np.linalg.norm(Wl)
