@@ -26,11 +26,10 @@ from .precision import DOUBLE_POLICY, round_to
 class QRResult(NamedTuple):
     Q: np.ndarray
     R: np.ndarray
-    method: str
     aux: dict
 
 
-def householder_qr(A, scaling=SCALE_SQRT2, policy=None):
+def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Classic left-looking Householder QR of a tall A (p x m, p >= m).
 
     Sign rule sigma = sign(pivot) with sign(0) = +1, so R's diagonal is
@@ -40,7 +39,6 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=None):
     a merely tiny tail proceeds like any textbook implementation.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
     A = as_array(A)
@@ -86,8 +84,7 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=None):
         sigmas[c], rhos[c], betas[c] = sigma, rho, beta
     Q = -U @ (T @ U[:m, :m].T)
     Q[:m] += np.eye(m)
-    return QRResult(Q=Q, R=R, method="householder",
-                    aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos, "betas": betas})
+    return QRResult(Q=Q, R=R, aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos, "betas": betas})
 
 
 def pivoted_householder_qr(A, dtype=np.float64):
@@ -152,18 +149,17 @@ def pivoted_qr_lstsq(A, b, dtype=np.float64):
     return x
 
 
-def cgs(W, policy=None):
+def cgs(W, policy=DOUBLE_POLICY):
     """Classical Gram-Schmidt, one pass, Euclidean normalization."""
     return _gram_schmidt(W, policy, modified=False)
 
 
-def mgs(W, policy=None):
+def mgs(W, policy=DOUBLE_POLICY):
     """Modified Gram-Schmidt, left-looking."""
     return _gram_schmidt(W, policy, modified=True)
 
 
 def _gram_schmidt(W, policy, modified):
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     Wa = as_array(W)
     n, m = Wa.shape
@@ -186,11 +182,10 @@ def _gram_schmidt(W, policy, modified):
             raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1)
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
-    return QRResult(Q=Q.astype(np.float64), R=R,
-                    method="mgs" if modified else "cgs", aux={})
+    return QRResult(Q=Q.astype(np.float64), R=R, aux={})
 
 
-def rgs(W, omega, policy=None):
+def rgs(W, omega, policy=DOUBLE_POLICY):
     """Randomized Gram-Schmidt: project in the sketch space, one sketch per
     column plus a re-sketch after the update.
 
@@ -198,7 +193,6 @@ def rgs(W, omega, policy=None):
     column-pivoted Householder QR in the high precision of the policy;
     normalization uses the sketched norm.
     """
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     Wa = as_array(W)
     n, m = Wa.shape
@@ -212,12 +206,12 @@ def rgs(W, omega, policy=None):
     R = np.zeros((m, m))
     for c in range(m):
         w = Wl[:, c].copy()
-        p = omega.apply(w.astype(np.float64), dtype=lo)
+        z = p = omega.apply(w.astype(np.float64), dtype=lo)
         if c:
             r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=policy.high_dtype)
             R[:c, c] = r
             w = w - Q[:, :c] @ to_dtype(r, lo)
-        z = omega.apply(w.astype(np.float64), dtype=lo)
+            z = omega.apply(w.astype(np.float64), dtype=lo)
         rjj = float(round_to(np.linalg.norm(z), policy.high))
         # only an exactly zero sketched pivot stops the sweep: past numerical
         # singularity the process is expected to keep going on noise, that is
@@ -228,10 +222,10 @@ def rgs(W, omega, policy=None):
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
         Sb[:, c] = (to_dtype(z, lo) / lo(rjj)).astype(np.float64)
-    return QRResult(Q=Q.astype(np.float64), R=R, method="rgs", aux={"omega": omega})
+    return QRResult(Q=Q.astype(np.float64), R=R, aux={"omega": omega})
 
 
-def blas2_rgs(W, omega, policy=None):
+def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
     """Matvec-rich randomized Gram-Schmidt: the projection coefficients come
     from the compact triangle T instead of a least-squares solve.
 
@@ -240,7 +234,6 @@ def blas2_rgs(W, omega, policy=None):
     and omega, from which blas2_corrected_sketch forms the sketch of the
     corrected basis [I - T; Q T].
     """
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     Wa = as_array(W)
     n, m = Wa.shape
@@ -256,13 +249,13 @@ def blas2_rgs(W, omega, policy=None):
     hi = policy.high_dtype
     for c in range(m):
         w = Wl[:, c].copy()
-        p = omega.apply(w.astype(np.float64), dtype=lo)
+        z = p = omega.apply(w.astype(np.float64), dtype=lo)
         if c:
             rhead = to_dtype(T[:c, :c].T, hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(p, hi))
             rhead = rhead.astype(np.float64)
             R[:c, c] = rhead
             w = w - Q[:, :c] @ to_dtype(rhead, lo)
-        z = omega.apply(w.astype(np.float64), dtype=lo)
+            z = omega.apply(w.astype(np.float64), dtype=lo)
         rho = float(round_to(np.linalg.norm(z), policy.high))
         if rho == 0.0:
             raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
@@ -274,8 +267,7 @@ def blas2_rgs(W, omega, policy=None):
             col = to_dtype(T[:c, :c], hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(Sb[:, c], hi))
             T[:c, c] = -col.astype(np.float64)
         T[c, c] = 1.0
-    return QRResult(Q=Q.astype(np.float64), R=R, method="blas2_rgs",
-                    aux={"T": T, "omega": omega})
+    return QRResult(Q=Q.astype(np.float64), R=R, aux={"T": T, "omega": omega})
 
 
 def blas2_corrected_sketch(result):
@@ -286,9 +278,8 @@ def blas2_corrected_sketch(result):
     return np.concatenate([np.eye(m) - T, omega.apply(result.Q) @ T], axis=0)
 
 
-def rand_cholesky_qr(W, omega, policy=None):
+def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
     """R from a Householder QR of the sketch, Q by a triangular solve."""
-    policy = policy or DOUBLE_POLICY
     Wa = as_array(W)
     n, m = Wa.shape
     if omega.n != n:
@@ -297,5 +288,4 @@ def rand_cholesky_qr(W, omega, policy=None):
     Z = omega.apply(Wl, dtype=policy.low_dtype)
     hq = householder_qr(Z, policy=policy)
     Q = right_tri_solve(Wl, hq.R, policy=policy)
-    return QRResult(Q=Q, R=hq.R, method="rand_cholesky",
-                    aux={"omega": omega})
+    return QRResult(Q=Q, R=hq.R, aux={"omega": omega})

@@ -6,7 +6,8 @@ factors, whatever precision the algorithm itself ran in, and errors are
 measured against the storage-rounded input (the matrix the low-precision
 run actually saw).  Left-looking methods are factored once and sampled at
 column prefixes; sketch-then-factor methods (rec-rhqr, rcholqr) are rerun
-per sampled width since their output depends on the full input.
+per sampled width since their output depends on the full input.  ALGOS
+wires each algorithm name to its call, its sketch and its sweep.
 """
 
 import time
@@ -26,15 +27,39 @@ from .linalg import (
     orthogonality_error,
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
-from .rhqr import rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
+from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
 from .sketching import make_sketch
-from .trim import trim_rhqr_left, trim_rhqr_right, trim_thin_q
+from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
-FACTOR_ALGOS = ("rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr",
-                "trim-left", "trim-right", "rgs", "blas2-rgs", "cgs", "mgs",
-                "hqr", "rcholqr")
-EMBEDDED_ALGOS = ("rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr")
-RERUN_ALGOS = ("rec-rhqr", "rcholqr")
+# Sketch rows: TRAILING sketches the n-m rows under the identity block of
+# the [I; Omega] embedding, ALL sketches all n rows, None builds no sketch.
+TRAILING, ALL = "trailing", "all"
+
+# algorithm name -> (call(W, omega, config, policy), sketch rows, rerun at
+# every sampled width).  The calls look their functions up when they run,
+# so a rebinding of this module's names reaches them.
+ALGOS = {
+    "rhqr-left": (lambda W, om, c, p: rhqr_left(W, om, scaling=c.scaling, policy=p),
+                  TRAILING, False),
+    "rhqr-right": (lambda W, om, c, p: rhqr_right(W, om, scaling=c.scaling, policy=p),
+                   TRAILING, False),
+    "rhqr-block": (lambda W, om, c, p: rhqr_block(W, om, block_size=c.block_size,
+                                                  scaling=c.scaling, policy=p),
+                   TRAILING, False),
+    "rec-rhqr": (lambda W, om, c, p: rec_rhqr(W, om, scaling=c.scaling, policy=p),
+                 TRAILING, True),
+    "trim-left": (lambda W, om, c, p: trim_rhqr_left(W, om, scaling=c.scaling, policy=p),
+                  ALL, False),
+    "trim-right": (lambda W, om, c, p: trim_rhqr_right(W, om, scaling=c.scaling, policy=p),
+                   ALL, False),
+    "rgs": (lambda W, om, c, p: rgs(W, om, policy=p), ALL, False),
+    "blas2-rgs": (lambda W, om, c, p: blas2_rgs(W, om, policy=p), ALL, False),
+    "cgs": (lambda W, om, c, p: cgs(W, policy=p), None, False),
+    "mgs": (lambda W, om, c, p: mgs(W, policy=p), None, False),
+    "hqr": (lambda W, om, c, p: householder_qr(W, scaling=c.scaling, policy=p), None, False),
+    "rcholqr": (lambda W, om, c, p: rand_cholesky_qr(W, om, policy=p), ALL, True),
+}
+FACTOR_ALGOS = tuple(ALGOS)
 
 
 class MetricRow(NamedTuple):
@@ -119,78 +144,53 @@ def run_factor_experiment(W, config):
     """Metric rows for config.algo on the leading j columns of W,
     j = every, 2*every, ..., m.  A breakdown at column c yields rows with a
     'breakdown@c' status (and NaN metrics) from the first affected width on.
+    W's columns are checked once up front: from the first column c holding
+    a NaN or an infinity on, rows get NaN metrics and status 'nonfinite@c',
+    unless a breakdown at an earlier column names them.
     """
-    if config.algo not in FACTOR_ALGOS:
+    if config.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
     policy = policy_from_tag(config.precision)
     W = as_array(W)
-    n, m = W.shape
+    m = W.shape[1]
     ell = config.ell or 4 * m
     Wl = round_to(W, policy.low)
     js = sample_widths(m, config.every)
-    if config.algo in RERUN_ALGOS:
-        return _rerun_sweep(W, Wl, config, policy, ell, js)
-    return _prefix_sweep(W, Wl, config, policy, ell, js)
+    bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
+    attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")
+    sweep = _rerun_sweep if ALGOS[config.algo][2] else _prefix_sweep
+    return sweep(W, Wl, config, policy, ell, js, attained, status)
 
 
 def _factor_once(W, config, policy, ell):
+    call, rows, _ = ALGOS[config.algo]
     n, m = W.shape
-    algo = config.algo
-    if algo in EMBEDDED_ALGOS:
-        omega = make_sketch(config.sketch, ell, n - m, config.seed, s=config.s)
-    elif algo in ("cgs", "mgs", "hqr"):
-        omega = None
-    else:
-        omega = make_sketch(config.sketch, ell, n, config.seed, s=config.s)
-    if algo == "rhqr-left":
-        return rhqr_left(W, omega, scaling=config.scaling, policy=policy)
-    if algo == "rhqr-right":
-        return rhqr_right(W, omega, scaling=config.scaling, policy=policy)
-    if algo == "rhqr-block":
-        return rhqr_block(W, omega, block_size=config.block_size,
-                          scaling=config.scaling, policy=policy)
-    if algo == "rec-rhqr":
-        return rec_rhqr(W, omega, scaling=config.scaling, policy=policy)
-    if algo == "trim-left":
-        return trim_rhqr_left(W, omega, scaling=config.scaling, policy=policy)
-    if algo == "trim-right":
-        return trim_rhqr_right(W, omega, scaling=config.scaling, policy=policy)
-    if algo == "rgs":
-        return rgs(W, omega, policy=policy)
-    if algo == "blas2-rgs":
-        return blas2_rgs(W, omega, policy=policy)
-    if algo == "cgs":
-        return cgs(W, policy=policy)
-    if algo == "mgs":
-        return mgs(W, policy=policy)
-    if algo == "hqr":
-        return householder_qr(W, scaling=config.scaling, policy=policy)
-    return rand_cholesky_qr(W, omega, policy=policy)
+    omega = None
+    if rows:
+        omega = make_sketch(config.sketch, ell, n - m if rows == TRAILING else n,
+                            config.seed, s=config.s)
+    return call(W, omega, config, policy)
 
 
-def _prefix_rows(out, config, j, Wl):
-    """Materialize (Q, R, sketched Q) for the leading j columns of a full-run
-    factorization object."""
-    algo = config.algo
-    if algo.startswith("rhqr"):
+def _q_r_sq(out, j):
+    """(Q, R, sketched Q) of the leading j columns of a factorization,
+    materialized in float64 by the factorization's own type."""
+    if isinstance(out, RHQRFactors):
         f = out.prefix(j)
         Q = thin_q(f)
         return Q, f.R, f.psi.apply(Q)
-    if algo.startswith("trim"):
+    if isinstance(out, TrimFactors):
         f = out.prefix(j)
         Q = trim_thin_q(f)
         return Q, f.R, f.omega.apply(Q)
     Q = out.Q[:, :j]
-    R = out.R[:j, :j]
-    if algo in ("cgs", "mgs", "hqr"):
-        return Q, R, Q
-    return Q, R, out.aux["omega"].apply(Q)
+    omega = out.aux.get("omega")
+    return Q, out.R[:j, :j], Q if omega is None else omega.apply(Q)
 
 
-def _prefix_sweep(W, Wl, config, policy, ell, js):
-    attained = W.shape[1]
-    status = "ok"
+def _prefix_sweep(W, Wl, config, policy, ell, js, attained, status):
     out = None
+    broke = None
     while attained > 0:
         try:
             out = _factor_once(W[:, :attained], config, policy, ell)
@@ -200,33 +200,24 @@ def _prefix_sweep(W, Wl, config, policy, ell, js):
             # left-looking, so a run on the shortened input is the same
             # computation (the embedded sketch is rebuilt for its width)
             col = getattr(exc, "column", attained)
-            if status == "ok":
-                status = f"breakdown@{col}"
+            broke = broke or f"breakdown@{col}"
             attained = min(col - 1, attained - 1)
-    rows = []
-    for j in js:
-        if j > attained:
-            rows.append(_nan_row(j, status))
-            continue
-        Q, R, SQ = _prefix_rows(out, config, j, Wl)
-        rows.append(_measure(j, Wl, Q, R, SQ))
-    return rows
+    return [_nan_row(j, broke or status) if j > attained
+            else _measure(j, Wl, *_q_r_sq(out, j)) for j in js]
 
 
-def _rerun_sweep(W, Wl, config, policy, ell, js):
+def _rerun_sweep(W, Wl, config, policy, ell, js, attained, status):
     rows = []
     for j in js:
-        try:
-            out = _factor_once(W[:, :j], config, policy, ell)
-        except (BreakdownError, PrecisionRangeError) as exc:
-            rows.append(_nan_row(j, f"breakdown@{getattr(exc, 'column', j)}"))
-            continue
-        if config.algo == "rec-rhqr":
-            Q = thin_q(out)
-            rows.append(_measure(j, Wl, Q, out.R, out.psi.apply(Q)))
-        else:
-            Q = out.Q
-            rows.append(_measure(j, Wl, Q, out.R, out.aux["omega"].apply(Q)))
+        if j <= attained:
+            try:
+                out = _factor_once(W[:, :j], config, policy, ell)
+            except (BreakdownError, PrecisionRangeError) as exc:
+                status = f"breakdown@{getattr(exc, 'column', j)}"
+            else:
+                rows.append(_measure(j, Wl, *_q_r_sq(out, j)))
+                continue
+        rows.append(_nan_row(j, status))
     return rows
 
 
@@ -243,6 +234,8 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     b = as_array(b)
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else as_array(x0)
+    if not (np.isfinite(b).all() and np.isfinite(x0).all()):
+        raise ValueError("b and x0 must be finite")
     ell = config.ell or 4 * (m + 1)
     anorm = _operator_fro_norm(A)
     if config.algo == "rhqr":

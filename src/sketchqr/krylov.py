@@ -53,7 +53,6 @@ class KrylovBundle:
     H: np.ndarray
     psi: EmbeddedSketch
     beta: float
-    scaling: str
     breakdown: int = None
 
     @property
@@ -89,8 +88,7 @@ def _apply_basis(bundle, y, policy):
                                     pad, bundle.psi, policy=policy)
 
 
-def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
-                 happy_tol=None):
+def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Krylov basis of (A, b - A x0) through randomized Householder QR: the
     left-looking column step of rhqr.py on [r0, A q_1, ..., A q_m], whose
     R holds beta in R[0, 0] and H in its other columns.
@@ -98,11 +96,11 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     omega sketches the trailing n-m-1 coordinates (the identity block of the
     embedding covers the m+1 Hessenberg rows).  A is applied only as a
     matvec.  When the sketched tail of the next direction falls below
-    happy_tol times its full norm the space is declared closed: factors are
-    truncated and bundle.breakdown reports the attained dimension.
+    32 * policy.u_high times its full norm the space is declared closed:
+    factors are truncated and bundle.breakdown reports the attained
+    dimension.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
     matvec = _as_operator(A)
@@ -110,8 +108,6 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else as_array(x0)
     psi = _embed(omega, n, m + 1)
-    if happy_tol is None:
-        happy_tol = 32.0 * policy.u_high
     # rh_vector already rounds u to policy.low, so storing U there is exact
     U = np.zeros((n, m + 1), dtype=lo)
     S = np.zeros((psi.out_dim, m + 1))
@@ -122,7 +118,7 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     for c in range(m + 1):
         z = psi.apply(w, dtype=lo)
         tail = float(np.linalg.norm(z[c:]))
-        if tail <= happy_tol * float(np.linalg.norm(z)):
+        if tail <= 32.0 * policy.u_high * float(np.linalg.norm(z)):
             # the new direction is numerically inside the span already: close
             # the space, finishing the current Hessenberg column with the
             # (tiny) subdiagonal the reflector would have produced
@@ -148,8 +144,7 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     r = k + 1 if attained is None else k
     return KrylovBundle(
         U=U[:, :r].astype(np.float64, copy=False), S=S[:, :r], T=T[:r, :r],
-        H=R[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]), scaling=scaling,
-        breakdown=attained,
+        H=R[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]), breakdown=attained,
     )
 
 
@@ -206,8 +201,7 @@ def _gmres_solve(H, beta, x0, apply_basis):
     return x0 + apply_basis(y), hist
 
 
-def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
-               happy_tol=None):
+def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """GMRES in the sketched norm: Arnoldi via randomized Householder QR,
     Hessenberg least squares, and the correction x - x0 = Q_k y recovered by
     one pass of the compact form over the padded coefficient vector.
@@ -215,27 +209,24 @@ def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=None,
     Returns (x, resid_history) with resid_history[j] the sketched residual
     norm after j iterations (resid_history[0] = ||Psi r0||).
     """
-    policy = policy or DOUBLE_POLICY
     b = as_array(b)
     x0 = np.zeros(b.shape[0]) if x0 is None else as_array(x0)
-    bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=scaling, policy=policy,
-                          happy_tol=happy_tol)
+    bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=scaling, policy=policy)
     return _gmres_solve(bundle.H, bundle.beta, x0,
                         lambda y: _apply_basis(bundle, y, policy))
 
 
-def rgs_arnoldi(A, b, x0, m, omega, policy=None, happy_tol=None):
+def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     """Arnoldi with randomized Gram-Schmidt orthogonalization and an
     explicit basis: projection coefficients from a sketched least-squares
     solve, normalization by the sketched norm.  This is rgs run on the
     Krylov matrix, with the basis and its update in policy.low; the space
-    closes when the sketched norm after projection falls below happy_tol
-    times the one before.
+    closes when the sketched norm after projection falls below
+    32 * policy.u_high times the one before.
 
     omega sketches all n coordinates, ell >= m+1.  Returns
     (Q, H, beta, attained) with Q of k+1 columns and H of shape (k+1) x k.
     """
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     matvec = _as_operator(A)
     b = as_array(b)
@@ -245,8 +236,6 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=None, happy_tol=None):
         raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
     if omega.ell < m + 1:
         raise ValueError("sampling size below basis size")
-    if happy_tol is None:
-        happy_tol = 32.0 * policy.u_high
     Q = np.zeros((n, m + 1), dtype=lo)
     Sb = np.zeros((omega.ell, m + 1))
     R = np.zeros((m + 1, m + 1))
@@ -262,7 +251,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=None, happy_tol=None):
             z = omega.apply(w.astype(np.float64), dtype=lo)
         h = float(round_to(np.linalg.norm(z), policy.high))
         R[c, c] = h
-        if h <= happy_tol * float(np.linalg.norm(p)):
+        if h <= 32.0 * policy.u_high * float(np.linalg.norm(p)):
             attained = c
             break
         Q[:, c] = w / lo(h)
@@ -274,10 +263,10 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=None, happy_tol=None):
     return Q[:, :cols].astype(np.float64), R[:k + 1, 1:k + 1], float(R[0, 0]), attained
 
 
-def rgs_gmres(A, b, x0, m, omega, policy=None, happy_tol=None):
+def rgs_gmres(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     """GMRES on the randomized Gram-Schmidt Arnoldi basis; same Hessenberg
     solve and history convention as rhqr_gmres."""
     b = as_array(b)
     x0 = np.zeros(b.shape[0]) if x0 is None else as_array(x0)
-    Q, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy, happy_tol=happy_tol)
+    Q, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy)
     return _gmres_solve(H, beta, x0, lambda y: Q[:, :y.shape[0]] @ y)

@@ -57,13 +57,12 @@ def _check_diagonal(R, dtype):
         )
 
 
-def upper_tri_solve(R, B, policy=None):
+def upper_tri_solve(R, B, policy=DOUBLE_POLICY):
     """Solve R X = B for upper-triangular R by back substitution.
 
     Runs in the high precision of the policy (float64 by default).  A zero or
     subnormal diagonal raises SingularFactorError before any arithmetic.
     """
-    policy = policy or DOUBLE_POLICY
     dtype = policy.high_dtype
     R = as_array(R)
     B = as_array(B)
@@ -74,9 +73,8 @@ def upper_tri_solve(R, B, policy=None):
     return X.astype(np.float64)
 
 
-def right_tri_solve(B, R, policy=None):
+def right_tri_solve(B, R, policy=DOUBLE_POLICY):
     """Solve X R = B for upper-triangular R (columnwise forward substitution)."""
-    policy = policy or DOUBLE_POLICY
     dtype = policy.high_dtype
     R = as_array(R)
     B = as_array(B)

@@ -78,10 +78,6 @@ class PrecisionPolicy:
         return cls(high=high, low=low)
 
     @property
-    def mode(self):
-        return "uniform" if self.high == self.low else "mixed"
-
-    @property
     def high_dtype(self):
         return DTYPES[self.high]
 

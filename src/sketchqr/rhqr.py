@@ -35,10 +35,9 @@ from .sketching import EmbeddedSketch
 
 @dataclass
 class HouseholderStep:
-    """One reflector: elimination index j (1-based), vectors u and s = Psi u,
-    and the scalars the update needs."""
+    """One reflector: vectors u and s = Psi u and the scalars the update
+    needs."""
 
-    j: int
     u: np.ndarray
     s: np.ndarray
     sigma: float
@@ -46,7 +45,7 @@ class HouseholderStep:
     beta: float
 
 
-def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=None):
+def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Build the reflector that eliminates entries j+1.. of y = Psi w.
 
     j is 1-based and must lie inside the identity block of the embedding, so
@@ -59,7 +58,6 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=None):
     unconditional behavior is the whole point of the method).
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     w = as_array(w)
     y = as_array(y)
     jj = j - 1
@@ -93,17 +91,16 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=None):
         beta = float(hi(sigma * gamma / rho))  # |gamma|/rho
     u = round_to(u, policy.low)
     s = round_to(s, policy.high)
-    return HouseholderStep(j=j, u=u, s=s, sigma=sigma, rho=rho, beta=beta)
+    return HouseholderStep(u=u, s=s, sigma=sigma, rho=rho, beta=beta)
 
 
-def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=None):
+def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY):
     """(I - U T S^t Psi) X, or the reversed product with transpose_t=True.
 
     The compact-form step every sweep repeats: the sketch and the
     n-dimensional update run in policy.low, the coefficient products in
     policy.high.  U may already be stored in policy.low.
     """
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
     S = as_array(S)
@@ -124,13 +121,12 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=None):
     return out[:, 0] if vec else out
 
 
-def t_factor_from_sketches(S, policy=None):
+def t_factor_from_sketches(S, policy=DOUBLE_POLICY):
     """Recover the triangular T of the compact form from S = Psi U alone.
 
     S^t S = T^{-1} + T^{-t}, so T^{-1} is the strict upper triangle of S^t S
     plus half its diagonal.
     """
-    policy = policy or DOUBLE_POLICY
     Sh = to_dtype(as_array(S), policy.high_dtype)
     G = (Sh.T @ Sh).astype(np.float64)
     Tinv = np.triu(G, 1) + np.diag(np.diagonal(G) / 2.0)
@@ -173,10 +169,6 @@ class RHQRFactors:
     rhos: np.ndarray
     betas: np.ndarray
 
-    @property
-    def cols(self):
-        return self.U.shape[1]
-
     def prefix(self, j):
         """Factors of the leading j columns (valid for the left/right sweeps,
         whose first j reflectors never look at later columns)."""
@@ -207,9 +199,8 @@ def sketch_q(factors):
     return Q
 
 
-def lsq_via_implicit_q(factors, b, policy=None):
+def lsq_via_implicit_q(factors, b, policy=DOUBLE_POLICY):
     """argmin_x of the sketched residual ||Psi(W x - b)|| via the compact form."""
-    policy = policy or DOUBLE_POLICY
     c = apply_reflectors_compact(
         factors.U, factors.S, factors.T, as_array(b), factors.psi,
         transpose_t=True, policy=policy,
@@ -219,15 +210,6 @@ def lsq_via_implicit_q(factors, b, policy=None):
 
 
 def _embed(omega, n, m):
-    if isinstance(omega, EmbeddedSketch):
-        if omega.n != n or omega.m != m:
-            raise ValueError(
-                f"embedding is {omega.out_dim}x{omega.n} with identity block "
-                f"{omega.m}, expected input {n} and block {m}"
-            )
-        if omega.omega.ell < m:
-            raise ValueError("sampling size below column count")
-        return omega
     if omega.n != n - m:
         raise ValueError(f"sketch takes {omega.n} coordinates, expected n-m={n - m}")
     if omega.ell < m:
@@ -246,7 +228,6 @@ def _sweep(W, omega, block_size, scaling, policy):
     of the global T.  Returns the fields of RHQRFactors.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     Wa = as_array(W)
     n, m = Wa.shape
@@ -279,7 +260,7 @@ def _sweep(W, omega, block_size, scaling, policy):
                 scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
-def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
+def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Left-looking randomized Householder QR of a tall W (n x m, n > m).
 
     omega sketches the trailing n-m coordinates; two sketches per column,
@@ -288,11 +269,10 @@ def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
     return RHQRFactors(**_sweep(W, omega, None, scaling, policy))
 
 
-def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=None):
+def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Right-looking variant: rank-1 update of the trailing block, which is
     re-sketched wholesale at every step; T is recovered from S afterwards."""
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     Wa = as_array(W)
     n, m = Wa.shape
@@ -330,7 +310,7 @@ class BlockRHQRFactors(RHQRFactors):
         return self
 
 
-def rhqr_block(W, omega, block_size=32, scaling=SCALE_SQRT2, policy=None):
+def rhqr_block(W, omega, block_size=32, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Blocked left-looking sweep: each panel of block_size columns is
     sketched once, brought up to date by every earlier reflector in one
     compact-form application, and then factored column by column.  A final
@@ -341,7 +321,7 @@ def rhqr_block(W, omega, block_size=32, scaling=SCALE_SQRT2, policy=None):
     return BlockRHQRFactors(**_sweep(W, omega, block_size, scaling, policy))
 
 
-def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=None):
+def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Reconstructed RHQR: one sketch of all of W, a deterministic
     Householder QR of the sketch, and a triangular solve that lifts the
     reflectors back to n dimensions.
@@ -350,7 +330,6 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=None):
     the reconstructed U touch low precision.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     Wa = as_array(W)
     n, m = Wa.shape
     psi = _embed(omega, n, m)

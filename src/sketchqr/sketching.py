@@ -191,12 +191,18 @@ class SRHTSketch(SketchOperator):
         self.signs = (rng.integers(0, 2, self.n_pad) * 2 - 1).astype(np.float64)
         self.indices = rng.permutation(self.n_pad)[: self.ell].copy()
         self.scale = float(np.sqrt(self.n_pad / self.ell))
+        self._signs = {}
 
     def _apply(self, X, dtype):
-        c = dtype.type(self.scale)
-        work = np.zeros((self.n_pad, X.shape[1]), dtype=dtype)
-        work[: self.n] = X.astype(dtype) * c
-        work[: self.n] *= self.signs[: self.n, None].astype(dtype)
+        signs = self._signs.get(dtype)
+        if signs is None:
+            # +-1 is exact in every format: cast once per arithmetic dtype
+            signs = self._signs[dtype] = self.signs[: self.n, None].astype(dtype)
+        work = np.empty((self.n_pad, X.shape[1]), dtype=dtype)
+        work[self.n:] = 0
+        head = work[: self.n]
+        np.multiply(X.astype(dtype, copy=False), dtype.type(self.scale), out=head)
+        head *= signs
         work = fwht(work)
         return work[self.indices]
 
@@ -216,8 +222,6 @@ class SparseSignSketch(SketchOperator):
         for j in range(n):
             rows[:, j] = rng.choice(ell, size=s, replace=False)
         vals = (rng.integers(0, 2, (s, n)) * 2 - 1) / np.sqrt(s)
-        self.rows = rows
-        self.vals = vals
         cols = np.repeat(np.arange(n), s)
         self._matrix = scipy.sparse.csc_array(
             (vals.T.ravel(), (rows.T.ravel(), cols)), shape=(ell, n)

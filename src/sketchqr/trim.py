@@ -36,10 +36,9 @@ from .sketching import ColumnScaledSketch
 
 @dataclass
 class TrimStep:
-    """One trimmed reflector: elimination index j (1-based), tail vector v of
-    length n-j+1, its sketch s = Omega [0; v], and the update scalars."""
+    """One trimmed reflector at 1-based column j: tail vector v of length
+    n-j+1, its sketch s = Omega [0; v], and the update scalars."""
 
-    j: int
     v: np.ndarray
     s: np.ndarray
     sigma: float
@@ -47,7 +46,11 @@ class TrimStep:
     beta: float
 
 
-def normalize_leading_columns(omega, m, chunk=256):
+# unit vectors sketched per block by normalize_leading_columns
+_CHUNK = 256
+
+
+def normalize_leading_columns(omega, m):
     """Wrap omega so its first m columns sketch to exactly unit norm.
 
     The wrapper rescales input coordinates 1..m before sketching and caches
@@ -62,8 +65,8 @@ def normalize_leading_columns(omega, m, chunk=256):
     if m > n:
         raise ValueError(f"cannot normalize {m} leading columns of {n} inputs")
     cols = np.empty((omega.ell, m))
-    for k0 in range(0, m, chunk):
-        k1 = min(k0 + chunk, m)
+    for k0 in range(0, m, _CHUNK):
+        k1 = min(k0 + _CHUNK, m)
         eye_blk = np.zeros((n, k1 - k0))
         eye_blk[np.arange(k0, k1), np.arange(k1 - k0)] = 1.0
         cols[:, k0:k1] = omega.apply(eye_blk)
@@ -76,7 +79,7 @@ def normalize_leading_columns(omega, m, chunk=256):
     return ColumnScaledSketch(omega, scales, m, cols / norms)
 
 
-def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
+def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Reflector data for the trimmed elimination at 1-based column j.
 
     w_tail holds coordinates j..n of the working column; both sketches pad
@@ -91,7 +94,6 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
     non-finite value.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
     w_tail = as_array(w_tail)
@@ -142,7 +144,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=None):
             )
     v = round_to(v, policy.low)
     vs = round_to(vs, policy.high)
-    return TrimStep(j=j, v=v, s=vs, sigma=sigma, rho=rho, beta=beta)
+    return TrimStep(v=v, s=vs, sigma=sigma, rho=rho, beta=beta)
 
 
 @dataclass
@@ -169,10 +171,6 @@ class TrimFactors:
     rhos: np.ndarray
     betas: np.ndarray
 
-    @property
-    def cols(self):
-        return self.U.shape[1]
-
     def prefix(self, j):
         """Factors of the leading j columns; valid because every table grows
         by one row/column per reflector."""
@@ -184,7 +182,7 @@ class TrimFactors:
         )
 
 
-def t_tilde_from_factors(S, E, U, policy=None):
+def t_tilde_from_factors(S, E, U, policy=DOUBLE_POLICY):
     """Reversed-product triangle without running the per-step recursion.
 
     A = T^{-1} - ut((Omega U)^t Omega) U is lower triangular with diagonal
@@ -192,7 +190,6 @@ def t_tilde_from_factors(S, E, U, policy=None):
     inverse are inverses of leading blocks, so prefixes of the result agree
     with the recursion.
     """
-    policy = policy or DOUBLE_POLICY
     hi = policy.high_dtype
     S = as_array(S)
     m = S.shape[1]
@@ -228,7 +225,7 @@ def _trim_setup(W, omega, m):
     return W, omega
 
 
-def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=None):
+def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Right-looking trimmed factorization.
 
     Each reflector updates the trailing columns through the masked sketch:
@@ -237,7 +234,6 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=None):
     E after the sweep.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
     n, m = as_array(W).shape
@@ -277,7 +273,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=None):
     )
 
 
-def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
+def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Left-looking trimmed factorization maintaining both triangles.
 
     Column j is transformed in one shot by the reversed compact form,
@@ -286,7 +282,6 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=None):
     trim_rh_vector.
     """
     check_scaling(scaling)
-    policy = policy or DOUBLE_POLICY
     lo = policy.low_dtype
     hi = policy.high_dtype
     n, m = as_array(W).shape

@@ -2,9 +2,24 @@
 
 Everything here is deliberately written from the defining formulas, not by
 calling into sketchqr, so agreement is evidence rather than tautology.
+CountingSketch wraps an operator to count how often a factorization sketches.
 """
 
 import numpy as np
+
+
+class CountingSketch:
+    """Passes applications through to `base`, recording each one's width."""
+
+    def __init__(self, base):
+        self.base = base
+        self.n = base.n
+        self.ell = base.ell
+        self.widths = []
+
+    def apply(self, X, dtype=np.float64):
+        self.widths.append(1 if np.ndim(X) == 1 else np.shape(X)[1])
+        return self.base.apply(X, dtype=dtype)
 
 
 def jacobi_singular_values(A, sweeps=60, tol=1e-30):

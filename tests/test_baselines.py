@@ -21,7 +21,8 @@ from sketchqr.linalg import (
 )
 from sketchqr.precision import policy_from_tag
 from sketchqr.rhqr import rec_rhqr, rhqr_left, sketch_q, thin_q
-from sketchqr.sketching import IdentitySketch, SRHTSketch
+from sketchqr.sketching import GaussianSketch, IdentitySketch, SRHTSketch
+from oracles import CountingSketch
 
 
 def oscillatory(n, m):
@@ -250,3 +251,13 @@ def test_all_methods_accurate_on_easy_input(rng):
     for out in runs:
         assert factorization_errors(W, out.Q, out.R).fro_rel_err <= 1e-10
         assert np.allclose(np.tril(out.R, -1), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("factor", [rgs, blas2_rgs])
+def test_rgs_sketches_column_zero_once(rng, factor):
+    n, m = 64, 9
+    om = CountingSketch(GaussianSketch(40, n, 3))
+    factor(rng.standard_normal((n, m)), om)
+    # one sketch per column plus a re-sketch after each projection; column
+    # 0 is not projected, so its one sketch serves both
+    assert om.widths == [1] * (2 * m - 1)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sketchqr.experiments import (
+    FACTOR_ALGOS,
     ExperimentConfig,
     GmresRow,
     MetricRow,
@@ -66,6 +69,27 @@ def test_breakdown_rows_are_flagged(rng):
     for r in rows[1:]:
         assert r.status == "breakdown@4"
         assert np.isnan(r.cond_q) and np.isnan(r.orth_err)
+
+
+@pytest.mark.parametrize("algo", FACTOR_ALGOS)
+def test_nonfinite_columns_stop_every_algorithm(rng, algo):
+    W = rng.standard_normal((64, 8))
+    W[5, 5] = np.nan
+    cfg = ExperimentConfig(algo=algo, every=2, seed=1, ell=16)
+    rows = run_factor_experiment(W, cfg)
+    assert [r.status for r in rows] == ["ok", "ok", "nonfinite@6", "nonfinite@6"]
+    assert all(np.isfinite(r.cond_q) for r in rows[:2])
+    assert all(np.isnan(r.cond_q) and np.isnan(r.orth_err) for r in rows[2:])
+    # an infinity counts the same; the widths before it are measured as a
+    # breakdown there would leave them, by a run on the columns before it
+    W[0, 2] = -np.inf
+    rows = run_factor_experiment(W, cfg)
+    assert rows[0] == run_factor_experiment(W[:, :2], cfg)[0]
+    assert [r.status for r in rows] == ["ok"] + ["nonfinite@3"] * 3
+    # a breakdown before the first non-finite column names the rows
+    W[:, 1] = 0.0
+    rows = run_factor_experiment(W, cfg)
+    assert [r.status for r in rows] == ["breakdown@2"] * 4
 
 
 def test_rerun_algorithms_sweep(rng):
@@ -149,6 +173,19 @@ def test_gmres_rejects_unknown_solver():
                              ExperimentConfig(algo="hqr"))
 
 
+@pytest.mark.parametrize("algo", ["rhqr", "rgs"])
+def test_gmres_rejects_nonfinite_start(algo):
+    b = np.ones(16)
+    b[3] = np.nan
+    cfg = ExperimentConfig(algo=algo, sketch="gauss", seed=1)
+    with pytest.raises(ValueError):
+        run_gmres_experiment(np.eye(16), b, 2, cfg)
+    x0 = np.zeros(16)
+    x0[0] = np.inf
+    with pytest.raises(ValueError):
+        run_gmres_experiment(np.eye(16), np.ones(16), 2, cfg, x0=x0)
+
+
 def test_gmres_rejects_callable_operator():
     # the relation error is scaled by ||A||_F, which a matvec alone would
     # need n calls to compute
@@ -212,3 +249,112 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
     _, header, data = read_back(str(p))
     assert header == list(GmresRow._fields)
     assert data[0][header.index("status")] == rows[0].status
+
+
+# blake2b digests of every MetricRow run_factor_experiment returns, recorded
+# before the runner's per-algorithm wiring became one table.  On
+# gen_cmatrix(256, 32) they are the same at 1, 2 and 4 BLAS threads (on
+# 300 x 40, fro_rel_err differs in its last bits between 1 and 2 threads);
+# they still pin the numpy/OpenBLAS build.  Column 17 of the "zero-column"
+# input is zero, so every algorithm stops with breakdown@18 on both the
+# prefix and the rerun sweep.
+RUNNER_DIGESTS = {
+    ("rhqr-left", "double"): "f2988d0e6db2d30516b5edbaac7677e5",
+    ("rhqr-left", "single"): "847ba7208c44f3ae5cdcdb54c09e755f",
+    ("rhqr-left", "mixed"): "65e9cdf263b11f61d8d3725d7a4d1c73",
+    ("rhqr-left", "half"): "7a3fd5800bf52dc0c4b0f4172af2de88",
+    ("rhqr-right", "double"): "68cf792d9edd13ac28a902135fc7bc95",
+    ("rhqr-right", "single"): "95e35616e3d52942dc49a2fe4c0f6932",
+    ("rhqr-right", "mixed"): "9872fd690d3a26354b83b7c2ad67adf2",
+    ("rhqr-right", "half"): "b5255065b36515fbe34594b8a7dad5c3",
+    ("rhqr-block", "double"): "f2988d0e6db2d30516b5edbaac7677e5",
+    ("rhqr-block", "single"): "847ba7208c44f3ae5cdcdb54c09e755f",
+    ("rhqr-block", "mixed"): "65e9cdf263b11f61d8d3725d7a4d1c73",
+    ("rhqr-block", "half"): "7a3fd5800bf52dc0c4b0f4172af2de88",
+    ("rec-rhqr", "double"): "9e1196b6c9ea468fd4f13f99ecec42a2",
+    ("rec-rhqr", "single"): "150503c914de9e8a751cf78829abf047",
+    ("rec-rhqr", "mixed"): "a469df2eff45278880e3639cae266b99",
+    ("rec-rhqr", "half"): "464b61e04aa665684416341caaa03a8c",
+    ("trim-left", "double"): "f8ecb60a95632630eeb541e12c44a8f5",
+    ("trim-left", "single"): "ab63e82c66f41f895e1c95c5fc73685a",
+    ("trim-left", "mixed"): "7adb8b89024f06fa68caaa3021b0c9bb",
+    ("trim-left", "half"): "d8a4e9f72d00218610fbd20d76578b98",
+    ("trim-right", "double"): "5214bedc05a79ed26e606bae7d303e28",
+    ("trim-right", "single"): "1d7ba0f2c72e0a4d16aa7dcc455f062b",
+    ("trim-right", "mixed"): "0d2b6042e79b843bc992c5fb8ed0f72c",
+    ("trim-right", "half"): "543cf9daf478abbd9f4663f5e106ae3f",
+    ("rgs", "double"): "fa673960cf5484e72c29bc57dd31e039",
+    ("rgs", "single"): "f8fefd334dbe0dd34bd52a4dac799a2d",
+    ("rgs", "mixed"): "f8926205d100d06af53ae0dec3803ada",
+    ("rgs", "half"): "4cd25040eb3fdf32617619494fa4421b",
+    ("blas2-rgs", "double"): "1098db065adc292b5e90e734a7763d6c",
+    ("blas2-rgs", "single"): "b56dbae780fb525e28b62bbd492ec869",
+    ("blas2-rgs", "mixed"): "b7e929be7094e59e179c2e7171bf4345",
+    ("blas2-rgs", "half"): "dfe88569a7f743246835905835706962",
+    ("cgs", "double"): "7b413e28f79b5d1a8ea83418b711cf72",
+    ("cgs", "single"): "a32d326cd7d3b607a3ac3bb6b3cc96a7",
+    ("cgs", "mixed"): "ccb41425ea4d4db7c4e5ac1f9d930434",
+    ("cgs", "half"): "add6753eb288ef5659e66b17ad0cf25d",
+    ("mgs", "double"): "1f611d6825f9ff54f7f7b29eae9d10fb",
+    ("mgs", "single"): "915713c27f04a452473e6ac941df6dbd",
+    ("mgs", "mixed"): "6dcd02dc9df64c3ff84235157e8eb3fb",
+    ("mgs", "half"): "bf370155dc120fdbf23323a4a493fdd9",
+    ("hqr", "double"): "4f4e046952ce4f6378ba302904e97235",
+    ("hqr", "single"): "4fa24a2e32b03e7f6dd68afcddecc649",
+    ("hqr", "mixed"): "9b6fb659cdaa8c26741cd4f36cfc9256",
+    ("hqr", "half"): "cde36beb089e0c0cb177dc55db9efbec",
+    ("rcholqr", "double"): "4c765aff073a6b1379c7b1dae0127913",
+    ("rcholqr", "single"): "ce59fb90304c9fb2b6a9029d2df233d5",
+    ("rcholqr", "mixed"): "4e78c0e337b323d61f7b1ea1877c5162",
+    ("rcholqr", "half"): "173226e549f021ef67bf4d6c0989073d",
+    ("rhqr-left", "unit"): "2b6ae1a020967fd9e69dbbd8d5b038bb",
+    ("rhqr-right", "unit"): "f6b3bef55f1357b59668f17810bf3a1b",
+    ("rhqr-block", "unit"): "2b6ae1a020967fd9e69dbbd8d5b038bb",
+    ("rec-rhqr", "unit"): "a78538b68469068e7e3911c9714360cc",
+    ("trim-left", "unit"): "07b47c3aa13d65a5eb2b3da59bbe561e",
+    ("trim-right", "unit"): "f5b04265ce3e8a8b31c639d8fdde6f78",
+    ("rgs", "unit"): "fa673960cf5484e72c29bc57dd31e039",
+    ("blas2-rgs", "unit"): "1098db065adc292b5e90e734a7763d6c",
+    ("cgs", "unit"): "7b413e28f79b5d1a8ea83418b711cf72",
+    ("mgs", "unit"): "1f611d6825f9ff54f7f7b29eae9d10fb",
+    ("hqr", "unit"): "2ee1621d558f3420942308241477c028",
+    ("rcholqr", "unit"): "4c765aff073a6b1379c7b1dae0127913",
+    ("rhqr-block", "block5"): "dd77d7833cca08e02b58c20138dcdf82",
+    ("rhqr-left", "zero-column"): "18404abb8ba99afbf70896c7ded5bc67",
+    ("rhqr-right", "zero-column"): "7578ea73e0207062a8cbd705cec39d71",
+    ("rhqr-block", "zero-column"): "18404abb8ba99afbf70896c7ded5bc67",
+    ("rec-rhqr", "zero-column"): "8547bbe4e69a8c8f2638ff4f71a89247",
+    ("trim-left", "zero-column"): "f4dd0c3b3190da7d93d7f57298103b33",
+    ("trim-right", "zero-column"): "39f844f5271b3cdf112872b2a64a547b",
+    ("rgs", "zero-column"): "94bc21eecf1767d29635f2d74ed4eb32",
+    ("blas2-rgs", "zero-column"): "dff61c0f13a49cd313b45cdbb50bd337",
+    ("cgs", "zero-column"): "821813b2dec89e7d539683bf87b3c5e3",
+    ("mgs", "zero-column"): "c64cbb6498dc46c12706dc3071d06914",
+    ("hqr", "zero-column"): "c1d387deb4d0b38f2bc7597c656d4f8f",
+    ("rcholqr", "zero-column"): "70ac48257ae89f5e8a741e5bb1c5362b",
+}
+
+
+def _rows_digest(rows):
+    h = hashlib.blake2b(digest_size=16)
+    for row in rows:
+        h.update(",".join(v if isinstance(v, str) else float(v).hex() for v in row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(RUNNER_DIGESTS), ids="-".join)
+def test_runner_golden_digests(case):
+    algo, variant = case
+    W = gen_cmatrix(256, 32)
+    cfg = dict(algo=algo, seed=3, every=7, ell=16 if algo.startswith("trim") else 0)
+    if variant == "unit":
+        cfg["scaling"] = "unit"
+    elif variant == "block5":
+        cfg["block_size"] = 5
+    elif variant == "zero-column":
+        W[:, 17] = 0.0
+    else:
+        cfg["precision"] = variant
+    rows = run_factor_experiment(W, ExperimentConfig(**cfg))
+    assert _rows_digest(rows) == RUNNER_DIGESTS[case]

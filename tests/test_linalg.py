@@ -78,8 +78,9 @@ def test_unit_roundoffs():
 
 def test_policy_validation():
     p = PrecisionPolicy.mixed()
-    assert p.mode == "mixed" and p.high == DOUBLE and p.low == HALF
-    assert PrecisionPolicy.uniform("single").mode == "uniform"
+    assert p.high == DOUBLE and p.low == HALF
+    p = PrecisionPolicy.uniform("single")
+    assert p.high == SINGLE and p.low == SINGLE
     with pytest.raises(ValueError):
         PrecisionPolicy(high="half", low="double")
     with pytest.raises(ValueError):

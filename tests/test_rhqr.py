@@ -28,7 +28,7 @@ from sketchqr.rhqr import (
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
 from sketchqr.trim import trim_rhqr_left
-from oracles import dense_embedded_matrix, dense_reflector
+from oracles import CountingSketch, dense_embedded_matrix, dense_reflector
 
 
 def full_embedding(n, m):
@@ -255,20 +255,6 @@ def test_block_with_one_panel_is_left_sweep(rng, tag):
     for bs in (m, m + 5):
         got = _factor_arrays(rhqr_block(W, om, block_size=bs, policy=policy))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, ref))
-
-
-class CountingSketch:
-    """Passes applications through to `base`, recording each one's width."""
-
-    def __init__(self, base):
-        self.base = base
-        self.n = base.n
-        self.ell = base.ell
-        self.widths = []
-
-    def apply(self, X, dtype=np.float64):
-        self.widths.append(1 if np.ndim(X) == 1 else np.shape(X)[1])
-        return self.base.apply(X, dtype=dtype)
 
 
 @pytest.mark.parametrize("bs", [4, 7, 20])
