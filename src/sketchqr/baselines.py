@@ -16,6 +16,9 @@ from .linalg import (
     BreakdownError,
     as_array,
     check_scaling,
+    low_storage,
+    matmul_in,
+    reflector_matmul,
     right_tri_solve,
     sign,
     to_dtype,
@@ -47,6 +50,8 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         raise ValueError(f"need p >= m, got {p} x {m}")
     Al = round_to(A, policy.low)
     U = np.zeros((p, m))
+    # the update reads U from policy.low storage, with no cast per column
+    Ul = U if lo == np.float64 else low_storage(p, m, lo)
     T = np.zeros((m, m))
     R = np.zeros((m, m))
     sigmas = np.zeros(m)
@@ -56,11 +61,11 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         w = Al[:, c].astype(np.float64)
         if c:
             coef = to_dtype(T[:c, :c].T, hi) @ (to_dtype(U[:, :c], hi).T @ to_dtype(w, hi))
-            w = (to_dtype(w, lo) - to_dtype(U[:, :c], lo) @ to_dtype(coef, lo)).astype(np.float64)
+            w = (to_dtype(w, lo) - reflector_matmul(Ul[:, :c], coef, lo)).astype(np.float64)
         rho = float(round_to(np.linalg.norm(w[c:]), policy.high))
         if rho == 0.0:
             raise BreakdownError(f"column {c + 1} exactly dependent on its predecessors",
-                                 column=c + 1)
+                                 column=c + 1, reason="dependent_column")
         sigma = sign(w[c])
         gamma = float(hi(w[c] + sigma * rho))
         beta = float(hi(1.0 / (rho * sigma * gamma)))
@@ -75,6 +80,8 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             beta = float(hi(sigma * gamma / rho))
         u = round_to(u, policy.low)
         U[:, c] = u
+        if Ul is not U:
+            Ul[:, c] = u
         if c:
             col = to_dtype(T[:c, :c], hi) @ (to_dtype(U[:, :c], hi).T @ to_dtype(u, hi))
             T[:c, c] = (hi(-beta) * col).astype(np.float64)
@@ -164,25 +171,32 @@ def _gram_schmidt(W, policy, modified):
     Wa = as_array(W)
     n, m = Wa.shape
     Wl = to_dtype(round_to(Wa, policy.low), lo)
-    Q = np.zeros((n, m), dtype=lo)
+    Q = low_storage(n, m, lo)
+    # the products summing over n and the modified steps read Q in
+    # policy.low itself, which a float16 store is not: it gets a copy
+    Qw = Q if Q.dtype == lo else np.zeros((n, m), dtype=lo)
     R = np.zeros((m, m))
     for c in range(m):
         w = Wl[:, c].copy()
         if modified:
             for i in range(c):
-                rij = float(Q[:, i] @ w)
+                rij = float(Qw[:, i] @ w)
                 R[i, c] = rij
-                w = w - lo(rij) * Q[:, i]
+                w = w - lo(rij) * Qw[:, i]
         elif c:
-            r = Q[:, :c].T @ w
+            r = Qw[:, :c].T @ w
             R[:c, c] = r.astype(np.float64)
-            w = w - Q[:, :c] @ r
+            w = w - matmul_in(Q[:, :c], r, lo)
         rjj = float(round_to(np.linalg.norm(w.astype(np.float64)), policy.high))
         if rjj == 0.0:
-            raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1)
+            raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1,
+                                 reason="zero_pivot")
         R[c, c] = rjj
-        Q[:, c] = w / lo(rjj)
-    return QRResult(Q=Q.astype(np.float64), R=R, aux={})
+        q = w / lo(rjj)
+        Q[:, c] = q
+        if Qw is not Q:
+            Qw[:, c] = q
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=R, aux={})
 
 
 def rgs(W, omega, policy=DOUBLE_POLICY):
@@ -201,7 +215,7 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
     if omega.ell < m:
         raise ValueError("sampling size below column count")
     Wl = to_dtype(round_to(Wa, policy.low), lo)
-    Q = np.zeros((n, m), dtype=lo)
+    Q = low_storage(n, m, lo)
     Sb = np.zeros((omega.ell, m))  # maintained sketched basis
     R = np.zeros((m, m))
     for c in range(m):
@@ -210,7 +224,7 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
         if c:
             r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=policy.high_dtype)
             R[:c, c] = r
-            w = w - Q[:, :c] @ to_dtype(r, lo)
+            w = w - matmul_in(Q[:, :c], r, lo)
             z = omega.apply(w.astype(np.float64), dtype=lo)
         rjj = float(round_to(np.linalg.norm(z), policy.high))
         # only an exactly zero sketched pivot stops the sweep: past numerical
@@ -218,11 +232,11 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
         # the degradation the benchmarks measure
         if rjj == 0.0:
             raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
-                                 column=c + 1)
+                                 column=c + 1, reason="zero_pivot")
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
         Sb[:, c] = (to_dtype(z, lo) / lo(rjj)).astype(np.float64)
-    return QRResult(Q=Q.astype(np.float64), R=R, aux={"omega": omega})
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=R, aux={"omega": omega})
 
 
 def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
@@ -242,7 +256,7 @@ def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
     if omega.ell < m:
         raise ValueError("sampling size below column count")
     Wl = to_dtype(round_to(Wa, policy.low), lo)
-    Q = np.zeros((n, m), dtype=lo)
+    Q = low_storage(n, m, lo)
     Sb = np.zeros((omega.ell, m))
     T = np.zeros((m, m))
     R = np.zeros((m, m))
@@ -254,12 +268,12 @@ def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
             rhead = to_dtype(T[:c, :c].T, hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(p, hi))
             rhead = rhead.astype(np.float64)
             R[:c, c] = rhead
-            w = w - Q[:, :c] @ to_dtype(rhead, lo)
+            w = w - matmul_in(Q[:, :c], rhead, lo)
             z = omega.apply(w.astype(np.float64), dtype=lo)
         rho = float(round_to(np.linalg.norm(z), policy.high))
         if rho == 0.0:
             raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
-                                 column=c + 1)
+                                 column=c + 1, reason="zero_pivot")
         R[c, c] = rho
         Q[:, c] = w / lo(rho)
         Sb[:, c] = (to_dtype(z, lo) / lo(rho)).astype(np.float64)
@@ -267,7 +281,8 @@ def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
             col = to_dtype(T[:c, :c], hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(Sb[:, c], hi))
             T[:c, c] = -col.astype(np.float64)
         T[c, c] = 1.0
-    return QRResult(Q=Q.astype(np.float64), R=R, aux={"T": T, "omega": omega})
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=R,
+                    aux={"T": T, "omega": omega})
 
 
 def blas2_corrected_sketch(result):

@@ -14,15 +14,29 @@ import scipy.linalg
 from .precision import DOUBLE_POLICY
 
 
+BREAKDOWN_REASONS = ("tail_annihilated", "scale_nonfinite", "reflector_cancelled",
+                     "zero_pivot", "dependent_column", "reconstruction_singular")
+
+
 class BreakdownError(RuntimeError):
     """A factorization step cannot continue (annihilated pivot or sketch).
 
-    `column` is the 1-based column at which the step failed.
+    `column` is the 1-based column at which the step failed, and `reason`
+    one of BREAKDOWN_REASONS:
+      tail_annihilated         the (sketched) tail below the pivot is exactly 0
+      scale_nonfinite          the reflector scale came out inf or NaN
+      reflector_cancelled      the sketched trimmed reflector cancelled
+      zero_pivot               a Gram-Schmidt or unit-scaling pivot is exactly 0
+      dependent_column         a deterministic column lies in the earlier span
+      reconstruction_singular  rec_rhqr's lifting triangle has a zero diagonal
     """
 
-    def __init__(self, message, column):
+    def __init__(self, message, column, reason):
+        if reason not in BREAKDOWN_REASONS:
+            raise ValueError(f"unknown breakdown reason {reason!r}")
         super().__init__(message)
         self.column = column
+        self.reason = reason
 
 
 # reflector scaling conventions shared by the deterministic and randomized
@@ -161,3 +175,66 @@ def sign(v):
 def to_dtype(a, dtype):
     a = np.asarray(a)
     return a if a.dtype == dtype else a.astype(dtype)
+
+
+def low_storage(n, m, dtype):
+    """Zeroed n x m storage for columns kept in `dtype`.
+
+    A float16 store is the transpose of a C-contiguous m x n float32 array:
+    half values fit in float32 exactly, and the block U[:, a:b] is then a
+    view whose transpose is the contiguous rows _half_matmul walks.  Other
+    formats are a C-contiguous n x m array of `dtype`.
+    """
+    if dtype == np.float16:
+        return np.zeros((m, n), dtype=np.float32).T
+    return np.zeros((n, m), dtype=dtype)
+
+
+def _half_matmul(A, B):
+    """numpy's float16 A @ B, bit for bit, at float32 speed.
+
+    numpy has no half BLAS kernel.  Its matmul loop converts both operands
+    to float32, where the product of two halves is exact (11 + 11
+    significand bits fit in 24), adds the products in order over k starting
+    from +0, and rounds the sum to half once.  Here each k is one
+    vectorized multiply-add over row k of A^t.  A float32 A must already
+    hold half values (low_storage's layout, which also makes A^t contiguous
+    so nothing is copied); any other A is rounded to half first.  Results
+    agree with numpy's bit for bit, except that where two NaNs meet, which
+    one's sign survives is up to the loop (numpy's own scalar and vector
+    loops differ), so a NaN may come out with the other sign.
+    """
+    if A.dtype != np.float32:
+        A = to_dtype(A, np.float16)
+    AT = np.ascontiguousarray(A.T, dtype=np.float32)
+    B32 = to_dtype(B, np.float16).astype(np.float32)
+    if B32.ndim == 2:
+        AT = AT[:, :, None]
+    acc = np.zeros((A.shape[0],) + B32.shape[1:], dtype=np.float32)
+    for k in range(AT.shape[0]):
+        acc += AT[k] * B32[k]
+    return acc.astype(np.float16)
+
+
+def matmul_in(A, B, dtype):
+    """A @ B in the arithmetic of dtype, returned as dtype.
+
+    Both operands are rounded to dtype first.  float64 and float32 go to
+    BLAS with A as given; float16 goes through _half_matmul, which has
+    numpy's float16 bits.
+    """
+    if dtype == np.float16:
+        return _half_matmul(A, B)
+    return to_dtype(A, dtype) @ to_dtype(B, dtype)
+
+
+def reflector_matmul(U, C, dtype):
+    """U @ C for a block of stored reflectors, in dtype's arithmetic.
+
+    As matmul_in, except that a float32 U goes to BLAS as a C-contiguous
+    block: OpenBLAS sgemv rounds differently under another leading
+    dimension, and the recipe CSVs pin the bits of a contiguous block.
+    """
+    if dtype == np.float32:
+        U = np.ascontiguousarray(U, dtype=np.float32)
+    return matmul_in(U, C, dtype)

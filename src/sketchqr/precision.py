@@ -4,7 +4,12 @@ Everything downstream passes float64 arrays around; a "half" or "single"
 array is a float64 array whose entries are exactly representable in the
 lower format.  Rounding through the native numpy dtype gives correctly
 rounded (round-to-nearest-even) results per elementary operation, which is
-the emulation model used by all the precision sweeps.
+the emulation model used by all the precision sweeps.  Half arithmetic
+runs as float32 with one rounding to half per butterfly stage (the FWHT)
+and per product sum (linalg.matmul_in), which is bitwise equal to numpy's
+float16 operations (but for the sign of a NaN made from two NaNs) and
+faster: numpy's float16 loops run several times slower than its float32
+ones, and float16 has no BLAS kernel.
 """
 
 from dataclasses import dataclass

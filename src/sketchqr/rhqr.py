@@ -24,6 +24,9 @@ from .linalg import (
     BreakdownError,
     as_array,
     check_scaling,
+    low_storage,
+    matmul_in,
+    reflector_matmul,
     right_tri_solve,
     sign,
     to_dtype,
@@ -67,13 +70,14 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     # reductions accumulate in float64, the result lives in the high format
     rho = float(round_to(np.linalg.norm(y[jj:]), policy.high))
     if rho == 0.0:
-        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j)
+        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
+                             reason="tail_annihilated")
     sigma = sign(y[jj])
     gamma = float(hi(y[jj] + sigma * rho))
     beta = float(hi(1.0 / (rho * sigma * gamma)))  # == 2/||s||^2, positive for either sigma
     if not np.isfinite(beta):
         raise BreakdownError(f"reflector scale degenerated at column {j} (rho={rho:.3e})",
-                             column=j)
+                             column=j, reason="scale_nonfinite")
     u = np.zeros(w.shape[0])
     u[jj:] = w[jj:]
     u[jj] += sigma * rho
@@ -99,7 +103,7 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
 
     The compact-form step every sweep repeats: the sketch and the
     n-dimensional update run in policy.low, the coefficient products in
-    policy.high.  U may already be stored in policy.low.
+    policy.high.  U may be a block of linalg.low_storage.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
@@ -110,14 +114,8 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
     Xc = X[:, None] if vec else X
     Y = psi.apply(Xc, dtype=lo)
     C = to_dtype(S, hi).T @ to_dtype(Y, hi)
-    C = to_dtype(T.T if transpose_t else T, hi) @ C
-    # float64 U goes to BLAS in place; lower formats pass a C-contiguous
-    # block, because float32 gemv rounds differently under another leading
-    # dimension and recipe CSVs pin these bits
-    Ul = to_dtype(U, lo)
-    if lo != np.float64:
-        Ul = np.ascontiguousarray(Ul)
-    out = (to_dtype(Xc, lo) - Ul @ to_dtype(C, lo)).astype(np.float64)
+    C = matmul_in(T.T if transpose_t else T, C, hi)
+    out = (to_dtype(Xc, lo) - reflector_matmul(U, C, lo)).astype(np.float64)
     return out[:, 0] if vec else out
 
 
@@ -221,8 +219,9 @@ def _sweep(W, omega, block_size, scaling, policy):
     """Left-looking sweep over panels of block_size columns (None: one panel).
 
     All reflectors so far form one compact form U, S = Psi U, T, with U
-    stored in policy.low.  A panel after the first is brought up to date by
-    one application of every earlier reflector, so it is sketched once.
+    stored in policy.low (linalg.low_storage).  A panel after the first is
+    brought up to date by one application of every earlier reflector, so
+    it is sketched once.
     Column c of the panel starting at j0 then gets the panel's own
     reflectors j0..c-1, whose triangle is the diagonal block T[j0:c, j0:c]
     of the global T.  Returns the fields of RHQRFactors.
@@ -236,7 +235,7 @@ def _sweep(W, omega, block_size, scaling, policy):
         block_size = max(m, 1)
     Wl = round_to(Wa, policy.low)
     # rh_vector already rounds u to policy.low, so storing U there is exact
-    U = np.zeros((n, m), dtype=lo)
+    U = low_storage(n, m, lo)
     S = np.zeros((psi.out_dim, m))
     T = np.zeros((m, m))
     R = np.zeros((m, m))
@@ -256,7 +255,7 @@ def _sweep(W, omega, block_size, scaling, policy):
                                              transpose_t=True, policy=policy)
             step = _add_reflector(w, psi.apply(w, dtype=lo), c, U, S, T, R, scaling, policy)
             sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
-    return dict(U=U.astype(np.float64, copy=False), S=S, T=T, R=R, psi=psi,
+    return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=S, T=T, R=R, psi=psi,
                 scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
@@ -344,7 +343,7 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     if np.any(d < np.finfo(np.float64).tiny):
         k = int(np.argmin(d))
         raise BreakdownError(f"reconstruction factor has zero diagonal at column {k + 1}",
-                             column=k + 1)
+                             column=k + 1, reason="reconstruction_singular")
     U2 = right_tri_solve(Wl[m:], Mfac, policy=policy)
     U = np.concatenate([S[:m], round_to(U2, policy.low)], axis=0)
     return RHQRFactors(U=U, S=S, T=T, R=hq.R, psi=psi, scaling=scaling,

@@ -5,10 +5,14 @@ precision of the application; returned arrays are float64 carrying values
 representable in that dtype.  The subsampled transform is never
 materialized, only its signs and coordinate subset are stored.
 
-Half-precision model: the FWHT runs its butterfly passes natively in
-float16 (numpy float16 ops are correctly rounded), while the matmul-based
-operators (gaussian, sparse sign) accumulate in float32 and round the
-result to float16 once, which is how half-precision hardware behaves.
+Half-precision model: half arithmetic runs as float32, rounded to half
+once per butterfly stage and once per product sum (linalg.matmul_in), and
+is bitwise equal to numpy's float16 arithmetic.  The FWHT adds and subtracts in float32 and
+rounds each stage to half, which gives numpy's correctly rounded float16
+add and subtract bit for bit.  The matmul-based operators (gaussian,
+sparse sign) multiply a float32 copy of the operator, accumulate in
+float32 and round the result to float16 once, which is how half-precision
+hardware behaves.
 """
 
 import numpy as np
@@ -22,15 +26,19 @@ from .linalg import as_array, orthogonality_error
 _WIDE_BLOCK = 64
 
 
-def _butterflies(src, dst, h, stop, width):
+def _butterflies(src, dst, h, stop, width, rnd=None):
     """Stages h, 2h, ... < stop along axis 0 of a buffer whose rows hold
-    `width` contiguous elements, alternating between src and dst.  Returns
-    (result, spare)."""
+    `width` contiguous elements, alternating between src and dst.  With a
+    float16 buffer `rnd`, each stage's float32 result is rounded to half
+    through it.  Returns (result, spare)."""
     while h < stop:
         s = src.reshape(-1, 2, h * width)
         d = dst.reshape(-1, 2, h * width)
         np.add(s[:, 0], s[:, 1], out=d[:, 0])
         np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        if rnd is not None:
+            np.copyto(rnd, dst)
+            np.copyto(dst, rnd)
         src, dst = dst, src
         h *= 2
     return src, dst
@@ -41,7 +49,11 @@ def fwht(x):
 
     x has n = 2**p rows; columns are transformed independently.  Arithmetic
     runs in x's own dtype; the 2**(-p/2) normalization is a single multiply
-    after the butterfly passes.
+    after the butterfly passes.  Half butterflies run as float32 adds and
+    subtracts, each stage rounded to half once: the float32 sum or
+    difference of two halves, rounded to half, is the half operation's
+    result bit for bit (double rounding is innocuous, as 24 >= 2*11 + 2),
+    and numpy's float16 loops are slower.
 
     Stage h (h = 1, 2, 4, ..., n/2) replaces each row pair (i, i+h) with
     i & h == 0 by (x_i + x_{i+h}, x_i - x_{i+h}).  The stages always run in
@@ -69,16 +81,21 @@ def fwht(x):
     k = a.shape[1]
     lo = 1 << ((n.bit_length() - 1) // 2 if k < _WIDE_BLOCK else 0)
     hi = n // lo
-    src = np.empty((n, k), dtype=a.dtype)
+    half = a.dtype == np.float16
+    src = np.empty((n, k), dtype=np.float32 if half else a.dtype)
     dst = np.empty_like(src)
+    rnd = np.empty((n, k), dtype=np.float16) if half else None
     if lo > 1:
         src.reshape(lo, hi, k)[...] = a.reshape(hi, lo, k).transpose(1, 0, 2)
-        src, dst = _butterflies(src, dst, 1, lo, hi * k)
+        src, dst = _butterflies(src, dst, 1, lo, hi * k, rnd)
         dst.reshape(hi, lo, k)[...] = src.reshape(lo, hi, k).transpose(1, 0, 2)
         src, dst = dst, src
     else:
         src[...] = a
-    src, _ = _butterflies(src, dst, lo, n, k)
+    src, _ = _butterflies(src, dst, lo, n, k, rnd)
+    if half:
+        np.copyto(rnd, src)
+        src = rnd
     np.multiply(src, src.dtype.type(n ** -0.5), out=src)
     return src[:, 0] if vec else src
 

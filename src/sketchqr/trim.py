@@ -25,6 +25,8 @@ from .linalg import (
     BreakdownError,
     as_array,
     check_scaling,
+    low_storage,
+    reflector_matmul,
     sign,
     to_dtype,
     upper_tri_solve,
@@ -108,7 +110,8 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     z = omega.apply(x, dtype=lo).astype(np.float64)
     rho = float(round_to(np.linalg.norm(z), policy.high))
     if rho == 0.0:
-        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j)
+        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
+                             reason="tail_annihilated")
     sigma = sign(w_tail[0])
     v = w_tail.copy()
     v[0] += sigma * rho
@@ -120,7 +123,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         raise BreakdownError(
             f"sketched reflector vector cancelled at column {j} "
             f"(degenerate sketch geometry, norm {nv:.3e})",
-            column=j,
+            column=j, reason="reflector_cancelled",
         )
     beta = float(hi(2.0 / (nv * nv)))
     if scaling == SCALE_SQRT2:
@@ -133,14 +136,15 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         # a non-finite value stops the sweep; a small pivot is legitimate
         piv = float(vs[0])
         if piv == 0.0:
-            raise BreakdownError(f"unit scaling pivot vanished at column {j}", column=j)
+            raise BreakdownError(f"unit scaling pivot vanished at column {j}", column=j,
+                                 reason="zero_pivot")
         v = v / piv
         vs = vs / piv
         beta = float(hi(beta * piv * piv))
         if not (np.isfinite(beta) and np.isfinite(v).all() and np.isfinite(vs).all()):
             raise BreakdownError(
                 f"unit scaling degenerated at column {j} (sketched entry {piv:.3e})",
-                column=j,
+                column=j, reason="scale_nonfinite",
             )
     v = round_to(v, policy.low)
     vs = round_to(vs, policy.high)
@@ -289,7 +293,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     E = omega.unit_column_sketches[:, :m].copy()
     Wl = round_to(W, policy.low)
     # trim_rh_vector already rounds v to policy.low, so storing U there is exact
-    U = np.zeros((n, m), dtype=lo)
+    U = low_storage(n, m, lo)
     S = np.zeros((omega.ell, m))
     R = np.zeros((m, m))
     T = np.zeros((m, m))
@@ -303,9 +307,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             h = (to_dtype(S[:, :c], hi).T @ to_dtype(z, hi)).astype(np.float64)
             h -= (to_dtype(L[:c, :c], hi) @ to_dtype(w[:c], hi)).astype(np.float64)
             coef = (to_dtype(Tt[:c, :c], hi).T @ to_dtype(h, hi)).astype(np.float64)
-            # the C-contiguous rule of rhqr.apply_reflectors_compact
-            Uc = U[:, :c] if lo == np.float64 else np.ascontiguousarray(U[:, :c])
-            w = (to_dtype(w, lo) - Uc @ to_dtype(coef, lo)).astype(np.float64)
+            w = (to_dtype(w, lo) - reflector_matmul(U[:, :c], coef, lo)).astype(np.float64)
         step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
         U[c:, c] = step.v
         S[:, c] = step.s
@@ -317,7 +319,12 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         _extend_t(T, S, step.s, step.beta, c, hi=hi)
         if c:
             g = (to_dtype(S[:, :c], hi).T @ to_dtype(step.s, hi)).astype(np.float64)
-            g -= (to_dtype(U[:c, :c], hi).T @ to_dtype(lrow, hi)).astype(np.float64)
+            # a block cast out of low_storage is made C-contiguous, as a cast
+            # from the C-ordered store of other formats is: BLAS bits follow
+            # the layout
+            Uc = U[:c, :c]
+            Uc = to_dtype(Uc, hi) if lo == hi else np.ascontiguousarray(Uc, dtype=hi)
+            g -= (Uc.T @ to_dtype(lrow, hi)).astype(np.float64)
             col = to_dtype(Tt[:c, :c], hi) @ to_dtype(g, hi)
             Tt[:c, c] = (hi(-step.beta) * col).astype(np.float64)
         Tt[c, c] = step.beta
@@ -325,7 +332,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         rhos.append(step.rho)
         betas.append(step.beta)
     return TrimFactors(
-        U=U.astype(np.float64, copy=False), S=S, T=T, T_tilde=Tt, R=R, L=L, E=E, omega=omega,
-        scaling=scaling, sigmas=np.array(sigmas), rhos=np.array(rhos),
+        U=np.ascontiguousarray(U, dtype=np.float64), S=S, T=T, T_tilde=Tt, R=R, L=L, E=E,
+        omega=omega, scaling=scaling, sigmas=np.array(sigmas), rhos=np.array(rhos),
         betas=np.array(betas),
     )

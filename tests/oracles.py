@@ -68,7 +68,9 @@ def fwht_stack_reference(x):
 
     sketchqr.sketching.fwht reorganizes memory but not arithmetic; this copy
     of the earlier implementation is kept so agreement can be checked bit
-    for bit.
+    for bit.  On float16 input it runs numpy's native float16 butterflies,
+    the oracle for fwht's half path, which adds in float32 and rounds each
+    stage to half.
     """
     a = np.asarray(x)
     n = a.shape[0]

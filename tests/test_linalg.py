@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sketchqr.precision import (
     DOUBLE,
@@ -12,20 +13,35 @@ from sketchqr.precision import (
     policy_from_tag,
     round_to,
 )
-from sketchqr.baselines import householder_qr, rgs
+from sketchqr.baselines import (
+    blas2_rgs,
+    cgs,
+    householder_qr,
+    mgs,
+    rgs,
+)
+from sketchqr.experiments import gen_cmatrix
+from sketchqr.krylov import rgs_arnoldi, rhqr_arnoldi
 from sketchqr.linalg import (
     BreakdownError,
     SingularFactorError,
     cond_number,
     factorization_errors,
+    low_storage,
+    matmul_in,
     orthogonality_error,
     right_tri_solve,
     sign,
     upper_tri_solve,
 )
-from sketchqr.rhqr import rh_vector
-from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch
-from sketchqr.trim import normalize_leading_columns, trim_rh_vector
+from sketchqr.rhqr import rec_rhqr, rh_vector, rhqr_block, rhqr_left, rhqr_right
+from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
+from sketchqr.trim import (
+    normalize_leading_columns,
+    trim_rh_vector,
+    trim_rhqr_left,
+    trim_rhqr_right,
+)
 from oracles import jacobi_singular_values
 
 
@@ -190,13 +206,106 @@ def test_breakdown_error_carries_column():
     A[0] = 1.0
     Wz = np.zeros((32, 3))
     Wz[0, 0] = Wz[1, 1] = 1.0
+    om = normalize_leading_columns(GaussianSketch(4, 6, 1), 3)
     cases = [
-        (lambda: rh_vector(w, psi.apply(w), 2), 2),
-        (lambda: trim_rh_vector(np.zeros(4), normalize_leading_columns(GaussianSketch(4, 6, 1), 3), 3), 3),
-        (lambda: householder_qr(A), 2),
-        (lambda: rgs(Wz, IdentitySketch(32)), 3),
+        (lambda: rh_vector(w, psi.apply(w), 2), 2, "tail_annihilated"),
+        (lambda: trim_rh_vector(np.zeros(4), om, 3), 3, "tail_annihilated"),
+        (lambda: householder_qr(A), 2, "dependent_column"),
+        (lambda: rgs(Wz, IdentitySketch(32)), 3, "zero_pivot"),
+        (lambda: blas2_rgs(Wz, IdentitySketch(32)), 3, "zero_pivot"),
+        (lambda: cgs(Wz), 3, "zero_pivot"),
     ]
-    for run, column in cases:
+    for run, column, reason in cases:
         with pytest.raises(BreakdownError, match=f"column {column}") as info:
             run()
         assert info.value.column == column
+        assert info.value.reason == reason
+    with pytest.raises(ValueError, match="reason"):
+        BreakdownError("no such reason", column=1, reason="unknown")
+
+
+def _half_bits(x):
+    # which NaN survives where two NaNs meet is up to the loop that adds
+    # them (numpy's own scalar and vector loops differ), so every NaN reads
+    # as one pattern; every other value is compared bit for bit
+    x = np.asarray(x, dtype=np.float16)
+    return np.where(np.isnan(x), np.uint16(0x7E00), x.view(np.uint16))
+
+
+_halves = st.floats(width=16, allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    c=st.integers(0, 7),
+    cols=st.sampled_from([None, 1, 3]),
+    data=st.data(),
+)
+@example(n=3, c=0, cols=None, data=None)
+@example(n=1, c=1, cols=None, data=None)
+@example(n=2, c=2, cols=3, data=None)
+def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
+    """matmul_in(A, B, float16) against numpy's float16 A @ B, bit for bit.
+
+    This pins the numpy build: the bits rest on numpy's half matmul loop
+    (float32 products summed in order from +0, one rounding to half).
+    Covered: c = 0 and 1, a vector and a multi-column B (the panel update),
+    subnormals, infinities, NaN, overflow of the float32 sum past the half
+    range, and a -0 product, which a sum seeded with its first product
+    would return as -0.  A is given both as float16 and in low_storage's
+    float32 layout.
+    """
+    shape_b = (c,) if cols is None else (c, cols)
+    if data is None:
+        A = np.full((n, c), -1.0, dtype=np.float16)
+        B = np.zeros(shape_b, dtype=np.float16)
+        if c == 2:
+            A[:] = [300.0, 300.0]
+            B[:] = [[300.0, 2.0 ** -24, np.inf], [300.0, 2.0 ** -14, np.nan]]
+    else:
+        A = data.draw(arrays(np.float16, (n, c), elements=_halves))
+        B = data.draw(arrays(np.float16, shape_b, elements=_halves))
+    with np.errstate(all="ignore"):
+        ref = A @ B
+        stored = low_storage(n, c, np.float16)
+        stored[...] = A
+        for a in (A, stored):
+            out = matmul_in(a, B, np.float16)
+            assert out.dtype == np.float16 and out.shape == ref.shape
+            assert np.array_equal(_half_bits(out), _half_bits(ref))
+    if data is None and c == 1:
+        assert _half_bits(ref)[0] == 0  # +0, not -0
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
+def test_sweeps_return_c_contiguous_float64(tag):
+    # the golden digests hash ascontiguousarray(x), so they cannot see a
+    # layout; a transposed low_storage store that leaked out would move
+    # thin_q's gemm bits
+    policy = policy_from_tag(tag)
+    W = gen_cmatrix(96, 10)
+    om_e = SRHTSketch(40, 86, 5)
+    om = SRHTSketch(40, 96, 6)
+    A = np.diag(np.arange(1.0, 97.0))
+    b = np.cos(np.arange(96.0))
+    hq = householder_qr(W, policy=policy)
+    outputs = {
+        "rhqr_left": rhqr_left(W, om_e, policy=policy).U,
+        "rhqr_block": rhqr_block(W, om_e, block_size=4, policy=policy).U,
+        "rhqr_right": rhqr_right(W, om_e, policy=policy).U,
+        "rec_rhqr": rec_rhqr(W, om_e, policy=policy).U,
+        "trim_rhqr_left": trim_rhqr_left(W, SRHTSketch(8, 96, 7), policy=policy).U,
+        "trim_rhqr_right": trim_rhqr_right(W, SRHTSketch(8, 96, 7), policy=policy).U,
+        "householder_qr.U": hq.aux["U"],
+        "householder_qr.Q": hq.Q,
+        "rhqr_arnoldi": rhqr_arnoldi(A, b, None, 8, SRHTSketch(36, 87, 8), policy=policy).U,
+        "cgs": cgs(W, policy=policy).Q,
+        "mgs": mgs(W, policy=policy).Q,
+        "rgs": rgs(W, om, policy=policy).Q,
+        "blas2_rgs": blas2_rgs(W, om, policy=policy).Q,
+        "rgs_arnoldi": rgs_arnoldi(A, b, None, 8, om, policy=policy)[0],
+    }
+    for name, X in outputs.items():
+        assert X.dtype == np.float64, name
+        assert X.flags.c_contiguous, name

@@ -95,6 +95,22 @@ def test_fwht_bitwise_matches_stack_reference(p, k, dtype, layout, seed):
     assert np.array_equal(x, before)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 3000.0])
+@pytest.mark.parametrize("k", [1, 8, 150])
+def test_fwht_half_path_matches_native_float16(scale, k):
+    # float16 butterflies run in float32 and round each stage to half; the
+    # native float16 butterflies of the reference must agree bit for bit,
+    # through half subnormals (1e-6) and overflow to inf and NaN (3000)
+    X = (np.random.default_rng(k).standard_normal((2048, k)) * scale).astype(np.float16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fwht(X)
+        ref = fwht_stack_reference(X)
+    assert out.dtype == np.float16
+    assert np.array_equal(out.view(np.uint16), ref.view(np.uint16))
+    if scale == 3000.0:
+        assert np.isnan(ref).any() and np.isinf(ref).any()
+
+
 def _exact_inputs(n, k):
     # integer arithmetic and one correctly rounded division: no libm call,
     # so the same bits on every machine
