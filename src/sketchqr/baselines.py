@@ -52,6 +52,10 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     U = np.zeros((p, m))
     # the update reads U from policy.low storage, with no cast per column
     Ul = U if lo == np.float64 else low_storage(p, m, lo)
+    # half sums over n read a float16 copy of U written once per column; a
+    # strided float32 copy would not do, as sgemv rounds differently under
+    # another leading dimension
+    Uh = np.zeros((p, m), dtype=hi) if hi == np.float16 else None
     T = np.zeros((m, m))
     R = np.zeros((m, m))
     sigmas = np.zeros(m)
@@ -59,8 +63,9 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     betas = np.zeros(m)
     for c in range(m):
         w = Al[:, c].astype(np.float64)
+        Uc = to_dtype(U[:, :c], hi) if Uh is None else Uh[:, :c]
         if c:
-            coef = to_dtype(T[:c, :c].T, hi) @ (to_dtype(U[:, :c], hi).T @ to_dtype(w, hi))
+            coef = to_dtype(T[:c, :c].T, hi) @ (Uc.T @ to_dtype(w, hi))
             w = (to_dtype(w, lo) - reflector_matmul(Ul[:, :c], coef, lo)).astype(np.float64)
         rho = float(round_to(np.linalg.norm(w[c:]), policy.high))
         if rho == 0.0:
@@ -82,8 +87,10 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         U[:, c] = u
         if Ul is not U:
             Ul[:, c] = u
+        if Uh is not None:
+            Uh[:, c] = u
         if c:
-            col = to_dtype(T[:c, :c], hi) @ (to_dtype(U[:, :c], hi).T @ to_dtype(u, hi))
+            col = to_dtype(T[:c, :c], hi) @ (Uc.T @ to_dtype(u, hi))
             T[:c, c] = (hi(-beta) * col).astype(np.float64)
         T[c, c] = beta
         R[:c, c] = w[:c]

@@ -94,7 +94,7 @@ def right_tri_solve(B, R, policy=DOUBLE_POLICY):
     B = as_array(B)
     _check_diagonal(R, dtype)
     if dtype == np.float16:
-        return _tri_solve_loop(R.T, B.T, dtype, lower=True).T
+        return np.ascontiguousarray(_tri_solve_loop(R.T, B.T, dtype, lower=True).T)
     X = scipy.linalg.solve_triangular(R.astype(dtype).T, B.astype(dtype).T, lower=True).T
     return X.astype(np.float64)
 

@@ -18,6 +18,7 @@ from sketchqr.baselines import (
     cgs,
     householder_qr,
     mgs,
+    rand_cholesky_qr,
     rgs,
 )
 from sketchqr.experiments import gen_cmatrix
@@ -304,6 +305,7 @@ def test_sweeps_return_c_contiguous_float64(tag):
         "mgs": mgs(W, policy=policy).Q,
         "rgs": rgs(W, om, policy=policy).Q,
         "blas2_rgs": blas2_rgs(W, om, policy=policy).Q,
+        "rand_cholesky_qr": rand_cholesky_qr(W, om, policy=policy).Q,
         "rgs_arnoldi": rgs_arnoldi(A, b, None, 8, om, policy=policy)[0],
     }
     for name, X in outputs.items():
