@@ -207,8 +207,9 @@ def _gram_schmidt(W, policy, modified):
 
 
 def rgs(W, omega, policy=DOUBLE_POLICY):
-    """Randomized Gram-Schmidt: project in the sketch space, one sketch per
-    column plus a re-sketch after the update.
+    """Randomized Gram-Schmidt: project in the sketch space.  W is sketched
+    once as a block, and each column after the first is re-sketched after
+    its update.
 
     The ell x (j-1) sketched least-squares problem is solved with our own
     column-pivoted Householder QR in the high precision of the policy;
@@ -225,9 +226,11 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
     Q = low_storage(n, m, lo)
     Sb = np.zeros((omega.ell, m))  # maintained sketched basis
     R = np.zeros((m, m))
+    # every column's sketch in one block apply, bitwise the per-column ones
+    P = omega.apply(Wl, dtype=lo)
     for c in range(m):
         w = Wl[:, c].copy()
-        z = p = omega.apply(w.astype(np.float64), dtype=lo)
+        z = p = P[:, c].copy()
         if c:
             r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=policy.high_dtype)
             R[:c, c] = r
@@ -268,9 +271,11 @@ def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
     T = np.zeros((m, m))
     R = np.zeros((m, m))
     hi = policy.high_dtype
+    # every column's sketch in one block apply, bitwise the per-column ones
+    P = omega.apply(Wl, dtype=lo)
     for c in range(m):
         w = Wl[:, c].copy()
-        z = p = omega.apply(w.astype(np.float64), dtype=lo)
+        z = p = P[:, c].copy()
         if c:
             rhead = to_dtype(T[:c, :c].T, hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(p, hi))
             rhead = rhead.astype(np.float64)

@@ -172,13 +172,13 @@ def load_matrix_market(path):
             fh.seek(body_at)
             _first_bad_line(fh, szline, fmt, sym, nr, nc, want)
     if fmt == "coordinate":
-        A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nr, nc))
         if sym == "symmetric":
+            # one COO of the entries and their mirror: a sparse sum would
+            # prune explicitly stored zeros
             off = rows != cols
-            mirror = scipy.sparse.coo_matrix(
-                (vals[off], (cols[off], rows[off])), shape=(nr, nc))
-            A = A + mirror
-        return A.tocsc()
+            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+            vals = np.concatenate([vals, vals[off]])
+        return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsc()
     vals = body[:, 0]
     M = np.zeros((nr, nc), order="F")
     if sym == "symmetric":

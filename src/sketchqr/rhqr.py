@@ -98,12 +98,14 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     return HouseholderStep(u=u, s=s, sigma=sigma, rho=rho, beta=beta)
 
 
-def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY):
+def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY,
+                             Y=None):
     """(I - U T S^t Psi) X, or the reversed product with transpose_t=True.
 
     The compact-form step every sweep repeats: the sketch and the
     n-dimensional update run in policy.low, the coefficient products in
-    policy.high.  U may be a block of linalg.low_storage.
+    policy.high.  U may be a block of linalg.low_storage.  Y is Psi X in
+    policy.low, shaped as X, when the caller has sketched X already.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
@@ -112,7 +114,10 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
     X = as_array(X)
     vec = X.ndim == 1
     Xc = X[:, None] if vec else X
-    Y = psi.apply(Xc, dtype=lo)
+    if Y is None:
+        Y = psi.apply(Xc, dtype=lo)
+    elif vec:
+        Y = Y[:, None]
     C = to_dtype(S, hi).T @ to_dtype(Y, hi)
     C = matmul_in(T.T if transpose_t else T, C, hi)
     out = (to_dtype(Xc, lo) - reflector_matmul(U, C, lo)).astype(np.float64)
@@ -220,11 +225,12 @@ def _sweep(W, omega, block_size, scaling, policy):
 
     All reflectors so far form one compact form U, S = Psi U, T, with U
     stored in policy.low (linalg.low_storage).  A panel after the first is
-    brought up to date by one application of every earlier reflector, so
-    it is sketched once.
-    Column c of the panel starting at j0 then gets the panel's own
-    reflectors j0..c-1, whose triangle is the diagonal block T[j0:c, j0:c]
-    of the global T.  Returns the fields of RHQRFactors.
+    brought up to date by one application of every earlier reflector.
+    Each panel is then sketched once, as a block.  Column c of the panel
+    starting at j0 gets the panel's own reflectors j0..c-1, whose triangle
+    is the diagonal block T[j0:c, j0:c] of the global T, from its column of
+    that sketch; only the updated column is sketched again.  Returns the
+    fields of RHQRFactors.
     """
     check_scaling(scaling)
     lo = policy.low_dtype
@@ -248,12 +254,18 @@ def _sweep(W, omega, block_size, scaling, policy):
         if j0:
             panel = apply_reflectors_compact(U[:, :j0], S[:, :j0], T[:j0, :j0], panel, psi,
                                              transpose_t=True, policy=policy)
+        # a block apply equals per-column applies bit for bit (but for a
+        # Gaussian); columns are copied out contiguous, as a single apply
+        # returns them
+        Yp = psi.apply(panel, dtype=lo)
         for c in range(j0, j1):
             w = panel[:, c - j0].copy()
+            y = Yp[:, c - j0].copy()
             if c > j0:
                 w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
-                                             transpose_t=True, policy=policy)
-            step = _add_reflector(w, psi.apply(w, dtype=lo), c, U, S, T, R, scaling, policy)
+                                             transpose_t=True, policy=policy, Y=y)
+                y = psi.apply(w, dtype=lo)
+            step = _add_reflector(w, y, c, U, S, T, R, scaling, policy)
             sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
     return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=S, T=T, R=R, psi=psi,
                 scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
@@ -262,8 +274,9 @@ def _sweep(W, omega, block_size, scaling, policy):
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Left-looking randomized Householder QR of a tall W (n x m, n > m).
 
-    omega sketches the trailing n-m coordinates; two sketches per column,
-    one for the first.  This is the blocked sweep with a single panel.
+    omega sketches the trailing n-m coordinates.  W is sketched once as a
+    block, and every column after the first once more after its update.
+    This is the blocked sweep with a single panel.
     """
     return RHQRFactors(**_sweep(W, omega, None, scaling, policy))
 
@@ -311,10 +324,10 @@ class BlockRHQRFactors(RHQRFactors):
 
 def rhqr_block(W, omega, block_size=32, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Blocked left-looking sweep: each panel of block_size columns is
-    sketched once, brought up to date by every earlier reflector in one
-    compact-form application, and then factored column by column.  A final
-    panel narrower than block_size is processed as-is; block_size >= m is
-    rhqr_left exactly."""
+    brought up to date by every earlier reflector in one compact-form
+    application, sketched once as a block, and then factored column by
+    column.  A final panel narrower than block_size is processed as-is;
+    block_size >= m is rhqr_left exactly."""
     if block_size < 1:
         raise ValueError("block_size must be positive")
     return BlockRHQRFactors(**_sweep(W, omega, block_size, scaling, policy))

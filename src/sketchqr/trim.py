@@ -282,7 +282,8 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
     Column j is transformed in one shot by the reversed compact form,
     w -= U T~^t (S^t (Omega w) - L w_head), then the reflector comes from
-    its tail.  Three sketches per column: the update's and the two inside
+    its tail.  The updates' sketches of columns 2..m come from one block
+    sketch of W[:, 1:]; each column then takes the two sketches inside
     trim_rh_vector.
     """
     check_scaling(scaling)
@@ -300,10 +301,12 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     Tt = np.zeros((m, m))
     L = np.zeros((m, m))
     sigmas, rhos, betas = [], [], []
+    # the updates' sketches, in one block apply: bitwise the per-column ones
+    Z = omega.apply(Wl[:, 1:], dtype=lo)
     for c in range(m):
         w = Wl[:, c].copy()
         if c:
-            z = omega.apply(w, dtype=lo).astype(np.float64)
+            z = Z[:, c - 1].copy()
             h = (to_dtype(S[:, :c], hi).T @ to_dtype(z, hi)).astype(np.float64)
             h -= (to_dtype(L[:c, :c], hi) @ to_dtype(w[:c], hi)).astype(np.float64)
             coef = (to_dtype(Tt[:c, :c], hi).T @ to_dtype(h, hi)).astype(np.float64)

@@ -15,6 +15,7 @@ class CountingSketch:
         self.base = base
         self.n = base.n
         self.ell = base.ell
+        self.seed = base.seed
         self.widths = []
 
     def apply(self, X, dtype=np.float64):

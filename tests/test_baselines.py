@@ -258,6 +258,6 @@ def test_rgs_sketches_column_zero_once(rng, factor):
     n, m = 64, 9
     om = CountingSketch(GaussianSketch(40, n, 3))
     factor(rng.standard_normal((n, m)), om)
-    # one sketch per column plus a re-sketch after each projection; column
-    # 0 is not projected, so its one sketch serves both
-    assert om.widths == [1] * (2 * m - 1)
+    # one block sketch of W, then a re-sketch after each projection; column
+    # 0 is not projected, so its column of the block serves both
+    assert om.widths == [m] + [1] * (m - 1)

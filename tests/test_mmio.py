@@ -80,6 +80,23 @@ def test_symmetric_coordinate_expands(tmp_path):
     assert S[1, 1] == 0.0
 
 
+def test_symmetric_coordinate_keeps_stored_zeros(tmp_path):
+    entries = ("1 1 0.0", "2 1 -0.0", "3 2 1.0")
+    G = load_matrix_market(write_lines(tmp_path / "g.mtx",
+                                       "%%MatrixMarket matrix coordinate real general",
+                                       "3 3 3", *entries))
+    S = load_matrix_market(write_lines(tmp_path / "s.mtx",
+                                       "%%MatrixMarket matrix coordinate real symmetric",
+                                       "3 3 3", *entries))
+    assert G.nnz == 3
+    # all 3 stored entries stay, and the two off the diagonal gain a mirror
+    assert S.nnz == 3 + 2
+    for A, cells in ((G, [(1, 0)]), (S, [(1, 0), (0, 1)])):
+        for i, j in cells:
+            k = A.indptr[j] + list(A.indices[A.indptr[j]:A.indptr[j + 1]]).index(i)
+            assert A.data[k] == 0.0 and np.signbit(A.data[k])
+
+
 def test_symmetric_array_expands(tmp_path):
     p = write_lines(tmp_path / "sa.mtx",
                     "%%MatrixMarket matrix array real symmetric",

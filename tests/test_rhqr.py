@@ -27,7 +27,7 @@ from sketchqr.rhqr import (
 )
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
-from sketchqr.trim import trim_rhqr_left
+from sketchqr.trim import normalize_leading_columns, trim_rhqr_left
 from oracles import CountingSketch, dense_embedded_matrix, dense_reflector
 
 
@@ -263,11 +263,34 @@ def test_block_sketches_each_panel_once(rng, bs):
     W = rng.standard_normal((n, m))
     om = CountingSketch(GaussianSketch(60, n - m, 40))
     rhqr_block(W, om, block_size=bs)
-    starts = range(0, m, bs)
-    # every panel but the first is sketched once, as a whole; each column
-    # then needs one sketch, plus one for its update unless it opens a panel
-    assert [w for w in om.widths if w > 1] == [min(bs, m - j0) for j0 in starts[1:]]
-    assert om.widths.count(1) == 2 * m - len(starts)
+    # every panel but the first is sketched as a whole for its update by
+    # the earlier reflectors; every panel is then sketched once, as a
+    # block, and each column but the panel's first once more after its
+    # update
+    expected = []
+    for j0 in range(0, m, bs):
+        b = min(bs, m - j0)
+        expected += [b] * (2 if j0 else 1) + [1] * (b - 1)
+    assert om.widths == expected
+
+
+def test_left_sketches_w_once(rng):
+    n, m = 80, 20
+    om = CountingSketch(SRHTSketch(60, n - m, 41))
+    rhqr_left(rng.standard_normal((n, m)), om)
+    # one m-wide block, then the re-sketch of every updated column
+    assert om.widths == [m] + [1] * (m - 1)
+
+
+def test_trim_left_sketches_the_updates_once(rng):
+    n, m = 80, 9
+    om = CountingSketch(SRHTSketch(40, n, 42))
+    wrapped = normalize_leading_columns(om, m)
+    om.widths.clear()
+    trim_rhqr_left(rng.standard_normal((n, m)), wrapped)
+    # one block for the updates of columns 2..m, then the two sketches of
+    # every trim_rh_vector
+    assert om.widths == [m - 1] + [1] * (2 * m)
 
 
 # blake2b digests of every factor array of the two left sweeps.  Their

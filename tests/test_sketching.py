@@ -312,6 +312,37 @@ def test_mat_vec_consistency(rng):
         assert np.allclose(op.apply(X), cols, atol=1e-14)
         with pytest.raises(ValueError):
             op.apply(np.ones(21))
+    # the sweeps sketch a block once and read its columns as the per-column
+    # sketches: SRHT (chunked butterflies) and sparse sign (per-column CSC
+    # products) must give the same bits, around the chunk width too
+    n = 100
+    X = rng.standard_normal((n + 3, 65))
+    for kind in ("srht", "sparse"):
+        om = make_sketch(kind, 40, n, 2, s=4)
+        for op, rows in ((om, X[3:]), (EmbeddedSketch(3, om), X)):
+            for dtype in (np.float64, np.float32, np.float16):
+                for k in (1, 31, 32, 33, 65):
+                    block = op.apply(rows[:, :k], dtype=dtype)
+                    cols = np.stack([op.apply(rows[:, j], dtype=dtype) for j in range(k)],
+                                    axis=1)
+                    assert np.array_equal(block, cols), (kind, op, dtype, k)
+
+
+@pytest.mark.parametrize("op", [
+    GaussianSketch(8, 20, 1),
+    SRHTSketch(8, 20, 1),
+    SparseSignSketch(8, 20, 1, s=4),
+    IdentitySketch(20),
+    MatrixSketch(np.ones((8, 20))),
+    ColumnScaledSketch(SRHTSketch(8, 20, 1), np.full(20, 2.0), 4, None),
+    EmbeddedSketch(3, SRHTSketch(8, 17, 1)),
+], ids=lambda op: type(op).__name__)
+def test_zero_width_apply(op):
+    # trim_rhqr_left sketches W[:, 1:], which has no columns when m = 1
+    ell = op.shape[0]
+    for dtype in (np.float64, np.float32, np.float16):
+        Y = op.apply(np.zeros((20, 0)), dtype=dtype)
+        assert Y.shape == (ell, 0) and Y.dtype == np.float64
 
 
 def test_low_precision_apply_is_representable(rng):

@@ -92,9 +92,12 @@ def test_left_right_agree(rng):
             assert np.linalg.norm(a - b) <= 1e-11 * max(1.0, np.linalg.norm(b))
 
 
-def test_single_column_matches_vector_kernel(rng):
+@pytest.mark.parametrize("base", [GaussianSketch(18, 50, 3), SRHTSketch(18, 50, 3)],
+                         ids=lambda op: op.kind)
+def test_single_column_matches_vector_kernel(rng, base):
+    # one column leaves the block sketch of W[:, 1:] with no columns
     w = rng.standard_normal(50)
-    om = normalize_leading_columns(GaussianSketch(18, 50, 3), 1)
+    om = normalize_leading_columns(base, 1)
     step = trim_rh_vector(w, om, 1)
     F = trim_rhqr_left(w[:, None], om)
     assert np.allclose(F.U[:, 0], step.v, atol=1e-14)
