@@ -92,10 +92,7 @@ def test_left_right_agree(rng):
             assert np.linalg.norm(a - b) <= 1e-11 * max(1.0, np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("base", [GaussianSketch(18, 50, 3), SRHTSketch(18, 50, 3)],
-                         ids=lambda op: op.kind)
-def test_single_column_matches_vector_kernel(rng, base):
-    # one column leaves the block sketch of W[:, 1:] with no columns
+def _check_single_column_matches_vector_kernel(rng, base):
     w = rng.standard_normal(50)
     om = normalize_leading_columns(base, 1)
     step = trim_rh_vector(w, om, 1)
@@ -103,6 +100,15 @@ def test_single_column_matches_vector_kernel(rng, base):
     assert np.allclose(F.U[:, 0], step.v, atol=1e-14)
     assert np.allclose(F.S[:, 0], step.s, atol=1e-14)
     assert F.R[0, 0] == pytest.approx(-step.sigma * step.rho, rel=1e-14)
+
+
+def test_single_column_matches_vector_kernel(rng):
+    _check_single_column_matches_vector_kernel(rng, GaussianSketch(18, 50, 3))
+
+
+def test_single_column_matches_vector_kernel_srht(rng):
+    # one column leaves the block sketch of W[:, 1:] with no columns
+    _check_single_column_matches_vector_kernel(rng, SRHTSketch(18, 50, 3))
 
 
 def test_reconstruction_small(rng):
