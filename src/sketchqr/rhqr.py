@@ -136,10 +136,11 @@ def t_factor_from_sketches(S, policy=DOUBLE_POLICY):
     return upper_tri_solve(Tinv, np.eye(G.shape[0]), policy=policy)
 
 
-def _extend_t(T, S, s_new, beta, c, hi=np.float64):
-    # grow the compact-form triangle by the new reflector's column
+def _extend_t(T, p, beta, c, hi=np.float64):
+    # grow the compact-form triangle by the new reflector's column, given
+    # p = S[:, :c]^t s_new in hi
     if c:
-        col = to_dtype(T[:c, :c], hi) @ (to_dtype(S[:, :c], hi).T @ to_dtype(s_new, hi))
+        col = to_dtype(T[:c, :c], hi) @ p
         T[:c, c] = (hi(-beta) * col).astype(np.float64)
     T[c, c] = beta
 
@@ -152,7 +153,8 @@ def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
     step = rh_vector(w, y, c + 1, scaling, policy)
     U[:, c] = step.u
     S[:, c] = step.s
-    _extend_t(T, S, step.s, step.beta, c, policy.high_dtype)
+    hi = policy.high_dtype
+    _extend_t(T, to_dtype(S[:, :c], hi).T @ to_dtype(step.s, hi), step.beta, c, hi)
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
     return step

@@ -7,12 +7,17 @@ materialized, only its signs and coordinate subset are stored.
 
 Half-precision model: half arithmetic runs as float32, rounded to half
 once per butterfly stage and once per product sum (linalg.matmul_in), and
-is bitwise equal to numpy's float16 arithmetic.  The FWHT adds and subtracts in float32 and
-rounds each stage to half, which gives numpy's correctly rounded float16
-add and subtract bit for bit.  The matmul-based operators (gaussian,
-sparse sign) multiply a float32 copy of the operator, accumulate in
-float32 and round the result to float16 once, which is how half-precision
-hardware behaves.
+is bitwise equal to numpy's float16 arithmetic.  The FWHT adds and
+subtracts in float32 and rounds each stage to half, which gives numpy's
+correctly rounded float16 add and subtract bit for bit.  That rounding is
+Dekker's split in float32 arithmetic, exact while no stage can reach
+half's overflow threshold (every column's 1-norm at most 2**15), and a cast
+to float16 and back otherwise (see fwht).  A product of two halves is
+exact in float32, so the SRHT's signed scale, the column scaling and the
+FWHT's normalization each multiply in float32 and cast to half once.  The
+matmul-based operators (gaussian, sparse sign) multiply a float32 copy of
+the operator, accumulate in float32 and round the result to float16 once,
+which is how half-precision hardware behaves.
 """
 
 import numpy as np
@@ -24,23 +29,82 @@ from .linalg import as_array, orthogonality_error
 # columns per SRHT work array: a block is transformed this many at a time
 _CHUNK = 32
 
+# Dekker's splitting constant 2**13 + 1 for float32: t = x*C, t - (t - x)
+# rounds x to its nearest 24 - 13 = 11 bit value, half's significand
+_SPLIT = np.float32(8193)
+# the split path's bound on every column's 1-norm; stage values stay below
+# it times (1 + 2**-11)**p, far from 65520, where half overflows
+_SPLIT_NORM = 2.0 ** 15
+
+
+def _split_half(x, scratch):
+    """Round float32 x in place to the nearest half: three float32 ufuncs
+    with `scratch` (same shape) as workspace.
+
+    Equal to a cast to float16 and back, ties to even included, for every
+    float32 multiple of 2**-24 below 65520 in magnitude.  Below 2**-14 such
+    a value is itself a half subnormal, which the split leaves as it is;
+    below 65520 the cast does not overflow.  Sums and differences of halves
+    are such multiples, and they are what the FWHT rounds."""
+    np.multiply(x, _SPLIT, out=scratch)
+    np.subtract(scratch, x, out=x)
+    np.subtract(scratch, x, out=x)
+
 
 def _butterflies(src, dst, h, stop, width, rnd=None):
     """Stages h, 2h, ... < stop along axis 0 of a buffer whose rows hold
-    `width` contiguous elements, alternating between src and dst.  With a
-    float16 buffer `rnd`, each stage's float32 result is rounded to half
-    through it.  Returns (result, spare)."""
+    `width` contiguous elements, alternating between src and dst.  With
+    `rnd`, each stage's float32 result is rounded to half by
+    rnd(result, spare).  Returns (result, spare)."""
     while h < stop:
         s = src.reshape(-1, 2, h * width)
         d = dst.reshape(-1, 2, h * width)
         np.add(s[:, 0], s[:, 1], out=d[:, 0])
         np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
         if rnd is not None:
-            np.copyto(rnd, dst)
-            np.copyto(dst, rnd)
+            rnd(dst, src)
         src, dst = dst, src
         h *= 2
     return src, dst
+
+
+def _transform(a, b, half):
+    """Unnormalized butterflies of the n x k buffer a, with b (same shape
+    and dtype) as the second buffer; both are overwritten.  With `half`, a
+    is float32 holding halves and every stage is rounded to half.  Returns
+    whichever buffer holds the result."""
+    n, k = a.shape
+    rnd = None
+    if half:
+        # the split's guard (see fwht), with b as scratch before stage one
+        np.abs(a, out=b)
+        if np.all(b.sum(axis=0, dtype=np.float64) <= _SPLIT_NORM):
+            rnd = _split_half
+        else:
+            # large, infinite or NaN columns: round through a half buffer,
+            # which owns overflow, inf and NaN
+            h16 = np.empty((n, k), dtype=np.float16)
+
+            def rnd(x, _):
+                np.copyto(h16, x)
+                np.copyto(x, h16)
+    lo = 1 << (n.bit_length() - 1) // 2
+    hi = n // lo
+    src, dst = a, b
+    if lo > 1:
+        dst.reshape(lo, hi, k)[...] = src.reshape(hi, lo, k).transpose(1, 0, 2)
+        src, dst = _butterflies(dst, src, 1, lo, hi * k, rnd)
+        dst.reshape(hi, lo, k)[...] = src.reshape(lo, hi, k).transpose(1, 0, 2)
+        src, dst = dst, src
+    src, _ = _butterflies(src, dst, lo, n, k, rnd)
+    return src
+
+
+def _norm_factor(n, dtype):
+    """The 2**(-p/2) normalization in dtype, as a scalar of the arithmetic
+    dtype: float32 holding the half value for float16."""
+    f = dtype.type(n ** -0.5)
+    return np.float32(f) if dtype == np.float16 else f
 
 
 def fwht(x):
@@ -48,11 +112,21 @@ def fwht(x):
 
     x has n = 2**p rows; columns are transformed independently.  Arithmetic
     runs in x's own dtype; the 2**(-p/2) normalization is a single multiply
-    after the butterfly passes.  Half butterflies run as float32 adds and
-    subtracts, each stage rounded to half once: the float32 sum or
-    difference of two halves, rounded to half, is the half operation's
-    result bit for bit (double rounding is innocuous, as 24 >= 2*11 + 2),
-    and numpy's float16 loops are slower.
+    after the butterfly passes.
+
+    Half butterflies run as float32 adds and subtracts, each stage rounded
+    to half once: the float32 sum or difference of two halves, rounded to
+    half, is the half operation's result bit for bit (double rounding is
+    innocuous, as 24 >= 2*11 + 2), and numpy's float16 loops are slower.
+    The rounding is Dekker's split (_split_half), three float32 ufuncs.  It
+    is exact because a sum of halves is a multiple of 2**-24, so half's
+    subnormal step needs no special case, as long as no stage reaches
+    65520, where half overflows.  A stage value is bounded by its column's
+    1-norm times (1 + 2**-11)**p, so the split runs when every column's
+    float64 1-norm is at most 2**15; other input (large, inf or NaN) is
+    rounded by a cast to float16 and back at each stage instead.  The
+    normalization multiplies two halves in float32, which is exact, and
+    casts to half once.
 
     Stage h (h = 1, 2, 4, ..., n/2) replaces each row pair (i, i+h) with
     i & h == 0 by (x_i + x_{i+h}, x_i - x_{i+h}).  The stages always run in
@@ -69,37 +143,23 @@ def fwht(x):
     makes i_lo the slow index; stages h < 2**r then run over runs of at
     least 2**(p-r)*k.  One transpose back, and stages h >= 2**r run over
     runs of at least 2**r*k.  Every stage writes into the other of two
-    preallocated buffers.  SRHTSketch transforms a block _CHUNK columns at
-    a time, which keeps those buffers small: with one BLAS thread on a
-    2-core x86 machine, 300 columns of 4096 rows take about 26 ms in chunks
-    of 32 against 35 ms in one block.
+    buffers, the first of which holds the input.  SRHTSketch transforms a
+    block _CHUNK columns at a time, which keeps those buffers small: with
+    one BLAS thread on a 2-core x86 machine, 300 columns of 4096 rows take
+    about 26 ms in chunks of 32 against 35 ms in one block.
     """
     a = np.asarray(x)
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     vec = a.ndim == 1
-    a = a.reshape(n, -1)
-    k = a.shape[1]
-    lo = 1 << (n.bit_length() - 1) // 2
-    hi = n // lo
     half = a.dtype == np.float16
-    src = np.empty((n, k), dtype=np.float32 if half else a.dtype)
-    dst = np.empty_like(src)
-    rnd = np.empty((n, k), dtype=np.float16) if half else None
-    if lo > 1:
-        src.reshape(lo, hi, k)[...] = a.reshape(hi, lo, k).transpose(1, 0, 2)
-        src, dst = _butterflies(src, dst, 1, lo, hi * k, rnd)
-        dst.reshape(hi, lo, k)[...] = src.reshape(lo, hi, k).transpose(1, 0, 2)
-        src, dst = dst, src
-    else:
-        src[...] = a
-    src, _ = _butterflies(src, dst, lo, n, k, rnd)
+    buf = a.reshape(n, -1).astype(np.float32 if half else a.dtype, order="C")
+    out = _transform(buf, np.empty_like(buf), half)
+    np.multiply(out, _norm_factor(n, a.dtype), out=out)
     if half:
-        np.copyto(rnd, src)
-        src = rnd
-    np.multiply(src, src.dtype.type(n ** -0.5), out=src)
-    return src[:, 0] if vec else src
+        out = out.astype(np.float16)
+    return out[:, 0] if vec else out
 
 
 def _columns(X, n):
@@ -195,7 +255,9 @@ class SRHTSketch(SketchOperator):
     Input length n is padded to the next power of two n_pad; the operator is
     sqrt(n_pad/ell) * (row subset) * H * diag(signs) on the padded vector.
     Memory is O(n_pad + ell): signs and the sampled coordinates only.
-    Application order is fixed: scale, sign flips, pad, transform, gather.
+    Application order is fixed: scale and sign flip (one multiply by the
+    signed scale, which has the bits of the two), pad, butterflies, gather,
+    normalize.
     """
 
     kind = "srht"
@@ -209,24 +271,32 @@ class SRHTSketch(SketchOperator):
         self.signs = (rng.integers(0, 2, self.n_pad) * 2 - 1).astype(np.float64)
         self.indices = rng.permutation(self.n_pad)[: self.ell].copy()
         self.scale = float(np.sqrt(self.n_pad / self.ell))
-        self._signs = {}
+        self._signed_scale = {}
 
     def _apply(self, X, dtype):
-        signs = self._signs.get(dtype)
-        if signs is None:
-            # +-1 is exact in every format: cast once per arithmetic dtype
-            signs = self._signs[dtype] = self.signs[: self.n, None].astype(dtype)
+        half = dtype == np.float16
+        adtype = np.dtype(np.float32) if half else dtype
+        ss = self._signed_scale.get(dtype)
+        if ss is None:
+            # sign * scale: rounding is symmetric, so x * (sign * scale) has
+            # the bits of (x * scale) * sign; half's scale is a half value
+            scale = adtype.type(dtype.type(self.scale))
+            ss = self._signed_scale[dtype] = self.signs[: self.n, None].astype(adtype) * scale
+        norm = _norm_factor(self.n_pad, dtype)
         k = X.shape[1]
         Y = np.empty((self.ell, k), dtype=dtype)
         # every column is transformed on its own, so chunking keeps the bits
         for a in range(0, k, _CHUNK):
             b = min(a + _CHUNK, k)
-            work = np.empty((self.n_pad, b - a), dtype=dtype)
+            work = np.empty((self.n_pad, b - a), dtype=adtype)
             work[self.n:] = 0
             head = work[: self.n]
-            np.multiply(X[:, a:b].astype(dtype, copy=False), dtype.type(self.scale), out=head)
-            head *= signs
-            Y[:, a:b] = fwht(work)[self.indices]
+            np.multiply(X[:, a:b].astype(dtype, copy=False), ss, out=head)
+            if half:
+                # the float32 product of two halves is exact: one rounding
+                head[...] = head.astype(dtype)
+            out = _transform(work, np.empty_like(work), half)
+            np.multiply(out[self.indices], norm, out=Y[:, a:b])
         return Y
 
 
@@ -299,11 +369,19 @@ class ColumnScaledSketch(SketchOperator):
         self.m = int(m)
         self.scales = np.asarray(scales, dtype=np.float64)
         self.unit_column_sketches = unit_column_sketches
+        self._cast = {}
 
     def _apply(self, X, dtype):
-        Xs = X.astype(dtype) * self.scales[:, None].astype(dtype)
-        Y = self.base.apply(Xs, dtype=dtype)
-        return Y.astype(dtype)
+        scales = self._cast.get(dtype)
+        if scales is None:
+            # half scales are kept as float32: the product of two halves is
+            # exact there and is rounded to half once
+            adtype = np.float32 if dtype == np.float16 else dtype
+            scales = self.scales[:, None].astype(dtype).astype(adtype, copy=False)
+            self._cast[dtype] = scales
+        Xs = (X.astype(dtype, copy=False) * scales).astype(dtype, copy=False)
+        # float64 carrying dtype values, which apply returns as they are
+        return self.base.apply(Xs, dtype=dtype)
 
 
 class EmbeddedSketch:

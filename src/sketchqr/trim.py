@@ -319,9 +319,10 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         # grow the slt table and both triangles by the new reflector
         lrow = (to_dtype(E[:, :c], hi).T @ to_dtype(step.s, hi)).astype(np.float64)
         L[c, :c] = lrow
-        _extend_t(T, S, step.s, step.beta, c, hi=hi)
+        p = to_dtype(S[:, :c], hi).T @ to_dtype(step.s, hi)
+        _extend_t(T, p, step.beta, c, hi=hi)
         if c:
-            g = (to_dtype(S[:, :c], hi).T @ to_dtype(step.s, hi)).astype(np.float64)
+            g = p.astype(np.float64)
             # a block cast out of low_storage is made C-contiguous, as a cast
             # from the C-ordered store of other formats is: BLAS bits follow
             # the layout

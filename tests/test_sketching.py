@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sketchqr import sketching
 from sketchqr.precision import round_to
 from sketchqr.sketching import (
     ColumnScaledSketch,
@@ -13,6 +14,7 @@ from sketchqr.sketching import (
     MatrixSketch,
     SRHTSketch,
     SparseSignSketch,
+    _split_half,
     check_embedding,
     fwht,
     make_sketch,
@@ -95,20 +97,69 @@ def test_fwht_bitwise_matches_stack_reference(p, k, dtype, layout, seed):
     assert np.array_equal(x, before)
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 3000.0])
+def _half_inputs(case, k):
+    rng = np.random.default_rng(k)
+    if case == "ties":
+        # halves 1 and 2**-11 of both signs: sums such as 1 + 2**-11 lie
+        # halfway between two halves and must round to even
+        vals = np.array([1.0, -1.0, 2.0 ** -11, -(2.0 ** -11)])
+        return [rng.choice(vals, (2048, k)).astype(np.float16)]
+    if case == "norm_edge":
+        # positive columns, so row 0 reaches the 1-norm, scaled to float64
+        # 1-norms just below and just above the split path's bound 2**15
+        X = np.abs(rng.standard_normal((2048, k)))
+        return [(X * (t / X.sum(axis=0))).astype(np.float16)
+                for t in (2.0 ** 15 - 64, 2.0 ** 15 + 64)]
+    return [(rng.standard_normal((2048, k)) * case).astype(np.float16)]
+
+
+@pytest.mark.parametrize("case", [1e-6, 1.0, 3000.0, "ties", "norm_edge"])
 @pytest.mark.parametrize("k", [1, 8, 150])
-def test_fwht_half_path_matches_native_float16(scale, k):
-    # float16 butterflies run in float32 and round each stage to half; the
-    # native float16 butterflies of the reference must agree bit for bit,
-    # through half subnormals (1e-6) and overflow to inf and NaN (3000)
-    X = (np.random.default_rng(k).standard_normal((2048, k)) * scale).astype(np.float16)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = fwht(X)
-        ref = fwht_stack_reference(X)
-    assert out.dtype == np.float16
-    assert np.array_equal(out.view(np.uint16), ref.view(np.uint16))
-    if scale == 3000.0:
-        assert np.isnan(ref).any() and np.isinf(ref).any()
+def test_fwht_half_path_matches_native_float16(case, k, monkeypatch):
+    # float16 butterflies run in float32 and round each stage to half, by
+    # the split or, past its bound, by a cast; the native float16
+    # butterflies of the reference must agree bit for bit, through half
+    # subnormals (1e-6), ties and overflow to inf and NaN (3000)
+    split = []
+
+    def counted(x, scratch):
+        split.append(x.shape)
+        return _split_half(x, scratch)
+
+    monkeypatch.setattr(sketching, "_split_half", counted)
+    paths = []
+    for X in _half_inputs(case, k):
+        split.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fwht(X)
+            ref = fwht_stack_reference(X)
+        assert out.dtype == np.float16
+        assert np.array_equal(out.view(np.uint16), ref.view(np.uint16))
+        norms = np.abs(X.astype(np.float64)).sum(axis=0)
+        assert bool(split) == bool(np.all(norms <= 2.0 ** 15))
+        paths.append(bool(split))
+        if case == 3000.0:
+            assert np.isnan(ref).any() and np.isinf(ref).any()
+    assert paths == ([True, False] if case == "norm_edge" else [case != 3000.0])
+
+
+@pytest.mark.parametrize("binade", ["subnormal", "one", "top"])
+def test_split_rounding_matches_cast(binade):
+    # every float32 of the range, in both signs: the multiples of 2**-24
+    # below 2**-14 (half's subnormals), [1, 2] and [32768, 65504]
+    if binade == "subnormal":
+        x = np.arange(1 << 10, dtype=np.float32) * np.float32(2.0 ** -24)
+    else:
+        a, b = {"one": (1.0, 2.0), "top": (32768.0, 65504.0)}[binade]
+        bits = np.arange(np.float32(a).view(np.uint32), np.float32(b).view(np.uint32) + 1)
+        x = bits.astype(np.uint32).view(np.float32)
+    scratch = np.empty_like(x)
+    for sign in (1, -1):
+        v = x * np.float32(sign)
+        got = v.copy()
+        _split_half(got, scratch)
+        ref = v.astype(np.float16).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
 def _exact_inputs(n, k):
