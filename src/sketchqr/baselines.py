@@ -5,11 +5,15 @@ BLAS-2 variants), and randomized Cholesky QR.
 The Householder code here deliberately does not share reflector internals
 with the randomized module: the equivalence of the two on sketched inputs
 is one of the things the test suite checks, so the routes stay separate.
+sketch_qr, which rec_rhqr and rand_cholesky_qr factor their sketch with,
+runs LAPACK's xGEQRT where it can; criterion 2 still compares the sweeps
+against householder_qr, a route of its own.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .linalg import (
     SCALE_SQRT2,
@@ -23,13 +27,24 @@ from .linalg import (
     sign,
     to_dtype,
 )
-from .precision import DOUBLE_POLICY, round_to
+from .precision import DOUBLE_POLICY, PrecisionPolicy, round_to
 
 
 class QRResult(NamedTuple):
     Q: np.ndarray
     R: np.ndarray
     aux: dict
+
+
+class SketchQR(NamedTuple):
+    """Compact Householder QR of a sketch: Z = (I - S T S^t)[R; 0]."""
+
+    S: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    sigmas: np.ndarray
+    rhos: np.ndarray
+    betas: np.ndarray
 
 
 def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -99,6 +114,56 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     Q = -U @ (T @ U[:m, :m].T)
     Q[:m] += np.eye(m)
     return QRResult(Q=Q, R=R, aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos, "betas": betas})
+
+
+_GEQRT = {np.float64: scipy.linalg.lapack.dgeqrt, np.float32: scipy.linalg.lapack.sgeqrt}
+
+
+def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
+    """Householder QR of a p x m sketch (p >= m), all in policy.high, in
+    householder_qr's conventions.
+
+    float64 and float32 run LAPACK's xGEQRT with one block, which returns
+    unit lower V and the full T_L of Q = I - V T_L V^t.  Unit scaling is
+    S = V with beta = tau.  sqrt2 scaling is S = V D and T = D^-1 T_L D^-1
+    with D = diag(sigma sqrt(tau)), so the pivot of S carries sigma as
+    householder_qr's u does.  LAPACK leaves a column unreflected (tau = 0)
+    where the tail below its pivot is exactly zero, and householder_qr
+    reflects there or raises BreakdownError on a zero column, so such a
+    sketch, and any sketch in half (no LAPACK kernel), goes to
+    householder_qr instead.  LAPACK reads a -0.0 pivot as negative, where
+    sign(-0.0) = +1 here: R's diagonal entry there is +rho, not -rho.
+    """
+    check_scaling(scaling)
+    Z = as_array(Z)
+    p, m = Z.shape
+    if p < m:
+        raise ValueError(f"need p >= m, got {p} x {m}")
+    hi = policy.high_dtype
+    geqrt = _GEQRT.get(hi)
+    if geqrt is not None and m:
+        a, tl, _ = geqrt(m, Z.astype(hi))
+        tau = np.diagonal(tl)
+        if np.all(tau != 0):
+            R = np.triu(a[:m])
+            r = np.diagonal(R)
+            sigmas = np.where(r > 0, -1.0, 1.0)
+            V = np.tril(a, -1)
+            np.fill_diagonal(V, 1)
+            T = np.triu(tl)
+            if scaling == SCALE_SQRT2:
+                d = sigmas.astype(hi) * np.sqrt(tau)
+                S, T, betas = V * d, T / np.outer(d, d), np.ones(m)
+                # tau / d_c**2 is 1 but for rounding; householder_qr's is 1
+                np.fill_diagonal(T, 1)
+            else:
+                S, betas = V, tau
+            return SketchQR(S=S.astype(np.float64), T=T.astype(np.float64),
+                            R=R.astype(np.float64), sigmas=sigmas,
+                            rhos=np.abs(r).astype(np.float64), betas=betas.astype(np.float64))
+    hq = householder_qr(Z, scaling=scaling, policy=PrecisionPolicy.uniform(policy.high))
+    return SketchQR(S=hq.aux["U"], T=hq.aux["T"], R=hq.R, sigmas=hq.aux["sigmas"],
+                    rhos=hq.aux["rhos"], betas=hq.aux["betas"])
 
 
 def pivoted_householder_qr(A, dtype=np.float64):
@@ -306,13 +371,14 @@ def blas2_corrected_sketch(result):
 
 
 def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
-    """R from a Householder QR of the sketch, Q by a triangular solve."""
+    """R from a Householder QR of the sketch (sketch_qr, in policy.high),
+    Q by a triangular solve."""
     Wa = as_array(W)
     n, m = Wa.shape
     if omega.n != n:
         raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
     Wl = round_to(Wa, policy.low)
     Z = omega.apply(Wl, dtype=policy.low_dtype)
-    hq = householder_qr(Z, policy=policy)
-    Q = right_tri_solve(Wl, hq.R, policy=policy)
-    return QRResult(Q=Q, R=hq.R, aux={"omega": omega})
+    R = sketch_qr(Z, policy=policy).R
+    Q = right_tri_solve(Wl, R, policy=policy)
+    return QRResult(Q=Q, R=R, aux={"omega": omega})

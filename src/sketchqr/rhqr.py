@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import householder_qr
+from .baselines import sketch_qr
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
@@ -32,7 +32,7 @@ from .linalg import (
     to_dtype,
     upper_tri_solve,
 )
-from .precision import DOUBLE_POLICY, PrecisionPolicy, round_to
+from .precision import DOUBLE_POLICY, round_to
 from .sketching import EmbeddedSketch
 
 
@@ -340,8 +340,11 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     Householder QR of the sketch, and a triangular solve that lifts the
     reflectors back to n dimensions.
 
-    The small QR runs entirely in policy.high; only the single sketch and
-    the reconstructed U touch low precision.
+    The small QR (baselines.sketch_qr: LAPACK's xGEQRT in double and
+    single, householder_qr in half) runs entirely in policy.high; only the
+    single sketch and the reconstructed U touch low precision.  Where
+    LAPACK factors, a pivot that is exactly -0.0 counts as negative, so
+    R's diagonal there is +rho where the sweeps give -rho.
     """
     check_scaling(scaling)
     Wa = as_array(W)
@@ -349,9 +352,9 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     psi = _embed(omega, n, m)
     Wl = round_to(Wa, policy.low)
     Z = psi.apply(Wl, dtype=policy.low_dtype)
-    hq = householder_qr(Z, scaling=scaling, policy=PrecisionPolicy.uniform(policy.high))
-    S = hq.aux["U"]
-    T = hq.aux["T"]
+    hq = sketch_qr(Z, scaling=scaling, policy=policy)
+    S = hq.S
+    T = hq.T
     hi = policy.high_dtype
     Mfac = np.triu(to_dtype(T.T, hi) @ (to_dtype(S, hi).T @ to_dtype(Z, hi))).astype(np.float64)
     d = np.abs(np.diagonal(Mfac))
@@ -362,4 +365,4 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     U2 = right_tri_solve(Wl[m:], Mfac, policy=policy)
     U = np.concatenate([S[:m], round_to(U2, policy.low)], axis=0)
     return RHQRFactors(U=U, S=S, T=T, R=hq.R, psi=psi, scaling=scaling,
-                       sigmas=hq.aux["sigmas"], rhos=hq.aux["rhos"], betas=hq.aux["betas"])
+                       sigmas=hq.sigmas, rhos=hq.rhos, betas=hq.betas)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from sketchqr.baselines import (
     blas2_corrected_sketch,
@@ -11,15 +12,17 @@ from sketchqr.baselines import (
     pivoted_qr_lstsq,
     rand_cholesky_qr,
     rgs,
+    sketch_qr,
 )
 from sketchqr.linalg import (
+    SCALE_SQRT2,
     SCALE_UNIT,
     BreakdownError,
     cond_number,
     factorization_errors,
     orthogonality_error,
 )
-from sketchqr.precision import policy_from_tag
+from sketchqr.precision import policy_from_tag, round_to
 from sketchqr.rhqr import rec_rhqr, rhqr_left, sketch_q, thin_q
 from sketchqr.sketching import GaussianSketch, IdentitySketch, SRHTSketch
 from oracles import CountingSketch
@@ -200,6 +203,76 @@ def test_rand_cholesky_residual(rng):
     W = rng.standard_normal((200, 20))
     out = rand_cholesky_qr(W, SRHTSketch(80, 200, 10))
     assert factorization_errors(W, out.Q, out.R).fro_rel_err <= 1e-13
+
+
+@pytest.mark.parametrize("tag", ["double", "single"])
+def test_rand_cholesky_r_is_householder_of_sketch(rng, tag):
+    policy = policy_from_tag(tag)
+    W = rng.standard_normal((300, 24))
+    om = SRHTSketch(96, 300, 13)
+    ref = householder_qr(om.apply(round_to(W, tag), dtype=policy.low_dtype), policy=policy)
+    R = rand_cholesky_qr(W, om, policy=policy).R
+    tol = 1e-12 if tag == "double" else 1e-5  # 1e-12 is below single's roundoff (6e-8)
+    assert np.linalg.norm(R - ref.R) <= tol * np.linalg.norm(ref.R)
+
+
+def _same_factors(got, ref):
+    pairs = [(got.S, ref.aux["U"]), (got.T, ref.aux["T"]), (got.R, ref.R),
+             (got.sigmas, ref.aux["sigmas"]), (got.rhos, ref.aux["rhos"]),
+             (got.betas, ref.aux["betas"])]
+    return all(np.array_equal(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("scaling", [SCALE_SQRT2, SCALE_UNIT])
+def test_sketch_qr_zero_tail_is_householder_qr(rng, scaling):
+    # LAPACK leaves a column with an exactly zero tail under a nonzero pivot
+    # unreflected (tau = 0) where householder_qr reflects, so such a sketch
+    # is factored by householder_qr itself
+    n, m, ell = 60, 5, 20
+    W = rng.standard_normal((n, m))
+    W[:, 0] = 0.0
+    W[0, 0] = 2.5
+    F = rec_rhqr(W, GaussianSketch(ell, n - m, 7), scaling=scaling)
+    Z = F.psi.apply(W)
+    assert np.array_equal(Z[1:, 0], np.zeros(ell + m - 1))
+    assert scipy.linalg.lapack.dgeqrt(m, Z)[1][0, 0] == 0.0
+    ref = householder_qr(Z, scaling=scaling)
+    assert _same_factors(sketch_qr(Z, scaling), ref)
+    assert np.array_equal(F.R, ref.R) and np.array_equal(F.S, ref.aux["U"])
+
+
+def test_sketch_qr_half_is_householder_qr(rng):
+    policy = policy_from_tag("half")
+    Z = round_to(rng.standard_normal((40, 6)), "half")
+    assert _same_factors(sketch_qr(Z, policy=policy), householder_qr(Z, policy=policy))
+
+
+def test_sketch_qr_negative_zero_pivot():
+    # LAPACK reads the -0.0 pivot as negative; householder_qr's sign(-0.0)
+    # is +1.  Both are Householder QRs of Z.
+    Z = np.array([[-0.0], [3.0], [4.0]])
+    got = sketch_qr(Z)
+    assert got.R[0, 0] == 5.0 and got.sigmas[0] == -1.0
+    assert householder_qr(Z).R[0, 0] == -5.0
+    Q = np.eye(3) - got.S @ got.T @ got.S.T
+    assert np.allclose(Q[:, :1] * got.R[0, 0], Z, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("tag", ["double", "single"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("row", [0, 40])
+def test_sketch_qr_callers_refuse_nonfinite_input(rng, tag, bad, row):
+    # LAPACK returns NaN factors with info = 0; the triangular solve after
+    # it still refuses them
+    n, m = 80, 6
+    policy = policy_from_tag(tag)
+    W = rng.standard_normal((n, m))
+    W[row, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        rec_rhqr(W, SRHTSketch(24, n - m, 3), policy=policy)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        rand_cholesky_qr(W, SRHTSketch(24, n, 3), policy=policy)
 
 
 def test_rand_cholesky_worse_than_reconstructed(desk):

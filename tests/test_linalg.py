@@ -208,10 +208,16 @@ def test_breakdown_error_carries_column():
     Wz = np.zeros((32, 3))
     Wz[0, 0] = Wz[1, 1] = 1.0
     om = normalize_leading_columns(GaussianSketch(4, 6, 1), 3)
+    # a zero column stops rec_rhqr and rand_cholesky_qr where householder_qr
+    # stops, although LAPACK alone would pass it with tau = 0
+    W0 = np.random.default_rng(2).standard_normal((40, 5))
+    W0[:, 2] = 0.0
     cases = [
         (lambda: rh_vector(w, psi.apply(w), 2), 2, "tail_annihilated"),
         (lambda: trim_rh_vector(np.zeros(4), om, 3), 3, "tail_annihilated"),
         (lambda: householder_qr(A), 2, "dependent_column"),
+        (lambda: rec_rhqr(W0, GaussianSketch(12, 35, 7)), 3, "dependent_column"),
+        (lambda: rand_cholesky_qr(W0, GaussianSketch(12, 40, 7)), 3, "dependent_column"),
         (lambda: rgs(Wz, IdentitySketch(32)), 3, "zero_pivot"),
         (lambda: blas2_rgs(Wz, IdentitySketch(32)), 3, "zero_pivot"),
         (lambda: cgs(Wz), 3, "zero_pivot"),

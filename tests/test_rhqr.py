@@ -12,7 +12,7 @@ from sketchqr.linalg import (
     BreakdownError,
     factorization_errors,
 )
-from sketchqr.precision import policy_from_tag
+from sketchqr.precision import policy_from_tag, round_to
 from sketchqr.rhqr import (
     apply_reflectors_compact,
     lsq_via_implicit_q,
@@ -352,6 +352,40 @@ def test_rec_rhqr_matches_left(rng):
     Fl = rhqr_left(W, om)
     assert np.allclose(Fr.U, Fl.U, atol=1e-10 * np.linalg.norm(Fl.U))
     assert np.allclose(Fr.R, Fl.R, atol=1e-10 * np.linalg.norm(Fl.R))
+
+
+@pytest.mark.parametrize("tag", ["double", "single"])
+@pytest.mark.parametrize("scaling", [SCALE_SQRT2, SCALE_UNIT])
+def test_rec_rhqr_factors_are_householder_of_sketch(rng, tag, scaling):
+    # rec_rhqr's LAPACK sketch QR and householder_qr of the same explicit
+    # sketch agree in every factor
+    n, m, ell = 400, 24, 96
+    policy = policy_from_tag(tag)
+    W = rng.standard_normal((n, m))
+    F = rec_rhqr(W, SRHTSketch(ell, n - m, 31), scaling=scaling, policy=policy)
+    Z = F.psi.apply(round_to(W, tag), dtype=policy.low_dtype)
+    ref = householder_qr(Z, scaling=scaling, policy=policy)
+    tol = 1e-12 if tag == "double" else 1e-5  # 1e-12 is below single's roundoff (6e-8)
+    for got, want in [(F.S, ref.aux["U"]), (F.T, ref.aux["T"]), (F.R, ref.R),
+                      (F.rhos, ref.aux["rhos"]), (F.betas, ref.aux["betas"])]:
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+    assert np.array_equal(F.sigmas, ref.aux["sigmas"])
+
+
+def test_rec_rhqr_negative_zero_pivot_reads_as_negative(rng):
+    # LAPACK takes a -0.0 pivot as negative, where sign(-0.0) = +1 in the
+    # sweeps: R[0, 0] comes out +rho in rec_rhqr and -rho in rhqr_left
+    n, m = 40, 3
+    W = rng.standard_normal((n, m))
+    W[0, 0] = -0.0
+    om = GaussianSketch(12, n - m, 5)
+    Fr = rec_rhqr(W, om)
+    Fl = rhqr_left(W, om)
+    assert Fr.R[0, 0] > 0 > Fl.R[0, 0]
+    assert Fr.sigmas[0] == -1.0 and Fl.sigmas[0] == 1.0
+    assert np.isclose(Fr.rhos[0], Fl.rhos[0], rtol=1e-14)
+    for F in (Fr, Fl):
+        assert factorization_errors(W, thin_q(F), F.R).fro_rel_err <= 1e-14
 
 
 def test_lsq_via_implicit_q(rng):
