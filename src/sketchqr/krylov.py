@@ -154,11 +154,11 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     )
 
 
-def hessenberg_lstsq(H, beta, history=False):
+def hessenberg_lstsq(H, beta):
     """min_y ||beta e_1 - H y|| for upper-Hessenberg H by Givens rotations.
 
-    Returns (y, resid) with resid the magnitude of the last rotated
-    right-hand-side entry; with history=True also the running residuals
+    Returns (y, resid, hist) with resid the magnitude of the last rotated
+    right-hand-side entry and hist the running residuals
     [|beta|, after column 1, ..., after column k].  A zero subcolumn skips
     its rotation and the dependent coordinate gets a zero coefficient.
     """
@@ -189,16 +189,14 @@ def hessenberg_lstsq(H, beta, history=False):
             continue
         y[i] = (g[i] - R[i, i + 1: k] @ y[i + 1:]) / R[i, i]
     resid = float(abs(g[k])) if p > k else 0.0
-    if history:
-        return y, resid, hist
-    return y, resid
+    return y, resid, hist
 
 
 def _gmres_solve(H, beta, x0, apply_basis):
     """x0 + Q_k y for the y that minimizes ||beta e_1 - H y||, where
     apply_basis(y) computes Q_k y; returns (x, resid_history) as
     hessenberg_lstsq's history gives it."""
-    y, _, hist = hessenberg_lstsq(H, beta, history=True)
+    y, _, hist = hessenberg_lstsq(H, beta)
     if np.any(np.diagonal(H) == 0.0):
         warnings.warn("Hessenberg system is rank deficient; dependent "
                       "coordinates were zeroed", RuntimeWarning)

@@ -3,7 +3,11 @@
 Every operator exposes `apply(X, dtype)` where dtype is the arithmetic
 precision of the application; returned arrays are float64 carrying values
 representable in that dtype.  The subsampled transform is never
-materialized, only its signs and coordinate subset are stored.
+materialized, only its signs and coordinate subset are stored.  Its
+butterflies run in constant geometry, one buffer row per column: every
+stage reads adjacent pairs and writes contiguous halves, with no transpose,
+in the stage order and with the operands of the natural-order transform
+(see fwht).
 
 Half-precision model: half arithmetic runs as float32, rounded to half
 once per butterfly stage and once per product sum (linalg.matmul_in), and
@@ -51,52 +55,35 @@ def _split_half(x, scratch):
     np.subtract(scratch, x, out=x)
 
 
-def _butterflies(src, dst, h, stop, width, rnd=None):
-    """Stages h, 2h, ... < stop along axis 0 of a buffer whose rows hold
-    `width` contiguous elements, alternating between src and dst.  With
-    `rnd`, each stage's float32 result is rounded to half by
-    rnd(result, spare).  Returns (result, spare)."""
-    while h < stop:
-        s = src.reshape(-1, 2, h * width)
-        d = dst.reshape(-1, 2, h * width)
-        np.add(s[:, 0], s[:, 1], out=d[:, 0])
-        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
-        if rnd is not None:
-            rnd(dst, src)
-        src, dst = dst, src
-        h *= 2
-    return src, dst
-
-
 def _transform(a, b, half):
-    """Unnormalized butterflies of the n x k buffer a, with b (same shape
-    and dtype) as the second buffer; both are overwritten.  With `half`, a
-    is float32 holding halves and every stage is rounded to half.  Returns
-    whichever buffer holds the result."""
-    n, k = a.shape
+    """Unnormalized butterflies along the rows of the k x n buffer a, one
+    row per column, with b (same shape and dtype) as the second buffer; both
+    are overwritten.  With `half`, a is float32 holding halves and every
+    stage is rounded to half.  Returns whichever buffer holds the result."""
+    k, n = a.shape
     rnd = None
     if half:
         # the split's guard (see fwht), with b as scratch before stage one
         np.abs(a, out=b)
-        if np.all(b.sum(axis=0, dtype=np.float64) <= _SPLIT_NORM):
+        if np.all(b.sum(axis=1, dtype=np.float64) <= _SPLIT_NORM):
             rnd = _split_half
         else:
             # large, infinite or NaN columns: round through a half buffer,
             # which owns overflow, inf and NaN
-            h16 = np.empty((n, k), dtype=np.float16)
+            h16 = np.empty((k, n), dtype=np.float16)
 
             def rnd(x, _):
                 np.copyto(h16, x)
                 np.copyto(x, h16)
-    lo = 1 << (n.bit_length() - 1) // 2
-    hi = n // lo
     src, dst = a, b
-    if lo > 1:
-        dst.reshape(lo, hi, k)[...] = src.reshape(hi, lo, k).transpose(1, 0, 2)
-        src, dst = _butterflies(dst, src, 1, lo, hi * k, rnd)
-        dst.reshape(hi, lo, k)[...] = src.reshape(lo, hi, k).transpose(1, 0, 2)
+    half_n = n // 2
+    for _ in range(n.bit_length() - 1):
+        s = src.reshape(k, half_n, 2)
+        np.add(s[:, :, 0], s[:, :, 1], out=dst[:, :half_n])
+        np.subtract(s[:, :, 0], s[:, :, 1], out=dst[:, half_n:])
+        if rnd is not None:
+            rnd(dst, src)
         src, dst = dst, src
-    src, _ = _butterflies(src, dst, lo, n, k, rnd)
     return src
 
 
@@ -128,38 +115,42 @@ def fwht(x):
     normalization multiplies two halves in float32, which is exact, and
     casts to half once.
 
+    Non-floating input (integers, booleans) is transformed in float64.
+
     Stage h (h = 1, 2, 4, ..., n/2) replaces each row pair (i, i+h) with
     i & h == 0 by (x_i + x_{i+h}, x_i - x_{i+h}).  The stages always run in
     this order, because rounding depends on it: criterion 10 compares the
     result with an extended-precision replay of this sequence, and any
     reordering would change the bits of every SRHT sketch.  The memory
-    layout below changes only which elements are contiguous, never the
-    operands or the order of any element's operations.
+    layout below changes only where elements sit, never the operands or
+    the order of any element's operations.
 
-    Layout: a butterfly of stage h on k columns covers runs of h*k
-    contiguous elements, which for few columns and small h are too short
-    for a vectorized loop.  So the row index is split as
-    i = i_hi * 2**r + i_lo with r = p // 2, for every k.  One transpose
-    makes i_lo the slow index; stages h < 2**r then run over runs of at
-    least 2**(p-r)*k.  One transpose back, and stages h >= 2**r run over
-    runs of at least 2**r*k.  Every stage writes into the other of two
-    buffers, the first of which holds the input.  SRHTSketch transforms a
-    block _CHUNK columns at a time, which keeps those buffers small: with
-    one BLAS thread on a 2-core x86 machine, 300 columns of 4096 rows take
-    about 26 ms in chunks of 32 against 35 ms in one block.
+    Layout: the butterflies run in Pease's constant geometry (J. ACM 15(2),
+    1968) on a k x n buffer, one row per column.  Every stage reads the
+    adjacent pairs (2j, 2j+1) of each row and writes their sum to element j
+    and their difference to element j + n/2 of the other buffer, which
+    rotates the index bits right by one place.  So stage t pairs the
+    elements that stage h = 2**t pairs in natural order, with the same
+    operands in the same order, and after all p stages the result is back
+    in natural order.  Each stage is two ufunc calls of k*n/2 elements with
+    contiguous writes, for every k and h, and needs no transpose.
+    SRHTSketch transforms a block _CHUNK columns at a time, which keeps
+    those buffers small: with one BLAS thread on a 2-core x86 machine, 300
+    columns of 4096 rows take about 26 ms in chunks of 32 against 33 ms in
+    one block.
     """
     a = np.asarray(x)
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    vec = a.ndim == 1
-    half = a.dtype == np.float16
-    buf = a.reshape(n, -1).astype(np.float32 if half else a.dtype, order="C")
+    dtype = a.dtype if np.issubdtype(a.dtype, np.inexact) else np.dtype(np.float64)
+    half = dtype == np.float16
+    buf = a.reshape(n, -1).T.astype(np.float32 if half else dtype, order="C")
     out = _transform(buf, np.empty_like(buf), half)
-    np.multiply(out, _norm_factor(n, a.dtype), out=out)
-    if half:
-        out = out.astype(np.float16)
-    return out[:, 0] if vec else out
+    np.multiply(out, _norm_factor(n, dtype), out=out)
+    if a.ndim == 1:
+        return out[0].astype(dtype, copy=False)
+    return out.T.astype(dtype, order="C")
 
 
 def _columns(X, n):
@@ -281,22 +272,23 @@ class SRHTSketch(SketchOperator):
             # sign * scale: rounding is symmetric, so x * (sign * scale) has
             # the bits of (x * scale) * sign; half's scale is a half value
             scale = adtype.type(dtype.type(self.scale))
-            ss = self._signed_scale[dtype] = self.signs[: self.n, None].astype(adtype) * scale
+            ss = self._signed_scale[dtype] = self.signs[: self.n].astype(adtype) * scale
         norm = _norm_factor(self.n_pad, dtype)
         k = X.shape[1]
         Y = np.empty((self.ell, k), dtype=dtype)
         # every column is transformed on its own, so chunking keeps the bits
         for a in range(0, k, _CHUNK):
             b = min(a + _CHUNK, k)
-            work = np.empty((self.n_pad, b - a), dtype=adtype)
-            work[self.n:] = 0
-            head = work[: self.n]
-            np.multiply(X[:, a:b].astype(dtype, copy=False), ss, out=head)
+            # one row per column, as _transform expects
+            work = np.empty((b - a, self.n_pad), dtype=adtype)
+            work[:, self.n:] = 0
+            head = work[:, : self.n]
+            np.multiply(X[:, a:b].T.astype(dtype, copy=False), ss, out=head)
             if half:
                 # the float32 product of two halves is exact: one rounding
                 head[...] = head.astype(dtype)
             out = _transform(work, np.empty_like(work), half)
-            np.multiply(out[self.indices], norm, out=Y[:, a:b])
+            np.multiply(out[:, self.indices].T, norm, out=Y[:, a:b])
         return Y
 
 
@@ -335,23 +327,6 @@ class IdentitySketch(SketchOperator):
 
     def _apply(self, X, dtype):
         return X.astype(dtype)
-
-
-class MatrixSketch(SketchOperator):
-    """An explicit ell x n matrix used through the operator interface."""
-
-    kind = "matrix"
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("sketch matrix must be two dimensional")
-        super().__init__(matrix.shape[0], matrix.shape[1], 0)
-        self.matrix = matrix
-        self._cast = {}
-
-    def _apply(self, X, dtype):
-        return _matmul_in(self._cast, self.matrix, X, dtype)
 
 
 class ColumnScaledSketch(SketchOperator):

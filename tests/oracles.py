@@ -2,10 +2,13 @@
 
 Everything here is deliberately written from the defining formulas, not by
 calling into sketchqr, so agreement is evidence rather than tautology.
-CountingSketch wraps an operator to count how often a factorization sketches.
+CountingSketch wraps an operator to count how often a factorization sketches;
+MatrixSketch puts an explicit matrix behind sketchqr's operator interface.
 """
 
 import numpy as np
+
+from sketchqr.sketching import SketchOperator
 
 
 class CountingSketch:
@@ -21,6 +24,25 @@ class CountingSketch:
     def apply(self, X, dtype=np.float64):
         self.widths.append(1 if np.ndim(X) == 1 else np.shape(X)[1])
         return self.base.apply(X, dtype=dtype)
+
+
+class MatrixSketch(SketchOperator):
+    """An explicit ell x n matrix used through the operator interface.  It
+    multiplies in dtype's arithmetic (float32 for half) and rounds the
+    product to dtype once."""
+
+    kind = "matrix"
+
+    def __init__(self, matrix):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError("sketch matrix must be two dimensional")
+        super().__init__(matrix.shape[0], matrix.shape[1], 0)
+        self.matrix = matrix
+
+    def _apply(self, X, dtype):
+        adtype = np.float32 if dtype == np.float16 else dtype
+        return (self.matrix.astype(adtype) @ X.astype(adtype)).astype(dtype)
 
 
 def jacobi_singular_values(A, sweeps=60, tol=1e-30):

@@ -318,7 +318,7 @@ def test_criterion_09_gmres_quasi_optimal_vs_modified_gram_schmidt():
     k = bundle.dim
     r_rh = []
     for j in range(1, k + 1):
-        y, _ = hessenberg_lstsq(bundle.H[: j + 1, :j], bundle.beta)
+        y, _, _ = hessenberg_lstsq(bundle.H[: j + 1, :j], bundle.beta)
         pad = np.zeros(n)
         pad[:j] = y
         x = x0 + apply_reflectors_compact(

@@ -29,13 +29,13 @@ def spd_system(rng, n=300):
 
 
 def test_hessenberg_reachable_rhs():
-    y, resid = hessenberg_lstsq(np.array([[1.0], [0.0]]), 2.0)
+    y, resid, _ = hessenberg_lstsq(np.array([[1.0], [0.0]]), 2.0)
     assert y[0] == pytest.approx(2.0, abs=1e-15)
     assert resid == 0.0
 
 
 def test_hessenberg_unreachable_rhs():
-    y, resid = hessenberg_lstsq(np.array([[0.0], [1.0]]), 1.0)
+    y, resid, _ = hessenberg_lstsq(np.array([[0.0], [1.0]]), 1.0)
     assert y[0] == 0.0
     assert resid == pytest.approx(1.0, abs=1e-15)
 
@@ -43,7 +43,7 @@ def test_hessenberg_unreachable_rhs():
 def test_hessenberg_matches_dense_least_squares(rng):
     H = np.triu(rng.standard_normal((11, 10)), -1)
     beta = 1.7
-    y, resid = hessenberg_lstsq(H, beta)
+    y, resid, _ = hessenberg_lstsq(H, beta)
     e1 = np.zeros(11)
     e1[0] = beta
     yref, res2, *_ = np.linalg.lstsq(H, e1, rcond=None)
@@ -54,7 +54,7 @@ def test_hessenberg_matches_dense_least_squares(rng):
 def test_hessenberg_optimality(rng):
     H = np.triu(rng.standard_normal((9, 8)), -1)
     beta = -0.4
-    y, resid = hessenberg_lstsq(H, beta)
+    y, resid, _ = hessenberg_lstsq(H, beta)
     e1 = np.zeros(9)
     e1[0] = beta
     for _ in range(100):
@@ -64,7 +64,7 @@ def test_hessenberg_optimality(rng):
 
 def test_hessenberg_history_is_monotone(rng):
     H = np.triu(rng.standard_normal((13, 12)), -1)
-    y, resid, hist = hessenberg_lstsq(H, 3.0, history=True)
+    y, resid, hist = hessenberg_lstsq(H, 3.0)
     assert hist[0] == 3.0
     assert np.all(np.diff(hist) <= 1e-14)
     assert hist[-1] == pytest.approx(resid, abs=1e-15)

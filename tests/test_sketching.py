@@ -11,7 +11,6 @@ from sketchqr.sketching import (
     EmbeddedSketch,
     GaussianSketch,
     IdentitySketch,
-    MatrixSketch,
     SRHTSketch,
     SparseSignSketch,
     _split_half,
@@ -20,6 +19,7 @@ from sketchqr.sketching import (
     make_sketch,
 )
 from oracles import (
+    MatrixSketch,
     dense_embedded_matrix,
     dense_operator_matrix,
     fwht_stack_reference,
@@ -53,6 +53,16 @@ def test_fwht_rejects_non_power_of_two():
         fwht(np.ones(12))
 
 
+def test_fwht_integer_and_bool_input_run_in_float64():
+    out = fwht(np.array([1, 1]))
+    assert out.dtype == np.float64
+    assert np.array_equal(out, fwht(np.array([1.0, 1.0])))
+    B = np.array([[True, False], [True, True], [False, False], [True, False]])
+    out = fwht(B)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, fwht(B.astype(np.float64)))
+
+
 def test_fwht_preserves_dtype(rng):
     x = rng.standard_normal(32).astype(np.float16)
     y = fwht(x)
@@ -83,6 +93,9 @@ def test_fwht_linearity(seed, n):
 @example(p=14, k=63, dtype=np.float16, layout="reversed", seed=1)
 @example(p=14, k=65, dtype=np.float32, layout="F", seed=2)
 @example(p=12, k=300, dtype=np.float64, layout="C", seed=3)
+@example(p=14, k=1, dtype=np.float64, layout="1d", seed=4)
+@example(p=11, k=1, dtype=np.float16, layout="1d", seed=5)
+@example(p=0, k=3, dtype=np.float32, layout="F", seed=6)
 def test_fwht_bitwise_matches_stack_reference(p, k, dtype, layout, seed):
     # at most 2**21 entries, since the reference keeps several copies alive
     p = min(p, (2 ** 21 // k).bit_length() - 1)
@@ -92,6 +105,7 @@ def test_fwht_bitwise_matches_stack_reference(p, k, dtype, layout, seed):
     out = fwht(x)
     ref = fwht_stack_reference(x)
     assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.flags.c_contiguous
     assert np.array_equal(out, ref)
     assert np.array_equal(np.signbit(out), np.signbit(ref))
     assert np.array_equal(x, before)
@@ -179,7 +193,8 @@ def _digest(Y):
 # Scaling, sign flips, the butterflies and the gather are elementwise IEEE
 # operations with no BLAS call, so they hold on any machine; a change to
 # the transform's arithmetic or stage order breaks them.
-# (ell, n, seed, block columns, dtype) -> (vector digest, block digest)
+# (ell, n, seed, block columns, dtype[, input scale]) -> (vector digest,
+# block digest); the scale is a power of two, so scaled inputs are exact
 SRHT_DIGESTS = {
     (24, 100, 5, 3, "float16"): (
         "729ea7177b5a7f8b591b299410ab2585",
@@ -229,6 +244,26 @@ SRHT_DIGESTS = {
         "cba76b72a60fade561c9ef20a6182c5e",
         "2e981bbd5dc7fa212bb87eafbe9c9f1a",
     ),
+    # the tall size, n_pad 16384; the 40-column block spans two chunks.
+    # Unscaled, the signed-scaled half columns have 1-norms up to 37420,
+    # past the split's bound 2**15, so half runs the cast fallback; halved
+    # inputs (at most 18710) run the split.
+    (768, 16192, 17, 40, "float16"): (
+        "90c0c3682000a631373137c6919a8c59",
+        "47ed85be5ce08c59664b33178395a9f7",
+    ),
+    (768, 16192, 17, 40, "float16", 0.5): (
+        "cb6ab07f4dc52b2f1600ec9909bee001",
+        "27e9332e10c3b55c360c185848c93f8a",
+    ),
+    (768, 16192, 17, 40, "float32"): (
+        "732521a22ecda832885baf51a7377d4c",
+        "ae532e87c0b18bab0a25f56556fe100b",
+    ),
+    (768, 16192, 17, 40, "float64"): (
+        "313f6ed880b4435de525dfba39f6f3c5",
+        "acdc7f7e5eff27ab55cf24b40fd15c05",
+    ),
 }
 # dtype -> digest of [I_20; SRHT(90, 1500, seed 13)] applied to 20 columns
 EMBEDDED_DIGESTS = {
@@ -240,10 +275,11 @@ EMBEDDED_DIGESTS = {
 
 @pytest.mark.parametrize("case", list(SRHT_DIGESTS), ids=lambda c: "-".join(map(str, c)))
 def test_srht_golden_digests(case):
-    ell, n, seed, k, dtype = case
+    ell, n, seed, k, dtype = case[:5]
+    scale = case[5] if len(case) > 5 else 1.0
     op = SRHTSketch(ell, n, seed)
-    v = op.apply(_exact_inputs(n, 1)[:, 0], dtype=dtype)
-    B = op.apply(_exact_inputs(n, k), dtype=dtype)
+    v = op.apply(_exact_inputs(n, 1)[:, 0] * scale, dtype=dtype)
+    B = op.apply(_exact_inputs(n, k) * scale, dtype=dtype)
     assert v.shape == (ell,) and B.shape == (ell, k)
     assert (_digest(v), _digest(B)) == SRHT_DIGESTS[case]
 

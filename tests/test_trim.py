@@ -17,7 +17,6 @@ from sketchqr.sketching import (
     ColumnScaledSketch,
     GaussianSketch,
     IdentitySketch,
-    MatrixSketch,
     SRHTSketch,
 )
 from sketchqr.trim import (
@@ -28,7 +27,7 @@ from sketchqr.trim import (
     trim_rhqr_right,
     trim_thin_q,
 )
-from oracles import dense_operator_matrix
+from oracles import MatrixSketch, dense_operator_matrix
 
 
 def dense_tilde(omega, m):
