@@ -259,7 +259,9 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
 # input is zero, so every algorithm stops with breakdown@18 on both the
 # prefix and the rerun sweep.  The rec-rhqr and rcholqr entries other than
 # half were recorded again when their sketch QR moved to LAPACK's xGEQRT,
-# again the same at 1, 2 and 4 threads.
+# again the same at 1, 2 and 4 threads.  "block5" runs rhqr-block with
+# 5-column panels (the multi-panel path; block 32 is one panel here), in
+# double or in the precision after the dash.
 RUNNER_DIGESTS = {
     ("rhqr-left", "double"): "f2988d0e6db2d30516b5edbaac7677e5",
     ("rhqr-left", "single"): "847ba7208c44f3ae5cdcdb54c09e755f",
@@ -322,6 +324,9 @@ RUNNER_DIGESTS = {
     ("hqr", "unit"): "2ee1621d558f3420942308241477c028",
     ("rcholqr", "unit"): "48fb9e1f057059a4ff1dfa978b65d040",
     ("rhqr-block", "block5"): "dd77d7833cca08e02b58c20138dcdf82",
+    ("rhqr-block", "block5-single"): "1752b7ff2a048cd6ac50c55bac59fb0c",
+    ("rhqr-block", "block5-mixed"): "15bb55b909572c61bd79f4a09bd4f4ff",
+    ("rhqr-block", "block5-half"): "c0574995c221fa112157fc6711f64a83",
     ("rhqr-left", "zero-column"): "18404abb8ba99afbf70896c7ded5bc67",
     ("rhqr-right", "zero-column"): "7578ea73e0207062a8cbd705cec39d71",
     ("rhqr-block", "zero-column"): "18404abb8ba99afbf70896c7ded5bc67",
@@ -352,8 +357,9 @@ def test_runner_golden_digests(case):
     cfg = dict(algo=algo, seed=3, every=7, ell=16 if algo.startswith("trim") else 0)
     if variant == "unit":
         cfg["scaling"] = "unit"
-    elif variant == "block5":
+    elif variant.startswith("block5"):
         cfg["block_size"] = 5
+        cfg["precision"] = variant[7:] or "double"
     elif variant == "zero-column":
         W[:, 17] = 0.0
     else:

@@ -333,6 +333,9 @@ KRYLOV_DIGESTS = {
     ("rhqr_gmres", "identity", "double", "sqrt2"): "8b621486063adb71db4119ed3e4a008e",
     ("rhqr_gmres", "zero", "double", "unit"): "4b9d4c30d38a4b087c3b747491e2d812",
     ("rgs_gmres", "dense", "double", "-"): "49f32409b7ac4463215e784a443f066d",
+    ("rgs_gmres", "dense", "single", "-"): "eabc4196480aad115eea5afadd1c5f91",
+    ("rgs_gmres", "dense", "mixed", "-"): "b8c46829b252e61c85260f92010ef601",
+    ("rgs_gmres", "dense", "half", "-"): "61932f7fec6fcb7dc6cd99e187f89c11",
     ("rgs_gmres", "identity", "double", "-"): "f88284cc365b81fdd4c6f4856c8d1765",
     ("rgs_gmres", "zero", "double", "-"): "4a0e7e53d9a2e55d3a8c38cded5c9ddd",
     ("run_gmres_experiment:rhqr", "sparse", "double", "sqrt2"): "66edf17ed4ed5376df320da7450105ab",

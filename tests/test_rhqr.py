@@ -402,6 +402,28 @@ def test_lsq_via_implicit_q(rng):
     assert np.allclose(lsq_via_implicit_q(F, resid), 0.0, atol=1e-11 * np.linalg.norm(b))
 
 
+# blake2b digests of lsq_via_implicit_q's solution in a low format, on a
+# right-hand side that half cannot represent (so the top block of its sketch
+# is not a half value); they go through BLAS and pin its build
+LSQ_DIGESTS = {
+    "mixed": "826b63373960b200252102b0706525a5",
+    "half": "7b446580f14dbc4e8c496873b8eb36b0",
+}
+
+
+@pytest.mark.parametrize("tag", list(LSQ_DIGESTS))
+def test_lsq_via_implicit_q_golden_digests(tag):
+    policy = policy_from_tag(tag)
+    W = gen_cmatrix(256, 24)
+    F = rhqr_left(W, SRHTSketch(96, 232, 17), policy=policy)
+    b = np.cos(np.arange(256.0)) / 3.0
+    x = lsq_via_implicit_q(F, b, policy=policy)
+    assert x.shape == (24,)
+    digest = hashlib.blake2b(np.ascontiguousarray(x, dtype=np.float64).tobytes(),
+                             digest_size=16).hexdigest()
+    assert digest == LSQ_DIGESTS[tag]
+
+
 def test_lsq_single_column(rng):
     w = rng.standard_normal(40)
     b = rng.standard_normal(40)
