@@ -18,7 +18,9 @@ import scipy.linalg.lapack
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
-    as_array,
+    _as_matrix,
+    _operand,
+    _result,
     check_scaling,
     low_storage,
     matmul_in,
@@ -56,41 +58,47 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     zero tail (column dependent on its predecessors) raises BreakdownError;
     a merely tiny tail proceeds like any textbook implementation.
     """
+    U, T, R, sigmas, rhos, betas = map(_result, _householder(A, scaling, policy))
+    m = T.shape[0]
+    Q = -U @ (T @ U[:m, :m].T)
+    Q[:m] += np.eye(m)
+    return QRResult(Q=Q, R=R, aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos,
+                                   "betas": betas})
+
+
+def _householder(A, scaling, policy):
+    """householder_qr's sweep: (U, T, R, sigmas, rhos, betas), with U, T and
+    R held in policy.high_dtype."""
     check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    A = as_array(A)
+    A = _as_matrix(A)
     p, m = A.shape
     if p < m:
         raise ValueError(f"need p >= m, got {p} x {m}")
     Al = round_to(A, policy.low)
-    U = np.zeros((p, m))
-    # the update reads U from policy.low storage, with no cast per column
+    # the coefficient products read U from a store in policy.high, the
+    # update from one in policy.low
+    U = np.zeros((p, m), dtype=hi)
     Ul = U if lo == np.float64 else low_storage(p, m, lo)
-    # half sums over n read a float16 copy of U written once per column; a
-    # strided float32 copy would not do, as sgemv rounds differently under
-    # another leading dimension
-    Uh = np.zeros((p, m), dtype=hi) if hi == np.float16 else None
-    T = np.zeros((m, m))
-    R = np.zeros((m, m))
-    sigmas = np.zeros(m)
-    rhos = np.zeros(m)
-    betas = np.zeros(m)
+    T, R = np.zeros((2, m, m), dtype=hi)
+    sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
-        w = Al[:, c].astype(np.float64)
-        Uc = to_dtype(U[:, :c], hi) if Uh is None else Uh[:, :c]
+        w = Al[:, c].copy()
+        Uc = _operand(U[:, :c], hi)
         if c:
-            coef = to_dtype(T[:c, :c].T, hi) @ (Uc.T @ to_dtype(w, hi))
-            w = (to_dtype(w, lo) - reflector_matmul(Ul[:, :c], coef, lo)).astype(np.float64)
-        rho = float(round_to(np.linalg.norm(w[c:]), policy.high))
+            coef = _operand(T[:c, :c].T, hi) @ (Uc.T @ to_dtype(w, hi))
+            w = w - reflector_matmul(Ul[:, :c], coef, lo)
+        # u is built in float64, where the norm accumulates
+        u = np.zeros(p)
+        u[c:] = w[c:]
+        rho = float(round_to(np.linalg.norm(u[c:]), policy.high))
         if rho == 0.0:
             raise BreakdownError(f"column {c + 1} exactly dependent on its predecessors",
                                  column=c + 1, reason="dependent_column")
-        sigma = sign(w[c])
-        gamma = float(hi(w[c] + sigma * rho))
+        sigma = sign(u[c])
+        gamma = float(hi(u[c] + sigma * rho))
         beta = float(hi(1.0 / (rho * sigma * gamma)))
-        u = np.zeros(p)
-        u[c:] = w[c:]
         u[c] = gamma
         if scaling == SCALE_SQRT2:
             u *= float(hi(np.sqrt(beta)))
@@ -102,18 +110,13 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         U[:, c] = u
         if Ul is not U:
             Ul[:, c] = u
-        if Uh is not None:
-            Uh[:, c] = u
         if c:
-            col = to_dtype(T[:c, :c], hi) @ (Uc.T @ to_dtype(u, hi))
-            T[:c, c] = (hi(-beta) * col).astype(np.float64)
+            T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ (Uc.T @ to_dtype(u, hi)))
         T[c, c] = beta
         R[:c, c] = w[:c]
         R[c, c] = -sigma * rho
         sigmas[c], rhos[c], betas[c] = sigma, rho, beta
-    Q = -U @ (T @ U[:m, :m].T)
-    Q[:m] += np.eye(m)
-    return QRResult(Q=Q, R=R, aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos, "betas": betas})
+    return U, T, R, sigmas, rhos, betas
 
 
 _GEQRT = {np.float64: scipy.linalg.lapack.dgeqrt, np.float32: scipy.linalg.lapack.sgeqrt}
@@ -133,16 +136,17 @@ def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     sketch, and any sketch in half (no LAPACK kernel), goes to
     householder_qr instead.  LAPACK reads a -0.0 pivot as negative, where
     sign(-0.0) = +1 here: R's diagonal entry there is +rho, not -rho.
+    S, T and R are held in policy.high_dtype.
     """
     check_scaling(scaling)
-    Z = as_array(Z)
+    Z = np.asarray(Z)
     p, m = Z.shape
     if p < m:
         raise ValueError(f"need p >= m, got {p} x {m}")
     hi = policy.high_dtype
     geqrt = _GEQRT.get(hi)
     if geqrt is not None and m:
-        a, tl, _ = geqrt(m, Z.astype(hi))
+        a, tl, _ = geqrt(m, to_dtype(Z, hi))
         tau = np.diagonal(tl)
         if np.all(tau != 0):
             R = np.triu(a[:m])
@@ -158,29 +162,26 @@ def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
                 np.fill_diagonal(T, 1)
             else:
                 S, betas = V, tau
-            return SketchQR(S=S.astype(np.float64), T=T.astype(np.float64),
-                            R=R.astype(np.float64), sigmas=sigmas,
-                            rhos=np.abs(r).astype(np.float64), betas=betas.astype(np.float64))
-    hq = householder_qr(Z, scaling=scaling, policy=PrecisionPolicy.uniform(policy.high))
-    return SketchQR(S=hq.aux["U"], T=hq.aux["T"], R=hq.R, sigmas=hq.aux["sigmas"],
-                    rhos=hq.aux["rhos"], betas=hq.aux["betas"])
+            return SketchQR(S=S, T=T, R=R, sigmas=sigmas, rhos=_result(np.abs(r)),
+                            betas=_result(betas))
+    return SketchQR(*_householder(Z, scaling, PrecisionPolicy.uniform(policy.high)))
 
 
 def pivoted_householder_qr(A, dtype=np.float64):
     """Right-looking Householder QR with column pivoting, truncating at the
     numerical rank.  Used for the sketched least-squares subproblems; runs
     in the given dtype throughout.  Returns (U, R, perm, rank) with the
-    sqrt2-scaled reflector tails stacked in U.
+    sqrt2-scaled reflector tails stacked in U, held in dtype, and R in
+    float64.
     """
-    A = as_array(A)
-    p, m = A.shape
-    Aw = A.astype(dtype).copy()
+    p, m = np.shape(A)
+    Aw = np.array(A, dtype=dtype, order="C")
     U = np.zeros((p, m), dtype=dtype)
     perm = np.arange(m)
     rank = min(p, m)
     tol = None
     for c in range(min(p, m)):
-        norms = np.linalg.norm(Aw[c:, c:].astype(np.float64), axis=0)
+        norms = np.linalg.norm(to_dtype(Aw[c:, c:], np.float64), axis=0)
         piv = c + int(np.argmax(norms))
         if piv != c:
             Aw[:, [c, piv]] = Aw[:, [piv, c]]
@@ -191,21 +192,20 @@ def pivoted_householder_qr(A, dtype=np.float64):
         if rho <= tol:
             rank = c
             break
-        tail = Aw[c:, c].astype(np.float64)
+        tail = to_dtype(Aw[c:, c], np.float64)
         sigma = sign(tail[0])
         gamma = tail[0] + sigma * rho
         u = tail.copy()
         u[0] = gamma
         u *= np.sqrt(1.0 / (rho * sigma * gamma))
-        u = u.astype(dtype)
+        u = to_dtype(u, dtype)
         U[c:, c] = u
         if c + 1 < m:
             B = Aw[c:, c + 1:]
             Aw[c:, c + 1:] = B - np.outer(u, u @ B)
         Aw[c, c] = -sigma * rho
         Aw[c + 1:, c] = 0
-    R = np.triu(Aw[:m].astype(np.float64))
-    return U.astype(np.float64), R, perm, rank
+    return U, np.triu(to_dtype(Aw[:m], np.float64)), perm, rank
 
 
 def pivoted_qr_lstsq(A, b, dtype=np.float64):
@@ -215,12 +215,12 @@ def pivoted_qr_lstsq(A, b, dtype=np.float64):
     c = np.asarray(b, dtype=dtype).copy()
     m = A.shape[1]
     for k in range(rank):
-        u = U[k:, k].astype(dtype)
+        u = U[k:, k].copy()
         c[k:] -= u * dtype(u @ c[k:])
     x = np.zeros(m)
     if rank:
         # back substitution in the working dtype
-        y = c[:rank].astype(np.float64)
+        y = to_dtype(c[:rank], np.float64)
         for k in range(rank - 1, -1, -1):
             y[k] = (y[k] - R[k, k + 1: rank] @ y[k + 1: rank]) / R[k, k]
             y[k] = float(dtype(y[k]))
@@ -240,14 +240,13 @@ def mgs(W, policy=DOUBLE_POLICY):
 
 def _gram_schmidt(W, policy, modified):
     lo = policy.low_dtype
-    Wa = as_array(W)
-    n, m = Wa.shape
-    Wl = to_dtype(round_to(Wa, policy.low), lo)
+    Wl = round_to(_as_matrix(W), policy.low)
+    n, m = Wl.shape
     Q = low_storage(n, m, lo)
     # the products summing over n and the modified steps read Q in
     # policy.low itself, which a float16 store is not: it gets a copy
     Qw = Q if Q.dtype == lo else np.zeros((n, m), dtype=lo)
-    R = np.zeros((m, m))
+    R = np.zeros((m, m), dtype=policy.high_dtype)
     for c in range(m):
         w = Wl[:, c].copy()
         if modified:
@@ -257,9 +256,9 @@ def _gram_schmidt(W, policy, modified):
                 w = w - lo(rij) * Qw[:, i]
         elif c:
             r = Qw[:, :c].T @ w
-            R[:c, c] = r.astype(np.float64)
+            R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
-        rjj = float(round_to(np.linalg.norm(w.astype(np.float64)), policy.high))
+        rjj = float(round_to(np.linalg.norm(to_dtype(w, np.float64)), policy.high))
         if rjj == 0.0:
             raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1,
                                  reason="zero_pivot")
@@ -268,7 +267,7 @@ def _gram_schmidt(W, policy, modified):
         Q[:, c] = q
         if Qw is not Q:
             Qw[:, c] = q
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=R, aux={})
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R), aux={})
 
 
 def rgs(W, omega, policy=DOUBLE_POLICY):
@@ -281,27 +280,28 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
     normalization uses the sketched norm.
     """
     lo = policy.low_dtype
-    Wa = as_array(W)
+    hi = policy.high_dtype
+    Wa = _as_matrix(W)
     n, m = Wa.shape
     if omega.n != n:
         raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
     if omega.ell < m:
         raise ValueError("sampling size below column count")
-    Wl = to_dtype(round_to(Wa, policy.low), lo)
+    Wl = round_to(Wa, policy.low)
     Q = low_storage(n, m, lo)
-    Sb = np.zeros((omega.ell, m))  # maintained sketched basis
-    R = np.zeros((m, m))
+    Sb = np.zeros((omega.ell, m), dtype=hi)  # maintained sketched basis
+    R = np.zeros((m, m), dtype=hi)
     # every column's sketch in one block apply, bitwise the per-column ones
     P = omega.apply(Wl, dtype=lo)
     for c in range(m):
         w = Wl[:, c].copy()
         z = p = P[:, c].copy()
         if c:
-            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=policy.high_dtype)
+            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=hi)
             R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
-            z = omega.apply(w.astype(np.float64), dtype=lo)
-        rjj = float(round_to(np.linalg.norm(z), policy.high))
+            z = omega.apply(w, dtype=lo)
+        rjj = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
         # only an exactly zero sketched pivot stops the sweep: past numerical
         # singularity the process is expected to keep going on noise, that is
         # the degradation the benchmarks measure
@@ -310,8 +310,9 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
                                  column=c + 1, reason="zero_pivot")
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
-        Sb[:, c] = (to_dtype(z, lo) / lo(rjj)).astype(np.float64)
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=R, aux={"omega": omega})
+        Sb[:, c] = z / lo(rjj)
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R),
+                    aux={"omega": omega})
 
 
 def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
@@ -324,42 +325,40 @@ def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
     corrected basis [I - T; Q T].
     """
     lo = policy.low_dtype
-    Wa = as_array(W)
+    hi = policy.high_dtype
+    Wa = _as_matrix(W)
     n, m = Wa.shape
     if omega.n != n:
         raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
     if omega.ell < m:
         raise ValueError("sampling size below column count")
-    Wl = to_dtype(round_to(Wa, policy.low), lo)
+    Wl = round_to(Wa, policy.low)
     Q = low_storage(n, m, lo)
-    Sb = np.zeros((omega.ell, m))
-    T = np.zeros((m, m))
-    R = np.zeros((m, m))
-    hi = policy.high_dtype
+    Sb = np.zeros((omega.ell, m), dtype=hi)
+    T, R = np.zeros((2, m, m), dtype=hi)
     # every column's sketch in one block apply, bitwise the per-column ones
     P = omega.apply(Wl, dtype=lo)
     for c in range(m):
         w = Wl[:, c].copy()
         z = p = P[:, c].copy()
         if c:
-            rhead = to_dtype(T[:c, :c].T, hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(p, hi))
-            rhead = rhead.astype(np.float64)
+            rhead = _operand(T[:c, :c].T, hi) @ (_operand(Sb[:, :c], hi).T @ to_dtype(p, hi))
             R[:c, c] = rhead
             w = w - matmul_in(Q[:, :c], rhead, lo)
-            z = omega.apply(w.astype(np.float64), dtype=lo)
-        rho = float(round_to(np.linalg.norm(z), policy.high))
+            z = omega.apply(w, dtype=lo)
+        rho = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
         if rho == 0.0:
             raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
                                  column=c + 1, reason="zero_pivot")
         R[c, c] = rho
         Q[:, c] = w / lo(rho)
-        Sb[:, c] = (to_dtype(z, lo) / lo(rho)).astype(np.float64)
+        Sb[:, c] = z / lo(rho)
         if c:
-            col = to_dtype(T[:c, :c], hi) @ (to_dtype(Sb[:, :c], hi).T @ to_dtype(Sb[:, c], hi))
-            T[:c, c] = -col.astype(np.float64)
+            T[:c, c] = -(_operand(T[:c, :c], hi)
+                         @ (_operand(Sb[:, :c], hi).T @ _operand(Sb[:, c], hi)))
         T[c, c] = 1.0
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=R,
-                    aux={"T": T, "omega": omega})
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R),
+                    aux={"T": _result(T), "omega": omega})
 
 
 def blas2_corrected_sketch(result):
@@ -373,7 +372,7 @@ def blas2_corrected_sketch(result):
 def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
     """R from a Householder QR of the sketch (sketch_qr, in policy.high),
     Q by a triangular solve."""
-    Wa = as_array(W)
+    Wa = _as_matrix(W)
     n, m = Wa.shape
     if omega.n != n:
         raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
@@ -381,4 +380,4 @@ def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
     Z = omega.apply(Wl, dtype=policy.low_dtype)
     R = sketch_qr(Z, policy=policy).R
     Q = right_tri_solve(Wl, R, policy=policy)
-    return QRResult(Q=Q, R=R, aux={"omega": omega})
+    return QRResult(Q=_result(Q), R=_result(R), aux={"omega": omega})

@@ -154,7 +154,8 @@ def run_factor_experiment(W, config):
     W = as_array(W)
     m = W.shape[1]
     ell = config.ell or 4 * m
-    Wl = round_to(W, policy.low)
+    # errors are measured in float64 against the storage-rounded input
+    Wl = as_array(round_to(W, policy.low))
     js = sample_widths(m, config.every)
     bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
     attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")

@@ -24,6 +24,8 @@ import scipy.sparse
 from .baselines import pivoted_qr_lstsq
 from .linalg import (
     SCALE_SQRT2,
+    _operand,
+    _result,
     as_array,
     check_scaling,
     low_storage,
@@ -38,13 +40,14 @@ from .sketching import EmbeddedSketch
 
 
 def _as_operator(A):
-    """Accept a callable, a scipy sparse matrix, or a dense array."""
+    """Accept a callable, a scipy sparse matrix, or a dense array, applied to
+    vectors read as float64."""
     if callable(A):
-        return A
+        return lambda v: A(as_array(v))
     if scipy.sparse.issparse(A):
-        return lambda v: A @ v
+        return lambda v: A @ as_array(v)
     M = as_array(A)
-    return lambda v: M @ v
+    return lambda v: M @ as_array(v)
 
 
 @dataclass
@@ -119,13 +122,13 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     psi = _embed(omega, n, m + 1)
     # rh_vector already rounds u to policy.low, so storing U there is exact
     U = low_storage(n, m + 1, lo)
-    S = np.zeros((psi.out_dim, m + 1))
-    T = np.zeros((m + 1, m + 1))
-    R = np.zeros((m + 1, m + 1))
+    S = np.zeros((psi.out_dim, m + 1), dtype=hi)
+    T, R = np.zeros((2, m + 1, m + 1), dtype=hi)
     attained = None
-    w = round_to(b - matvec(round_to(x0, policy.low)), policy.low).astype(np.float64)
+    w = round_to(b - matvec(round_to(x0, policy.low)), policy.low)
     for c in range(m + 1):
-        z = psi.apply(w, dtype=lo)
+        # the sketch is read in float64: the norms, and rh_vector's pivot
+        z = to_dtype(psi.apply(w, dtype=lo), np.float64)
         tail = float(np.linalg.norm(z[c:]))
         if tail <= 32.0 * policy.u_high * float(np.linalg.norm(z)):
             # the new direction is numerically inside the span already: close
@@ -140,17 +143,18 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         if c < m:
             # q_j = Q e_j needs no sketch, since Psi e_j = e_j
             j = c + 1
-            coef = to_dtype(T[:j, :j], hi) @ to_dtype(S[c, :j], hi)
-            q = -reflector_matmul(U[:, :j], coef, lo).astype(np.float64)
+            coef = _operand(T[:j, :j], hi) @ _operand(S[c, :j], hi)
+            q = -reflector_matmul(U[:, :j], coef, lo)
             q[c] += 1.0
-            w = round_to(matvec(round_to(q, policy.low)), policy.low).astype(np.float64)
+            w = round_to(matvec(q), policy.low)
             w = apply_reflectors_compact(U[:, :j], S[:, :j], T[:j, :j], w, psi,
                                          transpose_t=True, policy=policy)
     k = m if attained is None else attained
     r = k + 1 if attained is None else k
     return KrylovBundle(
-        U=np.ascontiguousarray(U[:, :r], dtype=np.float64), S=S[:, :r], T=T[:r, :r],
-        H=R[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]), breakdown=attained,
+        U=np.ascontiguousarray(U[:, :r], dtype=np.float64), S=_result(S)[:, :r],
+        T=_result(T)[:r, :r], H=_result(R)[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]),
+        breakdown=attained,
     )
 
 
@@ -164,7 +168,7 @@ def hessenberg_lstsq(H, beta):
     """
     H = as_array(H)
     p, k = H.shape
-    R = H.astype(np.float64).copy()
+    R = H.copy()
     g = np.zeros(p)
     g[0] = float(beta)
     hist = np.zeros(k + 1)
@@ -232,6 +236,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     (Q, H, beta, attained) with Q of k+1 columns and H of shape (k+1) x k.
     """
     lo = policy.low_dtype
+    hi = policy.high_dtype
     matvec = _as_operator(A)
     b = as_array(b)
     n = b.shape[0]
@@ -241,32 +246,32 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     if omega.ell < m + 1:
         raise ValueError("sampling size below basis size")
     Q = low_storage(n, m + 1, lo)
-    Sb = np.zeros((omega.ell, m + 1))
-    R = np.zeros((m + 1, m + 1))
+    Sb = np.zeros((omega.ell, m + 1), dtype=hi)
+    R = np.zeros((m + 1, m + 1), dtype=hi)
     attained = None
-    w = to_dtype(round_to(b - matvec(round_to(x0, policy.low)), policy.low), lo)
+    w = round_to(b - matvec(round_to(x0, policy.low)), policy.low)
     for c in range(m + 1):
-        p = omega.apply(w.astype(np.float64), dtype=lo)
+        p = omega.apply(w, dtype=lo)
         z = p
         if c:
-            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=policy.high_dtype)
+            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=hi)
             R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
-            z = omega.apply(w.astype(np.float64), dtype=lo)
-        h = float(round_to(np.linalg.norm(z), policy.high))
+            z = omega.apply(w, dtype=lo)
+        h = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
         R[c, c] = h
-        if h <= 32.0 * policy.u_high * float(np.linalg.norm(p)):
+        if h <= 32.0 * policy.u_high * float(np.linalg.norm(to_dtype(p, np.float64))):
             attained = c
             break
         Q[:, c] = w / lo(h)
-        Sb[:, c] = (to_dtype(z, lo) / lo(h)).astype(np.float64)
+        Sb[:, c] = z / lo(h)
         if c < m:
-            w = to_dtype(round_to(matvec(Q[:, c].astype(np.float64)), policy.low), lo)
+            w = round_to(matvec(Q[:, c]), policy.low)
     k = m if attained is None else attained
     cols = k + 1 if attained is None else k
     # a fresh copy: handing back the store itself raised the peak RSS of a
     # 20000 x 73 GMRES benchmark run by 2 MB, through the allocator's reuse
-    return (np.array(Q[:, :cols], dtype=np.float64, order="C"), R[:k + 1, 1:k + 1],
+    return (np.array(Q[:, :cols], dtype=np.float64, order="C"), _result(R)[:k + 1, 1:k + 1],
             float(R[0, 0]), attained)
 
 

@@ -61,61 +61,53 @@ def as_array(M):
     return np.asarray(M, dtype=np.float64)
 
 
-def _check_diagonal(R, dtype):
-    d = np.abs(np.diagonal(R))
-    tiny = np.finfo(dtype).tiny
-    bad = np.nonzero(d < tiny)[0]
-    if bad.size:
-        raise SingularFactorError(
-            f"triangular factor has zero or subnormal diagonal at index {bad[0]}"
-        )
+def _as_matrix(W):
+    """A factorization's input as a float64 ndarray, refused unless 2-D."""
+    W = as_array(W)
+    if W.ndim != 2:
+        raise ValueError(f"W must be a matrix, got {W.ndim} dimensions")
+    return W
+
+
+def _result(a):
+    """An array as the entry points return it: float64, in the layout it was
+    made in.  A low_storage store leaves C-contiguous instead."""
+    return to_dtype(a, np.float64)
 
 
 def upper_tri_solve(R, B, policy=DOUBLE_POLICY):
     """Solve R X = B for upper-triangular R by back substitution.
 
-    Runs in the high precision of the policy (float64 by default).  A zero or
-    subnormal diagonal raises SingularFactorError before any arithmetic.
+    Runs in the high precision of the policy (float64 by default) and
+    returns X in that dtype.  A zero or subnormal diagonal raises
+    SingularFactorError before any arithmetic.
     """
-    dtype = policy.high_dtype
-    R = as_array(R)
-    B = as_array(B)
-    _check_diagonal(R, dtype)
-    if dtype == np.float16:
-        return _tri_solve_loop(R, B, dtype, lower=False)
-    X = scipy.linalg.solve_triangular(R.astype(dtype), B.astype(dtype), lower=False)
-    return X.astype(np.float64)
+    return _tri_solve(np.asarray(R), np.asarray(B), False, policy.high_dtype)
 
 
 def right_tri_solve(B, R, policy=DOUBLE_POLICY):
-    """Solve X R = B for upper-triangular R (columnwise forward substitution)."""
-    dtype = policy.high_dtype
-    R = as_array(R)
-    B = as_array(B)
-    _check_diagonal(R, dtype)
-    if dtype == np.float16:
-        return np.ascontiguousarray(_tri_solve_loop(R.T, B.T, dtype, lower=True).T)
-    X = scipy.linalg.solve_triangular(R.astype(dtype).T, B.astype(dtype).T, lower=True).T
-    return X.astype(np.float64)
+    """Solve X R = B for upper-triangular R (columnwise forward substitution),
+    as upper_tri_solve does."""
+    X = _tri_solve(np.asarray(R).T, np.asarray(B).T, True, policy.high_dtype)
+    return np.ascontiguousarray(X.T)
 
 
-def _tri_solve_loop(A, B, dtype, lower):
-    # LAPACK has no float16 kernels; substitute one column of the solution at
-    # a time with vectorized half-precision arithmetic.
-    A = A.astype(dtype)
-    X = np.atleast_2d(B.T).T.astype(dtype).copy()
+def _tri_solve(A, B, lower, dtype):
+    bad = np.nonzero(np.abs(np.diagonal(A)) < np.finfo(dtype).tiny)[0]
+    if bad.size:
+        raise SingularFactorError(
+            f"triangular factor has zero or subnormal diagonal at index {bad[0]}")
+    A = to_dtype(A, dtype)
+    if dtype != np.float16:
+        return scipy.linalg.solve_triangular(A, to_dtype(B, dtype), lower=lower)
+    # LAPACK has no float16 kernels; substitute one row of the solution at a
+    # time with vectorized half-precision arithmetic
+    X = np.array(np.atleast_2d(B.T).T, dtype=dtype, order="C")
     n = A.shape[0]
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for k in order:
-        if lower:
-            if k:
-                X[k] = X[k] - A[k, :k] @ X[:k]
-        else:
-            if k < n - 1:
-                X[k] = X[k] - A[k, k + 1:] @ X[k + 1:]
-        X[k] = X[k] / A[k, k]
-    out = X.astype(np.float64)
-    return out.reshape(np.shape(B)) if np.ndim(B) == 1 else out
+    for k in range(n) if lower else range(n - 1, -1, -1):
+        done = slice(0, k) if lower else slice(k + 1, n)
+        X[k] = (X[k] - A[k, done] @ X[done]) / A[k, k]
+    return X.reshape(B.shape)
 
 
 def cond_number(M):
@@ -175,6 +167,17 @@ def sign(v):
 def to_dtype(a, dtype):
     a = np.asarray(a)
     return a if a.dtype == dtype else a.astype(dtype)
+
+
+def _operand(a, dtype):
+    """a as an operand of a product in dtype's arithmetic, cast only if held
+    in another format.  A float32 operand is a fresh packed copy in its own
+    axis order: OpenBLAS sgemv rounds differently under another leading
+    dimension, and the single-precision digests pin packed operands."""
+    a = np.asarray(a)
+    if dtype == np.float32 and a.dtype == dtype:
+        return a.copy(order="K")
+    return to_dtype(a, dtype)
 
 
 def low_storage(n, m, dtype):

@@ -1,10 +1,12 @@
 """Floating-point precision tags, rounding, and the high/low policy object.
 
-Everything downstream passes float64 arrays around; a "half" or "single"
-array is a float64 array whose entries are exactly representable in the
-lower format.  Rounding through the native numpy dtype gives correctly
-rounded (round-to-nearest-even) results per elementary operation, which is
-the emulation model used by all the precision sweeps.  Half arithmetic
+An array lives in the dtype of the format it is computed in: n-dimensional
+data in policy.low_dtype, sketched coefficients and triangular factors in
+policy.high_dtype.  A cast from one to the other is exact whenever it
+widens, and rounding through the native numpy dtype gives correctly rounded
+(round-to-nearest-even) results per elementary operation, which is the
+emulation model used by all the precision sweeps.  Norms accumulate in
+float64, and the entry points return float64 results.  Half arithmetic
 runs as float32 with one rounding to half per butterfly stage (the FWHT)
 and per product sum (linalg.matmul_in), which is bitwise equal to numpy's
 float16 operations (but for the sign of a NaN made from two NaNs) and
@@ -39,21 +41,22 @@ def _check_tag(tag):
 def round_to(a, tag):
     """Round values to the nearest representable numbers of the target format.
 
-    Returns a float64 array carrying the rounded values.  Finite inputs that
-    overflow the target range raise PrecisionRangeError; infinities and NaNs
-    pass through unchanged.
+    Returns a new array of the format's dtype.  Non-floating input is read
+    as float64 first.  Finite inputs that overflow the target range raise
+    PrecisionRangeError; infinities and NaNs pass through unchanged.
     """
     _check_tag(tag)
-    a = np.asarray(a, dtype=np.float64)
-    if tag == DOUBLE:
-        return a.copy()
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.floating):
+        a = np.asarray(a, dtype=np.float64)
     with np.errstate(over="ignore"):
         r = a.astype(DTYPES[tag])
-    overflowed = np.isfinite(a) & ~np.isfinite(r)
-    if np.any(overflowed):
-        worst = np.max(np.abs(np.extract(overflowed, a)))
-        raise PrecisionRangeError(f"value {worst:g} overflows {tag} range")
-    return r.astype(np.float64)
+    if r.dtype.itemsize < a.dtype.itemsize:
+        overflowed = np.isfinite(a) & ~np.isfinite(r)
+        if np.any(overflowed):
+            worst = np.max(np.abs(np.extract(overflowed, a)))
+            raise PrecisionRangeError(f"value {worst:g} overflows {tag} range")
+    return r
 
 
 @dataclass(frozen=True)

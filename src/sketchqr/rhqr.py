@@ -11,7 +11,9 @@ Two scalings are supported everywhere:
   "unit":  u and s divided by the pivot value gamma so diag(U) == 1
 
 Precision policy: n-dimensional storage and updates run in policy.low,
-sketched coefficients, rho/beta and the T algebra in policy.high.
+sketched coefficients, rho/beta and the T algebra in policy.high, and each
+array is held in the dtype of its format.  The factorizations return
+float64 factors.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,9 @@ from .baselines import sketch_qr
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _as_matrix,
+    _operand,
+    _result,
     as_array,
     check_scaling,
     low_storage,
@@ -53,7 +58,8 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
     j is 1-based and must lie inside the identity block of the embedding, so
     y[j-1] == w[j-1] exactly.  sign(0) = +1; rho and beta are computed in
-    policy.high, u is rounded to policy.low.  Raises BreakdownError only when
+    policy.high, u is returned in policy.low_dtype and s in
+    policy.high_dtype.  Raises BreakdownError only when
     the sketched tail is exactly annihilated (rho == 0) or the reflector
     scale degenerates to a non-finite number: a tail sitting at the rounding
     noise floor still defines a perfectly unitary reflector, and the process
@@ -61,13 +67,13 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     unconditional behavior is the whole point of the method).
     """
     check_scaling(scaling)
-    w = as_array(w)
-    y = as_array(y)
+    w = np.asarray(w)
+    # the pivot work and the norm run in float64; rho lives in the high format
+    y = to_dtype(y, np.float64)
     jj = j - 1
     if not 0 <= jj < y.shape[0]:
         raise ValueError(f"elimination index {j} outside sketch of length {y.shape[0]}")
     hi = policy.high_dtype
-    # reductions accumulate in float64, the result lives in the high format
     rho = float(round_to(np.linalg.norm(y[jj:]), policy.high))
     if rho == 0.0:
         raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
@@ -100,27 +106,28 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
 def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY,
                              Y=None):
-    """(I - U T S^t Psi) X, or the reversed product with transpose_t=True.
+    """(I - U T S^t Psi) X, or the reversed product with transpose_t=True,
+    returned in policy.low_dtype.
 
     The compact-form step every sweep repeats: the sketch and the
     n-dimensional update run in policy.low, the coefficient products in
-    policy.high.  U may be a block of linalg.low_storage.  Y is Psi X in
-    policy.low, shaped as X, when the caller has sketched X already.
+    policy.high.  U may be a block of linalg.low_storage.  X is rounded to
+    policy.low for the update; the sketch keeps its leading rows as given
+    (EmbeddedSketch).  Y is Psi X, shaped as X, when the caller has
+    sketched X already.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
-    S = as_array(S)
-    T = as_array(T)
-    X = as_array(X)
+    X = np.asarray(X)
     vec = X.ndim == 1
     Xc = X[:, None] if vec else X
     if Y is None:
         Y = psi.apply(Xc, dtype=lo)
     elif vec:
         Y = Y[:, None]
-    C = to_dtype(S, hi).T @ to_dtype(Y, hi)
-    C = matmul_in(T.T if transpose_t else T, C, hi)
-    out = (to_dtype(Xc, lo) - reflector_matmul(U, C, lo)).astype(np.float64)
+    C = _operand(S, hi).T @ _operand(Y, hi)
+    C = matmul_in(_operand(T.T if transpose_t else T, hi), C, hi)
+    out = to_dtype(Xc, lo) - reflector_matmul(U, C, lo)
     return out[:, 0] if vec else out
 
 
@@ -128,20 +135,19 @@ def t_factor_from_sketches(S, policy=DOUBLE_POLICY):
     """Recover the triangular T of the compact form from S = Psi U alone.
 
     S^t S = T^{-1} + T^{-t}, so T^{-1} is the strict upper triangle of S^t S
-    plus half its diagonal.
+    plus half its diagonal.  T comes back in policy.high_dtype.
     """
-    Sh = to_dtype(as_array(S), policy.high_dtype)
-    G = (Sh.T @ Sh).astype(np.float64)
+    Sh = _operand(S, policy.high_dtype)
+    G = Sh.T @ Sh
     Tinv = np.triu(G, 1) + np.diag(np.diagonal(G) / 2.0)
     return upper_tri_solve(Tinv, np.eye(G.shape[0]), policy=policy)
 
 
 def _extend_t(T, p, beta, c, hi=np.float64):
-    # grow the compact-form triangle by the new reflector's column, given
-    # p = S[:, :c]^t s_new in hi
+    # grow the compact-form triangle T, held in hi, by the new reflector's
+    # column, given p = S[:, :c]^t s_new in hi
     if c:
-        col = to_dtype(T[:c, :c], hi) @ p
-        T[:c, c] = (hi(-beta) * col).astype(np.float64)
+        T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ p)
     T[c, c] = beta
 
 
@@ -154,7 +160,7 @@ def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
     U[:, c] = step.u
     S[:, c] = step.s
     hi = policy.high_dtype
-    _extend_t(T, to_dtype(S[:, :c], hi).T @ to_dtype(step.s, hi), step.beta, c, hi)
+    _extend_t(T, _operand(S[:, :c], hi).T @ step.s, step.beta, c, hi)
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
     return step
@@ -211,7 +217,7 @@ def lsq_via_implicit_q(factors, b, policy=DOUBLE_POLICY):
         transpose_t=True, policy=policy,
     )
     m = factors.R.shape[1]
-    return upper_tri_solve(factors.R, c[:m], policy=policy)
+    return _result(upper_tri_solve(factors.R, c[:m], policy=policy))
 
 
 def _embed(omega, n, m):
@@ -236,20 +242,17 @@ def _sweep(W, omega, block_size, scaling, policy):
     """
     check_scaling(scaling)
     lo = policy.low_dtype
-    Wa = as_array(W)
+    hi = policy.high_dtype
+    Wa = _as_matrix(W)
     n, m = Wa.shape
     psi = _embed(omega, n, m)
     if block_size is None:
         block_size = max(m, 1)
     Wl = round_to(Wa, policy.low)
-    # rh_vector already rounds u to policy.low, so storing U there is exact
     U = low_storage(n, m, lo)
-    S = np.zeros((psi.out_dim, m))
-    T = np.zeros((m, m))
-    R = np.zeros((m, m))
-    sigmas = np.zeros(m)
-    rhos = np.zeros(m)
-    betas = np.zeros(m)
+    S = np.zeros((psi.out_dim, m), dtype=hi)
+    T, R = np.zeros((2, m, m), dtype=hi)
+    sigmas, rhos, betas = np.zeros((3, m))
     for j0 in range(0, m, block_size):
         j1 = min(j0 + block_size, m)
         panel = Wl[:, j0:j1]
@@ -269,8 +272,8 @@ def _sweep(W, omega, block_size, scaling, policy):
                 y = psi.apply(w, dtype=lo)
             step = _add_reflector(w, y, c, U, S, T, R, scaling, policy)
             sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
-    return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=S, T=T, R=R, psi=psi,
-                scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
+    return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=_result(S), T=_result(T),
+                R=_result(R), psi=psi, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -288,18 +291,18 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     re-sketched wholesale at every step; T is recovered from S afterwards."""
     check_scaling(scaling)
     lo = policy.low_dtype
-    Wa = as_array(W)
+    hi = policy.high_dtype
+    Wa = _as_matrix(W)
     n, m = Wa.shape
     psi = _embed(omega, n, m)
     Wl = round_to(Wa, policy.low)
-    U = np.zeros((n, m))
-    S = np.zeros((psi.out_dim, m))
-    R = np.zeros((m, m))
-    sigmas = np.zeros(m)
-    rhos = np.zeros(m)
-    betas = np.zeros(m)
+    U = np.zeros((n, m), dtype=lo)
+    S = np.zeros((psi.out_dim, m), dtype=hi)
+    R = np.zeros((m, m), dtype=hi)
+    sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
-        Y = psi.apply(Wl[:, c:], dtype=lo)
+        # the trailing block's sketch, read in float64 as rh_vector reads y
+        Y = to_dtype(psi.apply(Wl[:, c:], dtype=lo), np.float64)
         step = rh_vector(Wl[:, c], Y[:, 0], c + 1, scaling, policy)
         U[:, c] = step.u
         S[:, c] = step.s
@@ -307,13 +310,11 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         R[c, c] = -step.sigma * step.rho
         sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
         if c + 1 < m:
-            hi = policy.high_dtype
-            coef = hi(step.beta) * (to_dtype(step.s, hi) @ to_dtype(Y[:, 1:], hi))
-            tail = to_dtype(Wl[:, c + 1:], lo) - np.outer(to_dtype(step.u, lo), to_dtype(coef, lo))
-            Wl[:, c + 1:] = tail.astype(np.float64)
+            coef = hi(step.beta) * (step.s @ _operand(Y[:, 1:], hi))
+            Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))
     T = t_factor_from_sketches(S, policy=policy)
-    return RHQRFactors(U=U, S=S, T=T, R=R, psi=psi, scaling=scaling,
-                       sigmas=sigmas, rhos=rhos, betas=betas)
+    return RHQRFactors(U=_result(U), S=_result(S), T=_result(T), R=_result(R), psi=psi,
+                       scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
 class BlockRHQRFactors(RHQRFactors):
@@ -347,7 +348,7 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     R's diagonal there is +rho where the sweeps give -rho.
     """
     check_scaling(scaling)
-    Wa = as_array(W)
+    Wa = _as_matrix(W)
     n, m = Wa.shape
     psi = _embed(omega, n, m)
     Wl = round_to(Wa, policy.low)
@@ -356,13 +357,14 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     S = hq.S
     T = hq.T
     hi = policy.high_dtype
-    Mfac = np.triu(to_dtype(T.T, hi) @ (to_dtype(S, hi).T @ to_dtype(Z, hi))).astype(np.float64)
+    Mfac = np.triu(_operand(T.T, hi) @ (_operand(S, hi).T @ _operand(Z, hi)))
     d = np.abs(np.diagonal(Mfac))
     if np.any(d < np.finfo(np.float64).tiny):
         k = int(np.argmin(d))
         raise BreakdownError(f"reconstruction factor has zero diagonal at column {k + 1}",
                              column=k + 1, reason="reconstruction_singular")
     U2 = right_tri_solve(Wl[m:], Mfac, policy=policy)
+    # S's head stays in the high format: U's dtype is the wider one
     U = np.concatenate([S[:m], round_to(U2, policy.low)], axis=0)
-    return RHQRFactors(U=U, S=S, T=T, R=hq.R, psi=psi, scaling=scaling,
-                       sigmas=hq.sigmas, rhos=hq.rhos, betas=hq.betas)
+    return RHQRFactors(U=_result(U), S=_result(S), T=_result(T), R=_result(hq.R), psi=psi,
+                       scaling=scaling, sigmas=hq.sigmas, rhos=hq.rhos, betas=hq.betas)

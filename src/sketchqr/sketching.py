@@ -1,24 +1,16 @@
 """Sketching operators: Gaussian, subsampled Hadamard, sparse sign.
 
 Every operator exposes `apply(X, dtype)` where dtype is the arithmetic
-precision of the application; returned arrays are float64 carrying values
-representable in that dtype.  The subsampled transform is never
+precision of the application: X is read in its own dtype, rounded to dtype,
+and the result comes back in dtype.  The subsampled transform is never
 materialized, only its signs and coordinate subset are stored.  Its
-butterflies run in constant geometry, one buffer row per column: every
-stage reads adjacent pairs and writes contiguous halves, with no transpose,
-in the stage order and with the operands of the natural-order transform
-(see fwht).
+butterflies run in constant geometry, one buffer row per column (see fwht).
 
-Half-precision model: half arithmetic runs as float32, rounded to half
-once per butterfly stage and once per product sum (linalg.matmul_in), and
-is bitwise equal to numpy's float16 arithmetic.  The FWHT adds and
-subtracts in float32 and rounds each stage to half, which gives numpy's
-correctly rounded float16 add and subtract bit for bit.  That rounding is
-Dekker's split in float32 arithmetic, exact while no stage can reach
-half's overflow threshold (every column's 1-norm at most 2**15), and a cast
-to float16 and back otherwise (see fwht).  A product of two halves is
-exact in float32, so the SRHT's signed scale, the column scaling and the
-FWHT's normalization each multiply in float32 and cast to half once.  The
+Half arithmetic runs as float32, rounded to half once per butterfly stage
+(Dekker's split, see fwht) and once per product sum, and is bitwise equal
+to numpy's float16 arithmetic.  A product of two halves is exact in
+float32, so the SRHT's signed scale, the column scaling and the FWHT's
+normalization each multiply in float32 and cast to half once.  The
 matmul-based operators (gaussian, sparse sign) multiply a float32 copy of
 the operator, accumulate in float32 and round the result to float16 once,
 which is how half-precision hardware behaves.
@@ -27,7 +19,7 @@ which is how half-precision hardware behaves.
 import numpy as np
 import scipy.sparse
 
-from .linalg import as_array, orthogonality_error
+from .linalg import _operand, as_array, orthogonality_error
 
 
 # columns per SRHT work array: a block is transformed this many at a time
@@ -154,7 +146,9 @@ def fwht(x):
 
 
 def _columns(X, n):
-    X = as_array(X)
+    X = np.asarray(X)
+    if not np.issubdtype(X.dtype, np.floating):
+        X = as_array(X)
     vec = X.ndim == 1
     if vec:
         X = X[:, None]
@@ -166,12 +160,12 @@ def _columns(X, n):
 def _matmul_in(cast, M, X, dtype):
     """M @ X in dtype's arithmetic (float32 for half, rounded to half once
     at the end).  M is cast to that format on first use and kept in the
-    cast dict, so an apply copies neither the operator nor a float64 X."""
+    cast dict, so an apply does not copy the operator."""
     adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
     Ma = cast.get(adtype)
     if Ma is None:
         Ma = cast[adtype] = M.astype(adtype, copy=False)
-    return (Ma @ X.astype(adtype, copy=False)).astype(dtype, copy=False)
+    return (Ma @ _operand(X, adtype)).astype(dtype, copy=False)
 
 
 class SketchOperator:
@@ -191,8 +185,10 @@ class SketchOperator:
         return (self.ell, self.n)
 
     def apply(self, X, dtype=np.float64):
+        """Psi X for a vector or a block X, in dtype's arithmetic: X is
+        rounded to dtype first, and the result is an array of dtype."""
         X, vec = _columns(X, self.n)
-        Y = self._apply(X, np.dtype(dtype)).astype(np.float64, copy=False)
+        Y = self._apply(X, np.dtype(dtype))
         return Y[:, 0] if vec else Y
 
     def _apply(self, X, dtype):
@@ -355,7 +351,6 @@ class ColumnScaledSketch(SketchOperator):
             scales = self.scales[:, None].astype(dtype).astype(adtype, copy=False)
             self._cast[dtype] = scales
         Xs = (X.astype(dtype, copy=False) * scales).astype(dtype, copy=False)
-        # float64 carrying dtype values, which apply returns as they are
         return self.base.apply(Xs, dtype=dtype)
 
 
@@ -363,7 +358,8 @@ class EmbeddedSketch:
     """[I_m ; Omega]: keeps m leading coordinates exactly, sketches the rest.
 
     Output dimension is m + omega.ell; input dimension m + omega.n.  The top
-    block is a bitwise copy in any precision.
+    block is a bitwise copy of X's rows in any precision, so apply returns
+    the wider of X's dtype and dtype: dtype when X is held in it.
     """
 
     def __init__(self, m, omega):

@@ -23,6 +23,9 @@ import numpy as np
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _as_matrix,
+    _operand,
+    _result,
     as_array,
     check_scaling,
     low_storage,
@@ -93,31 +96,33 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     pivot's sketched column may anti-align with the tail; noise-floor tails
     proceed, matching the main algorithm's convention.  Unit scaling also
     stops on an exactly zero sketched pivot, or when dividing by it leaves a
-    non-finite value.
+    non-finite value.  v comes back in policy.low_dtype and s in
+    policy.high_dtype.
     """
     check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    w_tail = as_array(w_tail)
+    w_tail = np.asarray(w_tail)
     n = omega.n
     jj = j - 1
     if not 0 <= jj < n:
         raise ValueError(f"elimination index {j} outside {n} coordinates")
     if w_tail.shape[0] != n - jj:
         raise ValueError(f"tail has {w_tail.shape[0]} entries, expected {n - jj}")
-    x = np.zeros(n)
+    x = np.zeros(n, dtype=w_tail.dtype)
     x[jj:] = w_tail
-    z = omega.apply(x, dtype=lo).astype(np.float64)
+    # the sketches, v and the norms are worked in float64
+    z = to_dtype(omega.apply(x, dtype=lo), np.float64)
     rho = float(round_to(np.linalg.norm(z), policy.high))
     if rho == 0.0:
         raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
                              reason="tail_annihilated")
     sigma = sign(w_tail[0])
-    v = w_tail.copy()
+    v = np.array(w_tail, dtype=np.float64)
     v[0] += sigma * rho
-    v = round_to(v, policy.low)
+    v[:] = round_to(v, policy.low)
     x[jj:] = v
-    vs = omega.apply(x, dtype=lo).astype(np.float64)
+    vs = to_dtype(omega.apply(x, dtype=lo), np.float64)
     nv = float(round_to(np.linalg.norm(vs), policy.high))
     if nv <= 8.0 * policy.u_high * (float(np.linalg.norm(z)) + rho):
         raise BreakdownError(
@@ -195,13 +200,11 @@ def t_tilde_from_factors(S, E, U, policy=DOUBLE_POLICY):
     with the recursion.
     """
     hi = policy.high_dtype
-    S = as_array(S)
-    m = S.shape[1]
-    Sh = to_dtype(S, hi)
-    G = (Sh.T @ Sh).astype(np.float64)
-    L = np.tril((Sh.T @ to_dtype(as_array(E)[:, :m], hi)).astype(np.float64), -1)
-    corr = (to_dtype(L, hi) @ to_dtype(as_array(U)[:m], hi)).astype(np.float64)
-    A = corr - np.tril(G, -1) - np.diag(np.diagonal(G) / 2.0)
+    m = np.shape(S)[1]
+    Sh = _operand(S, hi)
+    G = Sh.T @ Sh
+    L = np.tril(Sh.T @ _operand(np.asarray(E)[:, :m], hi), -1)
+    A = L @ _operand(np.asarray(U)[:m], hi) - np.tril(G, -1) - np.diag(np.diagonal(G) / 2.0)
     return -upper_tri_solve(A.T, np.eye(m), policy=policy)
 
 
@@ -219,11 +222,9 @@ def trim_thin_q(factors):
     return Q
 
 
-def _trim_setup(W, omega, m):
-    W = as_array(W)
-    if W.ndim != 2:
-        raise ValueError("W must be a matrix")
-    omega = normalize_leading_columns(omega, m)
+def _trim_setup(W, omega):
+    W = _as_matrix(W)
+    omega = normalize_leading_columns(omega, W.shape[1])
     if omega.n != W.shape[0]:
         raise ValueError(f"sketch takes {omega.n} coordinates, W has {W.shape[0]} rows")
     return W, omega
@@ -240,13 +241,13 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    n, m = as_array(W).shape
-    W, omega = _trim_setup(W, omega, m)
+    W, omega = _trim_setup(W, omega)
+    n, m = W.shape
     Wl = round_to(W, policy.low)
-    U = np.zeros((n, m))
-    S = np.zeros((omega.ell, m))
-    R = np.zeros((m, m))
-    sigmas, rhos, betas = [], [], []
+    U = np.zeros((n, m), dtype=lo)
+    S = np.zeros((omega.ell, m), dtype=hi)
+    R = np.zeros((m, m), dtype=hi)
+    sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
         w = Wl[:, c]
         step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
@@ -254,26 +255,21 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         S[:, c] = step.s
         R[:c, c] = w[:c]
         R[c, c] = -step.sigma * step.rho
-        sigmas.append(step.sigma)
-        rhos.append(step.rho)
-        betas.append(step.beta)
+        sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
         if c + 1 < m:
             Y = Wl[:, c + 1:]
             masked = Y.copy()
             masked[:c] = 0.0
             X = omega.apply(masked, dtype=lo)
-            coef = (hi(step.beta) * (to_dtype(step.s, hi) @ to_dtype(X, hi))).astype(np.float64)
-            Wl[:, c + 1:] = (
-                to_dtype(Y, lo) - np.outer(to_dtype(U[:, c], lo), to_dtype(coef, lo))
-            ).astype(np.float64)
+            coef = hi(step.beta) * (step.s @ _operand(X, hi))
+            Y -= np.outer(U[:, c], to_dtype(coef, lo))
     E = omega.unit_column_sketches[:, :m].copy()
     T = t_factor_from_sketches(S, policy=policy)
     T_tilde = t_tilde_from_factors(S, E, U, policy=policy)
-    L = np.tril((to_dtype(S, hi).T @ to_dtype(E, hi)).astype(np.float64), -1)
+    L = np.tril(_operand(S, hi).T @ _operand(E, hi), -1)
     return TrimFactors(
-        U=U, S=S, T=T, T_tilde=T_tilde, R=R, L=L, E=E, omega=omega,
-        scaling=scaling, sigmas=np.array(sigmas), rhos=np.array(rhos),
-        betas=np.array(betas),
+        U=_result(U), S=_result(S), T=_result(T), T_tilde=_result(T_tilde), R=_result(R),
+        L=_result(L), E=E, omega=omega, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas,
     )
 
 
@@ -289,54 +285,43 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    n, m = as_array(W).shape
-    W, omega = _trim_setup(W, omega, m)
+    W, omega = _trim_setup(W, omega)
+    n, m = W.shape
     E = omega.unit_column_sketches[:, :m].copy()
+    Eh = to_dtype(E, hi)
     Wl = round_to(W, policy.low)
-    # trim_rh_vector already rounds v to policy.low, so storing U there is exact
     U = low_storage(n, m, lo)
-    S = np.zeros((omega.ell, m))
-    R = np.zeros((m, m))
-    T = np.zeros((m, m))
-    Tt = np.zeros((m, m))
-    L = np.zeros((m, m))
-    sigmas, rhos, betas = [], [], []
+    S = np.zeros((omega.ell, m), dtype=hi)
+    R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
+    sigmas, rhos, betas = np.zeros((3, m))
     # the updates' sketches, in one block apply: bitwise the per-column ones
     Z = omega.apply(Wl[:, 1:], dtype=lo)
     for c in range(m):
         w = Wl[:, c].copy()
         if c:
             z = Z[:, c - 1].copy()
-            h = (to_dtype(S[:, :c], hi).T @ to_dtype(z, hi)).astype(np.float64)
-            h -= (to_dtype(L[:c, :c], hi) @ to_dtype(w[:c], hi)).astype(np.float64)
-            coef = (to_dtype(Tt[:c, :c], hi).T @ to_dtype(h, hi)).astype(np.float64)
-            w = (to_dtype(w, lo) - reflector_matmul(U[:, :c], coef, lo)).astype(np.float64)
+            h = _operand(S[:, :c], hi).T @ to_dtype(z, hi)
+            h -= _operand(L[:c, :c], hi) @ to_dtype(w[:c], hi)
+            w = w - reflector_matmul(U[:, :c], _operand(Tt[:c, :c], hi).T @ h, lo)
         step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
         U[c:, c] = step.v
         S[:, c] = step.s
         R[:c, c] = w[:c]
         R[c, c] = -step.sigma * step.rho
         # grow the slt table and both triangles by the new reflector
-        lrow = (to_dtype(E[:, :c], hi).T @ to_dtype(step.s, hi)).astype(np.float64)
+        lrow = _operand(Eh[:, :c], hi).T @ step.s
         L[c, :c] = lrow
-        p = to_dtype(S[:, :c], hi).T @ to_dtype(step.s, hi)
+        p = _operand(S[:, :c], hi).T @ step.s
         _extend_t(T, p, step.beta, c, hi=hi)
-        if c:
-            g = p.astype(np.float64)
-            # a block cast out of low_storage is made C-contiguous, as a cast
-            # from the C-ordered store of other formats is: BLAS bits follow
-            # the layout
-            Uc = U[:c, :c]
-            Uc = to_dtype(Uc, hi) if lo == hi else np.ascontiguousarray(Uc, dtype=hi)
-            g -= (Uc.T @ to_dtype(lrow, hi)).astype(np.float64)
-            col = to_dtype(Tt[:c, :c], hi) @ to_dtype(g, hi)
-            Tt[:c, c] = (hi(-step.beta) * col).astype(np.float64)
-        Tt[c, c] = step.beta
-        sigmas.append(step.sigma)
-        rhos.append(step.rho)
-        betas.append(step.beta)
+        # a block cast out of low_storage is made C-contiguous, as a cast
+        # from the C-ordered store of other formats is: BLAS bits follow
+        # the layout
+        Uc = U[:c, :c]
+        Uc = to_dtype(Uc, hi) if lo == hi else np.ascontiguousarray(Uc, dtype=hi)
+        _extend_t(Tt, p - Uc.T @ lrow, step.beta, c, hi=hi)
+        sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
     return TrimFactors(
-        U=np.ascontiguousarray(U, dtype=np.float64), S=S, T=T, T_tilde=Tt, R=R, L=L, E=E,
-        omega=omega, scaling=scaling, sigmas=np.array(sigmas), rhos=np.array(rhos),
-        betas=np.array(betas),
+        U=np.ascontiguousarray(U, dtype=np.float64), S=_result(S), T=_result(T),
+        T_tilde=_result(Tt), R=_result(R), L=_result(L), E=E, omega=omega, scaling=scaling,
+        sigmas=sigmas, rhos=rhos, betas=betas,
     )

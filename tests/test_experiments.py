@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sketchqr.experiments import (
+    ALGOS,
     FACTOR_ALGOS,
     ExperimentConfig,
     GmresRow,
@@ -14,6 +15,18 @@ from sketchqr.experiments import (
     sample_widths,
     write_csv,
 )
+from sketchqr.precision import policy_from_tag
+from sketchqr.sketching import SRHTSketch
+
+
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_factorizations_refuse_non_matrix_input(algo):
+    # the same ValueError before any shape is unpacked, for every entry point
+    call, _, _ = ALGOS[algo]
+    cfg = ExperimentConfig(algo=algo)
+    for W in (np.ones(20), np.ones((20, 3, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="W must be a matrix"):
+            call(W, SRHTSketch(8, 20, 0), cfg, policy_from_tag("double"))
 
 
 def test_cmatrix_corner_values():

@@ -428,8 +428,39 @@ def test_zero_width_apply(op):
     # trim_rhqr_left sketches W[:, 1:], which has no columns when m = 1
     ell = op.shape[0]
     for dtype in (np.float64, np.float32, np.float16):
-        Y = op.apply(np.zeros((20, 0)), dtype=dtype)
-        assert Y.shape == (ell, 0) and Y.dtype == np.float64
+        Y = op.apply(np.zeros((20, 0), dtype=dtype), dtype=dtype)
+        assert Y.shape == (ell, 0) and Y.dtype == dtype
+
+
+@pytest.mark.parametrize("op", [
+    GaussianSketch(8, 20, 1),
+    SRHTSketch(8, 20, 1),
+    SparseSignSketch(8, 20, 1, s=4),
+    IdentitySketch(20),
+    MatrixSketch(np.ones((8, 20))),
+    ColumnScaledSketch(SRHTSketch(8, 20, 1), np.full(20, 2.0), 4, None),
+    EmbeddedSketch(3, SRHTSketch(8, 17, 1)),
+], ids=lambda op: type(op).__name__)
+def test_apply_returns_its_dtype(op):
+    # apply(X, dtype) returns dtype for an X held in dtype, one column or a
+    # block; a plain operator returns dtype for any X
+    X = _exact_inputs(20, 3)
+    for dtype in (np.float64, np.float32, np.float16):
+        for Xd in (X.astype(dtype), X[:, 0].astype(dtype)):
+            assert op.apply(Xd, dtype=dtype).dtype == dtype
+        if not isinstance(op, EmbeddedSketch):
+            assert op.apply(X, dtype=dtype).dtype == dtype
+
+
+def test_embedded_apply_keeps_a_wider_head():
+    # the top block is a bitwise copy of X's rows, so a float64 X under a
+    # half sketch comes back float64 with its head as given
+    psi = EmbeddedSketch(3, SRHTSketch(8, 17, 1))
+    X = np.cos(np.arange(60.0)).reshape(20, 3) / 3.0
+    Y = psi.apply(X, dtype=np.float16)
+    assert Y.dtype == np.float64
+    assert np.array_equal(Y[:3], X[:3])
+    assert np.array_equal(Y[3:], psi.omega.apply(X[3:], dtype=np.float16))
 
 
 def test_low_precision_apply_is_representable(rng):
