@@ -47,15 +47,18 @@ def round_to(a, tag):
     """
     _check_tag(tag)
     a = np.asarray(a)
-    if not np.issubdtype(a.dtype, np.floating):
+    if a.dtype.kind != "f":
         a = np.asarray(a, dtype=np.float64)
+    dtype = np.dtype(DTYPES[tag])
+    if dtype.itemsize >= a.dtype.itemsize:
+        # a widening cast is exact
+        return a.astype(dtype)
     with np.errstate(over="ignore"):
-        r = a.astype(DTYPES[tag])
-    if r.dtype.itemsize < a.dtype.itemsize:
-        overflowed = np.isfinite(a) & ~np.isfinite(r)
-        if np.any(overflowed):
-            worst = np.max(np.abs(np.extract(overflowed, a)))
-            raise PrecisionRangeError(f"value {worst:g} overflows {tag} range")
+        r = a.astype(dtype)
+    overflowed = np.isfinite(a) & ~np.isfinite(r)
+    if np.any(overflowed):
+        worst = np.max(np.abs(np.extract(overflowed, a)))
+        raise PrecisionRangeError(f"value {worst:g} overflows {tag} range")
     return r
 
 

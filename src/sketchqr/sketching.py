@@ -147,7 +147,7 @@ def fwht(x):
 
 def _columns(X, n):
     X = np.asarray(X)
-    if not np.issubdtype(X.dtype, np.floating):
+    if X.dtype.kind != "f":
         X = as_array(X)
     vec = X.ndim == 1
     if vec:
