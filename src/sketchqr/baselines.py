@@ -181,7 +181,8 @@ def pivoted_householder_qr(A, dtype=np.float64):
     rank = min(p, m)
     tol = None
     for c in range(min(p, m)):
-        norms = np.linalg.norm(to_dtype(Aw[c:, c:], np.float64), axis=0)
+        # a contiguous float64 copy: the norm is slower on the strided block
+        norms = np.linalg.norm(Aw[c:, c:].astype(np.float64), axis=0)
         piv = c + int(np.argmax(norms))
         if piv != c:
             Aw[:, [c, piv]] = Aw[:, [piv, c]]
