@@ -1,8 +1,8 @@
 """Sketching operators: Gaussian, subsampled Hadamard, sparse sign.
 
 Every operator exposes `apply(X, dtype)` where dtype is the arithmetic
-precision of the application: X is read in its own dtype, rounded to dtype,
-and the result comes back in dtype.  The subsampled transform is never
+precision of the application: X is read in its own dtype, and the result
+comes back in dtype.  The subsampled transform is never
 materialized, only its signs and coordinate subset are stored.  Its
 butterflies run in constant geometry, one buffer row per column (see fwht).
 
@@ -185,8 +185,8 @@ class SketchOperator:
         return (self.ell, self.n)
 
     def apply(self, X, dtype=np.float64):
-        """Psi X for a vector or a block X, in dtype's arithmetic: X is
-        rounded to dtype first, and the result is an array of dtype."""
+        """Psi X for a vector or a block X in dtype's arithmetic, returned
+        as an array of dtype."""
         X, vec = _columns(X, self.n)
         Y = self._apply(X, np.dtype(dtype))
         return Y[:, 0] if vec else Y

@@ -109,7 +109,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         raise ValueError(f"elimination index {j} outside {n} coordinates")
     if w_tail.shape[0] != n - jj:
         raise ValueError(f"tail has {w_tail.shape[0]} entries, expected {n - jj}")
-    x = np.zeros(n, dtype=w_tail.dtype)
+    x = np.zeros(n, dtype=np.result_type(w_tail.dtype, lo))
     x[jj:] = w_tail
     # the sketches, v and the norms are worked in float64
     z = to_dtype(omega.apply(x, dtype=lo), np.float64)

@@ -415,7 +415,8 @@ def test_mat_vec_consistency(rng):
                     assert np.array_equal(block, cols), (kind, op, dtype, k)
 
 
-@pytest.mark.parametrize("op", [
+# one of every operator, all taking 20 coordinates
+_OPERATORS = [
     GaussianSketch(8, 20, 1),
     SRHTSketch(8, 20, 1),
     SparseSignSketch(8, 20, 1, s=4),
@@ -423,7 +424,10 @@ def test_mat_vec_consistency(rng):
     MatrixSketch(np.ones((8, 20))),
     ColumnScaledSketch(SRHTSketch(8, 20, 1), np.full(20, 2.0), 4, None),
     EmbeddedSketch(3, SRHTSketch(8, 17, 1)),
-], ids=lambda op: type(op).__name__)
+]
+
+
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: type(op).__name__)
 def test_zero_width_apply(op):
     # trim_rhqr_left sketches W[:, 1:], which has no columns when m = 1
     ell = op.shape[0]
@@ -432,15 +436,7 @@ def test_zero_width_apply(op):
         assert Y.shape == (ell, 0) and Y.dtype == dtype
 
 
-@pytest.mark.parametrize("op", [
-    GaussianSketch(8, 20, 1),
-    SRHTSketch(8, 20, 1),
-    SparseSignSketch(8, 20, 1, s=4),
-    IdentitySketch(20),
-    MatrixSketch(np.ones((8, 20))),
-    ColumnScaledSketch(SRHTSketch(8, 20, 1), np.full(20, 2.0), 4, None),
-    EmbeddedSketch(3, SRHTSketch(8, 17, 1)),
-], ids=lambda op: type(op).__name__)
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: type(op).__name__)
 def test_apply_returns_its_dtype(op):
     # apply(X, dtype) returns dtype for an X held in dtype, one column or a
     # block; a plain operator returns dtype for any X
