@@ -175,7 +175,7 @@ def pivoted_householder_qr(A, dtype=np.float64):
     float64.
     """
     p, m = np.shape(A)
-    Aw = np.array(A, dtype=dtype, order="C")
+    Aw = to_dtype(A, dtype).copy()
     U = np.zeros((p, m), dtype=dtype)
     perm = np.arange(m)
     rank = min(p, m)

@@ -102,7 +102,7 @@ def _tri_solve(A, B, lower, dtype):
         return scipy.linalg.solve_triangular(A, to_dtype(B, dtype), lower=lower)
     # LAPACK has no float16 kernels; substitute one row of the solution at a
     # time with vectorized half-precision arithmetic
-    X = np.array(np.atleast_2d(B.T).T, dtype=dtype, order="C")
+    X = to_dtype(np.atleast_2d(B.T).T, dtype).copy()
     n = A.shape[0]
     for k in range(n) if lower else range(n - 1, -1, -1):
         done = slice(0, k) if lower else slice(k + 1, n)

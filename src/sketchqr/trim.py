@@ -118,7 +118,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
                              reason="tail_annihilated")
     sigma = sign(w_tail[0])
-    v = np.array(w_tail, dtype=np.float64)
+    v = to_dtype(w_tail, np.float64).copy()
     v[0] += sigma * rho
     v[:] = round_to(v, policy.low)
     x[jj:] = v
