@@ -107,11 +107,12 @@ def _householder(A, scaling, policy):
             u /= gamma
             beta = float(hi(sigma * gamma / rho))
         u = round_to(u, policy.low)
-        U[:, c] = u
+        uh = to_dtype(u, hi)
+        U[:, c] = uh
         if Ul is not U:
             Ul[:, c] = u
         if c:
-            T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ (Uc.T @ to_dtype(u, hi)))
+            T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ (Uc.T @ uh))
         T[c, c] = beta
         R[:c, c] = w[:c]
         R[c, c] = -sigma * rho
