@@ -69,11 +69,34 @@ def build_parser():
     return ap
 
 
+def _load(path):
+    """load_matrix_market, with a bad or missing file ending the run in one
+    line instead of a traceback."""
+    try:
+        return load_matrix_market(path)
+    except OSError as e:
+        raise SystemExit(f"cannot read {path}: {e.strerror or e}") from None
+    except ValueError as e:
+        raise SystemExit(f"cannot read {path}: {e}") from None
+
+
+def _config(args, **fields):
+    """The run's ExperimentConfig; an invalid option value ends the run in
+    one line."""
+    try:
+        return ExperimentConfig(
+            algo=args.algo, sketch=args.sketch, ell=args.ell, s=args.s,
+            seed=args.seed, precision=args.precision,
+            deterministic=args.deterministic, **fields)
+    except ValueError as e:
+        raise SystemExit(f"invalid option: {e}") from None
+
+
 def _factor_input(args):
     if args.matrix and (args.gen_n or args.gen_m):
         raise SystemExit("give either --matrix or --gen-n/--gen-m, not both")
     if args.matrix:
-        M = load_matrix_market(args.matrix)
+        M = _load(args.matrix)
         return M.toarray() if scipy.sparse.issparse(M) else M
     if not (args.gen_n and args.gen_m):
         raise SystemExit("need --matrix or both --gen-n and --gen-m")
@@ -86,7 +109,7 @@ def _rhs_vector(form, n):
     if form.startswith("random:"):
         return np.random.default_rng(int(form.split(":", 1)[1])).standard_normal(n)
     if form.startswith("file:"):
-        v = load_matrix_market(form.split(":", 1)[1])
+        v = _load(form.split(":", 1)[1])
         if scipy.sparse.issparse(v):
             v = v.toarray()
         v = np.asarray(v, dtype=np.float64).ravel(order="F")
@@ -104,25 +127,19 @@ def main(argv=None):
         print(f"wrote {args.n}x{args.m} matrix to {args.out}")
         return 0
     if args.command == "factor":
+        config = _config(args, every=args.every, scaling=args.scaling,
+                         block_size=args.block_size)
         W = _factor_input(args)
-        config = ExperimentConfig(
-            algo=args.algo, sketch=args.sketch, ell=args.ell, s=args.s,
-            seed=args.seed, precision=args.precision, every=args.every,
-            scaling=args.scaling, block_size=args.block_size,
-            deterministic=args.deterministic)
         rows = run_factor_experiment(W, config)
         write_csv(args.out, rows, config, extra=f"input {W.shape[0]}x{W.shape[1]}")
         print(f"wrote {len(rows)} metric rows to {args.out}")
         return 0
-    A = load_matrix_market(args.matrix)
+    config = _config(args)
+    A = _load(args.matrix)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise SystemExit(f"gmres needs a square operator, got {A.shape[0]}x{A.shape[1]}")
     b = _rhs_vector(args.rhs, n)
-    config = ExperimentConfig(
-        algo=args.algo, sketch=args.sketch, ell=args.ell, s=args.s,
-        seed=args.seed, precision=args.precision,
-        deterministic=args.deterministic)
     rows = run_gmres_experiment(A, b, args.iters, config)
     write_csv(args.out, rows, config, extra=f"operator {n}x{n}, rhs {args.rhs}")
     print(f"wrote {len(rows)} iteration rows to {args.out}")

@@ -96,9 +96,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.every < 1:
-            raise ValueError("metric stride must be >= 1")
+            raise ValueError(f"metric stride every={self.every} must be >= 1")
         if self.ell < 0:
-            raise ValueError("sampling size must be >= 1 (0 picks the default)")
+            raise ValueError(
+                f"sampling size ell={self.ell} must be >= 1 (0 picks the default)")
+        if self.s < 1:
+            raise ValueError(f"nonzeros per column s={self.s} must be >= 1")
+        if self.block_size < 1:
+            raise ValueError(f"block_size={self.block_size} must be >= 1")
 
 
 def gen_cmatrix(n, m):

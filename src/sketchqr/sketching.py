@@ -16,6 +16,8 @@ the operator, accumulate in float32 and round the result to float16 once,
 which is how half-precision hardware behaves.
 """
 
+import operator
+
 import numpy as np
 import scipy.sparse
 
@@ -289,23 +291,38 @@ class SRHTSketch(SketchOperator):
 
 
 class SparseSignSketch(SketchOperator):
-    """Each input coordinate hits exactly s distinct output rows with +-1/sqrt(s)."""
+    """Each input coordinate hits exactly s distinct output rows with +-1/sqrt(s).
+
+    The rows of all n columns are drawn together by Floyd's sampling
+    (Bentley & Floyd, CACM 30(9), 1987): for j = ell-s, ..., ell-1, each
+    column draws t uniformly from [0, j] and takes t, or j if it already
+    holds t.  That gives every column a uniform s-subset of the ell rows in
+    s vectorized rounds, with O(s^2 n) comparisons for the duplicate checks.
+    Each column's rows are sorted, so the CSC matrix is built directly in
+    canonical form, s entries per column with int64 indices.
+    """
 
     kind = "sparse_sign"
 
     def __init__(self, ell, n, seed, s=8):
         super().__init__(ell, n, seed)
+        try:
+            s = operator.index(s)
+        except TypeError:
+            raise ValueError(f"nonzeros per column s={s!r} must be an integer") from None
         if not 1 <= s <= ell:
             raise ValueError(f"nonzeros per column s={s} must lie in [1, ell={ell}]")
-        self.s = int(s)
+        self.s = s
+        ell, n = self.shape
         rng = np.random.Generator(np.random.Philox(key=[seed, (1 << 40) + 2]))
         rows = np.empty((s, n), dtype=np.int64)
-        for j in range(n):
-            rows[:, j] = rng.choice(ell, size=s, replace=False)
+        for i, j in enumerate(range(ell - s, ell)):
+            t = rng.integers(0, j + 1, n)
+            rows[i] = np.where((rows[:i] == t).any(axis=0), j, t)
+        rows.sort(axis=0)
         vals = (rng.integers(0, 2, (s, n)) * 2 - 1) / np.sqrt(s)
-        cols = np.repeat(np.arange(n), s)
         self._matrix = scipy.sparse.csc_array(
-            (vals.T.ravel(), (rows.T.ravel(), cols)), shape=(ell, n)
+            (vals.T.ravel(), rows.T.ravel(), np.arange(0, s * n + 1, s)), shape=(ell, n)
         )
         self._cast = {}
 

@@ -116,6 +116,43 @@ def test_gmres_input_errors(tmp_path, rng):
               "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize("bad,match", [(["--s", "0"], "s=0"),
+                                       (["--every", "0"], "every=0"),
+                                       (["--block-size", "0"], "block_size=0")])
+def test_factor_bad_option_values_end_in_one_line(tmp_path, bad, match):
+    with pytest.raises(SystemExit, match=match) as exc:
+        main(["factor", "--algo", "rhqr-left", "--gen-n", "64", "--gen-m", "8",
+              "--sketch", "sparse", "--out", str(tmp_path / "x.csv")] + bad)
+    assert "\n" not in str(exc.value)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unreadable_matrix_files_end_in_one_line(tmp_path):
+    missing = tmp_path / "missing.mtx"
+    garbled = tmp_path / "garbled.mtx"
+    garbled.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nx\n")
+    for path in (missing, garbled):
+        for argv in (["factor", "--algo", "mgs", "--matrix", str(path)],
+                     ["gmres", "--algo", "rgs", "--matrix", str(path), "--iters", "2"]):
+            with pytest.raises(SystemExit, match=f"cannot read {path}") as exc:
+                main(argv + ["--out", str(tmp_path / "x.csv")])
+            assert "\n" not in str(exc.value)
+    p, _ = spd_mtx(tmp_path, None)
+    with pytest.raises(SystemExit, match="cannot read"):
+        main(["gmres", "--algo", "rgs", "--matrix", str(p), "--rhs", f"file:{missing}",
+              "--iters", "2", "--out", str(tmp_path / "x.csv")])
+
+
+def test_bad_option_value_prints_no_traceback(tmp_path):
+    r = subprocess.run([sys.executable, "-m", "sketchqr", "factor", "--algo", "mgs",
+                        "--matrix", str(tmp_path / "missing.mtx"),
+                        "--out", str(tmp_path / "x.csv")],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert "No such file" in r.stderr
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "t.mtx"
     r = subprocess.run([sys.executable, "-m", "sketchqr", "gen", "--n", "8",

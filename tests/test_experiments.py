@@ -59,6 +59,10 @@ def test_config_validation():
         ExperimentConfig(algo="mgs", every=0)
     with pytest.raises(ValueError):
         ExperimentConfig(algo="mgs", ell=-4)
+    with pytest.raises(ValueError, match="s=0"):
+        ExperimentConfig(algo="rhqr-left", sketch="sparse", s=0)
+    with pytest.raises(ValueError, match="block_size=0"):
+        ExperimentConfig(algo="rhqr-block", block_size=0)
     with pytest.raises(ValueError):
         run_factor_experiment(np.eye(4), ExperimentConfig(algo="qr-but-wrong"))
 

@@ -1,8 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import chi2, chi2_contingency
 
 from sketchqr import sketching
 from sketchqr.precision import round_to
@@ -296,9 +298,9 @@ def test_embedded_srht_golden_digest(dtype):
 # on 5 exact columns; its explicit matrix as a MatrixSketch gives the same.
 # The sparse product is scipy's own loop, so these hold on any machine.
 SPARSE_SIGN_DIGESTS = {
-    "float16": ("385e46c8f258fdfc087ecf5995c08e62", "ab6093f866729ef6c7907862e8d606c9"),
-    "float32": ("907b1d0ed0f41bee364a74ee619cd3a0", "1938724891bc8531a12b5a21c215f511"),
-    "float64": ("e01391a322d7dd954dcd11ee95c39342", "6d819fe893bbbcbbefdfe2bdd43b75c9"),
+    "float16": ("052ab4b6c531c87a36d30632caa96065", "c03d8336d6bd9fd4564a7b02fcfd07e7"),
+    "float32": ("0c47efb0a59e5b3dc3709efe4474dece", "c6ed241db366985d1a3ebdd4d5bc914e"),
+    "float64": ("38dff76be6274e50f0f926cdc6cbc475", "4f567ec79fc3d0167d275a77c271d5ac"),
 }
 
 
@@ -374,6 +376,75 @@ def test_sparse_sign_structure():
         assert np.allclose(np.abs(M[nz, j]), 3 ** -0.5)
     with pytest.raises(ValueError):
         SparseSignSketch(4, 7, seed=2, s=5)
+
+
+@pytest.mark.parametrize("ell,n,s", [(10, 500, 1), (10, 500, 3), (10, 500, 10),
+                                     (292, 2000, 8), (7, 3, 7)])
+def test_sparse_sign_columns_hold_s_distinct_rows(ell, n, s):
+    M = SparseSignSketch(ell, n, seed=4, s=s)._matrix
+    assert M.shape == (ell, n)
+    assert M.indices.dtype == M.indptr.dtype == np.int64
+    assert M.has_canonical_format
+    assert np.array_equal(M.indptr, np.arange(0, s * n + 1, s))
+    rows = M.indices.reshape(n, s)
+    assert np.all(np.diff(rows, axis=1) > 0)  # sorted, so distinct
+    assert rows.min() >= 0 and rows.max() < ell
+    assert np.all(np.abs(M.data) == 1 / np.sqrt(s))
+    if s == ell:
+        assert np.all(rows == np.arange(ell))
+
+
+def test_sparse_sign_rows_and_signs_are_uniform():
+    # bounds fixed in advance: the 0.1% and 99.9% points of chi-square
+    ell, n, s = 50, 20000, 8
+    M = SparseSignSketch(ell, n, seed=17, s=s)._matrix
+    # each column holds a uniform s-subset, so a row's hit count has variance
+    # n p (1 - p), p = s/ell, and the counts sum to n s: rescaled, the
+    # statistic is chi-square with ell - 1 degrees of freedom
+    p = s / ell
+    hits = np.bincount(M.indices, minlength=ell)
+    stat = ((hits - n * p) ** 2).sum() / (n * p * (1 - p)) * (ell - 1) / ell
+    assert chi2.ppf(0.001, ell - 1) < stat < chi2.ppf(0.999, ell - 1)
+    # signs: fair overall, and independent of the row they land in
+    pos = M.data > 0
+    assert abs(pos.sum() - n * s / 2) < 3.29 * np.sqrt(n * s / 4)
+    table = np.stack([np.bincount(M.indices[pos], minlength=ell),
+                      np.bincount(M.indices[~pos], minlength=ell)])
+    stat = chi2_contingency(table, correction=False)[0]
+    assert chi2.ppf(0.001, ell - 1) < stat < chi2.ppf(0.999, ell - 1)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_sparse_sign_subsets_are_uniform(s):
+    # every one of the C(6, s) subsets is equally likely, not just every row
+    ell, n = 6, 30000
+    rows = SparseSignSketch(ell, n, seed=23, s=s)._matrix.indices.reshape(n, s)
+    codes = (1 << rows).sum(axis=1)
+    _, counts = np.unique(codes, return_counts=True)
+    k = math.comb(ell, s)
+    assert len(counts) == k
+    stat = ((counts - n / k) ** 2 / (n / k)).sum()
+    assert chi2.ppf(0.001, k - 1) < stat < chi2.ppf(0.999, k - 1)
+
+
+def test_sparse_sign_same_seed_same_operator():
+    a, b, c = (SparseSignSketch(40, 300, seed, s=5) for seed in (9, 9, 10))
+    for name in ("indices", "indptr", "data"):
+        assert np.array_equal(getattr(a._matrix, name), getattr(b._matrix, name))
+    assert not np.array_equal(a._matrix.indices, c._matrix.indices)
+
+
+@pytest.mark.parametrize("s", [2.5, "3", 3.0, None])
+def test_sparse_sign_rejects_non_integer_s(s):
+    with pytest.raises(ValueError, match="s="):
+        SparseSignSketch(10, 20, seed=1, s=s)
+
+
+def test_sparse_sign_accepts_numpy_integer_s():
+    op = SparseSignSketch(10, 20, seed=1, s=np.int64(3))
+    assert op.s == 3 and type(op.s) is int
+    assert np.array_equal(op._matrix.indices,
+                          SparseSignSketch(10, 20, seed=1, s=3)._matrix.indices)
 
 
 def test_embedded_top_block_is_bitwise():
