@@ -28,6 +28,7 @@ from .linalg import (
     right_tri_solve,
     sign,
     to_dtype,
+    upper_tri_solve,
 )
 from .precision import DOUBLE_POLICY, PrecisionPolicy, round_to
 
@@ -170,8 +171,9 @@ def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
 def pivoted_householder_qr(A, dtype=np.float64):
     """Right-looking Householder QR with column pivoting, truncating at the
-    numerical rank.  Used for the sketched least-squares subproblems; runs
-    in the given dtype throughout.  Returns (U, R, perm, rank) with the
+    numerical rank.  It re-factors the whole matrix, so it is the reference
+    that _BasisQR's grown solves are tested against; runs in the given
+    dtype throughout.  Returns (U, R, perm, rank) with the
     sqrt2-scaled reflector tails stacked in U, held in dtype, and R in
     float64.
     """
@@ -230,6 +232,75 @@ def pivoted_qr_lstsq(A, b, dtype=np.float64):
     return x
 
 
+class _BasisQR:
+    """Householder QR of a sketched basis B, grown one column at a time: the
+    least-squares solver of rgs and rgs_arnoldi.
+
+    After b_1, ..., b_c are appended, B[:, kept] = H[:, :k] R, where
+    H = I - V^t T V is the product of the k sqrt2-scaled reflectors in the
+    rows of V.  V, T and R are held in policy.high_dtype, and norms
+    accumulate in float64.  Appending b_c costs O(ell c), where a fresh
+    factorization of B costs O(ell c^2).  A column whose tail below the
+    first k rows is at most pivoted_householder_qr's rank tolerance,
+    eps64 * ell * ||b_1||, adds no reflector and gets a zero coefficient,
+    as in the pivoted solver's basic solution; so does one whose pivot would
+    be subnormal in policy.high, which upper_tri_solve refuses.
+    """
+
+    def __init__(self, ell, m, policy):
+        hi = policy.high_dtype
+        self.policy = policy
+        self.V = np.zeros((m, ell), dtype=hi)
+        self.T, self.R = np.zeros((2, m, m), dtype=hi)
+        self.kept = []
+        self.width = 0
+        self.tol = None
+
+    def append(self, b):
+        """Factor in the next column b (length ell)."""
+        hi = self.policy.high_dtype
+        k = len(self.kept)
+        V = self.V[:k]
+        w = to_dtype(b, hi)
+        if k:
+            # H^t b; V's rows are contiguous, T's block is not
+            w = w - V.T @ (_operand(self.T[:k, :k].T, hi) @ (V @ w))
+        tail = to_dtype(w[k:], np.float64)
+        rho = float(np.linalg.norm(tail))
+        if self.tol is None:
+            self.tol = np.finfo(np.float64).eps * self.V.shape[1] * rho
+        self.width += 1
+        if rho <= self.tol or hi(rho) < np.finfo(hi).tiny:
+            return
+        sigma = sign(tail[0])
+        gamma = tail[0] + sigma * rho
+        u = np.zeros(self.V.shape[1])
+        u[k:] = tail
+        u[k] = gamma
+        u *= np.sqrt(1.0 / (rho * sigma * gamma))
+        self.V[k] = u
+        if k:
+            self.T[:k, k] = -(_operand(self.T[:k, :k], hi) @ (V @ self.V[k]))
+        self.T[k, k] = 1
+        self.R[:k, k] = w[:k]
+        self.R[k, k] = -sigma * rho
+        self.kept.append(self.width - 1)
+
+    def lstsq(self, p):
+        """min ||B x - p|| over the appended columns, as an array of
+        policy.high_dtype: R^-1 of the first k entries of H^t p."""
+        hi = self.policy.high_dtype
+        k = len(self.kept)
+        x = np.zeros(self.width, dtype=hi)
+        if k:
+            V = self.V[:k]
+            p = to_dtype(p, hi)
+            y = _operand(self.T[:k, :k].T, hi) @ (V @ p)
+            g = p[:k] - _operand(V[:, :k].T, hi) @ y
+            x[self.kept] = upper_tri_solve(self.R[:k, :k], g, policy=self.policy)
+        return x
+
+
 def cgs(W, policy=DOUBLE_POLICY):
     """Classical Gram-Schmidt, one pass, Euclidean normalization."""
     return _gram_schmidt(W, policy, modified=False)
@@ -277,9 +348,10 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
     once as a block, and each column after the first is re-sketched after
     its update.
 
-    The ell x (j-1) sketched least-squares problem is solved with our own
-    column-pivoted Householder QR in the high precision of the policy;
-    normalization uses the sketched norm.
+    The ell x (j-1) sketched least-squares problem is solved with a
+    Householder QR of the sketched basis, kept in the high precision of the
+    policy and grown by one column per step (_BasisQR); normalization uses
+    the sketched norm.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
@@ -291,7 +363,7 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
         raise ValueError("sampling size below column count")
     Wl = round_to(Wa, policy.low)
     Q = low_storage(n, m, lo)
-    Sb = np.zeros((omega.ell, m), dtype=hi)  # maintained sketched basis
+    basis = _BasisQR(omega.ell, m, policy)  # QR of the sketched basis
     R = np.zeros((m, m), dtype=hi)
     # every column's sketch in one block apply, bitwise the per-column ones
     P = omega.apply(Wl, dtype=lo)
@@ -299,7 +371,7 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
         w = Wl[:, c].copy()
         z = p = P[:, c].copy()
         if c:
-            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=hi)
+            r = basis.lstsq(p)
             R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
             z = omega.apply(w, dtype=lo)
@@ -312,7 +384,7 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
                                  column=c + 1, reason="zero_pivot")
         R[c, c] = rjj
         Q[:, c] = w / lo(rjj)
-        Sb[:, c] = z / lo(rjj)
+        basis.append(z / lo(rjj))
     return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R),
                     aux={"omega": omega})
 

@@ -80,16 +80,20 @@ def _load(path):
         raise SystemExit(f"cannot read {path}: {e}") from None
 
 
-def _config(args, **fields):
-    """The run's ExperimentConfig; an invalid option value ends the run in
-    one line."""
+def _option(check, *args, **kwargs):
+    """check(*args, **kwargs), with the ValueError of an invalid option value
+    ending the run in one line."""
     try:
-        return ExperimentConfig(
-            algo=args.algo, sketch=args.sketch, ell=args.ell, s=args.s,
-            seed=args.seed, precision=args.precision,
-            deterministic=args.deterministic, **fields)
+        return check(*args, **kwargs)
     except ValueError as e:
         raise SystemExit(f"invalid option: {e}") from None
+
+
+def _config(args, **fields):
+    """The run's ExperimentConfig, checked as _option does."""
+    return _option(ExperimentConfig, algo=args.algo, sketch=args.sketch, ell=args.ell,
+                   s=args.s, seed=args.seed, precision=args.precision,
+                   deterministic=args.deterministic, **fields)
 
 
 def _factor_input(args):
@@ -130,11 +134,13 @@ def main(argv=None):
         config = _config(args, every=args.every, scaling=args.scaling,
                          block_size=args.block_size)
         W = _factor_input(args)
+        _option(config.sampling_size, W.shape[1])
         rows = run_factor_experiment(W, config)
         write_csv(args.out, rows, config, extra=f"input {W.shape[0]}x{W.shape[1]}")
         print(f"wrote {len(rows)} metric rows to {args.out}")
         return 0
     config = _config(args)
+    _option(config.sampling_size, args.iters + 1)
     A = _load(args.matrix)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:

@@ -105,6 +105,15 @@ class ExperimentConfig:
         if self.block_size < 1:
             raise ValueError(f"block_size={self.block_size} must be >= 1")
 
+    def sampling_size(self, cols):
+        """ell, or its default 4 * cols for a run over cols columns.  A
+        sparse sign sketch needs s <= ell, which is checked here, before the
+        run builds its sketch."""
+        ell = self.ell or 4 * cols
+        if self.sketch in ("sparse", "sparse_sign") and self.s > ell:
+            raise ValueError(f"nonzeros per column s={self.s} exceed the sampling size ell={ell}")
+        return ell
+
 
 def gen_cmatrix(n, m):
     """Oscillatory test matrix: entry (i,j) is
@@ -158,7 +167,7 @@ def run_factor_experiment(W, config):
     policy = policy_from_tag(config.precision)
     W = as_array(W)
     m = W.shape[1]
-    ell = config.ell or 4 * m
+    ell = config.sampling_size(m)
     # errors are measured in float64 against the storage-rounded input
     Wl = as_array(round_to(W, policy.low))
     js = sample_widths(m, config.every)
@@ -242,7 +251,7 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     x0 = np.zeros(n) if x0 is None else as_array(x0)
     if not (np.isfinite(b).all() and np.isfinite(x0).all()):
         raise ValueError("b and x0 must be finite")
-    ell = config.ell or 4 * (m + 1)
+    ell = config.sampling_size(m + 1)
     anorm = _operator_fro_norm(A)
     if config.algo == "rhqr":
         omega = make_sketch(config.sketch, ell, n - m - 1, config.seed, s=config.s)

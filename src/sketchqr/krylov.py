@@ -12,7 +12,9 @@ whole point of running GMRES this way.
 
 A randomized Gram-Schmidt GMRES with an explicit basis, the RGS
 factorization of the same K, is included as the natural point of
-comparison.
+comparison.  Its projection coefficients come from a Householder QR of the
+sketched basis that grows by one column per step (baselines._BasisQR), so
+step c costs O(ell c) in the sketch space.
 """
 
 import warnings
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .baselines import pivoted_qr_lstsq
+from .baselines import _BasisQR
 from .linalg import (
     SCALE_SQRT2,
     _operand,
@@ -227,10 +229,11 @@ def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     """Arnoldi with randomized Gram-Schmidt orthogonalization and an
     explicit basis: projection coefficients from a sketched least-squares
-    solve, normalization by the sketched norm.  This is rgs run on the
-    Krylov matrix, with the basis and its update in policy.low; the space
-    closes when the sketched norm after projection falls below
-    32 * policy.u_high times the one before.
+    solve against the Householder QR of the sketched basis, kept in
+    policy.high and grown by one column per step, and normalization by the
+    sketched norm.  This is rgs run on the Krylov matrix, with the basis
+    and its update in policy.low; the space closes when the sketched norm
+    after projection falls below 32 * policy.u_high times the one before.
 
     omega sketches all n coordinates, ell >= m+1.  Returns
     (Q, H, beta, attained) with Q of k+1 columns and H of shape (k+1) x k.
@@ -246,7 +249,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     if omega.ell < m + 1:
         raise ValueError("sampling size below basis size")
     Q = low_storage(n, m + 1, lo)
-    Sb = np.zeros((omega.ell, m + 1), dtype=hi)
+    basis = _BasisQR(omega.ell, m + 1, policy)
     R = np.zeros((m + 1, m + 1), dtype=hi)
     attained = None
     w = round_to(b - matvec(round_to(x0, policy.low)), policy.low)
@@ -254,7 +257,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
         p = omega.apply(w, dtype=lo)
         z = p
         if c:
-            r = pivoted_qr_lstsq(Sb[:, :c], p, dtype=hi)
+            r = basis.lstsq(p)
             R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
             z = omega.apply(w, dtype=lo)
@@ -264,7 +267,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
             attained = c
             break
         Q[:, c] = w / lo(h)
-        Sb[:, c] = z / lo(h)
+        basis.append(z / lo(h))
         if c < m:
             w = round_to(matvec(Q[:, c]), policy.low)
     k = m if attained is None else attained

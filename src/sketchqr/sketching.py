@@ -159,6 +159,15 @@ def _columns(X, n):
     return X, vec
 
 
+def _integer(name, v):
+    """v as a Python int; a value that is not an integer (a float, a string)
+    raises ValueError naming it, where int() would truncate or parse it."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name}={v!r} must be an integer") from None
+
+
 def _matmul_in(cast, M, X, dtype):
     """M @ X in dtype's arithmetic (float32 for half, rounded to half once
     at the end).  M is cast to that format on first use and kept in the
@@ -176,11 +185,11 @@ class SketchOperator:
     kind = None
 
     def __init__(self, ell, n, seed):
-        if ell < 1 or n < 1:
+        self.ell = _integer("ell", ell)
+        self.n = _integer("n", n)
+        self.seed = _integer("seed", seed)
+        if self.ell < 1 or self.n < 1:
             raise ValueError(f"invalid sketch dimensions {ell} x {n}")
-        self.ell = int(ell)
-        self.n = int(n)
-        self.seed = int(seed)
 
     @property
     def shape(self):
@@ -212,8 +221,8 @@ class GaussianSketch(SketchOperator):
     def __init__(self, ell, n, seed):
         super().__init__(ell, n, seed)
         self._cache = {}
-        if ell * n <= self._CACHE_ENTRIES:
-            self._cache[np.dtype(np.float64)] = self._rows(0, ell)
+        if self.ell * self.n <= self._CACHE_ENTRIES:
+            self._cache[np.dtype(np.float64)] = self._rows(0, self.ell)
 
     def _rows(self, i0, i1):
         G = np.empty((i1 - i0, self.n))
@@ -253,10 +262,10 @@ class SRHTSketch(SketchOperator):
 
     def __init__(self, ell, n, seed):
         super().__init__(ell, n, seed)
-        self.n_pad = 1 << (n - 1).bit_length()
+        self.n_pad = 1 << (self.n - 1).bit_length()
         if ell > self.n_pad:
             raise ValueError(f"ell={ell} exceeds padded length {self.n_pad}")
-        rng = np.random.Generator(np.random.Philox(key=[seed, (1 << 40) + 1]))
+        rng = np.random.Generator(np.random.Philox(key=[self.seed, (1 << 40) + 1]))
         self.signs = (rng.integers(0, 2, self.n_pad) * 2 - 1).astype(np.float64)
         self.indices = rng.permutation(self.n_pad)[: self.ell].copy()
         self.scale = float(np.sqrt(self.n_pad / self.ell))
@@ -306,15 +315,12 @@ class SparseSignSketch(SketchOperator):
 
     def __init__(self, ell, n, seed, s=8):
         super().__init__(ell, n, seed)
-        try:
-            s = operator.index(s)
-        except TypeError:
-            raise ValueError(f"nonzeros per column s={s!r} must be an integer") from None
+        s = _integer("nonzeros per column s", s)
         if not 1 <= s <= ell:
             raise ValueError(f"nonzeros per column s={s} must lie in [1, ell={ell}]")
         self.s = s
         ell, n = self.shape
-        rng = np.random.Generator(np.random.Philox(key=[seed, (1 << 40) + 2]))
+        rng = np.random.Generator(np.random.Philox(key=[self.seed, (1 << 40) + 2]))
         rows = np.empty((s, n), dtype=np.int64)
         for i, j in enumerate(range(ell - s, ell)):
             t = rng.integers(0, j + 1, n)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings, strategies as st
 
+from sketchqr import baselines, krylov
 from sketchqr.baselines import (
+    _BasisQR,
     blas2_corrected_sketch,
     blas2_rgs,
     cgs,
@@ -24,6 +27,7 @@ from sketchqr.linalg import (
 )
 from sketchqr.precision import policy_from_tag, round_to
 from sketchqr.rhqr import rec_rhqr, rhqr_left, sketch_q, thin_q
+from sketchqr.krylov import rgs_gmres
 from sketchqr.sketching import GaussianSketch, IdentitySketch, SRHTSketch
 from oracles import CountingSketch
 
@@ -308,6 +312,98 @@ def test_pivoted_lstsq_matches_lapack(rng):
     x = pivoted_qr_lstsq(A, b)
     ref = np.linalg.lstsq(A, b, rcond=None)[0]
     assert np.allclose(x, ref, atol=1e-11)
+
+
+def _grown_solve(B, p, policy):
+    qr = _BasisQR(B.shape[0], B.shape[1], policy)
+    for c in range(B.shape[1]):
+        qr.append(B[:, c])
+    return qr.lstsq(p)
+
+
+def _resid(B, x, p):
+    return np.linalg.norm(B.astype(np.float64) @ x - p.astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(1, 12), extra=st.integers(4, 60),
+       tag=st.sampled_from(["double", "single", "half"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_grown_basis_solve_matches_pivoted_solve(c, extra, tag, seed):
+    # unit columns, as rgs appends them; ell >= 2c + 4 keeps a Gaussian
+    # basis well conditioned
+    policy = policy_from_tag(tag)
+    hi = policy.high_dtype
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((2 * c + extra, c))
+    B = (B / np.linalg.norm(B, axis=0)).astype(hi)
+    p = rng.standard_normal(B.shape[0]).astype(hi)
+    x = _grown_solve(B, p, policy)
+    ref = pivoted_qr_lstsq(B, p, dtype=hi)
+    assert x.dtype == hi
+    tol = 50 * policy.u_high * np.linalg.norm(p.astype(np.float64))
+    assert np.linalg.norm(x - ref) <= tol
+    assert abs(_resid(B, x, p) - _resid(B, ref, p)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(3, 12), extra=st.integers(4, 60), data=st.data(),
+       tag=st.sampled_from(["double", "single", "half"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_grown_basis_solve_zeroes_a_dependent_column(c, extra, data, tag, seed):
+    # the leading k columns (near the identity there) and column d live in
+    # the leading k rows, so d lies in the span of the first k and its tail
+    # is exactly zero
+    k = data.draw(st.integers(1, c - 2))
+    d = data.draw(st.integers(k, c - 1))
+    policy = policy_from_tag(tag)
+    hi = policy.high_dtype
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((2 * c + extra, c))
+    B[:k, :k] = np.eye(k) + 0.2 * B[:k, :k]
+    B[k:, :k] = 0.0
+    B[k:, d] = 0.0
+    B = (B / np.linalg.norm(B, axis=0)).astype(hi)
+    p = rng.standard_normal(B.shape[0]).astype(hi)
+    x = _grown_solve(B, p, policy)
+    assert x[d] == 0.0
+    tol = 50 * policy.u_high * np.linalg.norm(p.astype(np.float64))
+    rest = np.delete(np.arange(c), d)
+    ref = pivoted_qr_lstsq(B[:, rest], p, dtype=hi)
+    assert np.linalg.norm(x[rest] - ref) <= tol
+    if tag == "double":
+        # the pivoted solver's rank tolerance is eps64-based, so only in
+        # double does it see the dependency on the full basis too
+        full = pivoted_qr_lstsq(B, p, dtype=hi)
+        assert abs(_resid(B, x, p) - _resid(B, full, p)) <= tol
+
+
+@pytest.mark.parametrize("tag,tail", [("double", 1e-17), ("single", 1e-17), ("half", 3e-5)])
+def test_grown_basis_solve_drops_a_negligible_tail(tag, tail):
+    # 1e-17 is below the rank tolerance eps64 * ell * ||b_1|| = 3.6e-15;
+    # 3e-5 clears it, but as a half pivot it is subnormal, which
+    # upper_tri_solve refuses
+    hi = policy_from_tag(tag).high_dtype
+    B = np.zeros((16, 2), dtype=hi)
+    B[0] = 1.0
+    B[1, 1] = tail
+    assert B[1, 1] != 0.0
+    x = _grown_solve(B, np.ones(16, dtype=hi), policy_from_tag(tag))
+    assert x[1] == 0.0
+    assert abs(x[0] - 1.0) <= 4 * policy_from_tag(tag).u_high
+
+
+def test_rgs_runs_without_the_pivoted_solver(rng, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("pivoted_qr_lstsq called")
+
+    monkeypatch.setattr(baselines, "pivoted_qr_lstsq", boom)
+    monkeypatch.setattr(krylov, "pivoted_qr_lstsq", boom, raising=False)
+    W = rng.standard_normal((64, 6))
+    out = rgs(W, GaussianSketch(32, 64, 5))
+    assert factorization_errors(W, out.Q, out.R).fro_rel_err <= 1e-12
+    A = rng.standard_normal((64, 64)) / 8 + 2 * np.eye(64)
+    b = rng.standard_normal(64)
+    x, hist = rgs_gmres(A, b, None, 8, GaussianSketch(40, 64, 6))
+    assert hist[-1] < hist[0]
 
 
 def test_all_methods_accurate_on_easy_input(rng):

@@ -127,6 +127,32 @@ def test_factor_bad_option_values_end_in_one_line(tmp_path, bad, match):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("ell,shown", [(["--l", "10"], "ell=10"), ([], "ell=32")])
+@pytest.mark.parametrize("command", ["factor", "gmres"])
+def test_sparse_s_above_ell_ends_in_one_line(tmp_path, rng, command, ell, shown):
+    # without --l, ell is the 4 * 8 default: 8 columns, or 7 iterations + 1
+    if command == "factor":
+        argv = ["factor", "--algo", "rhqr-left", "--gen-n", "64", "--gen-m", "8"]
+    else:
+        p, _ = spd_mtx(tmp_path, rng)
+        argv = ["gmres", "--algo", "rgs", "--matrix", str(p), "--iters", "7"]
+    with pytest.raises(SystemExit, match=f"s=50 .*{shown}") as exc:
+        main(argv + ["--sketch", "sparse", "--s", "50", "--out", str(tmp_path / "x.csv")]
+             + ell)
+    assert "\n" not in str(exc.value)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sparse_s_above_ell_prints_no_traceback(tmp_path):
+    r = subprocess.run([sys.executable, "-m", "sketchqr", "factor", "--algo", "rhqr-left",
+                        "--gen-n", "64", "--gen-m", "8", "--sketch", "sparse", "--s", "50",
+                        "--l", "10", "--out", str(tmp_path / "x.csv")],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert "s=50" in r.stderr and "ell=10" in r.stderr
+
+
 def test_unreadable_matrix_files_end_in_one_line(tmp_path):
     missing = tmp_path / "missing.mtx"
     garbled = tmp_path / "garbled.mtx"

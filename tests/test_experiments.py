@@ -203,6 +203,17 @@ def test_gmres_rejects_nonfinite_start(algo):
         run_gmres_experiment(np.eye(16), np.ones(16), 2, cfg, x0=x0)
 
 
+def test_runs_check_sparse_s_against_the_sampling_size():
+    cfg = ExperimentConfig(algo="rgs", sketch="sparse", s=50)
+    with pytest.raises(ValueError, match="s=50 .*ell=32"):
+        run_factor_experiment(gen_cmatrix(64, 8), cfg)
+    with pytest.raises(ValueError, match="s=50 .*ell=32"):
+        run_gmres_experiment(np.eye(64), np.ones(64), 7, cfg)
+    # s only matters to the sparse sign sketch
+    assert ExperimentConfig(algo="rgs", sketch="srht", s=50).sampling_size(8) == 32
+    assert ExperimentConfig(algo="rgs", sketch="sparse", s=50, ell=60).sampling_size(8) == 60
+
+
 def test_gmres_rejects_callable_operator():
     # the relation error is scaled by ||A||_F, which a matvec alone would
     # need n calls to compute
@@ -304,10 +315,10 @@ RUNNER_DIGESTS = {
     ("trim-right", "single"): "1d7ba0f2c72e0a4d16aa7dcc455f062b",
     ("trim-right", "mixed"): "0d2b6042e79b843bc992c5fb8ed0f72c",
     ("trim-right", "half"): "543cf9daf478abbd9f4663f5e106ae3f",
-    ("rgs", "double"): "fa673960cf5484e72c29bc57dd31e039",
-    ("rgs", "single"): "f8fefd334dbe0dd34bd52a4dac799a2d",
-    ("rgs", "mixed"): "f8926205d100d06af53ae0dec3803ada",
-    ("rgs", "half"): "4cd25040eb3fdf32617619494fa4421b",
+    ("rgs", "double"): "8119b0e9eaf40698ef95b9a679f35883",
+    ("rgs", "single"): "e84a75b4f482c8b04e0a47184b0a5fa6",
+    ("rgs", "mixed"): "6c8e997f0a9e917e7a66240fc3a6ef9d",
+    ("rgs", "half"): "c4779096611e1d79b7d6ebe3f10653d7",
     ("blas2-rgs", "double"): "1098db065adc292b5e90e734a7763d6c",
     ("blas2-rgs", "single"): "b56dbae780fb525e28b62bbd492ec869",
     ("blas2-rgs", "mixed"): "b7e929be7094e59e179c2e7171bf4345",
@@ -334,7 +345,7 @@ RUNNER_DIGESTS = {
     ("rec-rhqr", "unit"): "174b841bc6b3d2beac6b99e684153020",
     ("trim-left", "unit"): "07b47c3aa13d65a5eb2b3da59bbe561e",
     ("trim-right", "unit"): "f5b04265ce3e8a8b31c639d8fdde6f78",
-    ("rgs", "unit"): "fa673960cf5484e72c29bc57dd31e039",
+    ("rgs", "unit"): "8119b0e9eaf40698ef95b9a679f35883",
     ("blas2-rgs", "unit"): "1098db065adc292b5e90e734a7763d6c",
     ("cgs", "unit"): "7b413e28f79b5d1a8ea83418b711cf72",
     ("mgs", "unit"): "1f611d6825f9ff54f7f7b29eae9d10fb",
@@ -350,7 +361,7 @@ RUNNER_DIGESTS = {
     ("rec-rhqr", "zero-column"): "ca15829d86bbe39e71df0358574087f7",
     ("trim-left", "zero-column"): "f4dd0c3b3190da7d93d7f57298103b33",
     ("trim-right", "zero-column"): "39f844f5271b3cdf112872b2a64a547b",
-    ("rgs", "zero-column"): "94bc21eecf1767d29635f2d74ed4eb32",
+    ("rgs", "zero-column"): "8d2387136154b222914506ddfc7080c8",
     ("blas2-rgs", "zero-column"): "dff61c0f13a49cd313b45cdbb50bd337",
     ("cgs", "zero-column"): "821813b2dec89e7d539683bf87b3c5e3",
     ("mgs", "zero-column"): "c64cbb6498dc46c12706dc3071d06914",

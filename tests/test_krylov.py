@@ -332,15 +332,15 @@ KRYLOV_DIGESTS = {
     ("rhqr_gmres", "dense", "half", "unit"): "026de61dd434a9ce0d2b800e346ed1c5",
     ("rhqr_gmres", "identity", "double", "sqrt2"): "8b621486063adb71db4119ed3e4a008e",
     ("rhqr_gmres", "zero", "double", "unit"): "4b9d4c30d38a4b087c3b747491e2d812",
-    ("rgs_gmres", "dense", "double", "-"): "49f32409b7ac4463215e784a443f066d",
-    ("rgs_gmres", "dense", "single", "-"): "eabc4196480aad115eea5afadd1c5f91",
-    ("rgs_gmres", "dense", "mixed", "-"): "b8c46829b252e61c85260f92010ef601",
-    ("rgs_gmres", "dense", "half", "-"): "61932f7fec6fcb7dc6cd99e187f89c11",
+    ("rgs_gmres", "dense", "double", "-"): "7d032c6a1b38bcc2f81038c52734eb3f",
+    ("rgs_gmres", "dense", "single", "-"): "9a94f30585cf19ee1d4c3f5ba172987e",
+    ("rgs_gmres", "dense", "mixed", "-"): "6f0e6220699e95e04fa8d9bfbfd972f0",
+    ("rgs_gmres", "dense", "half", "-"): "9e8c8a0084ebc5adc4e1959ead3b930b",
     ("rgs_gmres", "identity", "double", "-"): "f88284cc365b81fdd4c6f4856c8d1765",
     ("rgs_gmres", "zero", "double", "-"): "4a0e7e53d9a2e55d3a8c38cded5c9ddd",
     ("run_gmres_experiment:rhqr", "sparse", "double", "sqrt2"): "66edf17ed4ed5376df320da7450105ab",
     ("run_gmres_experiment:rhqr", "identity", "double", "unit"): "71f88b3e7f5343aa869c1a7b3cc612fc",
-    ("run_gmres_experiment:rgs", "sparse", "double", "sqrt2"): "20039f2e00167638f22d8cac3222c58d",
+    ("run_gmres_experiment:rgs", "sparse", "double", "sqrt2"): "cbe0721effea4d08f144933adec50198",
     ("run_gmres_experiment:rgs", "identity", "double", "sqrt2"): "ef4e50ab27d08cbdb686724e5e23ab45",
 }
 

@@ -447,6 +447,29 @@ def test_sparse_sign_accepts_numpy_integer_s():
                           SparseSignSketch(10, 20, seed=1, s=3)._matrix.indices)
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: SRHTSketch(8.5, 20, 1), "ell"),
+    (lambda: SRHTSketch(8, 20.9, 1), "n"),
+    (lambda: GaussianSketch(8.7, 20, 1), "ell"),
+    (lambda: GaussianSketch(8, 20, "1"), "seed"),
+    (lambda: SparseSignSketch(8, 20, 1.9, s=3), "seed"),
+    (lambda: IdentitySketch(4.0), "ell"),
+])
+def test_sketches_reject_non_integer_dimensions_and_seed(make, name):
+    # int() used to truncate these, or to fail later with an unrelated error
+    with pytest.raises(ValueError, match=f"^{name}=.* must be an integer$"):
+        make()
+
+
+@pytest.mark.parametrize("cls", [SRHTSketch, GaussianSketch, SparseSignSketch])
+def test_sketches_accept_numpy_integers(cls):
+    op = cls(np.int64(8), np.int32(20), np.uint8(3))
+    assert all(type(v) is int for v in (op.ell, op.n, op.seed))
+    ref = cls(8, 20, 3)
+    X = np.arange(40.0).reshape(20, 2)
+    assert np.array_equal(op.apply(X), ref.apply(X))
+
+
 def test_embedded_top_block_is_bitwise():
     rng = np.random.default_rng(0)
     om = GaussianSketch(6, 10, seed=4)
