@@ -18,10 +18,11 @@ import scipy.linalg.lapack
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
-    _as_matrix,
     _operand,
     _result,
     check_scaling,
+    check_sketch,
+    factor_input,
     low_storage,
     matmul_in,
     reflector_matmul,
@@ -70,14 +71,12 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 def _householder(A, scaling, policy):
     """householder_qr's sweep: (U, T, R, sigmas, rhos, betas), with U, T and
     R held in policy.high_dtype."""
-    check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    A = _as_matrix(A)
-    p, m = A.shape
+    Al = factor_input(A, policy, scaling)
+    p, m = Al.shape
     if p < m:
         raise ValueError(f"need p >= m, got {p} x {m}")
-    Al = round_to(A, policy.low)
     # the coefficient products read U from a store in policy.high, the
     # update from one in policy.low
     U = np.zeros((p, m), dtype=hi)
@@ -313,7 +312,7 @@ def mgs(W, policy=DOUBLE_POLICY):
 
 def _gram_schmidt(W, policy, modified):
     lo = policy.low_dtype
-    Wl = round_to(_as_matrix(W), policy.low)
+    Wl = factor_input(W, policy)
     n, m = Wl.shape
     Q = low_storage(n, m, lo)
     # the products summing over n and the modified steps read Q in
@@ -355,13 +354,9 @@ def rgs(W, omega, policy=DOUBLE_POLICY):
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wa = _as_matrix(W)
-    n, m = Wa.shape
-    if omega.n != n:
-        raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
-    if omega.ell < m:
-        raise ValueError("sampling size below column count")
-    Wl = round_to(Wa, policy.low)
+    Wl = factor_input(W, policy)
+    n, m = Wl.shape
+    check_sketch(omega, n, m)
     Q = low_storage(n, m, lo)
     basis = _BasisQR(omega.ell, m, policy)  # QR of the sketched basis
     R = np.zeros((m, m), dtype=hi)
@@ -400,13 +395,9 @@ def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wa = _as_matrix(W)
-    n, m = Wa.shape
-    if omega.n != n:
-        raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
-    if omega.ell < m:
-        raise ValueError("sampling size below column count")
-    Wl = round_to(Wa, policy.low)
+    Wl = factor_input(W, policy)
+    n, m = Wl.shape
+    check_sketch(omega, n, m)
     Q = low_storage(n, m, lo)
     Sb = np.zeros((omega.ell, m), dtype=hi)
     T, R = np.zeros((2, m, m), dtype=hi)
@@ -446,11 +437,9 @@ def blas2_corrected_sketch(result):
 def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
     """R from a Householder QR of the sketch (sketch_qr, in policy.high),
     Q by a triangular solve."""
-    Wa = _as_matrix(W)
-    n, m = Wa.shape
-    if omega.n != n:
-        raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
-    Wl = round_to(Wa, policy.low)
+    Wl = factor_input(W, policy)
+    n, m = Wl.shape
+    check_sketch(omega, n, m)
     Z = omega.apply(Wl, dtype=policy.low_dtype)
     R = sketch_qr(Z, policy=policy).R
     Q = right_tri_solve(Wl, R, policy=policy)

@@ -4,6 +4,7 @@ stability sweeps, and run GMRES convergence experiments, all emitting CSV.
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 import scipy.sparse
@@ -16,7 +17,9 @@ from .experiments import (
     run_gmres_experiment,
     write_csv,
 )
+from .linalg import BreakdownError
 from .mmio import load_matrix_market, write_matrix_market
+from .precision import PrecisionRangeError
 
 
 def _sketch_args(p, what="columns"):
@@ -80,20 +83,26 @@ def _load(path):
         raise SystemExit(f"cannot read {path}: {e}") from None
 
 
-def _option(check, *args, **kwargs):
-    """check(*args, **kwargs), with the ValueError of an invalid option value
-    ending the run in one line."""
-    try:
-        return check(*args, **kwargs)
-    except ValueError as e:
-        raise SystemExit(f"invalid option: {e}") from None
+def _one_line(what, call, *args, **kwargs):
+    """call(*args, **kwargs), with a ValueError, BreakdownError or
+    PrecisionRangeError ending the run in one line that starts with what.
+    A run that ends so drops the warnings it raised; one that returns shows
+    them after it."""
+    with warnings.catch_warnings(record=True) as seen:
+        try:
+            out = call(*args, **kwargs)
+        except (ValueError, BreakdownError, PrecisionRangeError) as e:
+            raise SystemExit(f"{what}: {e}") from None
+    for w in seen:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return out
 
 
 def _config(args, **fields):
-    """The run's ExperimentConfig, checked as _option does."""
-    return _option(ExperimentConfig, algo=args.algo, sketch=args.sketch, ell=args.ell,
-                   s=args.s, seed=args.seed, precision=args.precision,
-                   deterministic=args.deterministic, **fields)
+    """The run's ExperimentConfig, an invalid option ending the run in one line."""
+    return _one_line("invalid option", ExperimentConfig, algo=args.algo, sketch=args.sketch,
+                     ell=args.ell, s=args.s, seed=args.seed, precision=args.precision,
+                     deterministic=args.deterministic, **fields)
 
 
 def _factor_input(args):
@@ -134,19 +143,17 @@ def main(argv=None):
         config = _config(args, every=args.every, scaling=args.scaling,
                          block_size=args.block_size)
         W = _factor_input(args)
-        _option(config.sampling_size, W.shape[1])
-        rows = run_factor_experiment(W, config)
+        rows = _one_line("cannot run", run_factor_experiment, W, config)
         write_csv(args.out, rows, config, extra=f"input {W.shape[0]}x{W.shape[1]}")
         print(f"wrote {len(rows)} metric rows to {args.out}")
         return 0
     config = _config(args)
-    _option(config.sampling_size, args.iters + 1)
     A = _load(args.matrix)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise SystemExit(f"gmres needs a square operator, got {A.shape[0]}x{A.shape[1]}")
     b = _rhs_vector(args.rhs, n)
-    rows = run_gmres_experiment(A, b, args.iters, config)
+    rows = _one_line("cannot run", run_gmres_experiment, A, b, args.iters, config)
     write_csv(args.out, rows, config, extra=f"operator {n}x{n}, rhs {args.rhs}")
     print(f"wrote {len(rows)} iteration rows to {args.out}")
     return 0

@@ -29,7 +29,9 @@ from .linalg import (
     _operand,
     _result,
     as_array,
+    check_finite,
     check_scaling,
+    check_sketch,
     low_storage,
     matmul_in,
     reflector_matmul,
@@ -37,7 +39,7 @@ from .linalg import (
     to_dtype,
 )
 from .precision import DOUBLE_POLICY, round_to
-from .rhqr import _add_reflector, _embed, apply_reflectors_compact
+from .rhqr import _add_reflector, apply_reflectors_compact
 from .sketching import EmbeddedSketch
 
 
@@ -112,7 +114,8 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     matvec.  When the sketched tail of the next direction falls below
     32 * policy.u_high times its full norm the space is declared closed:
     factors are truncated and bundle.breakdown reports the attained
-    dimension.
+    dimension.  A NaN or an inf in a Krylov column raises BreakdownError
+    (nonfinite_input) there, as factor_input would; r0 is column 1.
     """
     check_scaling(scaling)
     lo = policy.low_dtype
@@ -121,13 +124,13 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     b = as_array(b)
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else as_array(x0)
-    psi = _embed(omega, n, m + 1)
+    psi = EmbeddedSketch(m + 1, check_sketch(omega, n - m - 1, m + 1))
     # rh_vector already rounds u to policy.low, so storing U there is exact
     U = low_storage(n, m + 1, lo)
     S = np.zeros((psi.out_dim, m + 1), dtype=hi)
     T, R = np.zeros((2, m + 1, m + 1), dtype=hi)
     attained = None
-    w = round_to(b - matvec(round_to(x0, policy.low)), policy.low)
+    w = round_to(check_finite(b - matvec(round_to(x0, policy.low))), policy.low)
     for c in range(m + 1):
         # the sketch is read in float64: the norms, and rh_vector's pivot
         z = to_dtype(psi.apply(w, dtype=lo), np.float64)
@@ -148,7 +151,7 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             coef = _operand(T[:j, :j], hi) @ _operand(S[c, :j], hi)
             q = -reflector_matmul(U[:, :j], coef, lo)
             q[c] += 1.0
-            w = round_to(matvec(q), policy.low)
+            w = round_to(check_finite(matvec(q), c + 2), policy.low)
             w = apply_reflectors_compact(U[:, :j], S[:, :j], T[:j, :j], w, psi,
                                          transpose_t=True, policy=policy)
     k = m if attained is None else attained
@@ -244,15 +247,12 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     b = as_array(b)
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else as_array(x0)
-    if omega.n != n:
-        raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
-    if omega.ell < m + 1:
-        raise ValueError("sampling size below basis size")
+    check_sketch(omega, n, m + 1)
     Q = low_storage(n, m + 1, lo)
     basis = _BasisQR(omega.ell, m + 1, policy)
     R = np.zeros((m + 1, m + 1), dtype=hi)
     attained = None
-    w = round_to(b - matvec(round_to(x0, policy.low)), policy.low)
+    w = round_to(check_finite(b - matvec(round_to(x0, policy.low))), policy.low)
     for c in range(m + 1):
         p = omega.apply(w, dtype=lo)
         z = p
@@ -269,7 +269,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
         Q[:, c] = w / lo(h)
         basis.append(z / lo(h))
         if c < m:
-            w = round_to(matvec(Q[:, c]), policy.low)
+            w = round_to(check_finite(matvec(Q[:, c]), c + 2), policy.low)
     k = m if attained is None else attained
     cols = k + 1 if attained is None else k
     # a fresh copy: handing back the store itself raised the peak RSS of a

@@ -11,11 +11,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .precision import DOUBLE_POLICY
+from .precision import DOUBLE_POLICY, round_to
 
 
-BREAKDOWN_REASONS = ("tail_annihilated", "scale_nonfinite", "reflector_cancelled",
-                     "zero_pivot", "dependent_column", "reconstruction_singular")
+BREAKDOWN_REASONS = ("tail_annihilated", "scale_nonfinite", "reflector_cancelled", "zero_pivot",
+                     "dependent_column", "reconstruction_singular", "nonfinite_input")
 
 
 class BreakdownError(RuntimeError):
@@ -29,6 +29,8 @@ class BreakdownError(RuntimeError):
       zero_pivot               a Gram-Schmidt or unit-scaling pivot is exactly 0
       dependent_column         a deterministic column lies in the earlier span
       reconstruction_singular  rec_rhqr's lifting triangle has a zero diagonal
+      nonfinite_input          an input column (of W, or of the Krylov matrix
+                               an Arnoldi process forms) holds a NaN or an inf
     """
 
     def __init__(self, message, column, reason):
@@ -61,12 +63,38 @@ def as_array(M):
     return np.asarray(M, dtype=np.float64)
 
 
-def _as_matrix(W):
-    """A factorization's input as a float64 ndarray, refused unless 2-D."""
+def check_finite(X, first=1):
+    """X, unless a column holds a NaN or an inf: then BreakdownError
+    (nonfinite_input) at the first such column, numbering X's columns from
+    `first`.  A vector is one column."""
+    ok = np.atleast_1d(np.isfinite(X).all(axis=0))
+    if not ok.all():
+        c = first + int(np.argmin(ok))
+        raise BreakdownError(f"non-finite input in column {c}", column=c,
+                             reason="nonfinite_input")
+    return X
+
+
+def factor_input(W, policy, scaling=None):
+    """The input gate of every factorization: the scaling (if it takes one)
+    must be known, W a matrix and finite.  Returns a copy of W rounded to
+    policy.low; a finite value that overflows it raises PrecisionRangeError."""
+    if scaling is not None:
+        check_scaling(scaling)
     W = as_array(W)
     if W.ndim != 2:
         raise ValueError(f"W must be a matrix, got {W.ndim} dimensions")
-    return W
+    return round_to(check_finite(W), policy.low)
+
+
+def check_sketch(omega, n, min_ell=0):
+    """Refuse a sketch that does not take n coordinates or has fewer than
+    min_ell rows; returns omega."""
+    if omega.n != n:
+        raise ValueError(f"sketch takes {omega.n} coordinates, expected {n}")
+    if omega.ell < min_ell:
+        raise ValueError(f"sampling size ell={omega.ell} is below {min_ell} columns")
+    return omega
 
 
 def _result(a):

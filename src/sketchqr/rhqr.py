@@ -24,11 +24,12 @@ from .baselines import sketch_qr
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
-    _as_matrix,
     _operand,
     _result,
     as_array,
     check_scaling,
+    check_sketch,
+    factor_input,
     low_storage,
     matmul_in,
     reflector_matmul,
@@ -220,14 +221,6 @@ def lsq_via_implicit_q(factors, b, policy=DOUBLE_POLICY):
     return _result(upper_tri_solve(factors.R, c[:m], policy=policy))
 
 
-def _embed(omega, n, m):
-    if omega.n != n - m:
-        raise ValueError(f"sketch takes {omega.n} coordinates, expected n-m={n - m}")
-    if omega.ell < m:
-        raise ValueError("sampling size below column count")
-    return EmbeddedSketch(m, omega)
-
-
 def _sweep(W, omega, block_size, scaling, policy):
     """Left-looking sweep over panels of block_size columns (None: one panel).
 
@@ -240,15 +233,13 @@ def _sweep(W, omega, block_size, scaling, policy):
     that sketch; only the updated column is sketched again.  Returns the
     fields of RHQRFactors.
     """
-    check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wa = _as_matrix(W)
-    n, m = Wa.shape
-    psi = _embed(omega, n, m)
+    Wl = factor_input(W, policy, scaling)
+    n, m = Wl.shape
+    psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
     if block_size is None:
         block_size = max(m, 1)
-    Wl = round_to(Wa, policy.low)
     U = low_storage(n, m, lo)
     S = np.zeros((psi.out_dim, m), dtype=hi)
     T, R = np.zeros((2, m, m), dtype=hi)
@@ -289,13 +280,11 @@ def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Right-looking variant: rank-1 update of the trailing block, which is
     re-sketched wholesale at every step; T is recovered from S afterwards."""
-    check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wa = _as_matrix(W)
-    n, m = Wa.shape
-    psi = _embed(omega, n, m)
-    Wl = round_to(Wa, policy.low)
+    Wl = factor_input(W, policy, scaling)
+    n, m = Wl.shape
+    psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
     U = np.zeros((n, m), dtype=lo)
     S = np.zeros((psi.out_dim, m), dtype=hi)
     R = np.zeros((m, m), dtype=hi)
@@ -347,11 +336,9 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     LAPACK factors, a pivot that is exactly -0.0 counts as negative, so
     R's diagonal there is +rho where the sweeps give -rho.
     """
-    check_scaling(scaling)
-    Wa = _as_matrix(W)
-    n, m = Wa.shape
-    psi = _embed(omega, n, m)
-    Wl = round_to(Wa, policy.low)
+    Wl = factor_input(W, policy, scaling)
+    n, m = Wl.shape
+    psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
     Z = psi.apply(Wl, dtype=policy.low_dtype)
     hq = sketch_qr(Z, scaling=scaling, policy=policy)
     S = hq.S

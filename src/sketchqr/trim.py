@@ -23,11 +23,12 @@ import numpy as np
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
-    _as_matrix,
     _operand,
     _result,
     as_array,
     check_scaling,
+    check_sketch,
+    factor_input,
     low_storage,
     reflector_matmul,
     sign,
@@ -222,14 +223,6 @@ def trim_thin_q(factors):
     return Q
 
 
-def _trim_setup(W, omega):
-    W = _as_matrix(W)
-    omega = normalize_leading_columns(omega, W.shape[1])
-    if omega.n != W.shape[0]:
-        raise ValueError(f"sketch takes {omega.n} coordinates, W has {W.shape[0]} rows")
-    return W, omega
-
-
 def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Right-looking trimmed factorization.
 
@@ -238,12 +231,11 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     operator of the elimination.  T, T_tilde and L are assembled from S and
     E after the sweep.
     """
-    check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    W, omega = _trim_setup(W, omega)
-    n, m = W.shape
-    Wl = round_to(W, policy.low)
+    Wl = factor_input(W, policy, scaling)
+    n, m = Wl.shape
+    omega = normalize_leading_columns(check_sketch(omega, n), m)
     U = np.zeros((n, m), dtype=lo)
     S = np.zeros((omega.ell, m), dtype=hi)
     R = np.zeros((m, m), dtype=hi)
@@ -282,14 +274,13 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     sketch of W[:, 1:]; each column then takes the two sketches inside
     trim_rh_vector.
     """
-    check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
-    W, omega = _trim_setup(W, omega)
-    n, m = W.shape
+    Wl = factor_input(W, policy, scaling)
+    n, m = Wl.shape
+    omega = normalize_leading_columns(check_sketch(omega, n), m)
     E = omega.unit_column_sketches[:, :m].copy()
     Eh = to_dtype(E, hi)
-    Wl = round_to(W, policy.low)
     U = low_storage(n, m, lo)
     S = np.zeros((omega.ell, m), dtype=hi)
     R, T, Tt, L = np.zeros((4, m, m), dtype=hi)

@@ -267,16 +267,17 @@ def test_sketch_qr_negative_zero_pivot():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("row", [0, 40])
 def test_sketch_qr_callers_refuse_nonfinite_input(rng, tag, bad, row):
-    # LAPACK returns NaN factors with info = 0; the triangular solve after
-    # it still refuses them
+    # LAPACK would return NaN factors with info = 0; the input gate refuses
+    # the column before any sketch is taken
     n, m = 80, 6
     policy = policy_from_tag(tag)
     W = rng.standard_normal((n, m))
     W[row, 2] = bad
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        rec_rhqr(W, SRHTSketch(24, n - m, 3), policy=policy)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        rand_cholesky_qr(W, SRHTSketch(24, n, 3), policy=policy)
+    for call in (lambda: rec_rhqr(W, SRHTSketch(24, n - m, 3), policy=policy),
+                 lambda: rand_cholesky_qr(W, SRHTSketch(24, n, 3), policy=policy)):
+        with pytest.raises(BreakdownError) as info:
+            call()
+        assert (info.value.reason, info.value.column) == ("nonfinite_input", 3)
 
 
 def test_rand_cholesky_worse_than_reconstructed(desk):

@@ -186,3 +186,39 @@ def test_console_script_entry_point(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert load_matrix_market(str(out)).shape == (8, 4)
+
+
+def run_cli(argv):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    r = subprocess.run([sys.executable, "-m", "sketchqr"] + argv, capture_output=True,
+                       text=True)
+    return r.returncode, r.stderr
+
+
+def test_sketch_longer_than_the_input_ends_in_one_line(tmp_path):
+    # the default ell = 4m = 256 exceeds the SRHT's padded length 64
+    mtx = tmp_path / "sq.mtx"
+    write_matrix_market(str(mtx), gen_cmatrix(64, 64))
+    out = tmp_path / "x.csv"
+    code, err = run_cli(["factor", "--algo", "rgs", "--matrix", str(mtx), "--out", str(out)])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "ell=256 exceeds padded length 64" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("algo", ["rhqr", "rgs"])
+def test_gmres_on_a_nonfinite_operator_ends_in_one_line(tmp_path, algo, sparse):
+    # a dense A @ x0 also warns of the inf * 0 it meets; the error says it all
+    A = scipy.sparse.identity(64, format="lil") * 4.0
+    A[10, 3] = np.inf
+    mtx = tmp_path / "inf.mtx"
+    write_matrix_market(str(mtx), A.tocsc() if sparse else A.toarray())
+    out = tmp_path / "x.csv"
+    code, err = run_cli(["gmres", "--algo", algo, "--matrix", str(mtx), "--iters", "5",
+                         "--sketch", "gauss", "--out", str(out)])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "non-finite input in column 1" in err
+    assert not out.exists()

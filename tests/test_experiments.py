@@ -6,6 +6,7 @@ import pytest
 from sketchqr.experiments import (
     ALGOS,
     FACTOR_ALGOS,
+    TRAILING,
     ExperimentConfig,
     GmresRow,
     MetricRow,
@@ -15,8 +16,9 @@ from sketchqr.experiments import (
     sample_widths,
     write_csv,
 )
+from sketchqr.linalg import BreakdownError
 from sketchqr.precision import policy_from_tag
-from sketchqr.sketching import SRHTSketch
+from sketchqr.sketching import GaussianSketch, SRHTSketch
 
 
 @pytest.mark.parametrize("algo", list(ALGOS))
@@ -27,6 +29,43 @@ def test_factorizations_refuse_non_matrix_input(algo):
     for W in (np.ones(20), np.ones((20, 3, 2)), np.float64(1.0)):
         with pytest.raises(ValueError, match="W must be a matrix"):
             call(W, SRHTSketch(8, 20, 0), cfg, policy_from_tag("double"))
+
+
+@pytest.mark.parametrize("column", [1, 4])
+@pytest.mark.parametrize("tag", ["double", "single", "mixed"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_factorizations_refuse_nonfinite_input(algo, bad, tag, column):
+    # one typed error, naming the first bad column, from every entry point
+    call, rows, _ = ALGOS[algo]
+    n, m = 64, 8
+    W = gen_cmatrix(n, m)
+    W[n // 2, column - 1] = bad
+    W[0, m - 1] = bad
+    omega = SRHTSketch(32, n - m if rows == TRAILING else n, 0)
+    with pytest.raises(BreakdownError) as info:
+        call(W, omega, ExperimentConfig(algo=algo), policy_from_tag(tag))
+    assert (info.value.reason, info.value.column) == ("nonfinite_input", column)
+
+
+@pytest.mark.parametrize("algo", [a for a, (_, rows, _) in ALGOS.items() if rows])
+def test_sketched_entry_points_word_sketch_faults_alike(algo):
+    call, rows, _ = ALGOS[algo]
+    n, m = 64, 8
+    W = gen_cmatrix(n, m)
+    need = n - m if rows == TRAILING else n
+    cfg, policy = ExperimentConfig(algo=algo), policy_from_tag("double")
+    with pytest.raises(ValueError) as info:
+        call(W, GaussianSketch(32, need + 1, 0), cfg, policy)
+    assert str(info.value) == f"sketch takes {need + 1} coordinates, expected {need}"
+    short = GaussianSketch(m - 1, need, 0)
+    if algo.startswith("trim"):
+        # the trimmed reflectors are built for ell < m
+        assert call(W, short, cfg, policy).R.shape == (m, m)
+        return
+    with pytest.raises(ValueError) as info:
+        call(W, short, cfg, policy)
+    assert str(info.value) == f"sampling size ell={m - 1} is below {m} columns"
 
 
 def test_cmatrix_corner_values():
@@ -195,12 +234,15 @@ def test_gmres_rejects_nonfinite_start(algo):
     b = np.ones(16)
     b[3] = np.nan
     cfg = ExperimentConfig(algo=algo, sketch="gauss", seed=1)
-    with pytest.raises(ValueError):
+    # r0 = b - A x0 is column 1 of the Krylov matrix
+    with pytest.raises(BreakdownError) as info:
         run_gmres_experiment(np.eye(16), b, 2, cfg)
+    assert (info.value.reason, info.value.column) == ("nonfinite_input", 1)
     x0 = np.zeros(16)
     x0[0] = np.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(BreakdownError) as info:
         run_gmres_experiment(np.eye(16), np.ones(16), 2, cfg, x0=x0)
+    assert (info.value.reason, info.value.column) == ("nonfinite_input", 1)
 
 
 def test_runs_check_sparse_s_against_the_sampling_size():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from sketchqr import krylov
 from sketchqr.krylov import (
     arnoldi_q,
     hessenberg_lstsq,
@@ -14,7 +15,7 @@ from sketchqr.krylov import (
     rhqr_gmres,
 )
 from sketchqr.experiments import ExperimentConfig, run_gmres_experiment
-from sketchqr.linalg import orthogonality_error
+from sketchqr.linalg import BreakdownError, orthogonality_error
 from sketchqr.precision import policy_from_tag, round_to
 from sketchqr.sketching import GaussianSketch, IdentitySketch, SRHTSketch, check_embedding
 
@@ -348,3 +349,41 @@ KRYLOV_DIGESTS = {
 @pytest.mark.parametrize("case", list(KRYLOV_DIGESTS), ids="-".join)
 def test_krylov_golden_digests(case):
     assert _krylov_digest(case) == KRYLOV_DIGESTS[case]
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed"])
+@pytest.mark.parametrize("step", [1, 4])
+@pytest.mark.parametrize("solver", ["rhqr_arnoldi", "rgs_arnoldi", "rhqr_gmres", "rgs_gmres"])
+def test_krylov_refuses_nonfinite_columns(solver, step, tag):
+    # the k-th matvec forms column k of the Krylov matrix; the first forms r0
+    n, m = 64, 6
+    A = np.diag(np.linspace(1.0, 2.0, n))
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        out = A @ v
+        if len(calls) == step:
+            out[n // 3] = np.inf
+        return out
+
+    rows = n - m - 1 if solver.startswith("rhqr") else n
+    with pytest.raises(BreakdownError) as info:
+        getattr(krylov, solver)(matvec, np.ones(n), None, m, GaussianSketch(28, rows, 5),
+                                policy=policy_from_tag(tag))
+    assert (info.value.reason, info.value.column) == ("nonfinite_input", step)
+    assert len(calls) == step
+
+
+@pytest.mark.parametrize("solver", ["rhqr_arnoldi", "rgs_arnoldi"])
+def test_arnoldi_words_sketch_faults_as_the_factorizations(solver):
+    # the basis of m iterations holds m + 1 columns
+    n, m = 64, 6
+    need = n - m - 1 if solver == "rhqr_arnoldi" else n
+    run = getattr(krylov, solver)
+    with pytest.raises(ValueError) as info:
+        run(np.eye(n), np.ones(n), None, m, GaussianSketch(28, need + 1, 5))
+    assert str(info.value) == f"sketch takes {need + 1} coordinates, expected {need}"
+    with pytest.raises(ValueError) as info:
+        run(np.eye(n), np.ones(n), None, m, GaussianSketch(m, need, 5))
+    assert str(info.value) == f"sampling size ell={m} is below {m + 1} columns"
