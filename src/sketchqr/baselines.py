@@ -62,7 +62,7 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """
     U, T, R, sigmas, rhos, betas = map(_result, _householder(A, scaling, policy))
     m = T.shape[0]
-    Q = -U @ (T @ U[:m, :m].T)
+    Q = U @ -(T @ U[:m, :m].T)
     Q[:m] += np.eye(m)
     return QRResult(Q=Q, R=R, aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos,
                                    "betas": betas})
@@ -442,5 +442,5 @@ def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
     check_sketch(omega, n, m)
     Z = omega.apply(Wl, dtype=policy.low_dtype)
     R = sketch_qr(Z, policy=policy).R
-    Q = right_tri_solve(Wl, R, policy=policy)
+    Q = right_tri_solve(Wl.astype(policy.high_dtype, order="C"), R, policy=policy)
     return QRResult(Q=_result(Q), R=_result(R), aux={"omega": omega})

@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
-from .sketching import make_sketch
+from .sketching import SPARSE_SIGN, SparseSignSketch, make_sketch
 from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 # Sketch rows: TRAILING sketches the n-m rows under the identity block of
@@ -163,8 +163,10 @@ def run_factor_experiment(W, config):
     W = as_array(W)
     m = W.shape[1]
     ell = config.sampling_size(m)
+    if ALGOS[config.algo][1] and config.sketch in SPARSE_SIGN:
+        SparseSignSketch.nonzeros(config.s, ell)
     # errors are measured in float64 against the storage-rounded input
-    Wl = as_array(round_to(W, policy.low))
+    Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))
     js = sample_widths(m, config.every)
     bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
     attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")
@@ -207,8 +209,10 @@ def _prefix_sweep(W, Wl, config, policy, ell, js, attained, status):
             break
         except (BreakdownError, PrecisionRangeError) as exc:
             # keep the columns before the failure; the sweeps are
-            # left-looking, so a run on the shortened input is the same
-            # computation (the embedded sketch is rebuilt for its width)
+            # left-looking, so a run on the shortened input computes the
+            # same columns (the embedded sketch is rebuilt for its width),
+            # bit for bit but where a Gaussian sketch keeps at most 8: its
+            # block apply of so few columns differs in the last bits
             col = getattr(exc, "column", attained)
             broke = broke or f"breakdown@{col}"
             attained = min(col - 1, attained - 1)

@@ -89,7 +89,7 @@ def arnoldi_q(bundle, cols=None):
     c = r if cols is None else cols
     if not 0 <= c <= r:
         raise ValueError(f"have {r} reflectors, cannot build {c} columns")
-    Q = -U @ (T @ S[:c, :].T)
+    Q = U @ -(T @ S[:c, :].T)
     Q[:c] += np.eye(c)
     return Q
 

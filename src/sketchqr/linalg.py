@@ -77,14 +77,20 @@ def check_finite(X, first=1):
 
 def factor_input(W, policy, scaling=None):
     """The input gate of every factorization: the scaling (if it takes one)
-    must be known, W a matrix and finite.  Returns a copy of W rounded to
-    policy.low; a finite value that overflows it raises PrecisionRangeError."""
+    must be known, W a matrix and finite.  Returns W rounded to policy.low:
+    W itself, read-only, where it is C-contiguous in that format, else a
+    copy; a finite value that overflows it raises PrecisionRangeError."""
     if scaling is not None:
         check_scaling(scaling)
-    W = as_array(W)
+    W = np.asarray(W)
     if W.ndim != 2:
         raise ValueError(f"W must be a matrix, got {W.ndim} dimensions")
-    return round_to(check_finite(W), policy.low)
+    check_finite(W)
+    if W.dtype != policy.low_dtype or not W.flags.c_contiguous:
+        return round_to(W, policy.low)
+    W = W.view()
+    W.flags.writeable = False
+    return W
 
 
 def check_sketch(omega, n, min_ell=0):
@@ -114,23 +120,30 @@ def upper_tri_solve(R, B, policy=DOUBLE_POLICY):
 
 
 def right_tri_solve(B, R, policy=DOUBLE_POLICY):
-    """Solve X R = B for upper-triangular R (columnwise forward substitution),
-    as upper_tri_solve does."""
-    X = _tri_solve(np.asarray(R).T, np.asarray(B).T, True, policy.high_dtype)
-    return np.ascontiguousarray(X.T)
+    """Solve X R = B for upper-triangular R (columnwise forward substitution)
+    in place: B, a writable C-contiguous array of policy.high_dtype, is
+    overwritten by X and returned.  Otherwise as upper_tri_solve."""
+    if B.dtype != policy.high_dtype or not (B.flags.c_contiguous and B.flags.writeable):
+        raise ValueError("right_tri_solve needs a writable C-contiguous B in policy.high")
+    _tri_solve(np.asarray(R).T, B.T, True, policy.high_dtype, in_place=True)
+    return B
 
 
-def _tri_solve(A, B, lower, dtype):
+def _tri_solve(A, B, lower, dtype, in_place=False):
     bad = np.nonzero(np.abs(np.diagonal(A)) < np.finfo(dtype).tiny)[0]
     if bad.size:
         raise SingularFactorError(
             f"triangular factor has zero or subnormal diagonal at index {bad[0]}")
     A = to_dtype(A, dtype)
     if dtype != np.float16:
-        return scipy.linalg.solve_triangular(A, to_dtype(B, dtype), lower=lower)
+        # B of an in-place solve is a gated input: only A is scanned
+        return scipy.linalg.solve_triangular(
+            np.asarray_chkfinite(A), B if in_place else to_dtype(B, dtype), lower=lower,
+            overwrite_b=in_place, check_finite=not in_place)
     # LAPACK has no float16 kernels; substitute one row of the solution at a
     # time with vectorized half-precision arithmetic
-    X = to_dtype(np.atleast_2d(B.T).T, dtype).copy()
+    X = to_dtype(np.atleast_2d(B.T).T, dtype)
+    X = X if in_place else X.copy()
     n = A.shape[0]
     for k in range(n) if lower else range(n - 1, -1, -1):
         done = slice(0, k) if lower else slice(k + 1, n)
@@ -165,7 +178,8 @@ def factorization_errors(W, Q, R):
     W = as_array(W)
     Q = as_array(Q)
     R = as_array(R)
-    D = W - Q @ R
+    D = Q @ R
+    np.subtract(W, D, out=D)
     wf = np.linalg.norm(W)
     fro = float(np.linalg.norm(D) / wf) if wf else float(np.linalg.norm(D))
     col_w = np.linalg.norm(W, axis=0)

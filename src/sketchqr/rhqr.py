@@ -196,7 +196,7 @@ def thin_q(factors):
     U = as_array(factors.U)
     k = U.shape[1]
     U1 = U[:k, :k]
-    Q = -U @ (as_array(factors.T) @ U1.T)
+    Q = U @ -(as_array(factors.T) @ U1.T)
     Q[:k] += np.eye(k)
     return Q
 
@@ -206,7 +206,7 @@ def sketch_q(factors):
     S = as_array(factors.S)
     U = as_array(factors.U)
     k = U.shape[1]
-    Q = -S @ (as_array(factors.T) @ U[:k, :k].T)
+    Q = S @ -(as_array(factors.T) @ U[:k, :k].T)
     Q[:k] += np.eye(k)
     return Q
 
@@ -251,11 +251,11 @@ def _sweep(W, omega, block_size, scaling, policy):
             panel = apply_reflectors_compact(U[:, :j0], S[:, :j0], T[:j0, :j0], panel, psi,
                                              transpose_t=True, policy=policy)
         # a block apply equals per-column applies bit for bit (but for a
-        # Gaussian); columns are copied out contiguous, as a single apply
-        # returns them
+        # Gaussian); y is copied out contiguous, as a single apply returns
+        # it, and w is only read
         Yp = psi.apply(panel, dtype=lo)
         for c in range(j0, j1):
-            w = panel[:, c - j0].copy()
+            w = panel[:, c - j0]
             y = Yp[:, c - j0].copy()
             if c > j0:
                 w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
@@ -282,7 +282,7 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     re-sketched wholesale at every step; T is recovered from S afterwards."""
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wl = factor_input(W, policy, scaling)
+    Wl = np.require(factor_input(W, policy, scaling), requirements="W")
     n, m = Wl.shape
     psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
     U = np.zeros((n, m), dtype=lo)
@@ -350,8 +350,11 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         k = int(np.argmin(d))
         raise BreakdownError(f"reconstruction factor has zero diagonal at column {k + 1}",
                              column=k + 1, reason="reconstruction_singular")
-    U2 = right_tri_solve(Wl[m:], Mfac, policy=policy)
-    # S's head stays in the high format: U's dtype is the wider one
-    U = np.concatenate([S[:m], round_to(U2, policy.low)], axis=0)
+    # U is held in S's high format, the wider one; the lift is solved in
+    # place in U's tail
+    U = np.concatenate([S[:m], Wl[m:]], axis=0, dtype=hi)
+    right_tri_solve(U[m:], Mfac, policy=policy)
+    if policy.low != policy.high:
+        U[m:] = round_to(U[m:], policy.low)
     return RHQRFactors(U=_result(U), S=_result(S), T=_result(T), R=_result(hq.R), psi=psi,
                        scaling=scaling, sigmas=hq.sigmas, rhos=hq.rhos, betas=hq.betas)

@@ -33,6 +33,8 @@ _SPLIT = np.float32(8193)
 # the split path's bound on every column's 1-norm; stage values stay below
 # it times (1 + 2**-11)**p, far from 65520, where half overflows
 _SPLIT_NORM = 2.0 ** 15
+# make_sketch's names for a SparseSignSketch
+SPARSE_SIGN = ("sparse", "sparse_sign")
 
 
 def _split_half(x, scratch):
@@ -315,10 +317,7 @@ class SparseSignSketch(SketchOperator):
 
     def __init__(self, ell, n, seed, s=8):
         super().__init__(ell, n, seed)
-        s = _integer("nonzeros per column s", s)
-        if not 1 <= s <= ell:
-            raise ValueError(f"nonzeros per column s={s} must lie in [1, ell={ell}]")
-        self.s = s
+        self.s = s = self.nonzeros(s, self.ell)
         ell, n = self.shape
         rng = np.random.Generator(np.random.Philox(key=[self.seed, (1 << 40) + 2]))
         rows = np.empty((s, n), dtype=np.int64)
@@ -331,6 +330,14 @@ class SparseSignSketch(SketchOperator):
             (vals.T.ravel(), rows.T.ravel(), np.arange(0, s * n + 1, s)), shape=(ell, n)
         )
         self._cast = {}
+
+    @staticmethod
+    def nonzeros(s, ell):
+        """s, unless it is not an integer in [1, ell]: then ValueError."""
+        s = _integer("nonzeros per column s", s)
+        if not 1 <= s <= ell:
+            raise ValueError(f"nonzeros per column s={s} must lie in [1, ell={ell}]")
+        return s
 
     def _apply(self, X, dtype):
         return _matmul_in(self._cast, self._matrix, X, dtype)
@@ -408,7 +415,7 @@ def make_sketch(kind, ell, n, seed, s=8):
         return GaussianSketch(ell, n, seed)
     if kind == "srht":
         return SRHTSketch(ell, n, seed)
-    if kind in ("sparse", "sparse_sign"):
+    if kind in SPARSE_SIGN:
         return SparseSignSketch(ell, n, seed, s=s)
     raise ValueError(f"unknown sketch kind {kind!r}")
 

@@ -218,7 +218,7 @@ def trim_thin_q(factors):
     U = as_array(factors.U)
     k = U.shape[1]
     M = np.triu(as_array(factors.S).T @ as_array(factors.E)[:, :k])
-    Q = -U @ (as_array(factors.T) @ M)
+    Q = U @ -(as_array(factors.T) @ M)
     Q[:k] += np.eye(k)
     return Q
 
@@ -233,7 +233,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wl = factor_input(W, policy, scaling)
+    Wl = np.require(factor_input(W, policy, scaling), requirements="W")
     n, m = Wl.shape
     omega = normalize_leading_columns(check_sketch(omega, n), m)
     U = np.zeros((n, m), dtype=lo)

@@ -256,6 +256,30 @@ def test_runs_check_sparse_s_against_the_sampling_size():
     assert ExperimentConfig(algo="rgs", sketch="sparse", s=50, ell=60).sampling_size(8) == 60
 
 
+@pytest.mark.parametrize("algo", ["rgs", "rhqr-left", "rec-rhqr"])
+def test_runs_check_sparse_s_before_the_nonfinite_scan(algo):
+    # an s above ell is refused even where no run builds its sketch
+    W = gen_cmatrix(64, 8)
+    W[3, 0] = np.nan
+    with pytest.raises(ValueError, match="s=50 must lie in \\[1, ell=32\\]"):
+        run_factor_experiment(W, ExperimentConfig(algo=algo, sketch="sparse", s=50, every=4))
+    cfg = ExperimentConfig(algo=algo, sketch="gauss", s=50, every=4)
+    assert [r.status for r in run_factor_experiment(W, cfg)] == ["nonfinite@1"] * 2
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed"])
+@pytest.mark.parametrize("algo", FACTOR_ALGOS)
+def test_runs_leave_their_input_unchanged(algo, tag):
+    # the runner reads W in place: a read-only W gives the same rows
+    W = gen_cmatrix(64, 8)
+    cfg = ExperimentConfig(algo=algo, every=3, ell=16, precision=tag)
+    want = run_factor_experiment(W.copy(), cfg)
+    W.flags.writeable = False
+    before = W.tobytes()
+    assert str(run_factor_experiment(W, cfg)) == str(want)
+    assert W.tobytes() == before
+
+
 def test_gmres_rejects_callable_operator():
     # the relation error is scaled by ||A||_F, which a matvec alone would
     # need n calls to compute

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sketchqr.linalg import (
     BreakdownError,
     SingularFactorError,
     cond_number,
+    factor_input,
     factorization_errors,
     low_storage,
     matmul_in,
@@ -37,7 +39,7 @@ from sketchqr.linalg import (
     sign,
     upper_tri_solve,
 )
-from sketchqr.rhqr import rec_rhqr, rh_vector, rhqr_block, rhqr_left, rhqr_right
+from sketchqr.rhqr import rec_rhqr, rh_vector, rhqr_block, rhqr_left, rhqr_right, thin_q
 from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
 from sketchqr.trim import (
     normalize_leading_columns,
@@ -127,7 +129,7 @@ def test_tri_solves_roundtrip(rng):
     R = np.triu(rng.standard_normal((n, n))) + 3 * np.eye(n)
     B = rng.standard_normal((n, 4))
     assert np.allclose(R @ upper_tri_solve(R, B), B, atol=1e-12)
-    assert np.allclose(right_tri_solve(B.T, R) @ R, B.T, atol=1e-12)
+    assert np.allclose(right_tri_solve(B.T.copy(), R) @ R, B.T, atol=1e-12)
 
 
 def test_tri_solve_half_policy(rng):
@@ -141,7 +143,7 @@ def test_tri_solve_half_policy(rng):
     assert np.allclose(x16, x64, atol=2e-2)
     # identity system is exact in any precision
     assert np.array_equal(upper_tri_solve(np.eye(n), B, policy=half), B)
-    y16 = right_tri_solve(B, R, policy=half)
+    y16 = right_tri_solve(B.copy(), R, policy=half)
     assert np.allclose(y16 @ R, B, atol=0.1)
 
 
@@ -339,3 +341,88 @@ def test_sweeps_return_c_contiguous_float64(tag):
     for name, X in fields:
         assert X.dtype == np.float64, name
         assert X.flags.c_contiguous or name in _OTHER_LAYOUT, name
+
+
+def test_factor_input_reads_a_matching_input_in_place(rng):
+    # an input already C-contiguous in policy.low's format is read in place,
+    # read-only; anything else is rounded into a C-contiguous copy
+    W = rng.standard_normal((40, 6))
+    for tag in ("double", "single", "half"):
+        policy = PrecisionPolicy.uniform(tag)
+        Wt = round_to(W, tag)
+        G = factor_input(Wt, policy)
+        assert np.shares_memory(G, Wt) and not G.flags.writeable
+        other = W.astype(np.float32) if tag == "double" else W
+        for X in (Wt[::2], Wt[:, 1:], other):
+            G = factor_input(X, policy)
+            assert not np.shares_memory(G, X) and G.flags.c_contiguous
+            assert G.dtype == policy.low_dtype
+            assert np.array_equal(G, round_to(X, tag))
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed"])
+def test_entry_points_leave_their_input_unchanged(tag):
+    # W is read in place where it is already in policy.low's format, so a
+    # sweep that writes to it works on its own copy; a read-only W runs, with
+    # the same bits.  The Arnoldi processes apply their operator in double,
+    # so it is not rounded here
+    policy = policy_from_tag(tag)
+    om_e = SRHTSketch(40, 86, 5)
+    om = SRHTSketch(40, 96, 6)
+    om_t = SRHTSketch(8, 96, 7)
+    om_a = SRHTSketch(36, 87, 8)
+    calls = {
+        "rhqr_left": lambda W: rhqr_left(W, om_e, policy=policy),
+        "rhqr_block": lambda W: rhqr_block(W, om_e, block_size=4, policy=policy),
+        "rhqr_right": lambda W: rhqr_right(W, om_e, policy=policy),
+        "rec_rhqr": lambda W: rec_rhqr(W, om_e, policy=policy),
+        "trim_rhqr_left": lambda W: trim_rhqr_left(W, om_t, policy=policy),
+        "trim_rhqr_right": lambda W: trim_rhqr_right(W, om_t, policy=policy),
+        "householder_qr": lambda W: householder_qr(W, policy=policy),
+        "cgs": lambda W: cgs(W, policy=policy),
+        "mgs": lambda W: mgs(W, policy=policy),
+        "rgs": lambda W: rgs(W, om, policy=policy),
+        "blas2_rgs": lambda W: blas2_rgs(W, om, policy=policy),
+        "rand_cholesky_qr": lambda W: rand_cholesky_qr(W, om, policy=policy),
+        "rhqr_arnoldi": lambda A: rhqr_arnoldi(A, A[:, 0], A[:, 1], 8, om_a, policy=policy),
+        "rgs_arnoldi": lambda A: rgs_arnoldi(A, A[:, 0], A[:, 1], 8, om, policy=policy),
+    }
+    for name, call in calls.items():
+        W = gen_cmatrix(96, 96 if name.endswith("arnoldi") else 10)
+        want = _array_fields(name, call(W.copy()))
+        for X in (W,) if name.endswith("arnoldi") else (W, round_to(W, policy.low)):
+            for writeable in (True, False):
+                X = X.copy()
+                X.flags.writeable = writeable
+                before = X.tobytes()
+                got = _array_fields(name, call(X))
+                assert X.tobytes() == before, name
+                for (field, a), (_, b) in zip(want, got):
+                    assert a.tobytes() == b.tobytes(), field
+
+
+def test_lifting_and_baseline_solves_stay_within_their_memory_budget():
+    # traced numpy allocations of one call on the desk input, in units of
+    # one n x m float64 array: the inputs are read in place, the lifting
+    # solves run in place, and Q is formed without a negated copy of U
+    n, m = 4096, 300
+    W = gen_cmatrix(n, m)
+    om_e = SRHTSketch(1200, n - m, 1)
+    om = SRHTSketch(1200, n, 2)
+    f = rhqr_left(W, om_e)
+    budget = {
+        "rec_rhqr": (lambda: rec_rhqr(W, om_e), 2.5),
+        "rand_cholesky_qr": (lambda: rand_cholesky_qr(W, om), 2.0),
+        "householder_qr": (lambda: householder_qr(W), 2.5),
+        "rhqr_left": (lambda: rhqr_left(W, om_e), 2.5),
+        "thin_q": (lambda: thin_q(f), 1.5),
+    }
+    for name, (call, most) in budget.items():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (n * m * 8) <= most, name
