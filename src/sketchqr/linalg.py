@@ -227,8 +227,8 @@ def low_storage(n, m, dtype):
 
     A float16 store is the transpose of a C-contiguous m x n float32 array:
     half values fit in float32 exactly, and the block U[:, a:b] is then a
-    view whose transpose is the contiguous rows _half_matmul walks.  Other
-    formats are a C-contiguous n x m array of `dtype`.
+    view whose transpose is the contiguous rows _half_matmul walks, one per
+    k, with no copy.  Other formats are a C-contiguous n x m array.
     """
     if dtype == np.float16:
         return np.zeros((m, n), dtype=np.float32).T
@@ -240,33 +240,33 @@ def _half_matmul(A, B):
 
     numpy has no half BLAS kernel.  Its matmul loop converts both operands
     to float32, where the product of two halves is exact (11 + 11
-    significand bits fit in 24), adds the products in order over k starting
-    from +0, and rounds the sum to half once.  Here each k is one
-    vectorized multiply-add over row k of A^t.  A float32 A must already
-    hold half values (low_storage's layout, which also makes A^t contiguous
-    so nothing is copied); any other A is rounded to half first.  Results
-    agree with numpy's bit for bit, except that where two NaNs meet, which
-    one's sign survives is up to the loop (numpy's own scalar and vector
-    loops differ), so a NaN may come out with the other sign.
+    significand bits fit in 24, so an FMA changes no bit), adds the
+    products in order over k from +0, and rounds the sum to half once.  One
+    einsum over the rows of A^t does the same: with the kept axis n
+    contiguous, k is its outer loop.  A one-row A is padded to two rows,
+    since einsum would reduce a lone output over k in its SIMD loop, out of
+    order.  A float32 A must already hold half values (low_storage's layout,
+    where A^t is contiguous and nothing is copied); any other A is rounded
+    to half first.  Where two NaNs meet, which one's sign survives is up to
+    the loop (numpy's own scalar and vector loops differ), so a NaN may come
+    out with the other sign; every other bit is numpy's.
     """
     if A.dtype != np.float32:
         A = to_dtype(A, np.float16)
     AT = np.ascontiguousarray(A.T, dtype=np.float32)
     B32 = to_dtype(B, np.float16).astype(np.float32)
-    if B32.ndim == 2:
-        AT = AT[:, :, None]
-    acc = np.zeros((A.shape[0],) + B32.shape[1:], dtype=np.float32)
-    for k in range(AT.shape[0]):
-        acc += AT[k] * B32[k]
-    return acc.astype(np.float16)
+    n = AT.shape[1]
+    if n == 1:
+        AT = np.concatenate((AT, AT), axis=1)
+    return np.einsum("kn,k...->n...", AT, B32)[:n].astype(np.float16)
 
 
 def matmul_in(A, B, dtype):
     """A @ B in the arithmetic of dtype, returned as dtype.
 
     Both operands are rounded to dtype first.  float64 and float32 go to
-    BLAS with A as given; float16 goes through _half_matmul, which has
-    numpy's float16 bits.
+    BLAS with A as given; float16 goes through _half_matmul, one float32
+    einsum with numpy's float16 bits, which needs O(n) bytes beyond A.
     """
     if dtype == np.float16:
         return _half_matmul(A, B)

@@ -8,10 +8,10 @@ widens, and rounding through the native numpy dtype gives correctly rounded
 emulation model used by all the precision sweeps.  Norms accumulate in
 float64, and the entry points return float64 results.  Half arithmetic
 runs as float32 with one rounding to half per butterfly stage (the FWHT)
-and per product sum (linalg.matmul_in), which is bitwise equal to numpy's
-float16 operations (but for the sign of a NaN made from two NaNs) and
-faster: numpy's float16 loops run several times slower than its float32
-ones, and float16 has no BLAS kernel.
+and per sum over the column count (linalg.matmul_in, an ordered einsum),
+bitwise equal to numpy's float16 operations (but for the sign of a NaN
+made from two NaNs) and faster: numpy's float16 loops are several times
+slower than its float32 ones, and float16 has no BLAS kernel.
 """
 
 from dataclasses import dataclass

@@ -246,26 +246,36 @@ def _half_bits(x):
 _halves = st.floats(width=16, allow_nan=True, allow_infinity=True)
 
 
+def _spread_halves(seed, shape):
+    # dense halves with exponents from 2^-12 to 2^12: a long sum over k
+    # then rounds at many scales, so a change of order shows in the bits
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(shape) * 2.0 ** rng.integers(-12, 13, shape)).astype(np.float16)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 40),
-    c=st.integers(0, 7),
+    c=st.integers(0, 300),
     cols=st.sampled_from([None, 1, 3]),
     data=st.data(),
 )
 @example(n=3, c=0, cols=None, data=None)
 @example(n=1, c=1, cols=None, data=None)
 @example(n=2, c=2, cols=3, data=None)
+@example(n=1, c=300, cols=None, data=None)
+@example(n=1, c=300, cols=1, data=None)
 def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
     """matmul_in(A, B, float16) against numpy's float16 A @ B, bit for bit.
 
     This pins the numpy build: the bits rest on numpy's half matmul loop
     (float32 products summed in order from +0, one rounding to half).
-    Covered: c = 0 and 1, a vector and a multi-column B (the panel update),
-    subnormals, infinities, NaN, overflow of the float32 sum past the half
-    range, and a -0 product, which a sum seeded with its first product
-    would return as -0.  A is given both as float16 and in low_storage's
-    float32 layout.
+    Covered: c = 0, 1 and up to 300, one row and many, a vector and a
+    multi-column B (the panel update), subnormals, infinities, NaN,
+    overflow of the float32 sum past the half range, a -0 product, which a
+    sum seeded with its first product would return as -0, and a one-row
+    sum that comes out another way when it is not added in order.  A is
+    given both as float16 and in low_storage's float32 layout.
     """
     shape_b = (c,) if cols is None else (c, cols)
     if data is None:
@@ -274,6 +284,16 @@ def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
         if c == 2:
             A[:] = [300.0, 300.0]
             B[:] = [[300.0, 2.0 ** -24, np.inf], [300.0, 2.0 ** -14, np.nan]]
+        elif c > 2:
+            # 2049 is a half tie, kept by an in-order float32 sum (each
+            # 2^-13 after it ties to even and is lost), so the result is
+            # 2048; a sum that adds the 2^-13s together first gives 2050
+            A[:] = 1.0
+            B[:] = 2.0 ** -13
+            B[0], B[1] = 2048.0, 1.0
+    elif data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        A, B = _spread_halves(seed, (n, c)), _spread_halves(seed + 1, shape_b)
     else:
         A = data.draw(arrays(np.float16, (n, c), elements=_halves))
         B = data.draw(arrays(np.float16, shape_b, elements=_halves))
@@ -287,6 +307,9 @@ def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
             assert np.array_equal(_half_bits(out), _half_bits(ref))
     if data is None and c == 1:
         assert _half_bits(ref)[0] == 0  # +0, not -0
+    if data is None and c > 2:
+        assert np.all(ref == 2048.0)
+
 
 
 # array fields that keep another layout, which thin_q's and arnoldi_q's
@@ -404,13 +427,18 @@ def test_entry_points_leave_their_input_unchanged(tag):
 def test_lifting_and_baseline_solves_stay_within_their_memory_budget():
     # traced numpy allocations of one call on the desk input, in units of
     # one n x m float64 array: the inputs are read in place, the lifting
-    # solves run in place, and Q is formed without a negated copy of U
+    # solves run in place, Q is formed without a negated copy of U, and a
+    # half U @ c needs O(n) bytes, not an m x n float32 block of products
     n, m = 4096, 300
     W = gen_cmatrix(n, m)
     om_e = SRHTSketch(1200, n - m, 1)
     om = SRHTSketch(1200, n, 2)
     f = rhqr_left(W, om_e)
+    Uh = low_storage(n, m, np.float16)
+    Uh[...] = W.astype(np.float16)
+    c = W[0].astype(np.float16)
     budget = {
+        "half U @ c": (lambda: matmul_in(Uh, c, np.float16), 0.01),
         "rec_rhqr": (lambda: rec_rhqr(W, om_e), 2.5),
         "rand_cholesky_qr": (lambda: rand_cholesky_qr(W, om), 2.0),
         "householder_qr": (lambda: householder_qr(W), 2.5),
