@@ -2,9 +2,10 @@
 classical/modified Gram-Schmidt, randomized Gram-Schmidt (one-sketch and
 BLAS-2 variants), and randomized Cholesky QR.
 
-The Householder code here deliberately does not share reflector internals
-with the randomized module: the equivalence of the two on sketched inputs
-is one of the things the test suite checks, so the routes stay separate.
+householder_qr deliberately does not share reflector internals with the
+randomized module, not even the T recursion linalg._extend_t that the RGS
+solvers (_BasisQR, _TBasis) use: the equivalence of the two on sketched inputs is
+one of the things the test suite checks, so the routes stay separate.
 sketch_qr, which rec_rhqr and rand_cholesky_qr factor their sketch with,
 runs LAPACK's xGEQRT where it can; criterion 2 still compares the sweeps
 against householder_qr, a route of its own.
@@ -18,8 +19,9 @@ import scipy.linalg.lapack
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _extend_t,
     _operand,
-    _result,
+    as_array,
     check_scaling,
     check_sketch,
     factor_input,
@@ -57,10 +59,12 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     Sign rule sigma = sign(pivot) with sign(0) = +1, so R's diagonal is
     -sigma*rho.  The reflector product is accumulated compactly; Q is
     materialized as [I;0] - U T U1^t and U, T ride along in aux.  An exactly
-    zero tail (column dependent on its predecessors) raises BreakdownError;
-    a merely tiny tail proceeds like any textbook implementation.
+    zero tail (column dependent on its predecessors) raises BreakdownError,
+    and so does, with sqrt2 scaling, a tail so tiny that the scale
+    1/(rho sigma gamma) overflows; a merely tiny tail proceeds like any
+    textbook implementation.
     """
-    U, T, R, sigmas, rhos, betas = map(_result, _householder(A, scaling, policy))
+    U, T, R, sigmas, rhos, betas = map(as_array, _householder(A, scaling, policy))
     m = T.shape[0]
     Q = U @ -(T @ U[:m, :m].T)
     Q[:m] += np.eye(m)
@@ -101,6 +105,9 @@ def _householder(A, scaling, policy):
         beta = float(hi(1.0 / (rho * sigma * gamma)))
         u[c] = gamma
         if scaling == SCALE_SQRT2:
+            if not np.isfinite(beta):
+                raise BreakdownError(f"reflector scale degenerated at column {c + 1} "
+                                     f"(rho={rho:.3e})", column=c + 1, reason="scale_nonfinite")
             u *= float(hi(np.sqrt(beta)))
             beta = 1.0
         else:
@@ -163,8 +170,8 @@ def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
                 np.fill_diagonal(T, 1)
             else:
                 S, betas = V, tau
-            return SketchQR(S=S, T=T, R=R, sigmas=sigmas, rhos=_result(np.abs(r)),
-                            betas=_result(betas))
+            return SketchQR(S=S, T=T, R=R, sigmas=sigmas, rhos=as_array(np.abs(r)),
+                            betas=as_array(betas))
     return SketchQR(*_householder(Z, scaling, PrecisionPolicy.uniform(policy.high)))
 
 
@@ -278,9 +285,7 @@ class _BasisQR:
         u[k] = gamma
         u *= np.sqrt(1.0 / (rho * sigma * gamma))
         self.V[k] = u
-        if k:
-            self.T[:k, k] = -(_operand(self.T[:k, :k], hi) @ (V @ self.V[k]))
-        self.T[k, k] = 1
+        _extend_t(self.T, V @ self.V[k], 1.0, k, hi)
         self.R[:k, k] = w[:k]
         self.R[k, k] = -sigma * rho
         self.kept.append(self.width - 1)
@@ -339,91 +344,100 @@ def _gram_schmidt(W, policy, modified):
         Q[:, c] = q
         if Qw is not Q:
             Qw[:, c] = q
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R), aux={})
+    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=as_array(R), aux={})
 
 
-def rgs(W, omega, policy=DOUBLE_POLICY):
-    """Randomized Gram-Schmidt: project in the sketch space.  W is sketched
-    once as a block, and each column after the first is re-sketched after
-    its update.
-
-    The ell x (j-1) sketched least-squares problem is solved with a
-    Householder QR of the sketched basis, kept in the high precision of the
-    policy and grown by one column per step (_BasisQR); normalization uses
-    the sketched norm.
-    """
+def _rgs_step(w, p, c, Q, R, basis, omega, policy):
+    """The randomized Gram-Schmidt column step: the coefficients of p = Omega w
+    in the sketched basis (basis.lstsq) become R[:c, c], w is updated against
+    Q[:, :c] and sketched again, and its sketched norm h becomes R[c, c].
+    Returns (w, Omega w, h); what a zero or tiny h means, and the
+    normalization, are left to the caller."""
     lo = policy.low_dtype
-    hi = policy.high_dtype
+    z = p
+    if c:
+        r = basis.lstsq(p)
+        R[:c, c] = r
+        w = w - matmul_in(Q[:, :c], r, lo)
+        z = omega.apply(w, dtype=lo)
+    h = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
+    R[c, c] = h
+    return w, z, h
+
+
+def _rgs(W, omega, policy, Basis):
+    """The RGS sweep, with Basis(ell, m, policy) as the sketched
+    least-squares solver: (Q, R, basis).  W is sketched once as a block,
+    and each column after the first is re-sketched after its update."""
+    lo = policy.low_dtype
     Wl = factor_input(W, policy)
     n, m = Wl.shape
     check_sketch(omega, n, m)
     Q = low_storage(n, m, lo)
-    basis = _BasisQR(omega.ell, m, policy)  # QR of the sketched basis
-    R = np.zeros((m, m), dtype=hi)
+    basis = Basis(omega.ell, m, policy)
+    R = np.zeros((m, m), dtype=policy.high_dtype)
     # every column's sketch in one block apply, bitwise the per-column ones
     P = omega.apply(Wl, dtype=lo)
     for c in range(m):
-        w = Wl[:, c].copy()
-        z = p = P[:, c].copy()
-        if c:
-            r = basis.lstsq(p)
-            R[:c, c] = r
-            w = w - matmul_in(Q[:, :c], r, lo)
-            z = omega.apply(w, dtype=lo)
-        rjj = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
+        w, z, h = _rgs_step(Wl[:, c].copy(), P[:, c].copy(), c, Q, R, basis, omega, policy)
         # only an exactly zero sketched pivot stops the sweep: past numerical
         # singularity the process is expected to keep going on noise, that is
         # the degradation the benchmarks measure
-        if rjj == 0.0:
+        if h == 0.0:
             raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
                                  column=c + 1, reason="zero_pivot")
-        R[c, c] = rjj
-        Q[:, c] = w / lo(rjj)
-        basis.append(z / lo(rjj))
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R),
-                    aux={"omega": omega})
+        Q[:, c] = w / lo(h)
+        basis.append(z / lo(h))
+    return np.ascontiguousarray(Q, dtype=np.float64), as_array(R), basis
+
+
+def rgs(W, omega, policy=DOUBLE_POLICY):
+    """Randomized Gram-Schmidt: project in the sketch space, solving the
+    ell x (j-1) sketched least-squares problem with a Householder QR of the
+    sketched basis, in policy.high, grown by one column per step (_BasisQR)."""
+    Q, R, _ = _rgs(W, omega, policy, _BasisQR)
+    return QRResult(Q=Q, R=R, aux={"omega": omega})
+
+
+class _TBasis:
+    """BLAS2-RGS's solver: the normalized sketched basis Sb, held in
+    policy.high_dtype, and the unit upper triangle T of the compact form
+    I - Sb T Sb^t, grown one column at a time.  The coefficients of p are
+    T^t Sb^t p, with no least-squares solve.  T equals the identity in exact
+    arithmetic; its drift from I measures the loss the correction repairs.
+    """
+
+    def __init__(self, ell, m, policy):
+        self.policy = policy
+        self.Sb = np.zeros((ell, m), dtype=policy.high_dtype)
+        self.T = np.zeros((m, m), dtype=policy.high_dtype)
+        self.width = 0
+
+    def append(self, s):
+        """Add the next normalized sketched column s."""
+        hi = self.policy.high_dtype
+        c = self.width
+        self.Sb[:, c] = s
+        p = _operand(self.Sb[:, :c], hi).T @ _operand(self.Sb[:, c], hi)
+        _extend_t(self.T, p, 1.0, c, hi)
+        self.width += 1
+
+    def lstsq(self, p):
+        """T^t Sb^t p over the appended columns, in policy.high_dtype."""
+        hi = self.policy.high_dtype
+        c = self.width
+        return _operand(self.T[:c, :c].T, hi) @ (_operand(self.Sb[:, :c], hi).T @ to_dtype(p, hi))
 
 
 def blas2_rgs(W, omega, policy=DOUBLE_POLICY):
-    """Matvec-rich randomized Gram-Schmidt: the projection coefficients come
-    from the compact triangle T instead of a least-squares solve.
-
-    T carries unit diagonal and, in exact arithmetic, equals the identity;
-    its drift from I measures the loss the correction repairs.  aux holds T
-    and omega, from which blas2_corrected_sketch forms the sketch of the
-    corrected basis [I - T; Q T].
+    """Matvec-rich randomized Gram-Schmidt: rgs's sweep, with the projection
+    coefficients taken from the compact triangle T (_TBasis) instead of a
+    least-squares solve.  aux holds T and omega, from which
+    blas2_corrected_sketch forms the sketch of the corrected basis
+    [I - T; Q T].
     """
-    lo = policy.low_dtype
-    hi = policy.high_dtype
-    Wl = factor_input(W, policy)
-    n, m = Wl.shape
-    check_sketch(omega, n, m)
-    Q = low_storage(n, m, lo)
-    Sb = np.zeros((omega.ell, m), dtype=hi)
-    T, R = np.zeros((2, m, m), dtype=hi)
-    # every column's sketch in one block apply, bitwise the per-column ones
-    P = omega.apply(Wl, dtype=lo)
-    for c in range(m):
-        w = Wl[:, c].copy()
-        z = p = P[:, c].copy()
-        if c:
-            rhead = _operand(T[:c, :c].T, hi) @ (_operand(Sb[:, :c], hi).T @ to_dtype(p, hi))
-            R[:c, c] = rhead
-            w = w - matmul_in(Q[:, :c], rhead, lo)
-            z = omega.apply(w, dtype=lo)
-        rho = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
-        if rho == 0.0:
-            raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
-                                 column=c + 1, reason="zero_pivot")
-        R[c, c] = rho
-        Q[:, c] = w / lo(rho)
-        Sb[:, c] = z / lo(rho)
-        if c:
-            T[:c, c] = -(_operand(T[:c, :c], hi)
-                         @ (_operand(Sb[:, :c], hi).T @ _operand(Sb[:, c], hi)))
-        T[c, c] = 1.0
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=_result(R),
-                    aux={"T": _result(T), "omega": omega})
+    Q, R, basis = _rgs(W, omega, policy, _TBasis)
+    return QRResult(Q=Q, R=R, aux={"T": as_array(basis.T), "omega": omega})
 
 
 def blas2_corrected_sketch(result):
@@ -443,4 +457,4 @@ def rand_cholesky_qr(W, omega, policy=DOUBLE_POLICY):
     Z = omega.apply(Wl, dtype=policy.low_dtype)
     R = sketch_qr(Z, policy=policy).R
     Q = right_tri_solve(Wl.astype(policy.high_dtype, order="C"), R, policy=policy)
-    return QRResult(Q=_result(Q), R=_result(R), aux={"omega": omega})
+    return QRResult(Q=as_array(Q), R=as_array(R), aux={"omega": omega})

@@ -12,9 +12,10 @@ whole point of running GMRES this way.
 
 A randomized Gram-Schmidt GMRES with an explicit basis, the RGS
 factorization of the same K, is included as the natural point of
-comparison.  Its projection coefficients come from a Householder QR of the
-sketched basis that grows by one column per step (baselines._BasisQR), so
-step c costs O(ell c) in the sketch space.
+comparison.  It runs rgs's column step (baselines._rgs_step), whose
+projection coefficients come from a Householder QR of the sketched basis
+that grows by one column per step (baselines._BasisQR), so step c costs
+O(ell c) in the sketch space.
 """
 
 import warnings
@@ -23,17 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .baselines import _BasisQR
+from .baselines import _BasisQR, _rgs_step
 from .linalg import (
     SCALE_SQRT2,
     _operand,
-    _result,
     as_array,
     check_finite,
     check_scaling,
     check_sketch,
     low_storage,
-    matmul_in,
     reflector_matmul,
     sign,
     to_dtype,
@@ -157,8 +156,8 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     k = m if attained is None else attained
     r = k + 1 if attained is None else k
     return KrylovBundle(
-        U=np.ascontiguousarray(U[:, :r], dtype=np.float64), S=_result(S)[:, :r],
-        T=_result(T)[:r, :r], H=_result(R)[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]),
+        U=np.ascontiguousarray(U[:, :r], dtype=np.float64), S=as_array(S)[:, :r],
+        T=as_array(T)[:r, :r], H=as_array(R)[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]),
         breakdown=attained,
     )
 
@@ -231,12 +230,11 @@ def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
 def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     """Arnoldi with randomized Gram-Schmidt orthogonalization and an
-    explicit basis: projection coefficients from a sketched least-squares
-    solve against the Householder QR of the sketched basis, kept in
-    policy.high and grown by one column per step, and normalization by the
-    sketched norm.  This is rgs run on the Krylov matrix, with the basis
-    and its update in policy.low; the space closes when the sketched norm
-    after projection falls below 32 * policy.u_high times the one before.
+    explicit basis: rgs's column step (baselines._rgs_step, with the grown
+    Householder QR of the sketched basis, _BasisQR) run on the Krylov
+    matrix, with the basis and its update in policy.low, and normalization
+    by the sketched norm.  The space closes when the sketched norm after
+    projection falls below 32 * policy.u_high times the one before.
 
     omega sketches all n coordinates, ell >= m+1.  Returns
     (Q, H, beta, attained) with Q of k+1 columns and H of shape (k+1) x k.
@@ -255,14 +253,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     w = round_to(check_finite(b - matvec(round_to(x0, policy.low))), policy.low)
     for c in range(m + 1):
         p = omega.apply(w, dtype=lo)
-        z = p
-        if c:
-            r = basis.lstsq(p)
-            R[:c, c] = r
-            w = w - matmul_in(Q[:, :c], r, lo)
-            z = omega.apply(w, dtype=lo)
-        h = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
-        R[c, c] = h
+        w, z, h = _rgs_step(w, p, c, Q, R, basis, omega, policy)
         if h <= 32.0 * policy.u_high * float(np.linalg.norm(to_dtype(p, np.float64))):
             attained = c
             break
@@ -274,7 +265,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     cols = k + 1 if attained is None else k
     # a fresh copy: handing back the store itself raised the peak RSS of a
     # 20000 x 73 GMRES benchmark run by 2 MB, through the allocator's reuse
-    return (np.array(Q[:, :cols], dtype=np.float64, order="C"), _result(R)[:k + 1, 1:k + 1],
+    return (np.array(Q[:, :cols], dtype=np.float64, order="C"), as_array(R)[:k + 1, 1:k + 1],
             float(R[0, 0]), attained)
 
 

@@ -59,7 +59,9 @@ class SingularFactorError(np.linalg.LinAlgError):
 
 
 def as_array(M):
-    """Accept any array-like, return a float64 ndarray."""
+    """Any array-like as a float64 ndarray in the layout it was made in (M
+    itself if it is one); the entry points return arrays this way, but make
+    a low_storage store C-contiguous."""
     return np.asarray(M, dtype=np.float64)
 
 
@@ -101,12 +103,6 @@ def check_sketch(omega, n, min_ell=0):
     if omega.ell < min_ell:
         raise ValueError(f"sampling size ell={omega.ell} is below {min_ell} columns")
     return omega
-
-
-def _result(a):
-    """An array as the entry points return it: float64, in the layout it was
-    made in.  A low_storage store leaves C-contiguous instead."""
-    return to_dtype(a, np.float64)
 
 
 def upper_tri_solve(R, B, policy=DOUBLE_POLICY):
@@ -220,6 +216,15 @@ def _operand(a, dtype):
     if dtype == np.float32 and a.dtype == dtype:
         return a.copy(order="K")
     return to_dtype(a, dtype)
+
+
+def _extend_t(T, p, beta, c, hi=np.float64):
+    """Grow the compact-form triangle T, held in hi, by the new reflector's
+    column c, given p = S[:, :c]^t s_new in hi: T[:c, c] = -beta T[:c, :c] p
+    and T[c, c] = beta."""
+    if c:
+        T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ p)
+    T[c, c] = beta
 
 
 def low_storage(n, m, dtype):

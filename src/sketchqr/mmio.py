@@ -201,29 +201,29 @@ def _write_lines(fh, line_fmt, flat, per_line):
 
 def write_matrix_market(path, M, comment=None):
     """Write M as 'real general': coordinate format for sparse input, array
-    format (column-major) for dense.  Values printed with %.17g."""
+    format (column-major) for dense.  Values printed with %.17g.  Anything
+    but a sparse matrix, a dense matrix or a vector raises ValueError before
+    the file is opened."""
+    if scipy.sparse.issparse(M):
+        C = M.tocoo()
+        fmt, size = "coordinate", f"{C.shape[0]} {C.shape[1]} {C.nnz}"
+        flat = [0] * (3 * C.nnz)
+        flat[0::3] = (C.row + 1).tolist()
+        flat[1::3] = (C.col + 1).tolist()
+        flat[2::3] = C.data.tolist()
+        line_fmt, per_line = "%d %d %.17g\n", 3
+    else:
+        A = np.asarray(M, dtype=np.float64)
+        if A.ndim == 1:
+            A = A[:, None]
+        if A.ndim != 2:
+            raise ValueError("expected a vector or matrix")
+        fmt, size = "array", f"{A.shape[0]} {A.shape[1]}"
+        flat, line_fmt, per_line = A.ravel(order="F").tolist(), "%.17g\n", 1
     with open(path, "w") as fh:
-        if scipy.sparse.issparse(M):
-            C = M.tocoo()
-            fh.write(f"{BANNER} matrix coordinate real general\n")
-            if comment:
-                for ln in str(comment).splitlines():
-                    fh.write(f"% {ln}\n")
-            fh.write(f"{C.shape[0]} {C.shape[1]} {C.nnz}\n")
-            flat = [0] * (3 * C.nnz)
-            flat[0::3] = (C.row + 1).tolist()
-            flat[1::3] = (C.col + 1).tolist()
-            flat[2::3] = C.data.tolist()
-            _write_lines(fh, "%d %d %.17g\n", flat, 3)
-        else:
-            A = np.asarray(M, dtype=np.float64)
-            if A.ndim == 1:
-                A = A[:, None]
-            if A.ndim != 2:
-                raise ValueError("expected a vector or matrix")
-            fh.write(f"{BANNER} matrix array real general\n")
-            if comment:
-                for ln in str(comment).splitlines():
-                    fh.write(f"% {ln}\n")
-            fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-            _write_lines(fh, "%.17g\n", A.ravel(order="F").tolist(), 1)
+        fh.write(f"{BANNER} matrix {fmt} real general\n")
+        if comment:
+            for ln in str(comment).splitlines():
+                fh.write(f"% {ln}\n")
+        fh.write(f"{size}\n")
+        _write_lines(fh, line_fmt, flat, per_line)

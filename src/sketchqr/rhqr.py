@@ -24,8 +24,8 @@ from .baselines import sketch_qr
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _extend_t,
     _operand,
-    _result,
     as_array,
     check_scaling,
     check_sketch,
@@ -144,14 +144,6 @@ def t_factor_from_sketches(S, policy=DOUBLE_POLICY):
     return upper_tri_solve(Tinv, np.eye(G.shape[0]), policy=policy)
 
 
-def _extend_t(T, p, beta, c, hi=np.float64):
-    # grow the compact-form triangle T, held in hi, by the new reflector's
-    # column, given p = S[:, :c]^t s_new in hi
-    if c:
-        T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ p)
-    T[c, c] = beta
-
-
 def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
     """The left-looking column step: the reflector that eliminates entries
     c+1.. of y = Psi w becomes column c of the compact form (U, S, T), and
@@ -218,7 +210,7 @@ def lsq_via_implicit_q(factors, b, policy=DOUBLE_POLICY):
         transpose_t=True, policy=policy,
     )
     m = factors.R.shape[1]
-    return _result(upper_tri_solve(factors.R, c[:m], policy=policy))
+    return as_array(upper_tri_solve(factors.R, c[:m], policy=policy))
 
 
 def _sweep(W, omega, block_size, scaling, policy):
@@ -263,8 +255,8 @@ def _sweep(W, omega, block_size, scaling, policy):
                 y = psi.apply(w, dtype=lo)
             step = _add_reflector(w, y, c, U, S, T, R, scaling, policy)
             sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
-    return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=_result(S), T=_result(T),
-                R=_result(R), psi=psi, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
+    return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
+                R=as_array(R), psi=psi, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -302,7 +294,7 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             coef = hi(step.beta) * (step.s @ _operand(Y[:, 1:], hi))
             Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))
     T = t_factor_from_sketches(S, policy=policy)
-    return RHQRFactors(U=_result(U), S=_result(S), T=_result(T), R=_result(R), psi=psi,
+    return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi,
                        scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 
 
@@ -356,5 +348,5 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     right_tri_solve(U[m:], Mfac, policy=policy)
     if policy.low != policy.high:
         U[m:] = round_to(U[m:], policy.low)
-    return RHQRFactors(U=_result(U), S=_result(S), T=_result(T), R=_result(hq.R), psi=psi,
+    return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(hq.R), psi=psi,
                        scaling=scaling, sigmas=hq.sigmas, rhos=hq.rhos, betas=hq.betas)

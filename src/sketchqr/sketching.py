@@ -184,8 +184,6 @@ def _matmul_in(cast, M, X, dtype):
 class SketchOperator:
     """Base class: seeded linear map R^n -> R^ell applied column by column."""
 
-    kind = None
-
     def __init__(self, ell, n, seed):
         self.ell = _integer("ell", ell)
         self.n = _integer("n", n)
@@ -217,7 +215,6 @@ class GaussianSketch(SketchOperator):
     regenerated in row blocks on each apply.
     """
 
-    kind = "gauss"
     _CACHE_ENTRIES = 1 << 23
 
     def __init__(self, ell, n, seed):
@@ -259,8 +256,6 @@ class SRHTSketch(SketchOperator):
     signed scale, which has the bits of the two), pad, butterflies, gather,
     normalize.
     """
-
-    kind = "srht"
 
     def __init__(self, ell, n, seed):
         super().__init__(ell, n, seed)
@@ -313,8 +308,6 @@ class SparseSignSketch(SketchOperator):
     canonical form, s entries per column with int64 indices.
     """
 
-    kind = "sparse_sign"
-
     def __init__(self, ell, n, seed, s=8):
         super().__init__(ell, n, seed)
         self.s = s = self.nonzeros(s, self.ell)
@@ -346,8 +339,6 @@ class SparseSignSketch(SketchOperator):
 class IdentitySketch(SketchOperator):
     """ell = n pass-through; the exact-embedding oracle for tests."""
 
-    kind = "identity"
-
     def __init__(self, n):
         super().__init__(n, n, 0)
 
@@ -361,8 +352,6 @@ class ColumnScaledSketch(SketchOperator):
     Used to give the wrapped operator exactly unit-norm leading column
     sketches; `unit_column_sketches` caches those ell x m sketched columns.
     """
-
-    kind = "colscaled"
 
     def __init__(self, base, scales, m, unit_column_sketches):
         super().__init__(base.ell, base.n, base.seed)

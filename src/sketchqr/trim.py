@@ -23,8 +23,8 @@ import numpy as np
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _extend_t,
     _operand,
-    _result,
     as_array,
     check_scaling,
     check_sketch,
@@ -36,7 +36,7 @@ from .linalg import (
     upper_tri_solve,
 )
 from .precision import DOUBLE_POLICY, round_to
-from .rhqr import _extend_t, t_factor_from_sketches
+from .rhqr import t_factor_from_sketches
 from .sketching import ColumnScaledSketch
 
 
@@ -95,9 +95,10 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     the sketched tail is exactly annihilated (rho == 0) or when the sketched
     reflector vector cancels, which the sign choice cannot rule out once the
     pivot's sketched column may anti-align with the tail; noise-floor tails
-    proceed, matching the main algorithm's convention.  Unit scaling also
-    stops on an exactly zero sketched pivot, or when dividing by it leaves a
-    non-finite value.  v comes back in policy.low_dtype and s in
+    proceed, matching the main algorithm's convention.  sqrt2 scaling also
+    stops when the scale 2/||Omega v||^2 overflows (scale_nonfinite), unit
+    scaling on an exactly zero sketched pivot, or when dividing by it leaves
+    a non-finite value.  v comes back in policy.low_dtype and s in
     policy.high_dtype.
     """
     check_scaling(scaling)
@@ -133,6 +134,9 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         )
     beta = float(hi(2.0 / (nv * nv)))
     if scaling == SCALE_SQRT2:
+        if not np.isfinite(beta):
+            raise BreakdownError(f"reflector scale degenerated at column {j} (norm {nv:.3e})",
+                                 column=j, reason="scale_nonfinite")
         f = float(hi(np.sqrt(beta)))
         v = v * f
         vs = vs * f
@@ -260,8 +264,8 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     T_tilde = t_tilde_from_factors(S, E, U, policy=policy)
     L = np.tril(_operand(S, hi).T @ _operand(E, hi), -1)
     return TrimFactors(
-        U=_result(U), S=_result(S), T=_result(T), T_tilde=_result(T_tilde), R=_result(R),
-        L=_result(L), E=E, omega=omega, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas,
+        U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(T_tilde), R=as_array(R),
+        L=as_array(L), E=E, omega=omega, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas,
     )
 
 
@@ -312,7 +316,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         _extend_t(Tt, p - Uc.T @ lrow, step.beta, c, hi=hi)
         sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
     return TrimFactors(
-        U=np.ascontiguousarray(U, dtype=np.float64), S=_result(S), T=_result(T),
-        T_tilde=_result(Tt), R=_result(R), L=_result(L), E=E, omega=omega, scaling=scaling,
+        U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
+        T_tilde=as_array(Tt), R=as_array(R), L=as_array(L), E=E, omega=omega, scaling=scaling,
         sigmas=sigmas, rhos=rhos, betas=betas,
     )

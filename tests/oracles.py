@@ -31,8 +31,6 @@ class MatrixSketch(SketchOperator):
     multiplies in dtype's arithmetic (float32 for half) and rounds the
     product to dtype once."""
 
-    kind = "matrix"
-
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:

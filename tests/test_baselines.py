@@ -72,6 +72,12 @@ def test_householder_breakdown():
         householder_qr(A)
 
 
+@pytest.mark.parametrize("factor", [householder_qr, sketch_qr])
+def test_householder_qrs_refuse_a_wide_input(factor):
+    with pytest.raises(ValueError, match="need p >= m, got 3 x 5"):
+        factor(np.ones((3, 5)))
+
+
 def test_gram_schmidt_on_orthonormal_input(rng):
     Q0 = np.linalg.qr(rng.standard_normal((40, 8)))[0]
     for method in (cgs, mgs):

@@ -31,6 +31,36 @@ def test_factorizations_refuse_non_matrix_input(algo):
             call(W, SRHTSketch(8, 20, 0), cfg, policy_from_tag("double"))
 
 
+# the factorizations whose call takes config.scaling
+SCALED = ("rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr", "trim-left", "trim-right", "hqr")
+
+
+@pytest.mark.parametrize("algo", SCALED)
+def test_factorizations_refuse_an_unknown_scaling(algo):
+    call, rows, _ = ALGOS[algo]
+    n, m = 64, 8
+    omega = SRHTSketch(32, n - m if rows == TRAILING else n, 0)
+    with pytest.raises(ValueError, match="unknown scaling 'householder'"):
+        call(gen_cmatrix(n, m), omega, ExperimentConfig(algo=algo, scaling="householder"),
+             policy_from_tag("double"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_a_tiny_column_breaks_down_or_stays_finite(algo):
+    # at a column of norm ~1e-160 the sqrt2 reflector scale (1/(rho sigma
+    # gamma), or trim's 2/||Omega v||^2) overflows: a run must stop there
+    # with a breakdown, not carry inf and NaN into every column of Q
+    W = np.random.default_rng(1).standard_normal((64, 4))
+    W[:, 2] *= 1e-160
+    rows = run_factor_experiment(W, ExperimentConfig(algo=algo, every=1, ell=16))
+    for r in rows:
+        if r.status == "ok":
+            assert np.isfinite(r[1:-1]).all(), r
+        else:
+            assert r.status == "breakdown@3", r
+
+
 @pytest.mark.parametrize("column", [1, 4])
 @pytest.mark.parametrize("tag", ["double", "single", "mixed"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

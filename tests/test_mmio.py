@@ -13,7 +13,7 @@ from sketchqr.mmio import MatrixMarketError, load_matrix_market, write_matrix_ma
 
 
 def write_lines(path, *lines):
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(line + "\n" for line in lines))
     return str(path)
 
 
@@ -184,10 +184,19 @@ def test_symmetric_must_be_square(tmp_path):
 
 def test_comment_written_and_skipped(tmp_path):
     p = tmp_path / "c.mtx"
-    write_matrix_market(str(p), np.ones((2, 2)), comment="two lines\nof notes")
-    text = p.read_text()
-    assert "% two lines" in text and "% of notes" in text
-    assert np.array_equal(load_matrix_market(str(p)), np.ones((2, 2)))
+    # both formats write the same banner-and-comment block
+    for M in (np.ones((2, 2)), scipy.sparse.csc_matrix(np.ones((2, 2)))):
+        write_matrix_market(str(p), M, comment="two lines\nof notes")
+        assert p.read_text().splitlines()[1:3] == ["% two lines", "% of notes"]
+        M2 = load_matrix_market(str(p))
+        assert np.array_equal(M2.toarray() if scipy.sparse.issparse(M2) else M2, np.ones((2, 2)))
+
+
+def test_writer_refuses_a_3d_array(tmp_path):
+    p = tmp_path / "c.mtx"
+    with pytest.raises(ValueError, match="expected a vector or matrix"):
+        write_matrix_market(str(p), np.ones((2, 2, 2)))
+    assert not p.exists()
 
 
 # finite and infinite doubles: subnormals, -0.0, the largest double and
@@ -295,6 +304,14 @@ COORD = "%%MatrixMarket matrix coordinate real general"
     ((COORD, "2 2 1", "1_0 1 2.0"), "line 3: cannot parse entry '1_0 1 2.0'"),
     (("%%MatrixMarket matrix array real general", "2 1", "1.0", "2.0 3.0"),
      "line 4: array entries hold one value per line, got '2.0 3.0'"),
+    ((), "line 1: empty file"),
+    (("%%MatrixMarket vector coordinate real general", "2 1"),
+     "line 1: unsupported object 'vector'"),
+    (("%%MatrixMarket matrix sparse real general", "2 2 1"), "line 1: unsupported format 'sparse'"),
+    ((COORD, "% no size line follows"), "line 2: missing size line"),
+    ((COORD, "2 2"), "line 2: coordinate size line needs 3 integers, got '2 2'"),
+    ((COORD, "2 x 1"), "line 2: coordinate size line needs integers, got '2 x 1'"),
+    ((COORD, "2 2 -1"), "line 2: coordinate size line must be nonnegative"),
 ])
 def test_bad_entry_reports_its_line(tmp_path, lines, message):
     p = write_lines(tmp_path / "b.mtx", *lines)

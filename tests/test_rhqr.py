@@ -98,6 +98,14 @@ def test_rh_vector_breakdown():
         rh_vector(w, psi.apply(w), 1)
 
 
+@pytest.mark.parametrize("j", [0, 9])
+def test_rh_vector_refuses_an_index_outside_the_sketch(j):
+    psi = full_embedding(8, 2)
+    w = np.ones(8)
+    with pytest.raises(ValueError, match=f"elimination index {j} outside sketch of length 8"):
+        rh_vector(w, psi.apply(w), j)
+
+
 def test_apply_reflectors_empty_and_involution(rng):
     n, m = 40, 5
     psi = EmbeddedSketch(m, GaussianSketch(16, n - m, 4))
