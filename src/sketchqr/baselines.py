@@ -24,6 +24,7 @@ from .linalg import (
     as_array,
     check_scaling,
     check_sketch,
+    compact_q,
     factor_input,
     low_storage,
     matmul_in,
@@ -66,10 +67,8 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """
     U, T, R, sigmas, rhos, betas = map(as_array, _householder(A, scaling, policy))
     m = T.shape[0]
-    Q = U @ -(T @ U[:m, :m].T)
-    Q[:m] += np.eye(m)
-    return QRResult(Q=Q, R=R, aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos,
-                                   "betas": betas})
+    return QRResult(Q=compact_q(U, T, U[:m, :m].T), R=R,
+                    aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos, "betas": betas})
 
 
 def _householder(A, scaling, policy):

@@ -20,10 +20,11 @@ from .experiments import (
 from .linalg import BreakdownError
 from .mmio import load_matrix_market, write_matrix_market
 from .precision import PrecisionRangeError
+from .sketching import SKETCH_KINDS
 
 
 def _sketch_args(p, what="columns"):
-    p.add_argument("--sketch", choices=("srht", "gauss", "sparse"), default="srht",
+    p.add_argument("--sketch", choices=SKETCH_KINDS, default="srht",
                    help="sampling operator family")
     p.add_argument("--l", type=int, default=0, dest="ell", metavar="L",
                    help=f"sampling size (default 4x {what})")
@@ -44,9 +45,7 @@ def build_parser():
                     "factorization sweeps, and sketched GMRES runs.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="write a generated test matrix as Matrix Market")
-    g.add_argument("--kind", choices=("cfunc",), default="cfunc",
-                   help="cfunc: the oscillatory sin/cos test matrix")
+    g = sub.add_parser("gen", help="write the cfunc test matrix as Matrix Market")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--out", required=True)

@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
-from .sketching import SPARSE_SIGN, SparseSignSketch, make_sketch
+from .sketching import SparseSignSketch, make_sketch
 from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 # Sketch rows: TRAILING sketches the n-m rows under the identity block of
@@ -163,7 +163,7 @@ def run_factor_experiment(W, config):
     W = as_array(W)
     m = W.shape[1]
     ell = config.sampling_size(m)
-    if ALGOS[config.algo][1] and config.sketch in SPARSE_SIGN:
+    if ALGOS[config.algo][1] and config.sketch == "sparse":
         SparseSignSketch.nonzeros(config.s, ell)
     # errors are measured in float64 against the storage-rounded input
     Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))

@@ -32,6 +32,7 @@ from .linalg import (
     check_finite,
     check_scaling,
     check_sketch,
+    compact_q,
     low_storage,
     reflector_matmul,
     sign,
@@ -81,16 +82,11 @@ def arnoldi_q(bundle, cols=None):
     cols may go up to the number of stored reflectors; cols = dim + 1 gives
     the extended basis Q_{m+1} of the Arnoldi relation.
     """
-    U = as_array(bundle.U)
-    S = as_array(bundle.S)
-    T = as_array(bundle.T)
-    r = U.shape[1]
+    r = np.shape(bundle.U)[1]
     c = r if cols is None else cols
     if not 0 <= c <= r:
         raise ValueError(f"have {r} reflectors, cannot build {c} columns")
-    Q = U @ -(T @ S[:c, :].T)
-    Q[:c] += np.eye(c)
-    return Q
+    return compact_q(bundle.U, bundle.T, as_array(bundle.S)[:c].T)
 
 
 def _apply_basis(bundle, y, policy):

@@ -60,9 +60,20 @@ class SingularFactorError(np.linalg.LinAlgError):
 
 def as_array(M):
     """Any array-like as a float64 ndarray in the layout it was made in (M
-    itself if it is one); the entry points return arrays this way, but make
-    a low_storage store C-contiguous."""
+    itself if it is one).  A float16 low_storage store comes back F-ordered,
+    as it is held, so the entry points return U and Q C-contiguous
+    themselves."""
     return np.asarray(M, dtype=np.float64)
+
+
+def compact_q(V, T, H):
+    """[I; 0] - V T H, the explicit k columns of a compact form, in
+    float64: H is U1^t for the sweeps, S's head for Arnoldi and
+    triu(S^t E) for trim."""
+    Q = as_array(V) @ -(as_array(T) @ as_array(H))
+    k = Q.shape[1]
+    Q[:k] += np.eye(k)
+    return Q
 
 
 def check_finite(X, first=1):

@@ -29,6 +29,7 @@ from .linalg import (
     as_array,
     check_scaling,
     check_sketch,
+    compact_q,
     factor_input,
     low_storage,
     matmul_in,
@@ -132,21 +133,10 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
     return out[:, 0] if vec else out
 
 
-def t_factor_from_sketches(S, policy=DOUBLE_POLICY):
-    """Recover the triangular T of the compact form from S = Psi U alone.
-
-    S^t S = T^{-1} + T^{-t}, so T^{-1} is the strict upper triangle of S^t S
-    plus half its diagonal.  T comes back in policy.high_dtype.
-    """
-    Sh = _operand(S, policy.high_dtype)
-    G = Sh.T @ Sh
-    Tinv = np.triu(G, 1) + np.diag(np.diagonal(G) / 2.0)
-    return upper_tri_solve(Tinv, np.eye(G.shape[0]), policy=policy)
-
-
 def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
-    """The left-looking column step: the reflector that eliminates entries
-    c+1.. of y = Psi w becomes column c of the compact form (U, S, T), and
+    """The column step of the left- and right-looking sweeps and of
+    rhqr_arnoldi: the reflector that eliminates entries c+1.. of y = Psi w
+    becomes column c of the compact form (U, S, T), T grown by _extend_t, and
     w's head with the new diagonal -sigma*rho becomes column c of R.
     Returns the HouseholderStep."""
     step = rh_vector(w, y, c + 1, scaling, policy)
@@ -187,20 +177,14 @@ def thin_q(factors):
     """Materialize Q = [I;0] - U T U1^t in float64 (metrics run on this)."""
     U = as_array(factors.U)
     k = U.shape[1]
-    U1 = U[:k, :k]
-    Q = U @ -(as_array(factors.T) @ U1.T)
-    Q[:k] += np.eye(k)
-    return Q
+    return compact_q(U, factors.T, U[:k, :k].T)
 
 
 def sketch_q(factors):
     """Materialize Psi Q = [I;0] - S T U1^t without touching n-dim data."""
-    S = as_array(factors.S)
     U = as_array(factors.U)
     k = U.shape[1]
-    Q = S @ -(as_array(factors.T) @ U[:k, :k].T)
-    Q[:k] += np.eye(k)
-    return Q
+    return compact_q(factors.S, factors.T, U[:k, :k].T)
 
 
 def lsq_via_implicit_q(factors, b, policy=DOUBLE_POLICY):
@@ -270,8 +254,9 @@ def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
 
 def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
-    """Right-looking variant: rank-1 update of the trailing block, which is
-    re-sketched wholesale at every step; T is recovered from S afterwards."""
+    """Right-looking variant: the left sweeps' column step (_add_reflector,
+    so T grows as it does there), then a rank-1 update of the trailing
+    block, which is re-sketched wholesale at every step."""
     lo = policy.low_dtype
     hi = policy.high_dtype
     Wl = np.require(factor_input(W, policy, scaling), requirements="W")
@@ -279,21 +264,16 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
     U = np.zeros((n, m), dtype=lo)
     S = np.zeros((psi.out_dim, m), dtype=hi)
-    R = np.zeros((m, m), dtype=hi)
+    T, R = np.zeros((2, m, m), dtype=hi)
     sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
         # the trailing block's sketch, read in float64 as rh_vector reads y
         Y = to_dtype(psi.apply(Wl[:, c:], dtype=lo), np.float64)
-        step = rh_vector(Wl[:, c], Y[:, 0], c + 1, scaling, policy)
-        U[:, c] = step.u
-        S[:, c] = step.s
-        R[:c, c] = Wl[:c, c]
-        R[c, c] = -step.sigma * step.rho
+        step = _add_reflector(Wl[:, c], Y[:, 0], c, U, S, T, R, scaling, policy)
         sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
         if c + 1 < m:
             coef = hi(step.beta) * (step.s @ _operand(Y[:, 1:], hi))
             Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))
-    T = t_factor_from_sketches(S, policy=policy)
     return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi,
                        scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
 

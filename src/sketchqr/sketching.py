@@ -33,8 +33,8 @@ _SPLIT = np.float32(8193)
 # the split path's bound on every column's 1-norm; stage values stay below
 # it times (1 + 2**-11)**p, far from 65520, where half overflows
 _SPLIT_NORM = 2.0 ** 15
-# make_sketch's names for a SparseSignSketch
-SPARSE_SIGN = ("sparse", "sparse_sign")
+# make_sketch's operator names, which the CLI offers as --sketch
+SKETCH_KINDS = ("srht", "gauss", "sparse")
 
 
 def _split_half(x, scratch):
@@ -399,12 +399,12 @@ class EmbeddedSketch:
 
 
 def make_sketch(kind, ell, n, seed, s=8):
-    """Factory for the CLI's operator names."""
-    if kind in ("gauss", "gaussian"):
+    """Factory for the operator names in SKETCH_KINDS."""
+    if kind == "gauss":
         return GaussianSketch(ell, n, seed)
     if kind == "srht":
         return SRHTSketch(ell, n, seed)
-    if kind in SPARSE_SIGN:
+    if kind == "sparse":
         return SparseSignSketch(ell, n, seed, s=s)
     raise ValueError(f"unknown sketch kind {kind!r}")
 

@@ -13,7 +13,10 @@ same T recursion as the plain randomized reflectors; reversed products
 carry a twin T~.  Applying either form needs ut((Omega U)^t Omega), which
 is computed from S^t (Omega x) minus a correction through the strictly
 lower table L[i, k] = <Omega u_i, Omega e_k>, so canonical vectors are
-sketched once up front and never again.
+sketched once up front and never again.  Both sweeps grow U, S, T, T~ and
+L one column at a time through one trimmed column step,
+_add_trim_reflector; they differ only in when the later columns are
+updated.
 """
 
 from dataclasses import dataclass
@@ -28,15 +31,14 @@ from .linalg import (
     as_array,
     check_scaling,
     check_sketch,
+    compact_q,
     factor_input,
     low_storage,
     reflector_matmul,
     sign,
     to_dtype,
-    upper_tri_solve,
 )
 from .precision import DOUBLE_POLICY, round_to
-from .rhqr import t_factor_from_sketches
 from .sketching import ColumnScaledSketch
 
 
@@ -196,23 +198,6 @@ class TrimFactors:
         )
 
 
-def t_tilde_from_factors(S, E, U, policy=DOUBLE_POLICY):
-    """Reversed-product triangle without running the per-step recursion.
-
-    A = T^{-1} - ut((Omega U)^t Omega) U is lower triangular with diagonal
-    -||s_i||^2 / 2, and T~^t = -A^{-1}.  Leading blocks of a triangular
-    inverse are inverses of leading blocks, so prefixes of the result agree
-    with the recursion.
-    """
-    hi = policy.high_dtype
-    m = np.shape(S)[1]
-    Sh = _operand(S, hi)
-    G = Sh.T @ Sh
-    L = np.tril(Sh.T @ _operand(np.asarray(E)[:, :m], hi), -1)
-    A = L @ _operand(np.asarray(U)[:m], hi) - np.tril(G, -1) - np.diag(np.diagonal(G) / 2.0)
-    return -upper_tri_solve(A.T, np.eye(m), policy=policy)
-
-
 def trim_thin_q(factors):
     """Materialize Q with W = Q R in float64 (metrics run on this).
 
@@ -222,35 +207,53 @@ def trim_thin_q(factors):
     U = as_array(factors.U)
     k = U.shape[1]
     M = np.triu(as_array(factors.S).T @ as_array(factors.E)[:, :k])
-    Q = U @ -(as_array(factors.T) @ M)
-    Q[:k] += np.eye(k)
-    return Q
+    return compact_q(U, factors.T, M)
+
+
+def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
+    """The column step of both trimmed sweeps: the reflector built from
+    w's tail (trim_rh_vector) becomes column c of U and S, and w's head with
+    the new diagonal -sigma*rho column c of R.  Row c of L gets
+    <Omega u_c, Omega e_k> for k < c, from Eh (E held in policy.high), and
+    T and T~ grow by _extend_t.  Returns the TrimStep."""
+    lo = policy.low_dtype
+    hi = policy.high_dtype
+    step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
+    U[c:, c] = step.v
+    S[:, c] = step.s
+    R[:c, c] = w[:c]
+    R[c, c] = -step.sigma * step.rho
+    lrow = _operand(Eh[:, :c], hi).T @ step.s
+    L[c, :c] = lrow
+    p = _operand(S[:, :c], hi).T @ step.s
+    _extend_t(T, p, step.beta, c, hi=hi)
+    # a block cast out of low_storage is made C-contiguous, as a cast from
+    # the C-ordered store of other formats is: BLAS bits follow the layout
+    Uc = U[:c, :c]
+    Uc = to_dtype(Uc, hi) if lo == hi else np.ascontiguousarray(Uc, dtype=hi)
+    _extend_t(Tt, p - Uc.T @ lrow, step.beta, c, hi=hi)
+    return step
 
 
 def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
-    """Right-looking trimmed factorization.
-
-    Each reflector updates the trailing columns through the masked sketch:
-    rows 1..j-1 are dropped before sketching, matching the [0 Omega_{j:n}]
-    operator of the elimination.  T, T_tilde and L are assembled from S and
-    E after the sweep.
+    """Right-looking trimmed factorization: trim_rhqr_left's column step,
+    then an update of the trailing columns through the masked sketch: rows
+    1..j-1 are dropped before sketching, matching the [0 Omega_{j:n}]
+    operator of the elimination.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
     Wl = np.require(factor_input(W, policy, scaling), requirements="W")
     n, m = Wl.shape
     omega = normalize_leading_columns(check_sketch(omega, n), m)
+    E = omega.unit_column_sketches[:, :m].copy()
+    Eh = to_dtype(E, hi)
     U = np.zeros((n, m), dtype=lo)
     S = np.zeros((omega.ell, m), dtype=hi)
-    R = np.zeros((m, m), dtype=hi)
+    R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
     sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
-        w = Wl[:, c]
-        step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
-        U[c:, c] = step.v
-        S[:, c] = step.s
-        R[:c, c] = w[:c]
-        R[c, c] = -step.sigma * step.rho
+        step = _add_trim_reflector(Wl[:, c], c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
         sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
         if c + 1 < m:
             Y = Wl[:, c + 1:]
@@ -259,12 +262,8 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             X = omega.apply(masked, dtype=lo)
             coef = hi(step.beta) * (step.s @ _operand(X, hi))
             Y -= np.outer(U[:, c], to_dtype(coef, lo))
-    E = omega.unit_column_sketches[:, :m].copy()
-    T = t_factor_from_sketches(S, policy=policy)
-    T_tilde = t_tilde_from_factors(S, E, U, policy=policy)
-    L = np.tril(_operand(S, hi).T @ _operand(E, hi), -1)
     return TrimFactors(
-        U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(T_tilde), R=as_array(R),
+        U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),
         L=as_array(L), E=E, omega=omega, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas,
     )
 
@@ -273,10 +272,10 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Left-looking trimmed factorization maintaining both triangles.
 
     Column j is transformed in one shot by the reversed compact form,
-    w -= U T~^t (S^t (Omega w) - L w_head), then the reflector comes from
-    its tail.  The updates' sketches of columns 2..m come from one block
-    sketch of W[:, 1:]; each column then takes the two sketches inside
-    trim_rh_vector.
+    w -= U T~^t (S^t (Omega w) - L w_head), then the column step
+    (_add_trim_reflector) makes the reflector from its tail.  The updates'
+    sketches of columns 2..m come from one block sketch of W[:, 1:]; each
+    column then takes the two sketches inside trim_rh_vector.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
@@ -298,22 +297,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             h = _operand(S[:, :c], hi).T @ to_dtype(z, hi)
             h -= _operand(L[:c, :c], hi) @ to_dtype(w[:c], hi)
             w = w - reflector_matmul(U[:, :c], _operand(Tt[:c, :c], hi).T @ h, lo)
-        step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
-        U[c:, c] = step.v
-        S[:, c] = step.s
-        R[:c, c] = w[:c]
-        R[c, c] = -step.sigma * step.rho
-        # grow the slt table and both triangles by the new reflector
-        lrow = _operand(Eh[:, :c], hi).T @ step.s
-        L[c, :c] = lrow
-        p = _operand(S[:, :c], hi).T @ step.s
-        _extend_t(T, p, step.beta, c, hi=hi)
-        # a block cast out of low_storage is made C-contiguous, as a cast
-        # from the C-ordered store of other formats is: BLAS bits follow
-        # the layout
-        Uc = U[:c, :c]
-        Uc = to_dtype(Uc, hi) if lo == hi else np.ascontiguousarray(Uc, dtype=hi)
-        _extend_t(Tt, p - Uc.T @ lrow, step.beta, c, hi=hi)
+        step = _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
         sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
     return TrimFactors(
         U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),

@@ -4,9 +4,13 @@ Everything here is deliberately written from the defining formulas, not by
 calling into sketchqr, so agreement is evidence rather than tautology.
 CountingSketch wraps an operator to count how often a factorization sketches;
 MatrixSketch puts an explicit matrix behind sketchqr's operator interface.
+The sweeps grow their compact-form triangles by the recursion of Schreiber &
+Van Loan; t_factor_from_sketches and t_tilde_from_factors give the same
+triangles in closed form, by one triangular inversion after the sweep.
 """
 
 import numpy as np
+import scipy.linalg
 
 from sketchqr.sketching import SketchOperator
 
@@ -41,6 +45,34 @@ class MatrixSketch(SketchOperator):
     def _apply(self, X, dtype):
         adtype = np.float32 if dtype == np.float16 else dtype
         return (self.matrix.astype(adtype) @ X.astype(adtype)).astype(dtype)
+
+
+def t_factor_from_sketches(S):
+    """The compact-form triangle T from S = Psi U alone, in float64.
+
+    Puglisi's identity S^t S = T^{-1} + T^{-t} makes T^{-1} the strict upper
+    triangle of S^t S plus half its diagonal.
+    """
+    S = np.asarray(S, dtype=np.float64)
+    G = S.T @ S
+    Tinv = np.triu(G, 1) + np.diag(np.diagonal(G) / 2.0)
+    return scipy.linalg.solve_triangular(Tinv, np.eye(G.shape[0]))
+
+
+def t_tilde_from_factors(S, E, U):
+    """The trimmed reversed-product triangle T~ from S, E and U, in float64.
+
+    A = T^{-1} - ut((Omega U)^t Omega) U is lower triangular with diagonal
+    -||s_i||^2 / 2, and T~^t = -A^{-1}.  Leading blocks of a triangular
+    inverse are inverses of leading blocks, so prefixes of the result agree
+    with the recursion.
+    """
+    S, E, U = (np.asarray(X, dtype=np.float64) for X in (S, E, U))
+    m = S.shape[1]
+    G = S.T @ S
+    L = np.tril(S.T @ E[:, :m], -1)
+    A = L @ U[:m] - np.tril(G, -1) - np.diag(np.diagonal(G) / 2.0)
+    return -scipy.linalg.solve_triangular(A.T, np.eye(m))
 
 
 def jacobi_singular_values(A, sweeps=60, tol=1e-30):

@@ -312,12 +312,9 @@ def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
 
 
 
-# array fields that keep another layout, which thin_q's and arnoldi_q's
-# gemm bits follow: the right-looking sweeps' triangles come from LAPACK's
-# triangular solve in Fortran order (float16's substitution loop gives C),
-# and H is a view of the Arnoldi R
-_OTHER_LAYOUT = {"rhqr_right.T", "trim_rhqr_right.T", "trim_rhqr_right.T_tilde",
-                 "rhqr_arnoldi.H", "rgs_arnoldi.H"}
+# array fields that keep another layout, which arnoldi_q's gemm bits
+# follow: H is a view of the Arnoldi R
+_OTHER_LAYOUT = {"rhqr_arnoldi.H", "rgs_arnoldi.H"}
 
 
 def _array_fields(name, out):

@@ -22,13 +22,17 @@ from sketchqr.rhqr import (
     rhqr_left,
     rhqr_right,
     sketch_q,
-    t_factor_from_sketches,
     thin_q,
 )
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
-from sketchqr.trim import normalize_leading_columns, trim_rhqr_left
-from oracles import CountingSketch, dense_embedded_matrix, dense_reflector
+from sketchqr.trim import normalize_leading_columns, trim_rhqr_left, trim_rhqr_right
+from oracles import (
+    CountingSketch,
+    dense_embedded_matrix,
+    dense_reflector,
+    t_factor_from_sketches,
+)
 
 
 def full_embedding(n, m):
@@ -227,11 +231,19 @@ def test_t_factor_from_sketches_small_cases():
 
 
 def test_t_factor_round_trip(rng):
-    S = rng.standard_normal((30, 8))
-    T = t_factor_from_sketches(S)
-    G = S.T @ S
-    Tinv = np.linalg.inv(T)
-    assert np.linalg.norm(G - (Tinv + Tinv.T)) <= 1e-12 * np.linalg.norm(G)
+    # every sweep grows T by the recursion; Puglisi's identity
+    # S^t S = T^-1 + T^-t must hold for the T it returns
+    n, m = 90, 9
+    W = rng.standard_normal((n, m))
+    om_e = GaussianSketch(36, n - m, 19)
+    om = GaussianSketch(36, n, 19)
+    for scaling in (SCALE_SQRT2, SCALE_UNIT):
+        for F in (rhqr_left(W, om_e, scaling=scaling), rhqr_right(W, om_e, scaling=scaling),
+                  rhqr_block(W, om_e, block_size=4, scaling=scaling),
+                  trim_rhqr_left(W, om, scaling=scaling), trim_rhqr_right(W, om, scaling=scaling)):
+            G = F.S.T @ F.S
+            Tinv = np.linalg.inv(F.T)
+            assert np.linalg.norm(G - (Tinv + Tinv.T)) <= 1e-12 * np.linalg.norm(G)
 
 
 def test_block_matches_unblocked(rng):

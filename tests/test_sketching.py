@@ -327,6 +327,12 @@ def test_operators_are_deterministic(rng):
         assert a.shape == (16, 40)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign", "hadamard"])
+def test_make_sketch_refuses_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"unknown sketch kind '{kind}'"):
+        make_sketch(kind, 16, 40, seed=11)
+
+
 def test_gaussian_statistics():
     op = GaussianSketch(400, 300, seed=5)
     G = dense_operator_matrix(op)

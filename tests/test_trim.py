@@ -12,7 +12,6 @@ from sketchqr.linalg import (
     factorization_errors,
 )
 from sketchqr.precision import policy_from_tag, round_to
-from sketchqr.rhqr import t_factor_from_sketches
 from sketchqr.sketching import (
     ColumnScaledSketch,
     GaussianSketch,
@@ -21,13 +20,17 @@ from sketchqr.sketching import (
 )
 from sketchqr.trim import (
     normalize_leading_columns,
-    t_tilde_from_factors,
     trim_rh_vector,
     trim_rhqr_left,
     trim_rhqr_right,
     trim_thin_q,
 )
-from oracles import MatrixSketch, dense_operator_matrix
+from oracles import (
+    MatrixSketch,
+    dense_operator_matrix,
+    t_factor_from_sketches,
+    t_tilde_from_factors,
+)
 
 
 def dense_tilde(omega, m):
