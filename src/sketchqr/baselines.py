@@ -44,14 +44,12 @@ class QRResult(NamedTuple):
 
 
 class SketchQR(NamedTuple):
-    """Compact Householder QR of a sketch: Z = (I - S T S^t)[R; 0]."""
+    """Compact Householder QR of a sketch: Z = (I - S T S^t)[R; 0].
+    Reflector c's sigma is -sign(R[c, c]), its rho |R[c, c]|, its beta T[c, c]."""
 
     S: np.ndarray
     T: np.ndarray
     R: np.ndarray
-    sigmas: np.ndarray
-    rhos: np.ndarray
-    betas: np.ndarray
 
 
 def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -59,21 +57,20 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
     Sign rule sigma = sign(pivot) with sign(0) = +1, so R's diagonal is
     -sigma*rho.  The reflector product is accumulated compactly; Q is
-    materialized as [I;0] - U T U1^t and U, T ride along in aux.  An exactly
-    zero tail (column dependent on its predecessors) raises BreakdownError,
-    and so does, with sqrt2 scaling, a tail so tiny that the scale
-    1/(rho sigma gamma) overflows; a merely tiny tail proceeds like any
-    textbook implementation.
+    materialized as [I;0] - U T U1^t and U, T ride along in aux.  Reflector
+    c's sigma is -sign(R[c, c]), its rho |R[c, c]|, its beta T[c, c].  An
+    exactly zero tail (column dependent on its predecessors) raises
+    BreakdownError, and so does, with sqrt2 scaling, a tail so tiny that the
+    scale 1/(rho sigma gamma) overflows; a merely tiny tail proceeds like
+    any textbook implementation.
     """
-    U, T, R, sigmas, rhos, betas = map(as_array, _householder(A, scaling, policy))
+    U, T, R = map(as_array, _householder(A, scaling, policy))
     m = T.shape[0]
-    return QRResult(Q=compact_q(U, T, U[:m, :m].T), R=R,
-                    aux={"U": U, "T": T, "sigmas": sigmas, "rhos": rhos, "betas": betas})
+    return QRResult(Q=compact_q(U, T, U[:m, :m].T), R=R, aux={"U": U, "T": T})
 
 
 def _householder(A, scaling, policy):
-    """householder_qr's sweep: (U, T, R, sigmas, rhos, betas), with U, T and
-    R held in policy.high_dtype."""
+    """householder_qr's sweep: (U, T, R), held in policy.high_dtype."""
     lo = policy.low_dtype
     hi = policy.high_dtype
     Al = factor_input(A, policy, scaling)
@@ -85,7 +82,6 @@ def _householder(A, scaling, policy):
     U = np.zeros((p, m), dtype=hi)
     Ul = U if lo == np.float64 else low_storage(p, m, lo)
     T, R = np.zeros((2, m, m), dtype=hi)
-    sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
         w = Al[:, c].copy()
         Uc = _operand(U[:, :c], hi)
@@ -122,8 +118,7 @@ def _householder(A, scaling, policy):
         T[c, c] = beta
         R[:c, c] = w[:c]
         R[c, c] = -sigma * rho
-        sigmas[c], rhos[c], betas[c] = sigma, rho, beta
-    return U, T, R, sigmas, rhos, betas
+    return U, T, R
 
 
 _GEQRT = {np.float64: scipy.linalg.lapack.dgeqrt, np.float32: scipy.linalg.lapack.sgeqrt}
@@ -157,20 +152,17 @@ def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         tau = np.diagonal(tl)
         if np.all(tau != 0):
             R = np.triu(a[:m])
-            r = np.diagonal(R)
-            sigmas = np.where(r > 0, -1.0, 1.0)
             V = np.tril(a, -1)
             np.fill_diagonal(V, 1)
             T = np.triu(tl)
             if scaling == SCALE_SQRT2:
-                d = sigmas.astype(hi) * np.sqrt(tau)
-                S, T, betas = V * d, T / np.outer(d, d), np.ones(m)
+                d = np.where(np.diagonal(R) > 0, -1.0, 1.0).astype(hi) * np.sqrt(tau)
+                S, T = V * d, T / np.outer(d, d)
                 # tau / d_c**2 is 1 but for rounding; householder_qr's is 1
                 np.fill_diagonal(T, 1)
             else:
-                S, betas = V, tau
-            return SketchQR(S=S, T=T, R=R, sigmas=sigmas, rhos=as_array(np.abs(r)),
-                            betas=as_array(betas))
+                S = V
+            return SketchQR(S=S, T=T, R=R)
     return SketchQR(*_householder(Z, scaling, PrecisionPolicy.uniform(policy.high)))
 
 

@@ -17,7 +17,7 @@ from .experiments import (
     run_gmres_experiment,
     write_csv,
 )
-from .linalg import BreakdownError
+from .linalg import SCALINGS, BreakdownError
 from .mmio import load_matrix_market, write_matrix_market
 from .precision import PrecisionRangeError
 from .sketching import SKETCH_KINDS
@@ -57,7 +57,7 @@ def build_parser():
     f.add_argument("--gen-m", type=int)
     f.add_argument("--every", type=int, default=25,
                    help="sample metrics every K columns")
-    f.add_argument("--scaling", choices=("sqrt2", "unit"), default="sqrt2")
+    f.add_argument("--scaling", choices=SCALINGS, default="sqrt2")
     f.add_argument("--block-size", type=int, default=32)
     _sketch_args(f)
 

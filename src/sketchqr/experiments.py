@@ -22,13 +22,14 @@ from .krylov import _apply_basis, _as_operator, _gmres_solve, arnoldi_q, rgs_arn
 from .linalg import (
     BreakdownError,
     as_array,
+    check_scaling,
     cond_number,
     factorization_errors,
     orthogonality_error,
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
-from .sketching import SparseSignSketch, make_sketch
+from .sketching import SKETCH_KINDS, SparseSignSketch, make_sketch
 from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 # Sketch rows: TRAILING sketches the n-m rows under the identity block of
@@ -95,6 +96,10 @@ class ExperimentConfig:
     deterministic: bool = False
 
     def __post_init__(self):
+        if self.sketch not in SKETCH_KINDS:
+            raise ValueError(f"unknown sketch {self.sketch!r}, expected one of {SKETCH_KINDS}")
+        check_scaling(self.scaling)
+        policy_from_tag(self.precision)
         if self.every < 1:
             raise ValueError(f"metric stride every={self.every} must be >= 1")
         if self.ell < 0:
@@ -256,7 +261,7 @@ def run_gmres_experiment(A, b, m, config, x0=None):
         bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=config.scaling,
                               policy=policy)
         H, beta = bundle.H, bundle.beta
-        Qext = arnoldi_q(bundle, min(bundle.dim + 1, bundle.U.shape[1]))
+        Qext = arnoldi_q(bundle)
 
         def apply_basis(y):
             return _apply_basis(bundle, y, policy)

@@ -151,26 +151,20 @@ def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
 
 @dataclass
 class RHQRFactors:
-    """Compact factorization output: W = Q R with Q = [I;0] - U T U1^t."""
+    """Compact factorization output: W = Q R with Q = [I;0] - U T U1^t.
+    Reflector c's sigma is -sign(R[c, c]), its rho |R[c, c]|, its beta T[c, c]."""
 
     U: np.ndarray          # n x m reflector columns, lower trapezoidal
-    S: np.ndarray          # (ell+M) x m sketched reflectors, S = Psi U
+    S: np.ndarray          # (ell+m) x m sketched reflectors, S = Psi U
     T: np.ndarray          # m x m upper triangular
     R: np.ndarray          # m x m upper triangular
     psi: EmbeddedSketch
-    scaling: str
-    sigmas: np.ndarray
-    rhos: np.ndarray
-    betas: np.ndarray
 
     def prefix(self, j):
         """Factors of the leading j columns (valid for the left/right sweeps,
         whose first j reflectors never look at later columns)."""
-        return RHQRFactors(
-            U=self.U[:, :j], S=self.S[:, :j], T=self.T[:j, :j], R=self.R[:j, :j],
-            psi=self.psi, scaling=self.scaling,
-            sigmas=self.sigmas[:j], rhos=self.rhos[:j], betas=self.betas[:j],
-        )
+        return RHQRFactors(U=self.U[:, :j], S=self.S[:, :j], T=self.T[:j, :j],
+                           R=self.R[:j, :j], psi=self.psi)
 
 
 def thin_q(factors):
@@ -219,7 +213,6 @@ def _sweep(W, omega, block_size, scaling, policy):
     U = low_storage(n, m, lo)
     S = np.zeros((psi.out_dim, m), dtype=hi)
     T, R = np.zeros((2, m, m), dtype=hi)
-    sigmas, rhos, betas = np.zeros((3, m))
     for j0 in range(0, m, block_size):
         j1 = min(j0 + block_size, m)
         panel = Wl[:, j0:j1]
@@ -237,10 +230,9 @@ def _sweep(W, omega, block_size, scaling, policy):
                 w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
                                              transpose_t=True, policy=policy, Y=y)
                 y = psi.apply(w, dtype=lo)
-            step = _add_reflector(w, y, c, U, S, T, R, scaling, policy)
-            sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
+            _add_reflector(w, y, c, U, S, T, R, scaling, policy)
     return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
-                R=as_array(R), psi=psi, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
+                R=as_array(R), psi=psi)
 
 
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -265,17 +257,14 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     U = np.zeros((n, m), dtype=lo)
     S = np.zeros((psi.out_dim, m), dtype=hi)
     T, R = np.zeros((2, m, m), dtype=hi)
-    sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
         # the trailing block's sketch, read in float64 as rh_vector reads y
         Y = to_dtype(psi.apply(Wl[:, c:], dtype=lo), np.float64)
         step = _add_reflector(Wl[:, c], Y[:, 0], c, U, S, T, R, scaling, policy)
-        sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
         if c + 1 < m:
             coef = hi(step.beta) * (step.s @ _operand(Y[:, 1:], hi))
             Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))
-    return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi,
-                       scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas)
+    return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi)
 
 
 class BlockRHQRFactors(RHQRFactors):
@@ -328,5 +317,4 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     right_tri_solve(U[m:], Mfac, policy=policy)
     if policy.low != policy.high:
         U[m:] = round_to(U[m:], policy.low)
-    return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(hq.R), psi=psi,
-                       scaling=scaling, sigmas=hq.sigmas, rhos=hq.rhos, betas=hq.betas)
+    return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(hq.R), psi=psi)

@@ -171,7 +171,8 @@ class TrimFactors:
     creation order, T_tilde in reverse; both are upper triangular.  L is the
     strictly lower table <Omega u_i, Omega e_k> and E holds the unit leading
     column sketches of the wrapped operator, so the ut(...) application
-    never re-sketches canonical vectors.
+    never re-sketches canonical vectors.  Reflector c's sigma is
+    -sign(R[c, c]), its rho |R[c, c]|, its beta T[c, c].
     """
 
     U: np.ndarray
@@ -182,10 +183,6 @@ class TrimFactors:
     L: np.ndarray
     E: np.ndarray
     omega: ColumnScaledSketch
-    scaling: str
-    sigmas: np.ndarray
-    rhos: np.ndarray
-    betas: np.ndarray
 
     def prefix(self, j):
         """Factors of the leading j columns; valid because every table grows
@@ -193,9 +190,7 @@ class TrimFactors:
         return TrimFactors(
             U=self.U[:, :j], S=self.S[:, :j], T=self.T[:j, :j],
             T_tilde=self.T_tilde[:j, :j], R=self.R[:j, :j], L=self.L[:j, :j],
-            E=self.E[:, :j], omega=self.omega, scaling=self.scaling,
-            sigmas=self.sigmas[:j], rhos=self.rhos[:j], betas=self.betas[:j],
-        )
+            E=self.E[:, :j], omega=self.omega)
 
 
 def trim_thin_q(factors):
@@ -251,10 +246,8 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     U = np.zeros((n, m), dtype=lo)
     S = np.zeros((omega.ell, m), dtype=hi)
     R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
-    sigmas, rhos, betas = np.zeros((3, m))
     for c in range(m):
         step = _add_trim_reflector(Wl[:, c], c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
-        sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
         if c + 1 < m:
             Y = Wl[:, c + 1:]
             masked = Y.copy()
@@ -264,8 +257,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             Y -= np.outer(U[:, c], to_dtype(coef, lo))
     return TrimFactors(
         U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),
-        L=as_array(L), E=E, omega=omega, scaling=scaling, sigmas=sigmas, rhos=rhos, betas=betas,
-    )
+        L=as_array(L), E=E, omega=omega)
 
 
 def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -287,7 +279,6 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     U = low_storage(n, m, lo)
     S = np.zeros((omega.ell, m), dtype=hi)
     R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
-    sigmas, rhos, betas = np.zeros((3, m))
     # the updates' sketches, in one block apply: bitwise the per-column ones
     Z = omega.apply(Wl[:, 1:], dtype=lo)
     for c in range(m):
@@ -297,10 +288,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             h = _operand(S[:, :c], hi).T @ to_dtype(z, hi)
             h -= _operand(L[:c, :c], hi) @ to_dtype(w[:c], hi)
             w = w - reflector_matmul(U[:, :c], _operand(Tt[:c, :c], hi).T @ h, lo)
-        step = _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
-        sigmas[c], rhos[c], betas[c] = step.sigma, step.rho, step.beta
+        _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
     return TrimFactors(
         U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
-        T_tilde=as_array(Tt), R=as_array(R), L=as_array(L), E=E, omega=omega, scaling=scaling,
-        sigmas=sigmas, rhos=rhos, betas=betas,
-    )
+        T_tilde=as_array(Tt), R=as_array(R), L=as_array(L), E=E, omega=omega)

@@ -6,7 +6,8 @@ CountingSketch wraps an operator to count how often a factorization sketches;
 MatrixSketch puts an explicit matrix behind sketchqr's operator interface.
 The sweeps grow their compact-form triangles by the recursion of Schreiber &
 Van Loan; t_factor_from_sketches and t_tilde_from_factors give the same
-triangles in closed form, by one triangular inversion after the sweep.
+triangles in closed form, by one triangular inversion after the sweep,
+and reflector_scalars reads each reflector's sigma, rho and beta off R and T.
 """
 
 import numpy as np
@@ -73,6 +74,15 @@ def t_tilde_from_factors(S, E, U):
     L = np.tril(S.T @ E[:, :m], -1)
     A = L @ U[:m] - np.tril(G, -1) - np.diag(np.diagonal(G) / 2.0)
     return -scipy.linalg.solve_triangular(A.T, np.eye(m))
+
+
+def reflector_scalars(R, T):
+    """(sigma, rho, beta) of every reflector of a compact factorization, in
+    float64: column c writes R[c, c] = -sigma_c rho_c with rho_c > 0, and
+    T keeps beta_c on its diagonal (Schreiber & Van Loan)."""
+    d = np.diagonal(np.asarray(R, dtype=np.float64))
+    return (np.where(d > 0, -1.0, 1.0), np.abs(d),
+            np.diagonal(np.asarray(T, dtype=np.float64)).copy())
 
 
 def jacobi_singular_values(A, sweeps=60, tol=1e-30):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from sketchqr.cli import main
+from sketchqr.cli import build_parser, main
 from sketchqr.experiments import gen_cmatrix
+from sketchqr.linalg import SCALINGS
 from sketchqr.mmio import load_matrix_market, write_matrix_market
 
 
@@ -114,6 +115,14 @@ def test_gmres_input_errors(tmp_path, rng):
         main(["gmres", "--algo", "rhqr", "--matrix", str(rect),
               "--rhs", "ones", "--iters", "2",
               "--out", str(tmp_path / "x.csv")])
+
+
+def test_factor_scaling_choices_are_the_library_scalings():
+    argv = ["factor", "--algo", "hqr", "--gen-n", "8", "--gen-m", "4", "--out", "x.csv"]
+    for scaling in SCALINGS:
+        assert build_parser().parse_args(argv + ["--scaling", scaling]).scaling == scaling
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--scaling", "bogus"])
 
 
 @pytest.mark.parametrize("bad,match", [(["--s", "0"], "s=0"),

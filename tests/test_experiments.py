@@ -1,4 +1,5 @@
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -37,12 +38,14 @@ SCALED = ("rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr", "trim-left", "tri
 
 @pytest.mark.parametrize("algo", SCALED)
 def test_factorizations_refuse_an_unknown_scaling(algo):
+    # ExperimentConfig refuses the name itself, so a bare namespace carries
+    # it to the factorization
     call, rows, _ = ALGOS[algo]
     n, m = 64, 8
     omega = SRHTSketch(32, n - m if rows == TRAILING else n, 0)
+    config = types.SimpleNamespace(scaling="householder", block_size=32)
     with pytest.raises(ValueError, match="unknown scaling 'householder'"):
-        call(gen_cmatrix(n, m), omega, ExperimentConfig(algo=algo, scaling="householder"),
-             policy_from_tag("double"))
+        call(gen_cmatrix(n, m), omega, config, policy_from_tag("double"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -134,6 +137,14 @@ def test_config_validation():
         ExperimentConfig(algo="rhqr-block", block_size=0)
     with pytest.raises(ValueError):
         run_factor_experiment(np.eye(4), ExperimentConfig(algo="qr-but-wrong"))
+    # names are checked whether or not the algorithm reads them: mgs reads
+    # neither sketch nor scaling, and ran on any name
+    for field, value in (("sketch", "gaussian"), ("scaling", "bogus"), ("precision", "quad")):
+        with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
+            ExperimentConfig(algo="mgs", **{field: value})
+    with pytest.raises(ValueError, match="unknown sketch 'gaussian'"):
+        run_factor_experiment(gen_cmatrix(64, 8), ExperimentConfig(
+            algo="mgs", sketch="gaussian", scaling="bogus", every=4))
 
 
 def test_hqr_on_orthonormal_input(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sketchqr import rhqr, trim
 from sketchqr.baselines import householder_qr
 from sketchqr.linalg import (
     SCALE_SQRT2,
@@ -31,6 +32,7 @@ from oracles import (
     CountingSketch,
     dense_embedded_matrix,
     dense_reflector,
+    reflector_scalars,
     t_factor_from_sketches,
 )
 
@@ -313,7 +315,8 @@ def test_trim_left_sketches_the_updates_once(rng):
     assert om.widths == [m - 1] + [1] * (2 * m)
 
 
-# blake2b digests of every factor array of the two left sweeps.  Their
+# blake2b digests of every factor array of the two left sweeps, then of
+# each reflector's sigma, rho and beta as read off R and T.  Their
 # updates run through BLAS, so the digests pin the numpy/OpenBLAS build as
 # well as the sweeps' arithmetic and the memory layout of float32 blocks.
 LEFT_SWEEP_DIGESTS = {
@@ -346,9 +349,42 @@ def test_left_sweep_golden_digests(case):
     else:
         f = trim_rhqr_left(W, SRHTSketch(48, 256, 16), scaling=scaling, policy=policy)
     h = hashlib.blake2b(digest_size=16)
-    for a in _factor_arrays(f):
+    for a in _factor_arrays(f) + list(reflector_scalars(f.R, f.T)):
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     assert h.hexdigest() == LEFT_SWEEP_DIGESTS[case]
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
+@pytest.mark.parametrize("scaling", [SCALE_SQRT2, SCALE_UNIT])
+def test_reflector_scalars_are_read_off_r_and_t(monkeypatch, tag, scaling):
+    # every column step writes R[c, c] = -sigma rho and T[c, c] = beta from
+    # the scalars its reflector builder returns, so R and T give them back
+    # bit for bit
+    policy = policy_from_tag(tag)
+    n, m = 96, 10
+    W = gen_cmatrix(n, m)
+    om_e = SRHTSketch(40, n - m, 5)
+    om = SRHTSketch(24, n, 6)
+    sweeps = {
+        "rhqr_left": lambda: rhqr_left(W, om_e, scaling=scaling, policy=policy),
+        "rhqr_block": lambda: rhqr_block(W, om_e, block_size=4, scaling=scaling, policy=policy),
+        "rhqr_right": lambda: rhqr_right(W, om_e, scaling=scaling, policy=policy),
+        "trim_rhqr_left": lambda: trim_rhqr_left(W, om, scaling=scaling, policy=policy),
+        "trim_rhqr_right": lambda: trim_rhqr_right(W, om, scaling=scaling, policy=policy),
+    }
+    steps = []
+    for mod, name in ((rhqr, "rh_vector"), (trim, "trim_rh_vector")):
+        def record(*args, _build=getattr(mod, name), **kwargs):
+            step = _build(*args, **kwargs)
+            steps.append((step.sigma, step.rho, step.beta))
+            return step
+        monkeypatch.setattr(mod, name, record)
+    for name, sweep in sweeps.items():
+        steps.clear()
+        F = sweep()
+        assert len(steps) == m, name
+        for got, want in zip(reflector_scalars(F.R, F.T), np.array(steps).T):
+            assert np.array_equal(got, want), name
 
 
 def test_rec_rhqr_identity_block(rng):
@@ -386,10 +422,12 @@ def test_rec_rhqr_factors_are_householder_of_sketch(rng, tag, scaling):
     Z = F.psi.apply(round_to(W, tag), dtype=policy.low_dtype)
     ref = householder_qr(Z, scaling=scaling, policy=policy)
     tol = 1e-12 if tag == "double" else 1e-5  # 1e-12 is below single's roundoff (6e-8)
+    sigmas, rhos, betas = reflector_scalars(F.R, F.T)
+    ref_sigmas, ref_rhos, ref_betas = reflector_scalars(ref.R, ref.aux["T"])
     for got, want in [(F.S, ref.aux["U"]), (F.T, ref.aux["T"]), (F.R, ref.R),
-                      (F.rhos, ref.aux["rhos"]), (F.betas, ref.aux["betas"])]:
+                      (rhos, ref_rhos), (betas, ref_betas)]:
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
-    assert np.array_equal(F.sigmas, ref.aux["sigmas"])
+    assert np.array_equal(sigmas, ref_sigmas)
 
 
 def test_rec_rhqr_negative_zero_pivot_reads_as_negative(rng):
@@ -402,8 +440,9 @@ def test_rec_rhqr_negative_zero_pivot_reads_as_negative(rng):
     Fr = rec_rhqr(W, om)
     Fl = rhqr_left(W, om)
     assert Fr.R[0, 0] > 0 > Fl.R[0, 0]
-    assert Fr.sigmas[0] == -1.0 and Fl.sigmas[0] == 1.0
-    assert np.isclose(Fr.rhos[0], Fl.rhos[0], rtol=1e-14)
+    (sr, rr, _), (sl, rl, _) = (reflector_scalars(F.R, F.T) for F in (Fr, Fl))
+    assert sr[0] == -1.0 and sl[0] == 1.0
+    assert np.isclose(rr[0], rl[0], rtol=1e-14)
     for F in (Fr, Fl):
         assert factorization_errors(W, thin_q(F), F.R).fro_rel_err <= 1e-14
 
