@@ -19,7 +19,7 @@ from .experiments import (
 )
 from .linalg import SCALINGS, BreakdownError
 from .mmio import load_matrix_market, write_matrix_market
-from .precision import PrecisionRangeError
+from .precision import PRECISION_TAGS, PrecisionRangeError
 from .sketching import SKETCH_KINDS
 
 
@@ -31,8 +31,7 @@ def _sketch_args(p, what="columns"):
     p.add_argument("--s", type=int, default=8,
                    help="nonzeros per column of the sparse sign sketch")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=("half", "single", "double", "mixed"),
-                   default="double")
+    p.add_argument("--precision", choices=PRECISION_TAGS, default="double")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress the timestamp comment for byte-stable output")

@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
-from .sketching import SKETCH_KINDS, SparseSignSketch, make_sketch
+from .sketching import SKETCH_KINDS, SparseSignSketch, _integer, make_sketch
 from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 # Sketch rows: TRAILING sketches the n-m rows under the identity block of
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown sketch {self.sketch!r}, expected one of {SKETCH_KINDS}")
         check_scaling(self.scaling)
         policy_from_tag(self.precision)
+        for name in ("ell", "s", "seed", "every", "block_size"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.every < 1:
             raise ValueError(f"metric stride every={self.every} must be >= 1")
         if self.ell < 0:

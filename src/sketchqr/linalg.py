@@ -230,9 +230,17 @@ def _operand(a, dtype):
 
 
 def _extend_t(T, p, beta, c, hi=np.float64):
-    """Grow the compact-form triangle T, held in hi, by the new reflector's
-    column c, given p = S[:, :c]^t s_new in hi: T[:c, c] = -beta T[:c, :c] p
-    and T[c, c] = beta."""
+    """Grow the compact-form triangle T, held in hi, past its leading block
+    T[:c, :c].  One new reflector, given beta and p = S[:, :c]^t s_new in
+    hi, becomes column c: T[:c, c] = -beta T[:c, :c] p and T[c, c] = beta.
+    A block of b reflectors c.., whose own triangle beta = T[c:c+b, c:c+b]
+    is in place, gets the block above it from the c x b block
+    p = S[:, :c]^t S[:, c:c+b] by GEMMs: T[:c, c:c+b] = -T[:c, :c] p beta
+    (the UT transform of Joffrain et al., ACM TOMS 2006)."""
+    if np.ndim(beta):
+        T[:c, c:c + beta.shape[0]] = -matmul_in(
+            matmul_in(_operand(T[:c, :c], hi), p, hi), beta, hi)
+        return
     if c:
         T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ p)
     T[c, c] = beta

@@ -22,6 +22,10 @@ HALF = "half"
 SINGLE = "single"
 DOUBLE = "double"
 PRECISIONS = (HALF, SINGLE, DOUBLE)
+# the tags a run takes: a uniform format, or "mixed" (half storage, double
+# coefficients)
+MIXED = "mixed"
+PRECISION_TAGS = PRECISIONS + (MIXED,)
 
 DTYPES = {HALF: np.float16, SINGLE: np.float32, DOUBLE: np.float64}
 
@@ -109,8 +113,10 @@ DOUBLE_POLICY = PrecisionPolicy()
 
 
 def policy_from_tag(tag):
-    """CLI precision flag -> policy.  'mixed' means half storage, double coefficients."""
-    if tag == "mixed":
+    """A tag of PRECISION_TAGS -> policy.  'mixed' means half storage, double
+    coefficients."""
+    if tag not in PRECISION_TAGS:
+        raise ValueError(f"unknown precision {tag!r}, expected one of {PRECISION_TAGS}")
+    if tag == MIXED:
         return PrecisionPolicy.mixed()
-    _check_tag(tag)
     return PrecisionPolicy.uniform(tag)

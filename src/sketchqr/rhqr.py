@@ -40,7 +40,7 @@ from .linalg import (
     upper_tri_solve,
 )
 from .precision import DOUBLE_POLICY, round_to
-from .sketching import EmbeddedSketch
+from .sketching import EmbeddedSketch, _integer
 
 
 @dataclass
@@ -115,35 +115,47 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
     n-dimensional update run in policy.low, the coefficient products in
     policy.high.  U may be a block of linalg.low_storage.  X is rounded to
     policy.low for the update; the sketch keeps its leading rows as given
-    (EmbeddedSketch).  Y is Psi X, shaped as X, when the caller has
-    sketched X already.
+    (EmbeddedSketch).  Y, shaped as X, stands in for Psi X when the caller
+    has it: the sketch of X itself, or its image in sketch space (the
+    sketch of X before earlier reflectors were applied, updated by the
+    same reflectors), which enters only the coefficients.
     """
-    lo = policy.low_dtype
-    hi = policy.high_dtype
     X = np.asarray(X)
     vec = X.ndim == 1
     Xc = X[:, None] if vec else X
     if Y is None:
-        Y = psi.apply(Xc, dtype=lo)
+        Y = psi.apply(Xc, dtype=policy.low_dtype)
     elif vec:
         Y = Y[:, None]
-    C = _operand(S, hi).T @ _operand(Y, hi)
-    C = matmul_in(_operand(T.T if transpose_t else T, hi), C, hi)
-    out = to_dtype(Xc, lo) - reflector_matmul(U, C, lo)
+    out = _compact_update(U, S, T, Xc, Y, transpose_t, policy)[0]
     return out[:, 0] if vec else out
 
 
-def _add_reflector(w, y, c, U, S, T, R, scaling, policy):
+def _compact_update(U, S, T, X, Y, transpose_t, policy):
+    """apply_reflectors_compact's arithmetic on a block X with Y given:
+    returns X - U C in policy.low and C = T S^t Y (T^t with transpose_t),
+    the coefficients, in policy.high."""
+    lo = policy.low_dtype
+    hi = policy.high_dtype
+    C = _operand(S, hi).T @ _operand(Y, hi)
+    C = matmul_in(_operand(T.T if transpose_t else T, hi), C, hi)
+    return to_dtype(X, lo) - reflector_matmul(U, C, lo), C
+
+
+def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0):
     """The column step of the left- and right-looking sweeps and of
     rhqr_arnoldi: the reflector that eliminates entries c+1.. of y = Psi w
-    becomes column c of the compact form (U, S, T), T grown by _extend_t, and
-    w's head with the new diagonal -sigma*rho becomes column c of R.
+    becomes column c of the compact form (U, S, T), and w's head with the
+    new diagonal -sigma*rho becomes column c of R.  T grows by _extend_t
+    within its diagonal block from reflector `first` on, the rest of
+    column c (T[:first, c]) being left to the caller: p = S[:, first:c]^t s.
     Returns the HouseholderStep."""
     step = rh_vector(w, y, c + 1, scaling, policy)
     U[:, c] = step.u
     S[:, c] = step.s
     hi = policy.high_dtype
-    _extend_t(T, _operand(S[:, :c], hi).T @ step.s, step.beta, c, hi)
+    p = _operand(S[:, first:c], hi).T @ step.s
+    _extend_t(T[first:, first:], p, step.beta, c - first, hi)
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
     return step
@@ -195,13 +207,18 @@ def _sweep(W, omega, block_size, scaling, policy):
     """Left-looking sweep over panels of block_size columns (None: one panel).
 
     All reflectors so far form one compact form U, S = Psi U, T, with U
-    stored in policy.low (linalg.low_storage).  A panel after the first is
-    brought up to date by one application of every earlier reflector.
-    Each panel is then sketched once, as a block.  Column c of the panel
-    starting at j0 gets the panel's own reflectors j0..c-1, whose triangle
-    is the diagonal block T[j0:c, j0:c] of the global T, from its column of
-    that sketch; only the updated column is sketched again.  Returns the
-    fields of RHQRFactors.
+    stored in policy.low (linalg.low_storage).  Each panel is sketched
+    once, as a block, in its original columns.  A panel after the first is
+    brought up to date by every earlier reflector in one compact-form
+    update, whose coefficients Z = T^t S^t Yp also give the sketch-space
+    image Yp - S Z of the updated panel.  Column c of the panel starting
+    at j0 then gets the panel's own reflectors j0..c-1, whose coefficients
+    come from its column of that sketch (or image), and every column but
+    column 0 is sketched once more after its update: 2m-1 sketched columns
+    for any block size.  During a panel T grows only in its diagonal block
+    T[j0:c+1, j0:c+1]; after it, T[:j0, j0:j1] = -T[:j0, :j0] (S[:, :j0]^t
+    S[:, j0:j1]) T[j0:j1, j0:j1] by GEMMs (the UT transform, _extend_t's
+    block form).  Returns the fields of RHQRFactors.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
@@ -216,21 +233,27 @@ def _sweep(W, omega, block_size, scaling, policy):
     for j0 in range(0, m, block_size):
         j1 = min(j0 + block_size, m)
         panel = Wl[:, j0:j1]
-        if j0:
-            panel = apply_reflectors_compact(U[:, :j0], S[:, :j0], T[:j0, :j0], panel, psi,
-                                             transpose_t=True, policy=policy)
         # a block apply equals per-column applies bit for bit (but for a
-        # Gaussian); y is copied out contiguous, as a single apply returns
-        # it, and w is only read
+        # Gaussian)
         Yp = psi.apply(panel, dtype=lo)
+        if j0:
+            panel, Z = _compact_update(U[:, :j0], S[:, :j0], T[:j0, :j0], panel, Yp, True,
+                                       policy)
+            Yp = to_dtype(Yp, hi) - matmul_in(S[:, :j0], Z, hi)
         for c in range(j0, j1):
+            # y is copied out contiguous, as a single apply returns it, and
+            # w is only read
             w = panel[:, c - j0]
             y = Yp[:, c - j0].copy()
             if c > j0:
                 w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
                                              transpose_t=True, policy=policy, Y=y)
+            if c:
                 y = psi.apply(w, dtype=lo)
-            _add_reflector(w, y, c, U, S, T, R, scaling, policy)
+            _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0)
+        if j0:
+            _extend_t(T, _operand(S[:, :j0], hi).T @ _operand(S[:, j0:j1], hi),
+                      T[j0:j1, j0:j1], j0, hi)
     return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
                 R=as_array(R), psi=psi)
 
@@ -276,13 +299,16 @@ class BlockRHQRFactors(RHQRFactors):
 
 
 def rhqr_block(W, omega, block_size=32, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
-    """Blocked left-looking sweep: each panel of block_size columns is
-    brought up to date by every earlier reflector in one compact-form
-    application, sketched once as a block, and then factored column by
-    column.  A final panel narrower than block_size is processed as-is;
-    block_size >= m is rhqr_left exactly."""
+    """Blocked left-looking sweep (_sweep): each panel of block_size
+    columns is sketched once as a block, brought up to date by every
+    earlier reflector in one compact-form update, and factored column by
+    column; the block of T above its diagonal block is then formed by
+    GEMMs.  It sketches 2m-1 columns, as rhqr_left does.  A final panel
+    narrower than block_size is processed as-is; a block_size (a positive
+    integer) of m or more is rhqr_left exactly."""
+    block_size = _integer("block_size", block_size)
     if block_size < 1:
-        raise ValueError("block_size must be positive")
+        raise ValueError(f"block_size={block_size} must be >= 1")
     return BlockRHQRFactors(**_sweep(W, omega, block_size, scaling, policy))
 
 

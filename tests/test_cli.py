@@ -9,6 +9,7 @@ from sketchqr.cli import build_parser, main
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.linalg import SCALINGS
 from sketchqr.mmio import load_matrix_market, write_matrix_market
+from sketchqr.precision import PRECISION_TAGS
 
 
 def test_gen_writes_loadable_matrix(tmp_path, capsys):
@@ -123,6 +124,17 @@ def test_factor_scaling_choices_are_the_library_scalings():
         assert build_parser().parse_args(argv + ["--scaling", scaling]).scaling == scaling
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv + ["--scaling", "bogus"])
+
+
+@pytest.mark.parametrize("command", ["factor", "gmres"])
+def test_precision_choices_are_the_library_tags(command):
+    argv = {"factor": ["factor", "--algo", "hqr", "--gen-n", "8", "--gen-m", "4"],
+            "gmres": ["gmres", "--algo", "rgs", "--matrix", "a.mtx", "--iters", "2"]}[command]
+    argv += ["--out", "x.csv"]
+    for tag in PRECISION_TAGS:
+        assert build_parser().parse_args(argv + ["--precision", tag]).precision == tag
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--precision", "quad"])
 
 
 @pytest.mark.parametrize("bad,match", [(["--s", "0"], "s=0"),

@@ -147,6 +147,20 @@ def test_config_validation():
             algo="mgs", sketch="gaussian", scaling="bogus", every=4))
 
 
+@pytest.mark.parametrize("field", ["ell", "s", "seed", "every", "block_size"])
+@pytest.mark.parametrize("value", [2.5, "4", None])
+def test_config_refuses_non_integer_sizes(field, value):
+    # these used to be accepted and to fail only when the run used them
+    with pytest.raises(ValueError, match=f"^{field}={value!r} must be an integer$"):
+        ExperimentConfig(algo="rhqr-block", **{field: value})
+    assert type(ExperimentConfig(algo="rhqr-block", **{field: np.int64(5)}).__dict__[field]) is int
+
+
+def test_unknown_precision_names_every_tag():
+    with pytest.raises(ValueError, match="'half', 'single', 'double', 'mixed'"):
+        ExperimentConfig(algo="mgs", precision="quad")
+
+
 def test_hqr_on_orthonormal_input(rng):
     Q0 = np.linalg.qr(rng.standard_normal((200, 12)))[0]
     rows = run_factor_experiment(Q0, ExperimentConfig(algo="hqr", every=4))
@@ -399,7 +413,10 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
 # double or in the precision after the dash.  The rhqr-right and trim-right
 # entries were recorded again when those sweeps began to grow T, T~ and L
 # by the left sweeps' column steps, in place of an inversion after the
-# sweep; U, S and R kept their bits.
+# sweep; U, S and R kept their bits.  The block5 entries were recorded
+# again when rhqr-block began to sketch each panel once and to form T's
+# off-diagonal blocks by GEMMs after each panel, again the same at 1, 2
+# and 4 threads.
 RUNNER_DIGESTS = {
     ("rhqr-left", "double"): "f2988d0e6db2d30516b5edbaac7677e5",
     ("rhqr-left", "single"): "847ba7208c44f3ae5cdcdb54c09e755f",
@@ -461,10 +478,10 @@ RUNNER_DIGESTS = {
     ("mgs", "unit"): "1f611d6825f9ff54f7f7b29eae9d10fb",
     ("hqr", "unit"): "2ee1621d558f3420942308241477c028",
     ("rcholqr", "unit"): "48fb9e1f057059a4ff1dfa978b65d040",
-    ("rhqr-block", "block5"): "dd77d7833cca08e02b58c20138dcdf82",
-    ("rhqr-block", "block5-single"): "1752b7ff2a048cd6ac50c55bac59fb0c",
-    ("rhqr-block", "block5-mixed"): "15bb55b909572c61bd79f4a09bd4f4ff",
-    ("rhqr-block", "block5-half"): "c0574995c221fa112157fc6711f64a83",
+    ("rhqr-block", "block5"): "682d6505c4860fd834095df7c465611c",
+    ("rhqr-block", "block5-single"): "b28924ca1e1ef2df72d2995d91bd6ec6",
+    ("rhqr-block", "block5-mixed"): "1506b290cadb254b42d633f96ac81b49",
+    ("rhqr-block", "block5-half"): "bd3dc5c600ea29a4a62a957c929aa3f7",
     ("rhqr-left", "zero-column"): "18404abb8ba99afbf70896c7ded5bc67",
     ("rhqr-right", "zero-column"): "9dbfacd5383f34cce4203adc9c7aa23c",
     ("rhqr-block", "zero-column"): "18404abb8ba99afbf70896c7ded5bc67",

@@ -424,8 +424,9 @@ def test_entry_points_leave_their_input_unchanged(tag):
 def test_lifting_and_baseline_solves_stay_within_their_memory_budget():
     # traced numpy allocations of one call on the desk input, in units of
     # one n x m float64 array: the inputs are read in place, the lifting
-    # solves run in place, Q is formed without a negated copy of U, and a
-    # half U @ c needs O(n) bytes, not an m x n float32 block of products
+    # solves run in place, Q is formed without a negated copy of U, a half
+    # U @ c needs O(n) bytes, not an m x n float32 block of products, and
+    # rhqr_block sketches one panel at a time, not all of W up front
     n, m = 4096, 300
     W = gen_cmatrix(n, m)
     om_e = SRHTSketch(1200, n - m, 1)
@@ -440,6 +441,7 @@ def test_lifting_and_baseline_solves_stay_within_their_memory_budget():
         "rand_cholesky_qr": (lambda: rand_cholesky_qr(W, om), 2.0),
         "householder_qr": (lambda: householder_qr(W), 2.5),
         "rhqr_left": (lambda: rhqr_left(W, om_e), 2.5),
+        "rhqr_block": (lambda: rhqr_block(W, om_e, block_size=32), 2.0),
         "thin_q": (lambda: thin_q(f), 1.5),
     }
     for name, (call, most) in budget.items():

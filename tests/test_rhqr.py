@@ -26,7 +26,13 @@ from sketchqr.rhqr import (
     thin_q,
 )
 from sketchqr.experiments import gen_cmatrix
-from sketchqr.sketching import EmbeddedSketch, GaussianSketch, IdentitySketch, SRHTSketch
+from sketchqr.sketching import (
+    EmbeddedSketch,
+    GaussianSketch,
+    IdentitySketch,
+    SparseSignSketch,
+    SRHTSketch,
+)
 from sketchqr.trim import normalize_leading_columns, trim_rhqr_left, trim_rhqr_right
 from oracles import (
     CountingSketch,
@@ -248,6 +254,44 @@ def test_t_factor_round_trip(rng):
             assert np.linalg.norm(G - (Tinv + Tinv.T)) <= 1e-12 * np.linalg.norm(G)
 
 
+@pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
+def test_block_t_factor_round_trip(rng, tag):
+    # rhqr_block builds T's diagonal blocks by the column recursion and the
+    # blocks above them by GEMMs after each panel; Puglisi's identity holds
+    # for the whole T, ragged final panel included (9 = 4 + 4 + 1 = 2 * 4 + 1)
+    n, m = 90, 9
+    W = rng.standard_normal((n, m))
+    policy = policy_from_tag(tag)
+    for om in (GaussianSketch(36, n - m, 19), SRHTSketch(36, n - m, 19)):
+        for scaling in (SCALE_SQRT2, SCALE_UNIT):
+            for bs in (2, 4):
+                F = rhqr_block(W, om, block_size=bs, scaling=scaling, policy=policy)
+                G = F.S.T @ F.S
+                Tinv = np.linalg.inv(F.T)
+                assert (np.linalg.norm(G - (Tinv + Tinv.T))
+                        <= 50 * policy.u_high * np.linalg.norm(G))
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
+@pytest.mark.parametrize("scaling", [SCALE_SQRT2, SCALE_UNIT])
+@pytest.mark.parametrize("kind", ["srht", "sparse"])
+def test_multi_panel_block_agrees_with_left(rng, kind, scaling, tag):
+    # the multi-panel sweep reorders the arithmetic (panel updates, the
+    # sketch-space image, T's off-diagonal blocks by GEMMs) but computes
+    # the same factors; 13 columns leave a ragged final panel at 3 and 5
+    n, m = 96, 13
+    W = rng.standard_normal((n, m))
+    om = SRHTSketch(4 * m, n - m, 7) if kind == "srht" else SparseSignSketch(4 * m, n - m, 7, s=4)
+    policy = policy_from_tag(tag)
+    ref = rhqr_left(W, om, scaling=scaling, policy=policy)
+    for bs in (1, 3, 5):
+        F = rhqr_block(W, om, block_size=bs, scaling=scaling, policy=policy)
+        for name in ("U", "S", "T", "R"):
+            got, want = getattr(F, name), getattr(ref, name)
+            assert np.linalg.norm(got - want) <= 20 * policy.u_low * np.linalg.norm(want), \
+                (bs, name)
+
+
 def test_block_matches_unblocked(rng):
     n, m = 60, 8
     W = rng.standard_normal((n, m))
@@ -279,21 +323,29 @@ def test_block_with_one_panel_is_left_sweep(rng, tag):
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, ref))
 
 
+@pytest.mark.parametrize("bs", [2.5, "4", None, 4.0])
+def test_block_refuses_a_non_integer_block_size(rng, bs):
+    W = rng.standard_normal((40, 8))
+    with pytest.raises(ValueError, match=f"^block_size={bs!r} must be an integer$"):
+        rhqr_block(W, SRHTSketch(32, 32, 1), block_size=bs)
+
+
 @pytest.mark.parametrize("bs", [4, 7, 20])
 def test_block_sketches_each_panel_once(rng, bs):
     n, m = 80, 20
     W = rng.standard_normal((n, m))
-    om = CountingSketch(GaussianSketch(60, n - m, 40))
-    rhqr_block(W, om, block_size=bs)
-    # every panel but the first is sketched as a whole for its update by
-    # the earlier reflectors; every panel is then sketched once, as a
-    # block, and each column but the panel's first once more after its
-    # update
+    # every panel is sketched once, as a block, in its original columns;
+    # then every column but column 0 once more after its update: 2m-1
+    # sketched columns, as in rhqr_left
     expected = []
     for j0 in range(0, m, bs):
         b = min(bs, m - j0)
-        expected += [b] * (2 if j0 else 1) + [1] * (b - 1)
-    assert om.widths == expected
+        expected += [b] + [1] * (b if j0 else b - 1)
+    assert sum(expected) == 2 * m - 1
+    for make in (GaussianSketch, SRHTSketch):
+        om = CountingSketch(make(60, n - m, 40))
+        rhqr_block(W, om, block_size=bs)
+        assert om.widths == expected, make.__name__
 
 
 def test_left_sketches_w_once(rng):
