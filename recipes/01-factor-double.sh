@@ -3,6 +3,9 @@
 # randomized Householder QR against RGS (plus the deterministic baseline).
 # Compare cond_q / orth_err / fro_rel_err columns across the three CSVs.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

@@ -3,6 +3,9 @@
 # the width where the input turns numerically singular (~column 150 at this
 # scale) while the Householder-based sweep keeps cond(Q) near 2.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

@@ -3,6 +3,9 @@
 # half precision, all coefficient-sized algebra in double.  The sketched
 # basis stays orthonormal at the half-precision noise floor.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

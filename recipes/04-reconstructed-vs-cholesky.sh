@@ -3,6 +3,9 @@
 # randomized Householder QR vs randomized Cholesky QR.  Both are rerun from
 # scratch at every sampled width (their output depends on the full input).
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

@@ -10,6 +10,9 @@
 #   tar xf SiO2.tar.gz    # then pass --matrix SiO2/SiO2.mtx
 # and raise --iters; those runs are not part of the gating test suite.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

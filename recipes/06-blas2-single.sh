@@ -3,6 +3,9 @@
 # precision.  Its cond_sq column is the sketch of the uncorrected basis;
 # the T-corrected sketched basis is exercised by the test suite.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

@@ -2,6 +2,9 @@
 # Trimmed sweep with a sampling size BELOW the column count (l=200 < m=300)
 # against RGS with l=320 > m, double precision.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

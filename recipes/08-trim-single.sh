@@ -3,6 +3,9 @@
 # up by orders of magnitude while the trimmed sweep drifts slowly despite
 # sampling only 200 rows for 300 columns.
 set -euo pipefail
+# one BLAS thread: the metrics' float64 products and SVDs change in their
+# last digits with the thread count, and recipes/SHA256SUMS pins one
+export OPENBLAS_NUM_THREADS=1
 OUT=${OUT:-results}
 mkdir -p "$OUT"
 

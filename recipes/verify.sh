@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run recipes 01-08 from this checkout's sources at their desk defaults,
 # then check the CSVs they write under results/ against recipes/SHA256SUMS.
-# Exits non-zero on any mismatch.  The BLAS thread count is left at its
-# default, because that is the count the hashes were recorded with.
+# Exits non-zero on any mismatch.  Each recipe runs on one BLAS thread
+# (OPENBLAS_NUM_THREADS=1), the count the hashes were recorded with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 unset OUT N M L

@@ -20,7 +20,6 @@ from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
     _extend_t,
-    _operand,
     as_array,
     check_scaling,
     check_sketch,
@@ -28,7 +27,6 @@ from .linalg import (
     factor_input,
     low_storage,
     matmul_in,
-    reflector_matmul,
     right_tri_solve,
     sign,
     to_dtype,
@@ -78,16 +76,17 @@ def _householder(A, scaling, policy):
     if p < m:
         raise ValueError(f"need p >= m, got {p} x {m}")
     # the coefficient products read U from a store in policy.high, the
-    # update from one in policy.low
+    # update from one in policy.low: the same store unless those differ or
+    # are half, which low_storage keeps as float32
     U = np.zeros((p, m), dtype=hi)
-    Ul = U if lo == np.float64 else low_storage(p, m, lo)
+    Ul = U if lo == hi and lo != np.float16 else low_storage(p, m, lo)
     T, R = np.zeros((2, m, m), dtype=hi)
     for c in range(m):
         w = Al[:, c].copy()
-        Uc = _operand(U[:, :c], hi)
+        Uc = U[:, :c]
         if c:
-            coef = _operand(T[:c, :c].T, hi) @ (Uc.T @ to_dtype(w, hi))
-            w = w - reflector_matmul(Ul[:, :c], coef, lo)
+            coef = T[:c, :c].T @ (Uc.T @ to_dtype(w, hi))
+            w = w - matmul_in(Ul[:, :c], coef, lo)
         # u is built in float64, where the norm accumulates
         u = np.zeros(p)
         u[c:] = w[c:]
@@ -114,7 +113,7 @@ def _householder(A, scaling, policy):
         if Ul is not U:
             Ul[:, c] = u
         if c:
-            T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ (Uc.T @ uh))
+            T[:c, c] = hi(-beta) * (T[:c, :c] @ (Uc.T @ uh))
         T[c, c] = beta
         R[:c, c] = w[:c]
         R[c, c] = -sigma * rho
@@ -260,8 +259,8 @@ class _BasisQR:
         V = self.V[:k]
         w = to_dtype(b, hi)
         if k:
-            # H^t b; V's rows are contiguous, T's block is not
-            w = w - V.T @ (_operand(self.T[:k, :k].T, hi) @ (V @ w))
+            # H^t b
+            w = w - V.T @ (self.T[:k, :k].T @ (V @ w))
         tail = to_dtype(w[k:], np.float64)
         rho = float(np.linalg.norm(tail))
         if self.tol is None:
@@ -290,8 +289,8 @@ class _BasisQR:
         if k:
             V = self.V[:k]
             p = to_dtype(p, hi)
-            y = _operand(self.T[:k, :k].T, hi) @ (V @ p)
-            g = p[:k] - _operand(V[:, :k].T, hi) @ y
+            y = self.T[:k, :k].T @ (V @ p)
+            g = p[:k] - V[:, :k].T @ y
             x[self.kept] = upper_tri_solve(self.R[:k, :k], g, policy=self.policy)
         return x
 
@@ -409,7 +408,7 @@ class _TBasis:
         hi = self.policy.high_dtype
         c = self.width
         self.Sb[:, c] = s
-        p = _operand(self.Sb[:, :c], hi).T @ _operand(self.Sb[:, c], hi)
+        p = self.Sb[:, :c].T @ self.Sb[:, c]
         _extend_t(self.T, p, 1.0, c, hi)
         self.width += 1
 
@@ -417,7 +416,7 @@ class _TBasis:
         """T^t Sb^t p over the appended columns, in policy.high_dtype."""
         hi = self.policy.high_dtype
         c = self.width
-        return _operand(self.T[:c, :c].T, hi) @ (_operand(self.Sb[:, :c], hi).T @ to_dtype(p, hi))
+        return self.T[:c, :c].T @ (self.Sb[:, :c].T @ to_dtype(p, hi))
 
 
 def blas2_rgs(W, omega, policy=DOUBLE_POLICY):

@@ -11,6 +11,7 @@ import scipy.sparse
 
 from .experiments import (
     FACTOR_ALGOS,
+    GMRES_ALGOS,
     ExperimentConfig,
     gen_cmatrix,
     run_factor_experiment,
@@ -61,7 +62,7 @@ def build_parser():
     _sketch_args(f)
 
     s = sub.add_parser("gmres", help="GMRES convergence experiment to CSV")
-    s.add_argument("--algo", choices=("rhqr", "rgs"), required=True)
+    s.add_argument("--algo", choices=GMRES_ALGOS, required=True)
     s.add_argument("--matrix", required=True, help="square operator, Matrix Market")
     s.add_argument("--rhs", default="ones",
                    help="ones | random:SEED | file:PATH (Matrix Market vector)")

@@ -61,6 +61,8 @@ ALGOS = {
     "rcholqr": (lambda W, om, c, p: rand_cholesky_qr(W, om, policy=p), ALL, True),
 }
 FACTOR_ALGOS = tuple(ALGOS)
+# the solvers run_gmres_experiment runs
+GMRES_ALGOS = ("rhqr", "rgs")
 
 
 class MetricRow(NamedTuple):
@@ -243,7 +245,7 @@ def _rerun_sweep(W, Wl, config, policy, ell, js, attained, status):
 
 
 def run_gmres_experiment(A, b, m, config, x0=None):
-    """Per-iteration GMRES metrics for algo 'rhqr' or 'rgs': sketched and
+    """Per-iteration GMRES metrics for an algo of GMRES_ALGOS: sketched and
     true residuals, the scaled Arnoldi relation error
     ||A Q_j - Q_{j+1} H_j||_F / (||A||_F ||Q_j||_F), and cond(Q_{j+1}).
 
@@ -252,6 +254,8 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     included, raises BreakdownError (nonfinite_input)."""
     if callable(A):
         raise TypeError("run_gmres_experiment needs a sparse or dense matrix, not a callable")
+    if config.algo not in GMRES_ALGOS:
+        raise ValueError(f"unknown solver {config.algo!r}, expected one of {GMRES_ALGOS}")
     policy = policy_from_tag(config.precision)
     b = as_array(b)
     n = b.shape[0]
@@ -267,14 +271,12 @@ def run_gmres_experiment(A, b, m, config, x0=None):
 
         def apply_basis(y):
             return _apply_basis(bundle, y, policy)
-    elif config.algo == "rgs":
+    else:
         omega = make_sketch(config.sketch, ell, n, config.seed, s=config.s)
         Qext, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy)
 
         def apply_basis(y):
             return Qext[:, :y.shape[0]] @ y
-    else:
-        raise ValueError(f"unknown solver {config.algo!r}")
     k = H.shape[1]
     matvec = _as_operator(A)
     AQ = np.stack([matvec(Qext[:, i]) for i in range(min(k, Qext.shape[1]))], axis=1) \

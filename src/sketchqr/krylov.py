@@ -27,14 +27,13 @@ import scipy.sparse
 from .baselines import _BasisQR, _rgs_step
 from .linalg import (
     SCALE_SQRT2,
-    _operand,
     as_array,
     check_finite,
     check_scaling,
     check_sketch,
     compact_q,
     low_storage,
-    reflector_matmul,
+    matmul_in,
     sign,
     to_dtype,
 )
@@ -143,8 +142,8 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         if c < m:
             # q_j = Q e_j needs no sketch, since Psi e_j = e_j
             j = c + 1
-            coef = _operand(T[:j, :j], hi) @ _operand(S[c, :j], hi)
-            q = -reflector_matmul(U[:, :j], coef, lo)
+            coef = T[:j, :j] @ S[c, :j]
+            q = -matmul_in(U[:, :j], coef, lo)
             q[c] += 1.0
             w = round_to(check_finite(matvec(q), c + 2), policy.low)
             w = apply_reflectors_compact(U[:, :j], S[:, :j], T[:j, :j], w, psi,

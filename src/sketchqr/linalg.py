@@ -218,17 +218,6 @@ def to_dtype(a, dtype):
     return a if a.dtype == dtype else a.astype(dtype)
 
 
-def _operand(a, dtype):
-    """a as an operand of a product in dtype's arithmetic, cast only if held
-    in another format.  A float32 operand is a fresh packed copy in its own
-    axis order: OpenBLAS sgemv rounds differently under another leading
-    dimension, and the single-precision digests pin packed operands."""
-    a = np.asarray(a)
-    if dtype == np.float32 and a.dtype == dtype:
-        return a.copy(order="K")
-    return to_dtype(a, dtype)
-
-
 def _extend_t(T, p, beta, c, hi=np.float64):
     """Grow the compact-form triangle T, held in hi, past its leading block
     T[:c, :c].  One new reflector, given beta and p = S[:, :c]^t s_new in
@@ -239,10 +228,10 @@ def _extend_t(T, p, beta, c, hi=np.float64):
     (the UT transform of Joffrain et al., ACM TOMS 2006)."""
     if np.ndim(beta):
         T[:c, c:c + beta.shape[0]] = -matmul_in(
-            matmul_in(_operand(T[:c, :c], hi), p, hi), beta, hi)
+            matmul_in(T[:c, :c], p, hi), beta, hi)
         return
     if c:
-        T[:c, c] = hi(-beta) * (_operand(T[:c, :c], hi) @ p)
+        T[:c, c] = hi(-beta) * (T[:c, :c] @ p)
     T[c, c] = beta
 
 
@@ -288,22 +277,12 @@ def _half_matmul(A, B):
 def matmul_in(A, B, dtype):
     """A @ B in the arithmetic of dtype, returned as dtype.
 
-    Both operands are rounded to dtype first.  float64 and float32 go to
-    BLAS with A as given; float16 goes through _half_matmul, one float32
-    einsum with numpy's float16 bits, which needs O(n) bytes beyond A.
+    Both operands are rounded to dtype first, and copied only then.
+    float64 and float32 go to BLAS as stored, strided views included: BLAS
+    packs its operands itself.  float16 goes through _half_matmul, one
+    float32 einsum with numpy's float16 bits, which needs O(n) bytes beyond A.
     """
     if dtype == np.float16:
         return _half_matmul(A, B)
     return to_dtype(A, dtype) @ to_dtype(B, dtype)
 
-
-def reflector_matmul(U, C, dtype):
-    """U @ C for a block of stored reflectors, in dtype's arithmetic.
-
-    As matmul_in, except that a float32 U goes to BLAS as a C-contiguous
-    block: OpenBLAS sgemv rounds differently under another leading
-    dimension, and the recipe CSVs pin the bits of a contiguous block.
-    """
-    if dtype == np.float32:
-        U = np.ascontiguousarray(U, dtype=np.float32)
-    return matmul_in(U, C, dtype)

@@ -25,7 +25,6 @@ from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
     _extend_t,
-    _operand,
     as_array,
     check_scaling,
     check_sketch,
@@ -33,7 +32,6 @@ from .linalg import (
     factor_input,
     low_storage,
     matmul_in,
-    reflector_matmul,
     right_tri_solve,
     sign,
     to_dtype,
@@ -137,9 +135,9 @@ def _compact_update(U, S, T, X, Y, transpose_t, policy):
     the coefficients, in policy.high."""
     lo = policy.low_dtype
     hi = policy.high_dtype
-    C = _operand(S, hi).T @ _operand(Y, hi)
-    C = matmul_in(_operand(T.T if transpose_t else T, hi), C, hi)
-    return to_dtype(X, lo) - reflector_matmul(U, C, lo), C
+    C = to_dtype(S, hi).T @ to_dtype(Y, hi)
+    C = matmul_in(T.T if transpose_t else T, C, hi)
+    return to_dtype(X, lo) - matmul_in(U, C, lo), C
 
 
 def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0):
@@ -154,7 +152,7 @@ def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0):
     U[:, c] = step.u
     S[:, c] = step.s
     hi = policy.high_dtype
-    p = _operand(S[:, first:c], hi).T @ step.s
+    p = S[:, first:c].T @ step.s
     _extend_t(T[first:, first:], p, step.beta, c - first, hi)
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
@@ -252,8 +250,7 @@ def _sweep(W, omega, block_size, scaling, policy):
                 y = psi.apply(w, dtype=lo)
             _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0)
         if j0:
-            _extend_t(T, _operand(S[:, :j0], hi).T @ _operand(S[:, j0:j1], hi),
-                      T[j0:j1, j0:j1], j0, hi)
+            _extend_t(T, S[:, :j0].T @ S[:, j0:j1], T[j0:j1, j0:j1], j0, hi)
     return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
                 R=as_array(R), psi=psi)
 
@@ -285,7 +282,7 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         Y = to_dtype(psi.apply(Wl[:, c:], dtype=lo), np.float64)
         step = _add_reflector(Wl[:, c], Y[:, 0], c, U, S, T, R, scaling, policy)
         if c + 1 < m:
-            coef = hi(step.beta) * (step.s @ _operand(Y[:, 1:], hi))
+            coef = hi(step.beta) * (step.s @ to_dtype(Y[:, 1:], hi))
             Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))
     return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi)
 
@@ -331,7 +328,7 @@ def rec_rhqr(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     S = hq.S
     T = hq.T
     hi = policy.high_dtype
-    Mfac = np.triu(_operand(T.T, hi) @ (_operand(S, hi).T @ _operand(Z, hi)))
+    Mfac = np.triu(T.T @ (S.T @ to_dtype(Z, hi)))
     d = np.abs(np.diagonal(Mfac))
     if np.any(d < np.finfo(np.float64).tiny):
         k = int(np.argmin(d))

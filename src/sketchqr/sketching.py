@@ -21,7 +21,7 @@ import operator
 import numpy as np
 import scipy.sparse
 
-from .linalg import _operand, as_array, orthogonality_error
+from .linalg import as_array, orthogonality_error, to_dtype
 
 
 # columns per SRHT work array: a block is transformed this many at a time
@@ -178,7 +178,7 @@ def _matmul_in(cast, M, X, dtype):
     Ma = cast.get(adtype)
     if Ma is None:
         Ma = cast[adtype] = M.astype(adtype, copy=False)
-    return (Ma @ _operand(X, adtype)).astype(dtype, copy=False)
+    return (Ma @ to_dtype(X, adtype)).astype(dtype, copy=False)
 
 
 class SketchOperator:

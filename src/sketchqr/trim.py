@@ -27,14 +27,13 @@ from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
     _extend_t,
-    _operand,
     as_array,
     check_scaling,
     check_sketch,
     compact_q,
     factor_input,
     low_storage,
-    reflector_matmul,
+    matmul_in,
     sign,
     to_dtype,
 )
@@ -218,9 +217,9 @@ def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
     S[:, c] = step.s
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
-    lrow = _operand(Eh[:, :c], hi).T @ step.s
+    lrow = Eh[:, :c].T @ step.s
     L[c, :c] = lrow
-    p = _operand(S[:, :c], hi).T @ step.s
+    p = S[:, :c].T @ step.s
     _extend_t(T, p, step.beta, c, hi=hi)
     # a block cast out of low_storage is made C-contiguous, as a cast from
     # the C-ordered store of other formats is: BLAS bits follow the layout
@@ -253,7 +252,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             masked = Y.copy()
             masked[:c] = 0.0
             X = omega.apply(masked, dtype=lo)
-            coef = hi(step.beta) * (step.s @ _operand(X, hi))
+            coef = hi(step.beta) * (step.s @ to_dtype(X, hi))
             Y -= np.outer(U[:, c], to_dtype(coef, lo))
     return TrimFactors(
         U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),
@@ -285,9 +284,9 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         w = Wl[:, c].copy()
         if c:
             z = Z[:, c - 1].copy()
-            h = _operand(S[:, :c], hi).T @ to_dtype(z, hi)
-            h -= _operand(L[:c, :c], hi) @ to_dtype(w[:c], hi)
-            w = w - reflector_matmul(U[:, :c], _operand(Tt[:c, :c], hi).T @ h, lo)
+            h = S[:, :c].T @ to_dtype(z, hi)
+            h -= L[:c, :c] @ to_dtype(w[:c], hi)
+            w = w - matmul_in(U[:, :c], Tt[:c, :c].T @ h, lo)
         _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
     return TrimFactors(
         U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),

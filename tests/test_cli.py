@@ -1,3 +1,5 @@
+import argparse
+import re
 import subprocess
 import sys
 
@@ -6,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from sketchqr.cli import build_parser, main
-from sketchqr.experiments import gen_cmatrix
+from sketchqr.experiments import GMRES_ALGOS, ExperimentConfig, gen_cmatrix, run_gmres_experiment
 from sketchqr.linalg import SCALINGS
 from sketchqr.mmio import load_matrix_market, write_matrix_market
 from sketchqr.precision import PRECISION_TAGS
@@ -124,6 +126,14 @@ def test_factor_scaling_choices_are_the_library_scalings():
         assert build_parser().parse_args(argv + ["--scaling", scaling]).scaling == scaling
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv + ["--scaling", "bogus"])
+
+
+def test_gmres_algo_choices_are_the_library_solvers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    algo = next(a for a in sub.choices["gmres"]._actions if a.dest == "algo")
+    assert algo.choices == GMRES_ALGOS
+    with pytest.raises(ValueError, match=re.escape(f"'mgs', expected one of {GMRES_ALGOS}")):
+        run_gmres_experiment(np.eye(16), np.ones(16), 2, ExperimentConfig(algo="mgs"))
 
 
 @pytest.mark.parametrize("command", ["factor", "gmres"])

@@ -1,0 +1,119 @@
+"""Single-precision bits depend on the data alone.
+
+Every float32 product goes to BLAS with its operands as stored, so the
+bits of a sweep must not depend on how many columns it is given, on where
+its input sits in memory, or on the BLAS thread count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from sketchqr.baselines import householder_qr, rgs
+from sketchqr.experiments import gen_cmatrix
+from sketchqr.precision import policy_from_tag
+from sketchqr.sketching import make_sketch
+from sketchqr.trim import normalize_leading_columns, trim_rhqr_left
+
+SINGLE = policy_from_tag("single")
+
+
+@pytest.fixture(scope="module")
+def cmatrix():
+    return gen_cmatrix(1024, 96)
+
+
+def _rgs(W, kind):
+    out = rgs(W, make_sketch(kind, 384, W.shape[0], 5), policy=SINGLE)
+    return out.Q, out.R
+
+
+def _hqr(W, kind):
+    out = householder_qr(W, policy=SINGLE)
+    return out.aux["U"], out.aux["T"], out.R
+
+
+def _trim(W, kind):
+    # one operator normalized for all 96 columns, as a prefix run must share
+    # the full run's sketch
+    om = normalize_leading_columns(make_sketch(kind, 64, W.shape[0], 6), 96)
+    F = trim_rhqr_left(W, om, policy=SINGLE)
+    return F.U, F.T, F.R
+
+
+@pytest.mark.parametrize("factor,kind", [(_rgs, "srht"), (_rgs, "sparse"), (_hqr, None),
+                                         (_trim, "srht"), (_trim, "sparse")],
+                         ids=["rgs-srht", "rgs-sparse", "householder_qr", "trim-srht",
+                              "trim-sparse"])
+def test_single_prefix_run_is_the_leading_block(cmatrix, factor, kind):
+    # householder_qr's Q is a float64 GEMM whose bits follow its shape, so its
+    # U, T and R are compared instead
+    full = factor(cmatrix, kind)
+    for j in (10, 33, 50, 95):
+        for whole, part in zip(full, factor(cmatrix[:, :j], kind)):
+            lead = whole[:j, :j] if whole.shape[0] == whole.shape[1] else whole[:, :j]
+            assert np.array_equal(lead, part), (j, whole.shape)
+
+
+_DESK_RUNS = """
+import hashlib, json, sys
+import numpy as np
+from sketchqr.baselines import rgs
+from sketchqr.experiments import gen_cmatrix
+from sketchqr.precision import policy_from_tag
+from sketchqr.rhqr import rhqr_left
+from sketchqr.sketching import SRHTSketch
+from sketchqr.trim import trim_rhqr_left
+
+single = policy_from_tag("single")
+W32 = gen_cmatrix(4096, 300).astype(np.float32)
+n, m = W32.shape
+runs = {
+    "rhqr_left": lambda W: rhqr_left(W, SRHTSketch(1200, n - m, 43), policy=single),
+    "rgs": lambda W: rgs(W, SRHTSketch(1200, n, 43), policy=single),
+    "trim_rhqr_left": lambda W: trim_rhqr_left(W, SRHTSketch(200, n, 42), policy=single),
+}
+fields = ("Q", "U", "S", "T", "T_tilde", "L", "R")
+out = {}
+for offset in map(int, sys.argv[1:]):
+    # the input, read in place, starts `offset` floats into a fresh buffer
+    buf = np.empty(W32.size + offset, dtype=np.float32)
+    W = buf[offset:].reshape(n, m)
+    W[...] = W32
+    for name, run in runs.items():
+        h = hashlib.blake2b(digest_size=16)
+        F = run(W)
+        for a in (getattr(F, f) for f in fields if hasattr(F, f)):
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        out[f"{name}@{offset}"] = h.hexdigest()
+print(json.dumps(out))
+"""
+
+
+def _desk_digests(threads, offsets):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-c", _DESK_RUNS, *map(str, offsets)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def test_single_desk_bits_hold_across_threads_and_offsets():
+    # single rhqr_left, rgs and trim_rhqr_left at desk size: the same bits at
+    # one and two BLAS threads and at three input offsets.  householder_qr
+    # and multi-panel rhqr_block are left out: the threaded BLAS splits
+    # their n-long reductions and panel GEMMs, so their bits follow the
+    # thread count at this size.
+    procs = {t: _desk_digests(t, (0, 1, 3)) for t in (1, 2)}
+    digests = {}
+    for t, p in procs.items():
+        out, _ = p.communicate(timeout=600)
+        assert p.returncode == 0
+        digests[t] = json.loads(out)
+    assert digests[1] == digests[2]
+    for name in ("rhqr_left", "rgs", "trim_rhqr_left"):
+        assert len({digests[1][f"{name}@{k}"] for k in (0, 1, 3)}) == 1, name
