@@ -62,7 +62,9 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     scale 1/(rho sigma gamma) overflows; a merely tiny tail proceeds like
     any textbook implementation.
     """
-    U, T, R = map(as_array, _householder(A, scaling, policy))
+    U, T, R = _householder(A, scaling, policy)
+    # aux["U"] is a C-contiguous copy, made before Q so the store is freed
+    U, T, R = np.ascontiguousarray(U, dtype=np.float64), as_array(T), as_array(R)
     m = T.shape[0]
     return QRResult(Q=compact_q(U, T, U[:m, :m].T), R=R, aux={"U": U, "T": T})
 
@@ -75,10 +77,9 @@ def _householder(A, scaling, policy):
     p, m = Al.shape
     if p < m:
         raise ValueError(f"need p >= m, got {p} x {m}")
-    # the coefficient products read U from a store in policy.high, the
-    # update from one in policy.low: the same store unless those differ or
-    # are half, which low_storage keeps as float32
-    U = np.zeros((p, m), dtype=hi)
+    # both column-major: U in policy.high's own dtype (half's products over
+    # p keep numpy's float16 loop), Ul in policy.low's store for the update
+    U = np.zeros((m, p), dtype=hi).T
     Ul = U if lo == hi and lo != np.float16 else low_storage(p, m, lo)
     T, R = np.zeros((2, m, m), dtype=hi)
     for c in range(m):
@@ -162,7 +163,9 @@ def sketch_qr(Z, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             else:
                 S = V
             return SketchQR(S=S, T=T, R=R)
-    return SketchQR(*_householder(Z, scaling, PrecisionPolicy.uniform(policy.high)))
+    # S is a sketch-space array, held C-ordered as LAPACK's route returns it
+    S, T, R = _householder(Z, scaling, PrecisionPolicy.uniform(policy.high))
+    return SketchQR(S=np.ascontiguousarray(S), T=T, R=R)
 
 
 def pivoted_householder_qr(A, dtype=np.float64):
@@ -312,7 +315,7 @@ def _gram_schmidt(W, policy, modified):
     Q = low_storage(n, m, lo)
     # the products summing over n and the modified steps read Q in
     # policy.low itself, which a float16 store is not: it gets a copy
-    Qw = Q if Q.dtype == lo else np.zeros((n, m), dtype=lo)
+    Qw = Q if Q.dtype == lo else np.zeros((m, n), dtype=lo).T
     R = np.zeros((m, m), dtype=policy.high_dtype)
     for c in range(m):
         w = Wl[:, c].copy()
@@ -334,7 +337,7 @@ def _gram_schmidt(W, policy, modified):
         Q[:, c] = q
         if Qw is not Q:
             Qw[:, c] = q
-    return QRResult(Q=np.ascontiguousarray(Q, dtype=np.float64), R=as_array(R), aux={})
+    return QRResult(Q=as_array(Q), R=as_array(R), aux={})
 
 
 def _rgs_step(w, p, c, Q, R, basis, omega, policy):
@@ -378,7 +381,7 @@ def _rgs(W, omega, policy, Basis):
                                  column=c + 1, reason="zero_pivot")
         Q[:, c] = w / lo(h)
         basis.append(z / lo(h))
-    return np.ascontiguousarray(Q, dtype=np.float64), as_array(R), basis
+    return as_array(Q), as_array(R), basis
 
 
 def rgs(W, omega, policy=DOUBLE_POLICY):

@@ -42,6 +42,15 @@ from .rhqr import _add_reflector, apply_reflectors_compact
 from .sketching import EmbeddedSketch
 
 
+def _start(matvec, b, x0, low):
+    """r0 = b - A x0 rounded to `low`, the Krylov matrix's column 1, which
+    BreakdownError (nonfinite_input) names for a NaN or an inf in b or x0,
+    found before A is applied."""
+    for v in (b, x0):
+        check_finite(v)
+    return round_to(check_finite(b - matvec(round_to(x0, low))), low)
+
+
 def _as_operator(A):
     """Accept a callable, a scipy sparse matrix, or a dense array, applied to
     vectors read as float64."""
@@ -124,7 +133,7 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     S = np.zeros((psi.out_dim, m + 1), dtype=hi)
     T, R = np.zeros((2, m + 1, m + 1), dtype=hi)
     attained = None
-    w = round_to(check_finite(b - matvec(round_to(x0, policy.low))), policy.low)
+    w = _start(matvec, b, x0, policy.low)
     for c in range(m + 1):
         # the sketch is read in float64: the norms, and rh_vector's pivot
         z = to_dtype(psi.apply(w, dtype=lo), np.float64)
@@ -151,7 +160,7 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     k = m if attained is None else attained
     r = k + 1 if attained is None else k
     return KrylovBundle(
-        U=np.ascontiguousarray(U[:, :r], dtype=np.float64), S=as_array(S)[:, :r],
+        U=as_array(U[:, :r]), S=as_array(S)[:, :r],
         T=as_array(T)[:r, :r], H=as_array(R)[:k + 1, 1:k + 1], psi=psi, beta=float(R[0, 0]),
         breakdown=attained,
     )
@@ -245,7 +254,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     basis = _BasisQR(omega.ell, m + 1, policy)
     R = np.zeros((m + 1, m + 1), dtype=hi)
     attained = None
-    w = round_to(check_finite(b - matvec(round_to(x0, policy.low))), policy.low)
+    w = _start(matvec, b, x0, policy.low)
     for c in range(m + 1):
         p = omega.apply(w, dtype=lo)
         w, z, h = _rgs_step(w, p, c, Q, R, basis, omega, policy)
@@ -258,10 +267,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
             w = round_to(check_finite(matvec(Q[:, c]), c + 2), policy.low)
     k = m if attained is None else attained
     cols = k + 1 if attained is None else k
-    # a fresh copy: handing back the store itself raised the peak RSS of a
-    # 20000 x 73 GMRES benchmark run by 2 MB, through the allocator's reuse
-    return (np.array(Q[:, :cols], dtype=np.float64, order="C"), as_array(R)[:k + 1, 1:k + 1],
-            float(R[0, 0]), attained)
+    return as_array(Q[:, :cols]), as_array(R)[:k + 1, 1:k + 1], float(R[0, 0]), attained
 
 
 def rgs_gmres(A, b, x0, m, omega, policy=DOUBLE_POLICY):

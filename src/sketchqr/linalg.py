@@ -60,9 +60,7 @@ class SingularFactorError(np.linalg.LinAlgError):
 
 def as_array(M):
     """Any array-like as a float64 ndarray in the layout it was made in (M
-    itself if it is one).  A float16 low_storage store comes back F-ordered,
-    as it is held, so the entry points return U and Q C-contiguous
-    themselves."""
+    itself if it is one)."""
     return np.asarray(M, dtype=np.float64)
 
 
@@ -236,16 +234,15 @@ def _extend_t(T, p, beta, c, hi=np.float64):
 
 
 def low_storage(n, m, dtype):
-    """Zeroed n x m storage for columns kept in `dtype`.
-
-    A float16 store is the transpose of a C-contiguous m x n float32 array:
-    half values fit in float32 exactly, and the block U[:, a:b] is then a
-    view whose transpose is the contiguous rows _half_matmul walks, one per
-    k, with no copy.  Other formats are a C-contiguous n x m array.
+    """Zeroed n x m storage for columns kept in `dtype`: the transpose of a
+    C-contiguous m x n array, so each column is contiguous and products
+    read the store with leading dimension n, as BLAS holds a matrix.  A
+    float16 store is held in float32, where half values fit exactly; the
+    block U[:, a:b] is then a view whose transpose is the contiguous rows
+    _half_matmul walks, one per k, with no copy.
     """
-    if dtype == np.float16:
-        return np.zeros((m, n), dtype=np.float32).T
-    return np.zeros((n, m), dtype=dtype)
+    held = np.float32 if dtype == np.float16 else dtype
+    return np.zeros((m, n), dtype=held).T
 
 
 def _half_matmul(A, B):

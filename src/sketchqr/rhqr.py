@@ -251,8 +251,7 @@ def _sweep(W, omega, block_size, scaling, policy):
             _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0)
         if j0:
             _extend_t(T, S[:, :j0].T @ S[:, j0:j1], T[j0:j1, j0:j1], j0, hi)
-    return dict(U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
-                R=as_array(R), psi=psi)
+    return dict(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi)
 
 
 def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -274,7 +273,7 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     Wl = np.require(factor_input(W, policy, scaling), requirements="W")
     n, m = Wl.shape
     psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
-    U = np.zeros((n, m), dtype=lo)
+    U = low_storage(n, m, lo)
     S = np.zeros((psi.out_dim, m), dtype=hi)
     T, R = np.zeros((2, m, m), dtype=hi)
     for c in range(m):

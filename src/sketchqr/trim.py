@@ -210,7 +210,6 @@ def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
     the new diagonal -sigma*rho column c of R.  Row c of L gets
     <Omega u_c, Omega e_k> for k < c, from Eh (E held in policy.high), and
     T and T~ grow by _extend_t.  Returns the TrimStep."""
-    lo = policy.low_dtype
     hi = policy.high_dtype
     step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
     U[c:, c] = step.v
@@ -221,11 +220,7 @@ def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
     L[c, :c] = lrow
     p = S[:, :c].T @ step.s
     _extend_t(T, p, step.beta, c, hi=hi)
-    # a block cast out of low_storage is made C-contiguous, as a cast from
-    # the C-ordered store of other formats is: BLAS bits follow the layout
-    Uc = U[:c, :c]
-    Uc = to_dtype(Uc, hi) if lo == hi else np.ascontiguousarray(Uc, dtype=hi)
-    _extend_t(Tt, p - Uc.T @ lrow, step.beta, c, hi=hi)
+    _extend_t(Tt, p - to_dtype(U[:c, :c], hi).T @ lrow, step.beta, c, hi=hi)
     return step
 
 
@@ -242,7 +237,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     omega = normalize_leading_columns(check_sketch(omega, n), m)
     E = omega.unit_column_sketches[:, :m].copy()
     Eh = to_dtype(E, hi)
-    U = np.zeros((n, m), dtype=lo)
+    U = low_storage(n, m, lo)
     S = np.zeros((omega.ell, m), dtype=hi)
     R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
     for c in range(m):
@@ -253,7 +248,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             masked[:c] = 0.0
             X = omega.apply(masked, dtype=lo)
             coef = hi(step.beta) * (step.s @ to_dtype(X, hi))
-            Y -= np.outer(U[:, c], to_dtype(coef, lo))
+            Y -= np.outer(to_dtype(U[:, c], lo), to_dtype(coef, lo))
     return TrimFactors(
         U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),
         L=as_array(L), E=E, omega=omega)
@@ -289,5 +284,5 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             w = w - matmul_in(U[:, :c], Tt[:c, :c].T @ h, lo)
         _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
     return TrimFactors(
-        U=np.ascontiguousarray(U, dtype=np.float64), S=as_array(S), T=as_array(T),
-        T_tilde=as_array(Tt), R=as_array(R), L=as_array(L), E=E, omega=omega)
+        U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),
+        L=as_array(L), E=E, omega=omega)

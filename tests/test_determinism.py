@@ -1,8 +1,10 @@
-"""Single-precision bits depend on the data alone.
+"""Single-precision bits, and double's at desk size, depend on the data
+alone.
 
-Every float32 product goes to BLAS with its operands as stored, so the
-bits of a sweep must not depend on how many columns it is given, on where
-its input sits in memory, or on the BLAS thread count.
+Every float32 and float64 product goes to BLAS with its operands as
+stored, and every basis store is column-major with leading dimension n, so
+the bits of a sweep must not depend on how many columns it is given, on
+where its input sits in memory, or on the BLAS thread count.
 """
 
 import json
@@ -69,22 +71,23 @@ from sketchqr.rhqr import rhqr_left
 from sketchqr.sketching import SRHTSketch
 from sketchqr.trim import trim_rhqr_left
 
-single = policy_from_tag("single")
-W32 = gen_cmatrix(4096, 300).astype(np.float32)
-n, m = W32.shape
+policy = policy_from_tag(sys.argv[1])
+W0 = gen_cmatrix(4096, 300).astype(policy.low_dtype)
+n, m = W0.shape
 runs = {
-    "rhqr_left": lambda W: rhqr_left(W, SRHTSketch(1200, n - m, 43), policy=single),
-    "rgs": lambda W: rgs(W, SRHTSketch(1200, n, 43), policy=single),
-    "trim_rhqr_left": lambda W: trim_rhqr_left(W, SRHTSketch(200, n, 42), policy=single),
+    "rhqr_left": lambda W: rhqr_left(W, SRHTSketch(1200, n - m, 43), policy=policy),
+    "rgs": lambda W: rgs(W, SRHTSketch(1200, n, 43), policy=policy),
+    "trim_rhqr_left": lambda W: trim_rhqr_left(W, SRHTSketch(200, n, 42), policy=policy),
 }
 fields = ("Q", "U", "S", "T", "T_tilde", "L", "R")
 out = {}
-for offset in map(int, sys.argv[1:]):
-    # the input, read in place, starts `offset` floats into a fresh buffer
-    buf = np.empty(W32.size + offset, dtype=np.float32)
+for offset in map(int, sys.argv[3:]):
+    # the input, read in place, starts `offset` entries into a fresh buffer
+    buf = np.empty(W0.size + offset, dtype=W0.dtype)
     W = buf[offset:].reshape(n, m)
-    W[...] = W32
-    for name, run in runs.items():
+    W[...] = W0
+    for name in sys.argv[2].split(","):
+        run = runs[name]
         h = hashlib.blake2b(digest_size=16)
         F = run(W)
         for a in (getattr(F, f) for f in fields if hasattr(F, f)):
@@ -94,26 +97,33 @@ print(json.dumps(out))
 """
 
 
-def _desk_digests(threads, offsets):
+def _desk_digests(threads, tag, names, offsets):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-c", _DESK_RUNS, *map(str, offsets)], env=env,
-                            stdout=subprocess.PIPE, text=True)
+    return subprocess.Popen([sys.executable, "-c", _DESK_RUNS, tag, ",".join(names),
+                             *map(str, offsets)], env=env, stdout=subprocess.PIPE, text=True)
 
 
-def test_single_desk_bits_hold_across_threads_and_offsets():
-    # single rhqr_left, rgs and trim_rhqr_left at desk size: the same bits at
-    # one and two BLAS threads and at three input offsets.  householder_qr
-    # and multi-panel rhqr_block are left out: the threaded BLAS splits
-    # their n-long reductions and panel GEMMs, so their bits follow the
-    # thread count at this size.
-    procs = {t: _desk_digests(t, (0, 1, 3)) for t in (1, 2)}
+def _check_desk_bits(tag, names):
+    # the same bits at one and two BLAS threads and at three input offsets
+    procs = {t: _desk_digests(t, tag, names, (0, 1, 3)) for t in (1, 2)}
     digests = {}
     for t, p in procs.items():
         out, _ = p.communicate(timeout=600)
         assert p.returncode == 0
         digests[t] = json.loads(out)
     assert digests[1] == digests[2]
-    for name in ("rhqr_left", "rgs", "trim_rhqr_left"):
+    for name in names:
         assert len({digests[1][f"{name}@{k}"] for k in (0, 1, 3)}) == 1, name
+
+
+def test_single_desk_bits_hold_across_threads_and_offsets():
+    # householder_qr and multi-panel rhqr_block are left out, in double too:
+    # the threaded BLAS splits their n-long reductions and panel GEMMs, so
+    # their bits follow the thread count at this size
+    _check_desk_bits("single", ("rhqr_left", "rgs", "trim_rhqr_left"))
+
+
+def test_double_desk_bits_hold_across_threads_and_offsets():
+    _check_desk_bits("double", ("rhqr_left", "rgs"))

@@ -312,9 +312,14 @@ def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
 
 
 
-# array fields that keep another layout, which arnoldi_q's gemm bits
-# follow: H is a view of the Arnoldi R
-_OTHER_LAYOUT = {"rhqr_arnoldi.H", "rgs_arnoldi.H"}
+# the store-backed n-dimensional fields, handed back as their column-major
+# stores (linalg.low_storage); householder_qr's aux["U"] is a C-contiguous
+# copy, and H is a strided view of the Arnoldi R.  Every other field is
+# C-contiguous
+_COLUMN_MAJOR = {"rhqr_left.U", "rhqr_block.U", "rhqr_right.U", "trim_rhqr_left.U",
+                 "trim_rhqr_right.U", "rhqr_arnoldi.U", "cgs.Q", "mgs.Q", "rgs.Q",
+                 "blas2_rgs.Q", "rgs_arnoldi.Q"}
+_STRIDED = {"rhqr_arnoldi.H", "rgs_arnoldi.H"}
 
 
 def _array_fields(name, out):
@@ -328,11 +333,12 @@ def _array_fields(name, out):
 
 
 @pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
-def test_sweeps_return_c_contiguous_float64(tag):
+def test_entry_points_return_float64_in_one_layout(tag):
     # every array an entry point returns is float64, whatever precision it
-    # ran in.  The golden digests hash ascontiguousarray(x), so they cannot
-    # see a layout; a transposed low_storage store that leaked out would
-    # move thin_q's gemm bits
+    # ran in, and in the same layout in every precision: a product over a
+    # returned array (thin_q's gemm, GMRES's Q y) reads it as the store it
+    # came from.  The golden digests hash ascontiguousarray(x), so they
+    # cannot see a layout
     policy = policy_from_tag(tag)
     W = gen_cmatrix(96, 10)
     om_e = SRHTSketch(40, 86, 5)
@@ -355,12 +361,27 @@ def test_sweeps_return_c_contiguous_float64(tag):
         "rand_cholesky_qr": rand_cholesky_qr(W, om, policy=policy),
         "rgs_arnoldi": rgs_arnoldi(A, b, None, 8, om, policy=policy),
     }
-    fields = [f for name, out in outputs.items() for f in _array_fields(name, out)]
-    assert {"rhqr_left.R", "trim_rhqr_left.E", "householder_qr.aux.T",
-            "blas2_rgs.aux.T", "rhqr_arnoldi.H", "rgs_arnoldi.Q"} <= {n for n, _ in fields}
-    for name, X in fields:
+    fields = dict(f for name, out in outputs.items() for f in _array_fields(name, out))
+    assert _COLUMN_MAJOR | _STRIDED | {"rhqr_left.R", "trim_rhqr_left.E", "householder_qr.aux.U",
+                                       "blas2_rgs.aux.T"} <= set(fields)
+    for name, X in fields.items():
         assert X.dtype == np.float64, name
-        assert X.flags.c_contiguous or name in _OTHER_LAYOUT, name
+        assert X.shape[1] > 1, name
+        if name in _COLUMN_MAJOR:
+            assert X.flags.f_contiguous and not X.flags.c_contiguous, name
+        elif name in _STRIDED:
+            assert not (X.flags.c_contiguous or X.flags.f_contiguous), name
+        else:
+            assert X.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_low_storage_is_column_major(dtype):
+    # each column is contiguous; a half store is held in float32
+    U = low_storage(7, 3, dtype)
+    assert U.shape == (7, 3) and U.flags.f_contiguous and not U.flags.c_contiguous
+    assert U.dtype == (np.float32 if dtype == np.float16 else dtype)
+    assert U.flags.writeable and not U.any()
 
 
 def test_factor_input_reads_a_matching_input_in_place(rng):
