@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The two single-synchronization factorizations head to head: reconstructed
-# randomized Householder QR vs randomized Cholesky QR.  Both are rerun from
-# scratch at every sampled width (their output depends on the full input).
+# randomized Householder QR vs randomized Cholesky QR.  Each factors the
+# full input once; a width's row reads its leading columns, which both
+# methods compute as a run on those columns alone would (they are
+# triangular in the columns), so rec-rhqr's rows measure rhqr-left's Psi.
 set -euo pipefail
 # one BLAS thread: the metrics' float64 products and SVDs change in their
 # last digits with the thread count, and recipes/SHA256SUMS pins one

@@ -75,8 +75,6 @@ def _householder(A, scaling, policy):
     hi = policy.high_dtype
     Al = factor_input(A, policy, scaling)
     p, m = Al.shape
-    if p < m:
-        raise ValueError(f"need p >= m, got {p} x {m}")
     # both column-major: U in policy.high's own dtype (half's products over
     # p keep numpy's float16 loop), Ul in policy.low's store for the update
     U = np.zeros((m, p), dtype=hi).T
@@ -329,6 +327,9 @@ def _gram_schmidt(W, policy, modified):
             R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
         rjj = float(round_to(np.linalg.norm(to_dtype(w, np.float64)), policy.high))
+        if not np.isfinite(rjj):
+            raise BreakdownError(f"pivot norm overflowed at column {c + 1}", column=c + 1,
+                                 reason="scale_nonfinite")
         if rjj == 0.0:
             raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1,
                                  reason="zero_pivot")
@@ -344,7 +345,8 @@ def _rgs_step(w, p, c, Q, R, basis, omega, policy):
     """The randomized Gram-Schmidt column step: the coefficients of p = Omega w
     in the sketched basis (basis.lstsq) become R[:c, c], w is updated against
     Q[:, :c] and sketched again, and its sketched norm h becomes R[c, c].
-    Returns (w, Omega w, h); what a zero or tiny h means, and the
+    Returns (w, Omega w, h); an h that is not finite raises BreakdownError
+    (scale_nonfinite), and what a zero or tiny h means, and the
     normalization, are left to the caller."""
     lo = policy.low_dtype
     z = p
@@ -354,6 +356,9 @@ def _rgs_step(w, p, c, Q, R, basis, omega, policy):
         w = w - matmul_in(Q[:, :c], r, lo)
         z = omega.apply(w, dtype=lo)
     h = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
+    if not np.isfinite(h):
+        raise BreakdownError(f"sketched norm overflowed at column {c + 1}", column=c + 1,
+                             reason="scale_nonfinite")
     R[c, c] = h
     return w, z, h
 

@@ -112,7 +112,7 @@ def _factor_input(args):
         return M.toarray() if scipy.sparse.issparse(M) else M
     if not (args.gen_n and args.gen_m):
         raise SystemExit("need --matrix or both --gen-n and --gen-m")
-    return gen_cmatrix(args.gen_n, args.gen_m)
+    return _one_line("invalid option", gen_cmatrix, args.gen_n, args.gen_m)
 
 
 def _rhs_vector(form, n):
@@ -134,7 +134,7 @@ def _rhs_vector(form, n):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "gen":
-        write_matrix_market(args.out, gen_cmatrix(args.n, args.m),
+        write_matrix_market(args.out, _one_line("invalid option", gen_cmatrix, args.n, args.m),
                             comment=f"cfunc test matrix n={args.n} m={args.m}")
         print(f"wrote {args.n}x{args.m} matrix to {args.out}")
         return 0
@@ -147,6 +147,8 @@ def main(argv=None):
         print(f"wrote {len(rows)} metric rows to {args.out}")
         return 0
     config = _config(args)
+    if args.iters < 0:
+        raise SystemExit(f"invalid option: iters={args.iters} must be >= 0")
     A = _load(args.matrix)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:

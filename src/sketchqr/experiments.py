@@ -4,10 +4,10 @@ solve) and emit per-step stability metrics as CSV.
 All metrics are computed in double on explicitly materialized thin-Q
 factors, whatever precision the algorithm itself ran in, and errors are
 measured against the storage-rounded input (the matrix the low-precision
-run actually saw).  Left-looking methods are factored once and sampled at
-column prefixes; sketch-then-factor methods (rec-rhqr, rcholqr) are rerun
-per sampled width since their output depends on the full input.  ALGOS
-wires each algorithm name to its call, its sketch and its sweep.
+run actually saw).  Every factorization is triangular in the columns (its
+leading j columns of Q and R[:j, :j] factor W[:, :j]), so each is run once
+and sampled at its column prefixes.  ALGOS wires each algorithm name to its
+call and its sketch.
 """
 
 import time
@@ -18,7 +18,15 @@ import numpy as np
 import scipy.sparse
 
 from .baselines import blas2_rgs, cgs, householder_qr, mgs, rand_cholesky_qr, rgs
-from .krylov import _apply_basis, _as_operator, _gmres_solve, arnoldi_q, rgs_arnoldi, rhqr_arnoldi
+from .krylov import (
+    _apply_basis,
+    _as_operator,
+    _gmres_solve,
+    _krylov_input,
+    arnoldi_q,
+    rgs_arnoldi,
+    rhqr_arnoldi,
+)
 from .linalg import (
     BreakdownError,
     as_array,
@@ -36,29 +44,23 @@ from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 # the [I; Omega] embedding, ALL sketches all n rows, None builds no sketch.
 TRAILING, ALL = "trailing", "all"
 
-# algorithm name -> (call(W, omega, config, policy), sketch rows, rerun at
-# every sampled width).  The calls look their functions up when they run,
-# so a rebinding of this module's names reaches them.
+# algorithm name -> (call(W, omega, config, policy), sketch rows).  The
+# calls look their functions up when they run, so a rebinding of this
+# module's names reaches them.
 ALGOS = {
-    "rhqr-left": (lambda W, om, c, p: rhqr_left(W, om, scaling=c.scaling, policy=p),
-                  TRAILING, False),
-    "rhqr-right": (lambda W, om, c, p: rhqr_right(W, om, scaling=c.scaling, policy=p),
-                   TRAILING, False),
+    "rhqr-left": (lambda W, om, c, p: rhqr_left(W, om, scaling=c.scaling, policy=p), TRAILING),
+    "rhqr-right": (lambda W, om, c, p: rhqr_right(W, om, scaling=c.scaling, policy=p), TRAILING),
     "rhqr-block": (lambda W, om, c, p: rhqr_block(W, om, block_size=c.block_size,
-                                                  scaling=c.scaling, policy=p),
-                   TRAILING, False),
-    "rec-rhqr": (lambda W, om, c, p: rec_rhqr(W, om, scaling=c.scaling, policy=p),
-                 TRAILING, True),
-    "trim-left": (lambda W, om, c, p: trim_rhqr_left(W, om, scaling=c.scaling, policy=p),
-                  ALL, False),
-    "trim-right": (lambda W, om, c, p: trim_rhqr_right(W, om, scaling=c.scaling, policy=p),
-                   ALL, False),
-    "rgs": (lambda W, om, c, p: rgs(W, om, policy=p), ALL, False),
-    "blas2-rgs": (lambda W, om, c, p: blas2_rgs(W, om, policy=p), ALL, False),
-    "cgs": (lambda W, om, c, p: cgs(W, policy=p), None, False),
-    "mgs": (lambda W, om, c, p: mgs(W, policy=p), None, False),
-    "hqr": (lambda W, om, c, p: householder_qr(W, scaling=c.scaling, policy=p), None, False),
-    "rcholqr": (lambda W, om, c, p: rand_cholesky_qr(W, om, policy=p), ALL, True),
+                                                  scaling=c.scaling, policy=p), TRAILING),
+    "rec-rhqr": (lambda W, om, c, p: rec_rhqr(W, om, scaling=c.scaling, policy=p), TRAILING),
+    "trim-left": (lambda W, om, c, p: trim_rhqr_left(W, om, scaling=c.scaling, policy=p), ALL),
+    "trim-right": (lambda W, om, c, p: trim_rhqr_right(W, om, scaling=c.scaling, policy=p), ALL),
+    "rgs": (lambda W, om, c, p: rgs(W, om, policy=p), ALL),
+    "blas2-rgs": (lambda W, om, c, p: blas2_rgs(W, om, policy=p), ALL),
+    "cgs": (lambda W, om, c, p: cgs(W, policy=p), None),
+    "mgs": (lambda W, om, c, p: mgs(W, policy=p), None),
+    "hqr": (lambda W, om, c, p: householder_qr(W, scaling=c.scaling, policy=p), None),
+    "rcholqr": (lambda W, om, c, p: rand_cholesky_qr(W, om, policy=p), ALL),
 }
 FACTOR_ALGOS = tuple(ALGOS)
 # the solvers run_gmres_experiment runs
@@ -160,37 +162,45 @@ def _measure(j, Wl, Q, R, SQ, status="ok"):
 
 def run_factor_experiment(W, config):
     """Metric rows for config.algo on the leading j columns of W,
-    j = every, 2*every, ..., m.  A breakdown at column c yields rows with a
-    'breakdown@c' status (and NaN metrics) from the first affected width on.
-    W's columns are checked once up front: from the first column c holding
-    a NaN or an infinity on, rows get NaN metrics and status 'nonfinite@c',
-    unless a breakdown at an earlier column names them.
+    j = every, 2*every, ..., m, all read off one run on W.  A breakdown at
+    column c yields rows with a 'breakdown@c' status (and NaN metrics) from
+    the first affected width on.  W's columns are checked once up front:
+    from the first column c holding a NaN or an infinity on, rows get NaN
+    metrics and status 'nonfinite@c', unless a breakdown at an earlier
+    column names them.  A W with fewer rows than columns raises ValueError.
     """
     if config.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
+    call, sketch_rows = ALGOS[config.algo]
     policy = policy_from_tag(config.precision)
     W = as_array(W)
-    m = W.shape[1]
+    n, m = W.shape
+    if n < m:
+        raise ValueError(f"W must have n >= m, got {n} x {m}")
     ell = config.sampling_size(m)
-    if ALGOS[config.algo][1] and config.sketch == "sparse":
+    if sketch_rows and config.sketch == "sparse":
         SparseSignSketch.nonzeros(config.s, ell)
     # errors are measured in float64 against the storage-rounded input
     Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))
-    js = sample_widths(m, config.every)
     bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
     attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")
-    sweep = _rerun_sweep if ALGOS[config.algo][2] else _prefix_sweep
-    return sweep(W, Wl, config, policy, ell, js, attained, status)
-
-
-def _factor_once(W, config, policy, ell):
-    call, rows, _ = ALGOS[config.algo]
-    n, m = W.shape
-    omega = None
-    if rows:
-        omega = make_sketch(config.sketch, ell, n - m if rows == TRAILING else n,
-                            config.seed, s=config.s)
-    return call(W, omega, config, policy)
+    out = broke = None
+    while attained > 0:
+        omega = None
+        if sketch_rows:
+            omega = make_sketch(config.sketch, ell, n - attained if sketch_rows == TRAILING else n,
+                                config.seed, s=config.s)
+        try:
+            out = call(W[:, :attained], omega, config, policy)
+            break
+        except (BreakdownError, PrecisionRangeError) as exc:
+            # measure the columns before the failure by a run on them alone
+            # (an [I; Omega] embedding is rebuilt for its width)
+            col = getattr(exc, "column", attained)
+            broke = broke or f"breakdown@{col}"
+            attained = min(col - 1, attained - 1)
+    return [_nan_row(j, broke or status) if j > attained
+            else _measure(j, Wl, *_q_r_sq(out, j)) for j in sample_widths(m, config.every)]
 
 
 def _q_r_sq(out, j):
@@ -209,41 +219,6 @@ def _q_r_sq(out, j):
     return Q, out.R[:j, :j], Q if omega is None else omega.apply(Q)
 
 
-def _prefix_sweep(W, Wl, config, policy, ell, js, attained, status):
-    out = None
-    broke = None
-    while attained > 0:
-        try:
-            out = _factor_once(W[:, :attained], config, policy, ell)
-            break
-        except (BreakdownError, PrecisionRangeError) as exc:
-            # keep the columns before the failure; the sweeps are
-            # left-looking, so a run on the shortened input computes the
-            # same columns (the embedded sketch is rebuilt for its width),
-            # bit for bit but where a Gaussian sketch keeps at most 8: its
-            # block apply of so few columns differs in the last bits
-            col = getattr(exc, "column", attained)
-            broke = broke or f"breakdown@{col}"
-            attained = min(col - 1, attained - 1)
-    return [_nan_row(j, broke or status) if j > attained
-            else _measure(j, Wl, *_q_r_sq(out, j)) for j in js]
-
-
-def _rerun_sweep(W, Wl, config, policy, ell, js, attained, status):
-    rows = []
-    for j in js:
-        if j <= attained:
-            try:
-                out = _factor_once(W[:, :j], config, policy, ell)
-            except (BreakdownError, PrecisionRangeError) as exc:
-                status = f"breakdown@{getattr(exc, 'column', j)}"
-            else:
-                rows.append(_measure(j, Wl, *_q_r_sq(out, j)))
-                continue
-        rows.append(_nan_row(j, status))
-    return rows
-
-
 def run_gmres_experiment(A, b, m, config, x0=None):
     """Per-iteration GMRES metrics for an algo of GMRES_ALGOS: sketched and
     true residuals, the scaled Arnoldi relation error
@@ -257,9 +232,8 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     if config.algo not in GMRES_ALGOS:
         raise ValueError(f"unknown solver {config.algo!r}, expected one of {GMRES_ALGOS}")
     policy = policy_from_tag(config.precision)
-    b = as_array(b)
+    b, x0, m = _krylov_input(A, b, x0, m)
     n = b.shape[0]
-    x0 = np.zeros(n) if x0 is None else as_array(x0)
     ell = config.sampling_size(m + 1)
     anorm = _operator_fro_norm(A)
     if config.algo == "rhqr":

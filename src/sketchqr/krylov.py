@@ -39,7 +39,7 @@ from .linalg import (
 )
 from .precision import DOUBLE_POLICY, round_to
 from .rhqr import _add_reflector, apply_reflectors_compact
-from .sketching import EmbeddedSketch
+from .sketching import EmbeddedSketch, _integer
 
 
 def _start(matvec, b, x0, low):
@@ -49,6 +49,26 @@ def _start(matvec, b, x0, low):
     for v in (b, x0):
         check_finite(v)
     return round_to(check_finite(b - matvec(round_to(x0, low))), low)
+
+
+def _krylov_input(A, b, x0, m):
+    """The Arnoldi processes' input gate, passed before A is applied: m an
+    integer >= 0, b a vector, x0 (zeros if None) one of b's length, and A,
+    unless it is a callable, n x n.  Returns (b, x0, m), b and x0 as float64
+    arrays; a fault raises ValueError naming it."""
+    m = _integer("m", m)
+    if m < 0:
+        raise ValueError(f"m={m} must be >= 0")
+    b = as_array(b)
+    if b.ndim != 1:
+        raise ValueError(f"b must be a vector, got {b.ndim} dimensions")
+    n = b.shape[0]
+    x0 = np.zeros(n) if x0 is None else as_array(x0)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have b's length {n}, got shape {x0.shape}")
+    if not callable(A) and np.shape(A) != (n, n):
+        raise ValueError(f"A must be {n} x {n} for b of length {n}, got shape {np.shape(A)}")
+    return b, x0, m
 
 
 def _as_operator(A):
@@ -123,10 +143,9 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     check_scaling(scaling)
     lo = policy.low_dtype
     hi = policy.high_dtype
+    b, x0, m = _krylov_input(A, b, x0, m)
     matvec = _as_operator(A)
-    b = as_array(b)
     n = b.shape[0]
-    x0 = np.zeros(n) if x0 is None else as_array(x0)
     psi = EmbeddedSketch(m + 1, check_sketch(omega, n - m - 1, m + 1))
     # rh_vector already rounds u to policy.low, so storing U there is exact
     U = low_storage(n, m + 1, lo)
@@ -225,8 +244,7 @@ def rhqr_gmres(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     Returns (x, resid_history) with resid_history[j] the sketched residual
     norm after j iterations (resid_history[0] = ||Psi r0||).
     """
-    b = as_array(b)
-    x0 = np.zeros(b.shape[0]) if x0 is None else as_array(x0)
+    b, x0, m = _krylov_input(A, b, x0, m)
     bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=scaling, policy=policy)
     return _gmres_solve(bundle.H, bundle.beta, x0,
                         lambda y: _apply_basis(bundle, y, policy))
@@ -245,10 +263,9 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
+    b, x0, m = _krylov_input(A, b, x0, m)
     matvec = _as_operator(A)
-    b = as_array(b)
     n = b.shape[0]
-    x0 = np.zeros(n) if x0 is None else as_array(x0)
     check_sketch(omega, n, m + 1)
     Q = low_storage(n, m + 1, lo)
     basis = _BasisQR(omega.ell, m + 1, policy)
@@ -273,7 +290,6 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
 def rgs_gmres(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     """GMRES on the randomized Gram-Schmidt Arnoldi basis; same Hessenberg
     solve and history convention as rhqr_gmres."""
-    b = as_array(b)
-    x0 = np.zeros(b.shape[0]) if x0 is None else as_array(x0)
+    b, x0, m = _krylov_input(A, b, x0, m)
     Q, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy)
     return _gmres_solve(H, beta, x0, lambda y: Q[:, :y.shape[0]] @ y)

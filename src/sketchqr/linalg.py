@@ -24,7 +24,7 @@ class BreakdownError(RuntimeError):
     `column` is the 1-based column at which the step failed, and `reason`
     one of BREAKDOWN_REASONS:
       tail_annihilated         the (sketched) tail below the pivot is exactly 0
-      scale_nonfinite          the reflector scale came out inf or NaN
+      scale_nonfinite          a norm or reflector scale came out inf or NaN
       reflector_cancelled      the sketched trimmed reflector cancelled
       zero_pivot               a Gram-Schmidt or unit-scaling pivot is exactly 0
       dependent_column         a deterministic column lies in the earlier span
@@ -88,7 +88,7 @@ def check_finite(X, first=1):
 
 def factor_input(W, policy, scaling=None):
     """The input gate of every factorization: the scaling (if it takes one)
-    must be known, W a matrix and finite.  Returns W rounded to policy.low:
+    must be known, W a matrix with n >= m, and finite.  Returns W rounded to policy.low:
     W itself, read-only, where it is C-contiguous in that format, else a
     copy; a finite value that overflows it raises PrecisionRangeError."""
     if scaling is not None:
@@ -96,6 +96,8 @@ def factor_input(W, policy, scaling=None):
     W = np.asarray(W)
     if W.ndim != 2:
         raise ValueError(f"W must be a matrix, got {W.ndim} dimensions")
+    if W.shape[0] < W.shape[1]:
+        raise ValueError(f"W must have n >= m, got {W.shape[0]} x {W.shape[1]}")
     check_finite(W)
     if W.dtype != policy.low_dtype or not W.flags.c_contiguous:
         return round_to(W, policy.low)

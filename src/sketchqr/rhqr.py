@@ -171,8 +171,8 @@ class RHQRFactors:
     psi: EmbeddedSketch
 
     def prefix(self, j):
-        """Factors of the leading j columns (valid for the left/right sweeps,
-        whose first j reflectors never look at later columns)."""
+        """Factors of the leading j columns: the sweeps' first j reflectors
+        never look at later columns, and rec_rhqr's lift is triangular."""
         return RHQRFactors(U=self.U[:, :j], S=self.S[:, :j], T=self.T[:j, :j],
                            R=self.R[:j, :j], psi=self.psi)
 

@@ -74,7 +74,9 @@ def test_householder_breakdown():
 
 @pytest.mark.parametrize("factor", [householder_qr, sketch_qr])
 def test_householder_qrs_refuse_a_wide_input(factor):
-    with pytest.raises(ValueError, match="need p >= m, got 3 x 5"):
+    # householder_qr's check is the one factor_input makes for every factorization
+    want = "need p >= m" if factor is sketch_qr else "W must have n >= m"
+    with pytest.raises(ValueError, match=f"{want}, got 3 x 5"):
         factor(np.ones((3, 5)))
 
 
@@ -436,3 +438,16 @@ def test_rgs_sketches_column_zero_once(rng, factor):
     # one block sketch of W, then a re-sketch after each projection; column
     # 0 is not projected, so its column of the block serves both
     assert om.widths == [m] + [1] * (m - 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [510, 520, 1000])
+@pytest.mark.parametrize("method", ["rgs", "blas2_rgs", "cgs", "mgs"])
+def test_gram_schmidt_norm_overflow_is_a_breakdown(method, scale):
+    # finite columns whose norm overflows double: a typed error at the
+    # column, not an R that holds inf
+    W = oscillatory(256, 16) * 2.0 ** scale
+    args = (W,) if method in ("cgs", "mgs") else (W, SRHTSketch(64, 256, 3))
+    with pytest.raises(BreakdownError) as info:
+        getattr(baselines, method)(*args)
+    assert (info.value.reason, info.value.column) == ("scale_nonfinite", 1)

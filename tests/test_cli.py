@@ -253,3 +253,35 @@ def test_gmres_on_a_nonfinite_operator_ends_in_one_line(tmp_path, algo, sparse):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "non-finite input in column 1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["gen", "--n", "1", "--m", "5"],
+                                  ["factor", "--algo", "mgs", "--gen-n", "1", "--gen-m", "1"]])
+def test_a_too_small_generated_matrix_ends_in_one_line(tmp_path, argv):
+    out = tmp_path / "x.out"
+    code, err = run_cli(argv + ["--out", str(out)])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "need n >= 2 and m >= 2" in err
+    assert not out.exists()
+
+
+def test_a_wide_input_ends_in_one_line(tmp_path):
+    # without the check, cgs writes an "ok" row of noise here
+    out = tmp_path / "x.csv"
+    code, err = run_cli(["factor", "--algo", "cgs", "--gen-n", "10", "--gen-m", "12",
+                         "--out", str(out)])
+    assert code == 1
+    assert err == "cannot run: W must have n >= m, got 10 x 12\n"
+    assert not out.exists()
+
+
+def test_a_negative_iteration_count_ends_in_one_line(tmp_path, rng):
+    p, _ = spd_mtx(tmp_path, rng)
+    out = tmp_path / "x.csv"
+    code, err = run_cli(["gmres", "--algo", "rgs", "--matrix", str(p), "--iters", "-1",
+                         "--out", str(out)])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "iters=-1 must be >= 0" in err
+    assert not out.exists()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from sketchqr import experiments
 from sketchqr.experiments import (
     ALGOS,
     FACTOR_ALGOS,
+    GMRES_ALGOS,
     TRAILING,
     ExperimentConfig,
     GmresRow,
@@ -27,7 +29,7 @@ from sketchqr.sketching import GaussianSketch, SRHTSketch
 @pytest.mark.parametrize("algo", list(ALGOS))
 def test_factorizations_refuse_non_matrix_input(algo):
     # the same ValueError before any shape is unpacked, for every entry point
-    call, _, _ = ALGOS[algo]
+    call, _ = ALGOS[algo]
     cfg = ExperimentConfig(algo=algo)
     for W in (np.ones(20), np.ones((20, 3, 2)), np.float64(1.0)):
         with pytest.raises(ValueError, match="W must be a matrix"):
@@ -42,7 +44,7 @@ SCALED = ("rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr", "trim-left", "tri
 def test_factorizations_refuse_an_unknown_scaling(algo):
     # ExperimentConfig refuses the name itself, so a bare namespace carries
     # it to the factorization
-    call, rows, _ = ALGOS[algo]
+    call, rows = ALGOS[algo]
     n, m = 64, 8
     omega = SRHTSketch(32, n - m if rows == TRAILING else n, 0)
     config = types.SimpleNamespace(scaling="householder", block_size=32)
@@ -72,7 +74,7 @@ def test_a_tiny_column_breaks_down_or_stays_finite(algo):
 @pytest.mark.parametrize("algo", list(ALGOS))
 def test_factorizations_refuse_nonfinite_input(algo, bad, tag, column):
     # one typed error, naming the first bad column, from every entry point
-    call, rows, _ = ALGOS[algo]
+    call, rows = ALGOS[algo]
     n, m = 64, 8
     W = gen_cmatrix(n, m)
     W[n // 2, column - 1] = bad
@@ -83,9 +85,9 @@ def test_factorizations_refuse_nonfinite_input(algo, bad, tag, column):
     assert (info.value.reason, info.value.column) == ("nonfinite_input", column)
 
 
-@pytest.mark.parametrize("algo", [a for a, (_, rows, _) in ALGOS.items() if rows])
+@pytest.mark.parametrize("algo", [a for a, (_, rows) in ALGOS.items() if rows])
 def test_sketched_entry_points_word_sketch_faults_alike(algo):
-    call, rows, _ = ALGOS[algo]
+    call, rows = ALGOS[algo]
     n, m = 64, 8
     W = gen_cmatrix(n, m)
     need = n - m if rows == TRAILING else n
@@ -205,7 +207,7 @@ def test_nonfinite_columns_stop_every_algorithm(rng, algo):
     assert [r.status for r in rows] == ["breakdown@2"] * 4
 
 
-def test_rerun_algorithms_sweep(rng):
+def test_sketch_then_factor_algorithms_sweep(rng):
     W = rng.standard_normal((128, 12))
     for algo in ("rec-rhqr", "rcholqr"):
         rows = run_factor_experiment(W, ExperimentConfig(algo=algo, every=4, seed=5))
@@ -214,6 +216,50 @@ def test_rerun_algorithms_sweep(rng):
             assert r.status == "ok"
             assert r.orth_err <= 1e-10
             assert r.max_col_rel_err <= 1e-12
+
+
+@pytest.mark.parametrize("algo,name", [("rec-rhqr", "rec_rhqr"),
+                                       ("rcholqr", "rand_cholesky_qr")])
+def test_a_sweep_factors_its_input_once(monkeypatch, algo, name):
+    # every width is read off the prefix of one run
+    calls = []
+    run = getattr(experiments, name)
+
+    def counted(W, *args, **kwargs):
+        calls.append(W.shape)
+        return run(W, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    rows = run_factor_experiment(gen_cmatrix(512, 40), ExperimentConfig(algo=algo, every=5))
+    assert len(rows) == 8
+    assert calls == [(512, 40)]
+
+
+def test_rec_rhqr_rows_measure_the_sweeps_embedding(rng):
+    # rec-rhqr is the Householder QR of Psi W that rhqr-left computes, and
+    # its prefixes are read under the same Psi: cond(Q) agrees at every width
+    W = rng.standard_normal((512, 24))
+    shared = dict(seed=7, every=4)
+    rec = run_factor_experiment(W, ExperimentConfig(algo="rec-rhqr", **shared))
+    left = run_factor_experiment(W, ExperimentConfig(algo="rhqr-left", **shared))
+    assert [r.j for r in rec] == [r.j for r in left] == [4, 8, 12, 16, 20, 24]
+    for a, b in zip(rec, left):
+        assert a.status == b.status == "ok"
+        assert abs(a.cond_q - b.cond_q) <= 1e-10 * b.cond_q
+
+
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_factorizations_refuse_a_wide_input(algo):
+    # one ValueError from every entry point and from the runner, before a
+    # sketch is built or a column is touched
+    call, rows = ALGOS[algo]
+    n, m = 10, 12
+    cfg = ExperimentConfig(algo=algo)
+    omega = SRHTSketch(8, 16, 0)
+    with pytest.raises(ValueError, match=f"^W must have n >= m, got {n} x {m}$"):
+        call(gen_cmatrix(n, m), omega, cfg, policy_from_tag("double"))
+    with pytest.raises(ValueError, match=f"^W must have n >= m, got {n} x {m}$"):
+        run_factor_experiment(gen_cmatrix(n, m), cfg)
 
 
 def test_mixed_precision_sweep_completes():
@@ -278,6 +324,14 @@ def test_gmres_clustered_spectrum_converges(rng, algo):
     for r in rows:
         assert r.relation_err <= 1e-11
         assert r.cond_basis < 10.0
+
+
+@pytest.mark.parametrize("algo", GMRES_ALGOS)
+def test_gmres_checks_its_iteration_count_before_its_sketch(algo):
+    cfg = ExperimentConfig(algo=algo, seed=1)
+    for m, message in ((-1, "m=-1 must be >= 0"), (2.0, "m=2.0 must be an integer")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_gmres_experiment(np.eye(64), np.ones(64), m, cfg)
 
 
 def test_gmres_rejects_unknown_solver():
@@ -424,8 +478,7 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
 # gen_cmatrix(256, 32) they are the same at 1, 2 and 4 BLAS threads (on
 # 300 x 40, fro_rel_err differs in its last bits between 1 and 2 threads);
 # they still pin the numpy/OpenBLAS build.  Column 17 of the "zero-column"
-# input is zero, so every algorithm stops with breakdown@18 on both the
-# prefix and the rerun sweep.  The rec-rhqr and rcholqr entries other than
+# input is zero, so every algorithm stops with breakdown@18.  The rec-rhqr and rcholqr entries other than
 # half were recorded again when their sketch QR moved to LAPACK's xGEQRT,
 # again the same at 1, 2 and 4 threads.  "block5" runs rhqr-block with
 # 5-column panels (the multi-panel path; block 32 is one panel here), in
@@ -442,6 +495,9 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
 # threads.  The 56 entries that moved when every basis store became
 # column-major (linalg.low_storage), so that products read U and Q with
 # leading dimension n, were recorded again, the same at 1, 2 and 4 threads.
+# The rec-rhqr entries and the rcholqr entries but half were recorded again
+# when both stopped being rerun at every sampled width and were read off
+# the prefixes of one run, the same at 1, 2 and 4 threads.
 RUNNER_DIGESTS = {
     ("rhqr-left", "double"): "ecbbf06b3a83637f49a0c5ea993b95d2",
     ("rhqr-left", "single"): "e4b0e6f51748007468fe31fefcc075bd",
@@ -455,10 +511,10 @@ RUNNER_DIGESTS = {
     ("rhqr-block", "single"): "e4b0e6f51748007468fe31fefcc075bd",
     ("rhqr-block", "mixed"): "fbb97acdd8e286c648bca8869bd2acf5",
     ("rhqr-block", "half"): "d74fc8ac2b8b9c40fa78a3bc1e4bbe1a",
-    ("rec-rhqr", "double"): "ed9dc7af4cd29d64a7e9868454da5929",
-    ("rec-rhqr", "single"): "30d9d9df4ebe9f47189702147a9d4eae",
-    ("rec-rhqr", "mixed"): "287cb3fed609bf1421f98f02e269c40c",
-    ("rec-rhqr", "half"): "464b61e04aa665684416341caaa03a8c",
+    ("rec-rhqr", "double"): "d7199d042f59347ce61263f2810ab0e8",
+    ("rec-rhqr", "single"): "76cf12af51dc815f7a24f342e95fe21d",
+    ("rec-rhqr", "mixed"): "7d8c2926566a47574954422e1ccff6e5",
+    ("rec-rhqr", "half"): "7855215d17031ca2de5b59bab1cff256",
     ("trim-left", "double"): "620358049ee82edd23669730eb73c96b",
     ("trim-left", "single"): "7e71ce4230174a3a401de5615aa9bcba",
     ("trim-left", "mixed"): "20cf8325020c79bdb97831e32a082fe0",
@@ -487,14 +543,14 @@ RUNNER_DIGESTS = {
     ("hqr", "single"): "4ebac71e5c44b2868f5e04c529684196",
     ("hqr", "mixed"): "9b6fb659cdaa8c26741cd4f36cfc9256",
     ("hqr", "half"): "cde36beb089e0c0cb177dc55db9efbec",
-    ("rcholqr", "double"): "48fb9e1f057059a4ff1dfa978b65d040",
-    ("rcholqr", "single"): "0d295eaee4e19e53ac7bc56cb9d368b5",
-    ("rcholqr", "mixed"): "6db46b8a862e2c63564b6b70ee5bdb78",
+    ("rcholqr", "double"): "918e88500758a3645680b8b7a06601f0",
+    ("rcholqr", "single"): "b55061ba998e0ddd543591d7b202d7c3",
+    ("rcholqr", "mixed"): "056755ee51b72d0b44f8e6f6c7efb3bf",
     ("rcholqr", "half"): "173226e549f021ef67bf4d6c0989073d",
     ("rhqr-left", "unit"): "9d46f613b4ce583669073366e58dccdd",
     ("rhqr-right", "unit"): "ea85809bb3b2bec0e40da73d9f294895",
     ("rhqr-block", "unit"): "9d46f613b4ce583669073366e58dccdd",
-    ("rec-rhqr", "unit"): "174b841bc6b3d2beac6b99e684153020",
+    ("rec-rhqr", "unit"): "e31442bdf519f4c8b47c438ae8374847",
     ("trim-left", "unit"): "057b9749d333a17514b4cd9efad7766d",
     ("trim-right", "unit"): "864e3f46fc1a38ee8aca943129887f89",
     ("rgs", "unit"): "eaa3cf2d9e3737f7b951223adebafbf7",
@@ -502,7 +558,7 @@ RUNNER_DIGESTS = {
     ("cgs", "unit"): "b9d9e6b648d862d2382f31edaf819c57",
     ("mgs", "unit"): "7d71b2bc579ecae06f59bb31f659f3d0",
     ("hqr", "unit"): "c2afe8e518f3c937225d9555ae7d8346",
-    ("rcholqr", "unit"): "48fb9e1f057059a4ff1dfa978b65d040",
+    ("rcholqr", "unit"): "918e88500758a3645680b8b7a06601f0",
     ("rhqr-block", "block5"): "b580f974d7644e26fbfcc3622c2b5c7c",
     ("rhqr-block", "block5-single"): "f005f8f9c2d86829a7e2a92017441209",
     ("rhqr-block", "block5-mixed"): "9af0728fe1da512d48946141b16cd7be",
@@ -510,7 +566,7 @@ RUNNER_DIGESTS = {
     ("rhqr-left", "zero-column"): "5a4165316668b111e1c91a87ab49bd7e",
     ("rhqr-right", "zero-column"): "9dbfacd5383f34cce4203adc9c7aa23c",
     ("rhqr-block", "zero-column"): "5a4165316668b111e1c91a87ab49bd7e",
-    ("rec-rhqr", "zero-column"): "ca15829d86bbe39e71df0358574087f7",
+    ("rec-rhqr", "zero-column"): "613fcd2999277e2aad23fc4068255ced",
     ("trim-left", "zero-column"): "1d90407c7c2c64f982c65848625b5fa6",
     ("trim-right", "zero-column"): "6873f327150de38b6e07c6c85036267b",
     ("rgs", "zero-column"): "aba5e59bb342cc3a8c1b1986d63e86d8",
@@ -518,7 +574,7 @@ RUNNER_DIGESTS = {
     ("cgs", "zero-column"): "e51b50516719ec602b5faa9346489adf",
     ("mgs", "zero-column"): "aa91159e1d7231f369dddfa461e32f00",
     ("hqr", "zero-column"): "82dda0f9e3dbc0dad78294fc6f0dce56",
-    ("rcholqr", "zero-column"): "6a099ed3edcd7af26e198657d731b17e",
+    ("rcholqr", "zero-column"): "fc31b3e56150cb5ecf810b781f58632c",
 }
 
 

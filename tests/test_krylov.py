@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -393,3 +394,40 @@ def test_arnoldi_words_sketch_faults_as_the_factorizations(solver):
     with pytest.raises(ValueError) as info:
         run(np.eye(n), np.ones(n), None, m, GaussianSketch(m, need, 5))
     assert str(info.value) == f"sampling size ell={m} is below {m + 1} columns"
+
+
+@pytest.mark.parametrize("solver", ["rhqr_arnoldi", "rgs_arnoldi", "rhqr_gmres", "rgs_gmres"])
+def test_krylov_refuses_bad_input_before_a_matvec(solver):
+    # each fault is named by a ValueError before A is applied
+    n, m = 64, 6
+    rows = n - m - 1 if solver.startswith("rhqr") else n
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        return v
+
+    cases = [
+        ((matvec, np.ones(n), None, -1), "m=-1 must be >= 0"),
+        ((matvec, np.ones(n), None, 4.0), "m=4.0 must be an integer"),
+        ((matvec, np.ones((n, 1)), None, m), "b must be a vector, got 2 dimensions"),
+        ((matvec, np.ones(n), np.zeros(n - 1), m), f"x0 must have b's length {n}, got shape"),
+        ((np.eye(n, n - 1), np.ones(n), None, m), f"A must be {n} x {n} for b of length {n}"),
+        ((scipy.sparse.eye_array(n + 1), np.ones(n), None, m), f"A must be {n} x {n}"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(krylov, solver)(*args, GaussianSketch(28, rows, 5))
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [510, 520, 1000])
+def test_rgs_arnoldi_norm_overflow_is_a_breakdown(scale):
+    # a finite start vector whose sketched norm overflows: the space does
+    # not close on inf <= 32 u inf, it breaks down at column 1
+    n = 64
+    b = np.linspace(1.0, 2.0, n) * 2.0 ** scale
+    with pytest.raises(BreakdownError) as info:
+        rgs_arnoldi(np.eye(n), b, None, 4, GaussianSketch(28, n, 5))
+    assert (info.value.reason, info.value.column) == ("scale_nonfinite", 1)

@@ -1,10 +1,11 @@
-"""Checks on the source text of the package itself, and on the names the
-benchmark harness in perfbench/ reads from it."""
+"""Checks on the source text of the package itself, on the names the
+benchmark harness in perfbench/ reads from it, and on the recipes' pins."""
 
 import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -113,3 +114,15 @@ def test_benchmark_reads_only_names_the_package_has(path):
     # the benchmark harness is parsed, not imported: a change to the package
     # that removes or renames a name it reads fails here
     assert missing_sketchqr_names(path.read_text()) == []
+
+
+_RECIPES = sorted((pathlib.Path(__file__).resolve().parents[1] / "recipes").glob("0*.sh"))
+
+
+@pytest.mark.parametrize("path", _RECIPES, ids=lambda p: p.name)
+def test_recipes_pin_what_their_checksums_depend_on(path):
+    # recipes/SHA256SUMS holds for CSVs written on one BLAS thread without
+    # a timestamp; verify.sh would catch a dropped pin only in a full run
+    text = path.read_text()
+    assert re.search(r"^export OPENBLAS_NUM_THREADS=1$", text, re.MULTILINE)
+    assert "--deterministic" in text
