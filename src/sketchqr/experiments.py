@@ -30,6 +30,7 @@ from .krylov import (
 from .linalg import (
     BreakdownError,
     as_array,
+    check_matrix,
     check_scaling,
     cond_number,
     factorization_errors,
@@ -167,16 +168,14 @@ def run_factor_experiment(W, config):
     the first affected width on.  W's columns are checked once up front:
     from the first column c holding a NaN or an infinity on, rows get NaN
     metrics and status 'nonfinite@c', unless a breakdown at an earlier
-    column names them.  A W with fewer rows than columns raises ValueError.
+    column names them.  A W that is not a matrix with n >= m raises ValueError.
     """
     if config.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
     call, sketch_rows = ALGOS[config.algo]
     policy = policy_from_tag(config.precision)
-    W = as_array(W)
+    W = check_matrix(as_array(W))
     n, m = W.shape
-    if n < m:
-        raise ValueError(f"W must have n >= m, got {n} x {m}")
     ell = config.sampling_size(m)
     if sketch_rows and config.sketch == "sparse":
         SparseSignSketch.nonzeros(config.s, ell)

@@ -27,6 +27,7 @@ import scipy.sparse
 from .baselines import _BasisQR, _rgs_step
 from .linalg import (
     SCALE_SQRT2,
+    BreakdownError,
     as_array,
     check_finite,
     check_scaling,
@@ -138,7 +139,9 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     32 * policy.u_high times its full norm the space is declared closed:
     factors are truncated and bundle.breakdown reports the attained
     dimension.  A NaN or an inf in a Krylov column raises BreakdownError
-    (nonfinite_input) there, as factor_input would; r0 is column 1.
+    (nonfinite_input) there, as factor_input would; r0 is column 1.  A
+    sketched norm that overflows raises BreakdownError (scale_nonfinite),
+    as in rgs_arnoldi.
     """
     check_scaling(scaling)
     lo = policy.low_dtype
@@ -157,7 +160,11 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         # the sketch is read in float64: the norms, and rh_vector's pivot
         z = to_dtype(psi.apply(w, dtype=lo), np.float64)
         tail = float(np.linalg.norm(z[c:]))
-        if tail <= 32.0 * policy.u_high * float(np.linalg.norm(z)):
+        nz = float(np.linalg.norm(z))
+        if not (np.isfinite(tail) and np.isfinite(nz)):
+            raise BreakdownError(f"sketched norm overflowed at column {c + 1}", column=c + 1,
+                                 reason="scale_nonfinite")
+        if tail <= 32.0 * policy.u_high * nz:
             # the new direction is numerically inside the span already: close
             # the space, finishing the current Hessenberg column with the
             # (tiny) subdiagonal the reflector would have produced

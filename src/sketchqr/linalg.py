@@ -86,6 +86,16 @@ def check_finite(X, first=1):
     return X
 
 
+def check_matrix(W):
+    """W as an array, which must be a matrix with n >= m."""
+    W = np.asarray(W)
+    if W.ndim != 2:
+        raise ValueError(f"W must be a matrix, got {W.ndim} dimensions")
+    if W.shape[0] < W.shape[1]:
+        raise ValueError(f"W must have n >= m, got {W.shape[0]} x {W.shape[1]}")
+    return W
+
+
 def factor_input(W, policy, scaling=None):
     """The input gate of every factorization: the scaling (if it takes one)
     must be known, W a matrix with n >= m, and finite.  Returns W rounded to policy.low:
@@ -93,11 +103,7 @@ def factor_input(W, policy, scaling=None):
     copy; a finite value that overflows it raises PrecisionRangeError."""
     if scaling is not None:
         check_scaling(scaling)
-    W = np.asarray(W)
-    if W.ndim != 2:
-        raise ValueError(f"W must be a matrix, got {W.ndim} dimensions")
-    if W.shape[0] < W.shape[1]:
-        raise ValueError(f"W must have n >= m, got {W.shape[0]} x {W.shape[1]}")
+    W = check_matrix(W)
     check_finite(W)
     if W.dtype != policy.low_dtype or not W.flags.c_contiguous:
         return round_to(W, policy.low)

@@ -7,11 +7,12 @@ widens, and rounding through the native numpy dtype gives correctly rounded
 (round-to-nearest-even) results per elementary operation, which is the
 emulation model used by all the precision sweeps.  Norms accumulate in
 float64, and the entry points return float64 results.  Half arithmetic
-runs as float32 with one rounding to half per butterfly stage (the FWHT)
-and per sum over the column count (linalg.matmul_in, an ordered einsum),
-bitwise equal to numpy's float16 operations (but for the sign of a NaN
-made from two NaNs) and faster: numpy's float16 loops are several times
-slower than its float32 ones, and float16 has no BLAS kernel.
+runs as float32 with one rounding to half per sum over the column count
+(linalg.matmul_in, an ordered einsum), bitwise equal to numpy's float16
+operations (but for the sign of a NaN made from two NaNs) and faster:
+numpy's float16 loops are several times slower than its float32 ones, and
+float16 has no BLAS kernel.  The sketches accumulate in float32 and round
+their result to half once (sketching.py).
 """
 
 from dataclasses import dataclass

@@ -4,21 +4,22 @@ Every operator exposes `apply(X, dtype)` where dtype is the arithmetic
 precision of the application: X is read in its own dtype, and the result
 comes back in dtype.  The subsampled transform is never
 materialized, only its signs and coordinate subset are stored.  Its
-butterflies run in constant geometry, one buffer row per column (see fwht).
+Hadamard transform runs as Kronecker factors of at most 16 points, one
+GEMM each (see _transform).
 
-Half arithmetic runs as float32, rounded to half once per butterfly stage
-(Dekker's split, see fwht) and once per product sum, and is bitwise equal
-to numpy's float16 arithmetic.  A product of two halves is exact in
-float32, so the SRHT's signed scale, the column scaling and the FWHT's
-normalization each multiply in float32 and cast to half once.  The
-matmul-based operators (gaussian, sparse sign) multiply a float32 copy of
-the operator, accumulate in float32 and round the result to float16 once,
-which is how half-precision hardware behaves.
+Half arithmetic accumulates in float32 and rounds the result to half once,
+which is how half-precision hardware behaves.  The matmul-based operators
+(gaussian, sparse sign) multiply a float32 copy of the operator.  The
+SRHT's operand is its scaled and sign-flipped input, a product of two
+halves rounded to half (numpy's float16 multiply); its transform,
+normalization and gather run in float32 as fwht's do, and the result is
+rounded to half once.
 """
 
 import operator
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .linalg import as_array, orthogonality_error, to_dtype
@@ -26,124 +27,63 @@ from .linalg import as_array, orthogonality_error, to_dtype
 
 # columns per SRHT work array: a block is transformed this many at a time
 _CHUNK = 32
-
-# Dekker's splitting constant 2**13 + 1 for float32: t = x*C, t - (t - x)
-# rounds x to its nearest 24 - 13 = 11 bit value, half's significand
-_SPLIT = np.float32(8193)
-# the split path's bound on every column's 1-norm; stage values stay below
-# it times (1 + 2**-11)**p, far from 65520, where half overflows
-_SPLIT_NORM = 2.0 ** 15
+# bits per Kronecker factor of the Hadamard transform, so factors of at
+# most 16 points
+_FACTOR_BITS = 4
+# H_16, whose leading d x d block is H_d for every power of two d <= 16
+_HADAMARD = scipy.linalg.hadamard(1 << _FACTOR_BITS).astype(np.float64)
 # make_sketch's operator names, which the CLI offers as --sketch
 SKETCH_KINDS = ("srht", "gauss", "sparse")
 
 
-def _split_half(x, scratch):
-    """Round float32 x in place to the nearest half: three float32 ufuncs
-    with `scratch` (same shape) as workspace.
+def _transform(y):
+    """Unnormalized Walsh-Hadamard transform of the C-ordered n x k array y,
+    one row per coordinate; returns the k x n result, one row per column,
+    in natural order.  y is not written.
 
-    Equal to a cast to float16 and back, ties to even included, for every
-    float32 multiple of 2**-24 below 65520 in magnitude.  Below 2**-14 such
-    a value is itself a half subnormal, which the split leaves as it is;
-    below 65520 the cast does not overflow.  Sums and differences of halves
-    are such multiples, and they are what the FWHT rounds."""
-    np.multiply(x, _SPLIT, out=scratch)
-    np.subtract(scratch, x, out=x)
-    np.subtract(scratch, x, out=x)
-
-
-def _transform(a, b, half):
-    """Unnormalized butterflies along the rows of the k x n buffer a, one
-    row per column, with b (same shape and dtype) as the second buffer; both
-    are overwritten.  With `half`, a is float32 holding halves and every
-    stage is rounded to half.  Returns whichever buffer holds the result."""
-    k, n = a.shape
-    rnd = None
-    if half:
-        # the split's guard (see fwht), with b as scratch before stage one
-        np.abs(a, out=b)
-        if np.all(b.sum(axis=1, dtype=np.float64) <= _SPLIT_NORM):
-            rnd = _split_half
-        else:
-            # large, infinite or NaN columns: round through a half buffer,
-            # which owns overflow, inf and NaN
-            h16 = np.empty((k, n), dtype=np.float16)
-
-            def rnd(x, _):
-                np.copyto(h16, x)
-                np.copyto(x, h16)
-    src, dst = a, b
-    half_n = n // 2
-    for _ in range(n.bit_length() - 1):
-        s = src.reshape(k, half_n, 2)
-        np.add(s[:, :, 0], s[:, :, 1], out=dst[:, :half_n])
-        np.subtract(s[:, :, 0], s[:, :, 1], out=dst[:, half_n:])
-        if rnd is not None:
-            rnd(dst, src)
-        src, dst = dst, src
-    return src
-
-
-def _norm_factor(n, dtype):
-    """The 2**(-p/2) normalization in dtype, as a scalar of the arithmetic
-    dtype: float32 holding the half value for float16."""
-    f = dtype.type(n ** -0.5)
-    return np.float32(f) if dtype == np.float16 else f
+    The Sylvester matrix is a Kronecker product, H_n = H_{d_1} (x) ... (x)
+    H_{d_r} (Van Loan, Computational Frameworks for the FFT, SIAM 1992),
+    with p = log2(n) split into r near-equal factors of at most
+    _FACTOR_BITS bits.  Each factor is one GEMM, `y.reshape(d, -1).T @ H_d`,
+    which applies H_d along the leading index and rotates that index to the
+    end, so after the last factor the indices are back in order with the
+    column index first: Pease's constant geometry at block level, with no
+    transpose.  From n = 4 on there are at least two factors, so no GEMM
+    has a single row, which numpy hands to gemv, whose bits differ (at
+    n = 2 each output sums two terms, alike in any order).  Every
+    output of a factor is one dot product of at most 16 terms, whose
+    products by +-1 are exact, and BLAS never splits it across threads, so
+    a column's bits depend neither on the other columns of its block nor
+    on the thread count.  A factor of d points costs d multiply-adds per
+    entry, 48 in all at n = 2**14 against the butterflies' 14 additions,
+    but at BLAS-3 speed."""
+    n, k = y.shape
+    p = n.bit_length() - 1
+    r = max(-(-p // _FACTOR_BITS), min(p, 2))
+    for i in range(r):
+        d = 1 << (p // r + (i < p % r))
+        y = y.reshape(d, n * k // d).T @ _HADAMARD[:d, :d].astype(y.dtype, copy=False)
+    return y.reshape(k, n)
 
 
 def fwht(x):
     """Normalized fast Walsh-Hadamard transform along axis 0.
 
-    x has n = 2**p rows; columns are transformed independently.  Arithmetic
-    runs in x's own dtype; the 2**(-p/2) normalization is a single multiply
-    after the butterfly passes.
-
-    Half butterflies run as float32 adds and subtracts, each stage rounded
-    to half once: the float32 sum or difference of two halves, rounded to
-    half, is the half operation's result bit for bit (double rounding is
-    innocuous, as 24 >= 2*11 + 2), and numpy's float16 loops are slower.
-    The rounding is Dekker's split (_split_half), three float32 ufuncs.  It
-    is exact because a sum of halves is a multiple of 2**-24, so half's
-    subnormal step needs no special case, as long as no stage reaches
-    65520, where half overflows.  A stage value is bounded by its column's
-    1-norm times (1 + 2**-11)**p, so the split runs when every column's
-    float64 1-norm is at most 2**15; other input (large, inf or NaN) is
-    rounded by a cast to float16 and back at each stage instead.  The
-    normalization multiplies two halves in float32, which is exact, and
-    casts to half once.
-
-    Non-floating input (integers, booleans) is transformed in float64.
-
-    Stage h (h = 1, 2, 4, ..., n/2) replaces each row pair (i, i+h) with
-    i & h == 0 by (x_i + x_{i+h}, x_i - x_{i+h}).  The stages always run in
-    this order, because rounding depends on it: criterion 10 compares the
-    result with an extended-precision replay of this sequence, and any
-    reordering would change the bits of every SRHT sketch.  The memory
-    layout below changes only where elements sit, never the operands or
-    the order of any element's operations.
-
-    Layout: the butterflies run in Pease's constant geometry (J. ACM 15(2),
-    1968) on a k x n buffer, one row per column.  Every stage reads the
-    adjacent pairs (2j, 2j+1) of each row and writes their sum to element j
-    and their difference to element j + n/2 of the other buffer, which
-    rotates the index bits right by one place.  So stage t pairs the
-    elements that stage h = 2**t pairs in natural order, with the same
-    operands in the same order, and after all p stages the result is back
-    in natural order.  Each stage is two ufunc calls of k*n/2 elements with
-    contiguous writes, for every k and h, and needs no transpose.
-    SRHTSketch transforms a block _CHUNK columns at a time, which keeps
-    those buffers small: with one BLAS thread on a 2-core x86 machine, 300
-    columns of 4096 rows take about 26 ms in chunks of 32 against 33 ms in
-    one block.
+    x has n = 2**p rows; columns are transformed independently and x is
+    not written.  Returns a C-contiguous array of x's dtype (float64 for
+    integers and booleans).  The transform is SRHTSketch's core,
+    _transform, in x's dtype, then one multiply by the 2**(-p/2)
+    normalization.  float16 input is transformed and normalized as its
+    float32 copy and rounded to half once, at the end.
     """
     a = np.asarray(x)
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     dtype = a.dtype if np.issubdtype(a.dtype, np.inexact) else np.dtype(np.float64)
-    half = dtype == np.float16
-    buf = a.reshape(n, -1).T.astype(np.float32 if half else dtype, order="C")
-    out = _transform(buf, np.empty_like(buf), half)
-    np.multiply(out, _norm_factor(n, dtype), out=out)
+    adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
+    out = _transform(a.reshape(n, -1).astype(adtype, order="C"))
+    out *= adtype.type(n) ** -0.5
     if a.ndim == 1:
         return out[0].astype(dtype, copy=False)
     return out.T.astype(dtype, order="C")
@@ -253,8 +193,12 @@ class SRHTSketch(SketchOperator):
     sqrt(n_pad/ell) * (row subset) * H * diag(signs) on the padded vector.
     Memory is O(n_pad + ell): signs and the sampled coordinates only.
     Application order is fixed: scale and sign flip (one multiply by the
-    signed scale, which has the bits of the two), pad, butterflies, gather,
-    normalize.
+    signed scale, which has the bits of the two), pad, transform, gather,
+    normalize.  A block is transformed _CHUNK columns at a time, each chunk
+    filled row by row into an n_pad x _CHUNK work array, so every column
+    has the bits of its own one-column apply.  In half, the scaled input is
+    rounded to half, and the rest runs in float32 up to one rounding of the
+    normalized result (see the module docstring).
     """
 
     def __init__(self, ell, n, seed):
@@ -269,29 +213,24 @@ class SRHTSketch(SketchOperator):
         self._signed_scale = {}
 
     def _apply(self, X, dtype):
-        half = dtype == np.float16
-        adtype = np.dtype(np.float32) if half else dtype
+        adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
         ss = self._signed_scale.get(dtype)
         if ss is None:
             # sign * scale: rounding is symmetric, so x * (sign * scale) has
-            # the bits of (x * scale) * sign; half's scale is a half value
-            scale = adtype.type(dtype.type(self.scale))
-            ss = self._signed_scale[dtype] = self.signs[: self.n].astype(adtype) * scale
-        norm = _norm_factor(self.n_pad, dtype)
+            # the bits of (x * scale) * sign
+            ss = self.signs[: self.n, None].astype(dtype) * dtype.type(self.scale)
+            self._signed_scale[dtype] = ss
+        norm = adtype.type(self.n_pad) ** -0.5
         k = X.shape[1]
         Y = np.empty((self.ell, k), dtype=dtype)
-        # every column is transformed on its own, so chunking keeps the bits
         for a in range(0, k, _CHUNK):
             b = min(a + _CHUNK, k)
-            # one row per column, as _transform expects
-            work = np.empty((b - a, self.n_pad), dtype=adtype)
-            work[:, self.n:] = 0
-            head = work[:, : self.n]
-            np.multiply(X[:, a:b].T.astype(dtype, copy=False), ss, out=head)
-            if half:
-                # the float32 product of two halves is exact: one rounding
-                head[...] = head.astype(dtype)
-            out = _transform(work, np.empty_like(work), half)
+            work = np.empty((self.n_pad, b - a), dtype=adtype)
+            work[self.n:] = 0
+            # both operands in dtype: in half, numpy's float16 multiply
+            # rounds the product to half before it is written as float32
+            np.multiply(X[:, a:b].astype(dtype, copy=False), ss, out=work[: self.n])
+            out = _transform(work)
             np.multiply(out[:, self.indices].T, norm, out=Y[:, a:b])
         return Y
 

@@ -113,44 +113,17 @@ def jacobi_singular_values(A, sweeps=60, tol=1e-30):
 
 
 def hadamard_reference(x):
-    """Unnormalized Walsh-Hadamard transform from the Sylvester recursion
-    H_{2n} = [[H, H], [H, -H]].  Works in x's dtype (longdouble included)."""
-    x = np.asarray(x)
-    n = x.shape[0]
-    if n == 1:
-        return x.copy()
-    a = hadamard_reference(x[: n // 2])
-    b = hadamard_reference(x[n // 2:])
-    return np.concatenate([a + b, a - b], axis=0)
-
-
-def fwht_stack_reference(x):
-    """The normalized fast Walsh-Hadamard transform as first implemented:
-    stage h = 1, 2, ..., n/2 of the butterfly, each built with np.stack from
-    newly allocated sums and differences, then one normalizing multiply.
-
-    sketchqr.sketching.fwht reorganizes memory but not arithmetic; this copy
-    of the earlier implementation is kept so agreement can be checked bit
-    for bit.  On float16 input it runs numpy's native float16 butterflies,
-    the oracle for fwht's half path, which adds in float32 and rounds each
-    stage to half.
-    """
-    a = np.asarray(x)
+    """Unnormalized Walsh-Hadamard transform along axis 0 from the Sylvester
+    recursion H_{2h} = [[H_h, H_h], [H_h, -H_h]], run bottom up over
+    h = 1, 2, ..., n/2.  Works in x's dtype (longdouble included)."""
+    a = np.array(x)
     n = a.shape[0]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
-    vec = a.ndim == 1
-    a = a.reshape(n, -1).copy()
-    k = a.shape[1]
     h = 1
     while h < n:
-        b = a.reshape(-1, 2, h, k)
-        top = b[:, 0] + b[:, 1]
-        bot = b[:, 0] - b[:, 1]
-        a = np.stack((top, bot), axis=1).reshape(n, k)
+        b = a.reshape(n // (2 * h), 2, h, -1)
+        a = np.concatenate([b[:, :1] + b[:, 1:], b[:, :1] - b[:, 1:]], axis=1).reshape(a.shape)
         h *= 2
-    a = a * a.dtype.type(n ** -0.5)
-    return a[:, 0] if vec else a
+    return a
 
 
 def dense_operator_matrix(op):

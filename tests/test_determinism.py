@@ -97,22 +97,27 @@ print(json.dumps(out))
 """
 
 
-def _desk_digests(threads, tag, names, offsets):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+def _run_at_threads(code, *args):
+    """{BLAS thread count: the JSON that `python -c code *args` prints},
+    run at one and two threads side by side."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-c", _DESK_RUNS, tag, ",".join(names),
-                             *map(str, offsets)], env=env, stdout=subprocess.PIPE, text=True)
-
-
-def _check_desk_bits(tag, names):
-    # the same bits at one and two BLAS threads and at three input offsets
-    procs = {t: _desk_digests(t, tag, names, (0, 1, 3)) for t in (1, 2)}
+    procs = {}
+    for t in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(t))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        procs[t] = subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                                    stdout=subprocess.PIPE, text=True)
     digests = {}
     for t, p in procs.items():
         out, _ = p.communicate(timeout=600)
         assert p.returncode == 0
         digests[t] = json.loads(out)
+    return digests
+
+
+def _check_desk_bits(tag, names):
+    # the same bits at one and two BLAS threads and at three input offsets
+    digests = _run_at_threads(_DESK_RUNS, tag, ",".join(names), "0", "1", "3")
     assert digests[1] == digests[2]
     for name in names:
         assert len({digests[1][f"{name}@{k}"] for k in (0, 1, 3)}) == 1, name
@@ -127,3 +132,27 @@ def test_single_desk_bits_hold_across_threads_and_offsets():
 
 def test_double_desk_bits_hold_across_threads_and_offsets():
     _check_desk_bits("double", ("rhqr_left", "rgs"))
+
+
+_SRHT_APPLIES = """
+import hashlib, json
+import numpy as np
+from sketchqr.sketching import SRHTSketch
+
+op = SRHTSketch(768, 16192, 17)
+X = np.random.default_rng(5).standard_normal((16192, 192))
+out = {}
+for dtype in ("float64", "float32", "float16"):
+    Xd = X.astype(dtype)
+    for name, Y in (("block", op.apply(Xd, dtype=dtype)), ("single", op.apply(Xd[:, 7], dtype=dtype))):
+        out[f"{dtype}-{name}"] = hashlib.blake2b(Y.tobytes(), digest_size=16).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_srht_bits_hold_across_threads():
+    # n_pad 16384, the tall size: each Kronecker factor's GEMM is large
+    # enough for the threaded BLAS to split, but never along its <= 16 terms
+    digests = _run_at_threads(_SRHT_APPLIES)
+    assert len(digests[1]) == 6
+    assert digests[1] == digests[2]

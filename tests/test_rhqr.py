@@ -374,24 +374,26 @@ def test_trim_left_sketches_the_updates_once(rng):
 # when float32 products began to read their operands as stored, with no
 # packed copy made first (the same at 1, 2 and 4 threads).  The double,
 # single and mixed-trim entries were recorded again when every basis store
-# became column-major (again the same at 1, 2 and 4 threads).
+# became column-major (again the same at 1, 2 and 4 threads).  All were
+# recorded again when the SRHT's transform became Kronecker-factored GEMMs
+# (the same at 1 and 2 threads).
 LEFT_SWEEP_DIGESTS = {
-    ("rhqr_left", "double", "sqrt2"): "496d659a4af2207e776d7f97896e9ffb",
-    ("rhqr_left", "double", "unit"): "649a85b5319f24822b31bb58bbcdfced",
-    ("rhqr_left", "single", "sqrt2"): "38e69ed22124bc32a6a0d90fefdc45eb",
-    ("rhqr_left", "single", "unit"): "24bc1d919dd62dfbb5a84afe4e757bc7",
-    ("rhqr_left", "mixed", "sqrt2"): "2347e512a7a6e6d47fc67dbba9b651d6",
-    ("rhqr_left", "mixed", "unit"): "a94f4227e3bb3538fb02ae5c7bb17990",
-    ("rhqr_left", "half", "sqrt2"): "022c40dd5c51472ca7330c45447cbe8d",
-    ("rhqr_left", "half", "unit"): "1c0be5440341f5b4efe1be52861e6bc7",
-    ("trim_rhqr_left", "double", "sqrt2"): "97c3a79e666ea86b080990976ca782f9",
-    ("trim_rhqr_left", "double", "unit"): "5415cba126b88bed7d0c5eb18567f39f",
-    ("trim_rhqr_left", "single", "sqrt2"): "5d7a57437205ea5777a470319a69f892",
-    ("trim_rhqr_left", "single", "unit"): "1e297567c96d2b0d1b69c9c5969cfb22",
-    ("trim_rhqr_left", "mixed", "sqrt2"): "bf24b7ec4e4823710442df3d5ccb120e",
-    ("trim_rhqr_left", "mixed", "unit"): "f6febb14fa268624aa03e462bcbe63ab",
-    ("trim_rhqr_left", "half", "sqrt2"): "e439b2f560a3a8af72278bbdc330bce1",
-    ("trim_rhqr_left", "half", "unit"): "b33462965186cc18f93ae1dbca280a01",
+    ("rhqr_left", "double", "sqrt2"): "96908410a2b42e5c379b2c9258e86d6d",
+    ("rhqr_left", "double", "unit"): "e8e278e588aa9c023060ee1ae4533272",
+    ("rhqr_left", "single", "sqrt2"): "8729e6301f310204136cfc885156aa19",
+    ("rhqr_left", "single", "unit"): "08b214f964aa8c5fb1c36b4dbab4ca0f",
+    ("rhqr_left", "mixed", "sqrt2"): "67da0f301a600104c66c18bd80257dbd",
+    ("rhqr_left", "mixed", "unit"): "72c2cebe333fd1faf109151e0c1ad38d",
+    ("rhqr_left", "half", "sqrt2"): "4c0ddf374328595fb6017a9d6160332f",
+    ("rhqr_left", "half", "unit"): "1bdc1c7ee44e6b6c6debfae97a6d3e4e",
+    ("trim_rhqr_left", "double", "sqrt2"): "c1bcbe25a08d2ed926966d4a13330bff",
+    ("trim_rhqr_left", "double", "unit"): "338e108107da61da2419b3c10ae4f509",
+    ("trim_rhqr_left", "single", "sqrt2"): "aee23116bcc6ac9baa32f6bf9dc61149",
+    ("trim_rhqr_left", "single", "unit"): "33be5853d54e87d3096a3793fdc43c33",
+    ("trim_rhqr_left", "mixed", "sqrt2"): "7551ce83715b55ec1b769e8ad051f1f8",
+    ("trim_rhqr_left", "mixed", "unit"): "e2a733c52b99b50a66fa3515745d2b41",
+    ("trim_rhqr_left", "half", "sqrt2"): "8b4d880f82b3711c3f6cdaaba8b02182",
+    ("trim_rhqr_left", "half", "unit"): "60f784da0fbe2b21108be1874ddbca7d",
 }
 
 
@@ -519,10 +521,11 @@ def test_lsq_via_implicit_q(rng):
 
 # blake2b digests of lsq_via_implicit_q's solution in a low format, on a
 # right-hand side that half cannot represent (so the top block of its sketch
-# is not a half value); they go through BLAS and pin its build
+# is not a half value); they go through BLAS and pin its build, and were
+# recorded again when the SRHT's transform became Kronecker-factored GEMMs
 LSQ_DIGESTS = {
-    "mixed": "826b63373960b200252102b0706525a5",
-    "half": "7b446580f14dbc4e8c496873b8eb36b0",
+    "mixed": "97181569672a9faac44e7487fc5d327c",
+    "half": "7b5b0f6343ec14755cfa92cdbc88c0a2",
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2, chi2_contingency
 
-from sketchqr import sketching
 from sketchqr.precision import round_to
 from sketchqr.sketching import (
     ColumnScaledSketch,
@@ -15,7 +14,6 @@ from sketchqr.sketching import (
     IdentitySketch,
     SRHTSketch,
     SparseSignSketch,
-    _split_half,
     check_embedding,
     fwht,
     make_sketch,
@@ -24,7 +22,6 @@ from oracles import (
     MatrixSketch,
     dense_embedded_matrix,
     dense_operator_matrix,
-    fwht_stack_reference,
     hadamard_reference,
 )
 
@@ -98,19 +95,23 @@ def test_fwht_linearity(seed, n):
 @example(p=14, k=1, dtype=np.float64, layout="1d", seed=4)
 @example(p=11, k=1, dtype=np.float16, layout="1d", seed=5)
 @example(p=0, k=3, dtype=np.float32, layout="F", seed=6)
-def test_fwht_bitwise_matches_stack_reference(p, k, dtype, layout, seed):
-    # at most 2**21 entries, since the reference keeps several copies alive
+def test_fwht_is_within_criterion_10_bound_of_extended_reference(p, k, dtype, layout, seed):
+    # each column within 10 (log2 n + 5) u ||x|| of the Sylvester recursion
+    # run in extended precision, in every dtype and layout; at most 2**21
+    # entries, since the reference keeps several copies alive
     p = min(p, (2 ** 21 // k).bit_length() - 1)
     X = np.random.default_rng(seed).standard_normal((1 << p, k)).astype(dtype)
     x = {"1d": X[:, 0], "C": X, "F": np.asfortranarray(X), "reversed": X[::-1, ::-1]}[layout]
     before = x.copy()
     out = fwht(x)
-    ref = fwht_stack_reference(x)
-    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.dtype == x.dtype and out.shape == x.shape
     assert out.flags.c_contiguous
-    assert np.array_equal(out, ref)
-    assert np.array_equal(np.signbit(out), np.signbit(ref))
     assert np.array_equal(x, before)
+    xl = x.astype(np.longdouble).reshape(1 << p, -1)
+    ref = hadamard_reference(xl) * np.longdouble(1 << p) ** np.longdouble(-0.5)
+    err = np.linalg.norm(out.astype(np.longdouble).reshape(ref.shape) - ref, axis=0)
+    bound = 10.0 * (p + 5.0) * float(np.finfo(dtype).eps / 2)
+    assert np.all(err <= bound * np.linalg.norm(xl, axis=0))
 
 
 def _half_inputs(case, k):
@@ -119,63 +120,38 @@ def _half_inputs(case, k):
         # halves 1 and 2**-11 of both signs: sums such as 1 + 2**-11 lie
         # halfway between two halves and must round to even
         vals = np.array([1.0, -1.0, 2.0 ** -11, -(2.0 ** -11)])
-        return [rng.choice(vals, (2048, k)).astype(np.float16)]
-    if case == "norm_edge":
-        # positive columns, so row 0 reaches the 1-norm, scaled to float64
-        # 1-norms just below and just above the split path's bound 2**15
-        X = np.abs(rng.standard_normal((2048, k)))
-        return [(X * (t / X.sum(axis=0))).astype(np.float16)
-                for t in (2.0 ** 15 - 64, 2.0 ** 15 + 64)]
-    return [(rng.standard_normal((2048, k)) * case).astype(np.float16)]
+        return rng.choice(vals, (2048, k)).astype(np.float16)
+    if case == "overflow":
+        # constant columns whose transform passes 65504, where half
+        # overflows, and two infinities per column, whose difference is NaN
+        X = np.full((2048, k), 30000.0)
+        X[:2] = np.inf
+        return X.astype(np.float16)
+    return (rng.standard_normal((2048, k)) * case).astype(np.float16)
 
 
-@pytest.mark.parametrize("case", [1e-6, 1.0, 3000.0, "ties", "norm_edge"])
+@pytest.mark.parametrize("case", [1e-6, 1.0, 3000.0, "ties", "overflow"])
 @pytest.mark.parametrize("k", [1, 8, 150])
-def test_fwht_half_path_matches_native_float16(case, k, monkeypatch):
-    # float16 butterflies run in float32 and round each stage to half, by
-    # the split or, past its bound, by a cast; the native float16
-    # butterflies of the reference must agree bit for bit, through half
-    # subnormals (1e-6), ties and overflow to inf and NaN (3000)
-    split = []
-
-    def counted(x, scratch):
-        split.append(x.shape)
-        return _split_half(x, scratch)
-
-    monkeypatch.setattr(sketching, "_split_half", counted)
-    paths = []
-    for X in _half_inputs(case, k):
-        split.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = fwht(X)
-            ref = fwht_stack_reference(X)
-        assert out.dtype == np.float16
-        assert np.array_equal(out.view(np.uint16), ref.view(np.uint16))
-        norms = np.abs(X.astype(np.float64)).sum(axis=0)
-        assert bool(split) == bool(np.all(norms <= 2.0 ** 15))
-        paths.append(bool(split))
-        if case == 3000.0:
-            assert np.isnan(ref).any() and np.isinf(ref).any()
-    assert paths == ([True, False] if case == "norm_edge" else [case != 3000.0])
-
-
-@pytest.mark.parametrize("binade", ["subnormal", "one", "top"])
-def test_split_rounding_matches_cast(binade):
-    # every float32 of the range, in both signs: the multiples of 2**-24
-    # below 2**-14 (half's subnormals), [1, 2] and [32768, 65504]
-    if binade == "subnormal":
-        x = np.arange(1 << 10, dtype=np.float32) * np.float32(2.0 ** -24)
-    else:
-        a, b = {"one": (1.0, 2.0), "top": (32768.0, 65504.0)}[binade]
-        bits = np.arange(np.float32(a).view(np.uint32), np.float32(b).view(np.uint32) + 1)
-        x = bits.astype(np.uint32).view(np.float32)
-    scratch = np.empty_like(x)
-    for sign in (1, -1):
-        v = x * np.float32(sign)
-        got = v.copy()
-        _split_half(got, scratch)
-        ref = v.astype(np.float16).astype(np.float32)
-        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+def test_half_transforms_round_the_float32_result_once(case, k):
+    # half fwht is the transform of its float32 copy, rounded to half once;
+    # the half SRHT rounds its scaled input (two halves' product) to half,
+    # transforms it as fwht does in float32 and rounds once; bit for bit,
+    # through half subnormals (1e-6), ties, and overflow to inf and NaN
+    X = _half_inputs(case, k)
+    op = SRHTSketch(600, 2000, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fwht(X)
+        ref = fwht(X.astype(np.float32)).astype(np.float16)
+        Y = op.apply(X[:2000], dtype=np.float16)
+        work = np.zeros((2048, k), dtype=np.float32)
+        work[:2000] = X[:2000] * (op.signs[:2000, None].astype(np.float16)
+                                  * np.float16(op.scale))
+        Y_ref = fwht(work)[op.indices].astype(np.float16)
+    for got, want in ((out, ref), (Y, Y_ref)):
+        assert got.dtype == np.float16
+        assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
+        if case == "overflow":
+            assert np.isinf(got).any() and np.isnan(got).any()
 
 
 def _exact_inputs(n, k):
@@ -191,87 +167,85 @@ def _digest(Y):
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-# Digests recorded with the stack-based transform (fwht_stack_reference).
-# Scaling, sign flips, the butterflies and the gather are elementwise IEEE
-# operations with no BLAS call, so they hold on any machine; a change to
-# the transform's arithmetic or stage order breaks them.
+# Digests of the Kronecker-factored transform.  Scaling, sign flips and the
+# gather are elementwise IEEE operations, but each factor is a BLAS GEMM,
+# so the digests rest on its summation order over at most 16 terms (the
+# same at 1 and 2 threads, tests/test_determinism.py); a change to the
+# factor split, the factor order or the BLAS kernel breaks them.
 # (ell, n, seed, block columns, dtype[, input scale]) -> (vector digest,
 # block digest); the scale is a power of two, so scaled inputs are exact
 SRHT_DIGESTS = {
     (24, 100, 5, 3, "float16"): (
-        "729ea7177b5a7f8b591b299410ab2585",
-        "87581614ee864d60e84cd85145bb8b1c",
+        "a2e027de73ff88821e0ad06f4e7d4160",
+        "ae5539052de9df31d1e9970f6a25bc76",
     ),
     (24, 100, 5, 3, "float32"): (
-        "a146367c858cf5a77d5b633d27eef748",
-        "2c881123d7689a09ad00c0217ca9f982",
+        "8ee6652896ca25c38c26345a1177606c",
+        "82671ffa7c0edd40bff72874d180af77",
     ),
     (24, 100, 5, 3, "float64"): (
-        "bc9aa567009a9bba094fe5c0fce0894b",
-        "b14f4b46a7a419f487abdc40cba92b2c",
+        "9682cc0953d6b0a088a608642f25e7f8",
+        "55054494667c5f7819b0c52497720822",
     ),
     (64, 1000, 3, 7, "float16"): (
-        "e726d9e8eb923511767ab61d1e260bfd",
-        "b9d9875183ddd055e0eba250d7c2938f",
+        "f0a3b5b1dc06b0d897da43441b3ad77b",
+        "0303d675ae25bf3163e14c10b3d52829",
     ),
     (64, 1000, 3, 7, "float32"): (
-        "72a904076cc2f59fab51b751bac29672",
-        "585043d32ae21430ae953750477b0dc1",
+        "df0a632548c3ad9a99204bf248942abc",
+        "25b91b641c7c9b7624c9b1a6a891f6f3",
     ),
     (64, 1000, 3, 7, "float64"): (
-        "c7db466a71d6d0f577a0070700f43c94",
-        "7128375eacf651ee6a565ef485b6af07",
+        "abd4018ab7084c1206c297399138265d",
+        "2b50cf1e4259f23b08ce926da2b33bac",
     ),
     (200, 3000, 11, 70, "float16"): (
-        "4be1e0149f229b32b418991a9f8d12bd",
-        "77467ee578a89a9ffb1f866b9612c792",
+        "1c261c1df091d0fcc86d1c265021d12b",
+        "bbd45962838d99434d10dc8224deeb8e",
     ),
     (200, 3000, 11, 70, "float32"): (
-        "3a76866fefcc47ebbbf71076987aa9d3",
-        "94856f7dfe0eedb3428290d7658ab637",
+        "07277e9749a838e00b3df5d0b120b884",
+        "c09e67d0caffb54746d2b3c2f53ecce6",
     ),
     (200, 3000, 11, 70, "float64"): (
-        "7a1f0e6c7b2ade96800c72bfc11c8e4b",
-        "52c6b34a8ddecfa7d1f806cb2e61656e",
+        "bcc4aeec64448e33a1db548b7d01a7ad",
+        "1a973512c7cd7bcbab575bc66ce971f6",
     ),
     (120, 4096, 7, 2, "float16"): (
-        "8478f5089d77e5116f4558c505181225",
-        "1f419bcc816872b917364c52b5597228",
+        "51e8d8080f83e8d45af36e021b991073",
+        "d212f98ac635092adda2b4390046c846",
     ),
     (120, 4096, 7, 2, "float32"): (
-        "f546739728a228d9362aa2cc3e5187de",
-        "29bd6e15208411914e676f3159f88f65",
+        "a36099ca6be677a785a4ed08a3fe03fa",
+        "de8829f5581bafcc008574f02cb44285",
     ),
     (120, 4096, 7, 2, "float64"): (
-        "cba76b72a60fade561c9ef20a6182c5e",
-        "2e981bbd5dc7fa212bb87eafbe9c9f1a",
+        "1fd282c960415456dc6b8e338a9cf355",
+        "3e3a94c8cb21f18efd943d2b5f27ebc8",
     ),
-    # the tall size, n_pad 16384; the 40-column block spans two chunks.
-    # Unscaled, the signed-scaled half columns have 1-norms up to 37420,
-    # past the split's bound 2**15, so half runs the cast fallback; halved
-    # inputs (at most 18710) run the split.
+    # the tall size, n_pad 16384; the 40-column block spans two chunks
     (768, 16192, 17, 40, "float16"): (
-        "90c0c3682000a631373137c6919a8c59",
-        "47ed85be5ce08c59664b33178395a9f7",
+        "0ee120a4dba1c4b944ccc6551ebadf8c",
+        "f49a0a7c260f7da0429119ab30da3f97",
     ),
     (768, 16192, 17, 40, "float16", 0.5): (
-        "cb6ab07f4dc52b2f1600ec9909bee001",
-        "27e9332e10c3b55c360c185848c93f8a",
+        "e0d8bb1eb695944fe403ed3354f9102a",
+        "8fa6406768284351b6ffa3562ea09f15",
     ),
     (768, 16192, 17, 40, "float32"): (
-        "732521a22ecda832885baf51a7377d4c",
-        "ae532e87c0b18bab0a25f56556fe100b",
+        "1a36b26440fc38cd5297f1e27fe85717",
+        "24200f85e8db900c25c9bd7a2cda3022",
     ),
     (768, 16192, 17, 40, "float64"): (
-        "313f6ed880b4435de525dfba39f6f3c5",
-        "acdc7f7e5eff27ab55cf24b40fd15c05",
+        "fadf03d528cf4fe0dbc4ce042bbb63fc",
+        "391ae6ed59cce7a3f84b7961923677b6",
     ),
 }
 # dtype -> digest of [I_20; SRHT(90, 1500, seed 13)] applied to 20 columns
 EMBEDDED_DIGESTS = {
-    "float16": "5634af61e4b5cbd99bded1ea2fba6243",
-    "float32": "89a87a1d88cf9963821bcda0797c8b2e",
-    "float64": "216f0d46f0de5eb881a196319b517d69",
+    "float16": "1d3202c88c1eadd923f69c4c0c37a868",
+    "float32": "24ff38c17a2651b0284c1ba5635269cd",
+    "float64": "4ebac85311f188971ee0152deadd7692",
 }
 
 
@@ -500,19 +474,20 @@ def test_mat_vec_consistency(rng):
         with pytest.raises(ValueError):
             op.apply(np.ones(21))
     # the sweeps sketch a block once and read its columns as the per-column
-    # sketches: SRHT (chunked butterflies) and sparse sign (per-column CSC
-    # products) must give the same bits, around the chunk width too
-    n = 100
-    X = rng.standard_normal((n + 3, 65))
-    for kind in ("srht", "sparse"):
-        om = make_sketch(kind, 40, n, 2, s=4)
-        for op, rows in ((om, X[3:]), (EmbeddedSketch(3, om), X)):
-            for dtype in (np.float64, np.float32, np.float16):
-                for k in (1, 31, 32, 33, 65):
-                    block = op.apply(rows[:, :k], dtype=dtype)
-                    cols = np.stack([op.apply(rows[:, j], dtype=dtype) for j in range(k)],
-                                    axis=1)
-                    assert np.array_equal(block, cols), (kind, op, dtype, k)
+    # sketches: SRHT (chunked transforms) and sparse sign (per-column CSC
+    # products) must give the same bits, around the chunk width too, and
+    # at the tall size (n_pad 16384) with a block that spans two chunks
+    for n, ell, widths in ((100, 40, (1, 31, 32, 33, 65)), (16192, 768, (1, 40))):
+        X = rng.standard_normal((n + 3, max(widths)))
+        for kind in ("srht", "sparse"):
+            om = make_sketch(kind, ell, n, 2, s=4)
+            for op, rows in ((om, X[3:]), (EmbeddedSketch(3, om), X)):
+                for dtype in (np.float64, np.float32, np.float16):
+                    for k in widths:
+                        block = op.apply(rows[:, :k], dtype=dtype)
+                        cols = np.stack([op.apply(rows[:, j], dtype=dtype)
+                                         for j in range(k)], axis=1)
+                        assert np.array_equal(block, cols), (n, kind, op, dtype, k)
 
 
 # one of every operator, all taking 20 coordinates
