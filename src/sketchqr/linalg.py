@@ -6,6 +6,7 @@ in, so precision sweeps measure the stored factors rather than remeasuring
 through the low format.
 """
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +85,18 @@ def check_finite(X, first=1):
         raise BreakdownError(f"non-finite input in column {c}", column=c,
                              reason="nonfinite_input")
     return X
+
+
+def check_prefix(j, m):
+    """j as an int, if it is an integer in 0..m: the width of a prefix of
+    factors with m columns.  Anything else raises ValueError naming j and m."""
+    try:
+        k = operator.index(j)
+    except TypeError:
+        k = -1
+    if not 0 <= k <= m:
+        raise ValueError(f"prefix width j={j!r} must be an integer in 0..m={m}")
+    return k
 
 
 def check_matrix(W):

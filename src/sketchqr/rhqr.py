@@ -26,6 +26,8 @@ from .linalg import (
     BreakdownError,
     _extend_t,
     as_array,
+    check_finite,
+    check_prefix,
     check_scaling,
     check_sketch,
     compact_q,
@@ -105,7 +107,7 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 
 
 def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY,
-                             Y=None):
+                             C=None):
     """(I - U T S^t Psi) X, or the reversed product with transpose_t=True,
     returned in policy.low_dtype.
 
@@ -113,50 +115,61 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
     n-dimensional update run in policy.low, the coefficient products in
     policy.high.  U may be a block of linalg.low_storage.  X is rounded to
     policy.low for the update; the sketch keeps its leading rows as given
-    (EmbeddedSketch).  Y, shaped as X, stands in for Psi X when the caller
-    has it: the sketch of X itself, or its image in sketch space (the
-    sketch of X before earlier reflectors were applied, updated by the
-    same reflectors), which enters only the coefficients.
+    (EmbeddedSketch).  C, shaped as X but with one row per reflector,
+    stands in for the coefficient product S^t Psi X when the caller has
+    formed it (the left-looking sweep forms it with T's new column,
+    _add_reflector); X is then not sketched.
     """
     X = np.asarray(X)
     vec = X.ndim == 1
     Xc = X[:, None] if vec else X
-    if Y is None:
-        Y = psi.apply(Xc, dtype=policy.low_dtype)
+    if C is None:
+        hi = policy.high_dtype
+        C = to_dtype(S, hi).T @ to_dtype(psi.apply(Xc, dtype=policy.low_dtype), hi)
     elif vec:
-        Y = Y[:, None]
-    out = _compact_update(U, S, T, Xc, Y, transpose_t, policy)[0]
+        C = C[:, None]
+    out = _compact_update(U, T, Xc, C, transpose_t, policy)[0]
     return out[:, 0] if vec else out
 
 
-def _compact_update(U, S, T, X, Y, transpose_t, policy):
-    """apply_reflectors_compact's arithmetic on a block X with Y given:
-    returns X - U C in policy.low and C = T S^t Y (T^t with transpose_t),
-    the coefficients, in policy.high."""
+def _compact_update(U, T, X, C, transpose_t, policy):
+    """apply_reflectors_compact's arithmetic on a block X given its
+    coefficient product C = S^t Psi X in policy.high: returns X - U T C in
+    policy.low and the coefficients T C (T^t C with transpose_t) in
+    policy.high."""
     lo = policy.low_dtype
-    hi = policy.high_dtype
-    C = to_dtype(S, hi).T @ to_dtype(Y, hi)
-    C = matmul_in(T.T if transpose_t else T, C, hi)
+    C = matmul_in(T.T if transpose_t else T, C, policy.high_dtype)
     return to_dtype(X, lo) - matmul_in(U, C, lo), C
 
 
-def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0):
+def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0, y_next=None):
     """The column step of the left- and right-looking sweeps and of
     rhqr_arnoldi: the reflector that eliminates entries c+1.. of y = Psi w
     becomes column c of the compact form (U, S, T), and w's head with the
     new diagonal -sigma*rho becomes column c of R.  T grows by _extend_t
     within its diagonal block from reflector `first` on, the rest of
     column c (T[:first, c]) being left to the caller: p = S[:, first:c]^t s.
-    Returns the HouseholderStep."""
+
+    Given y_next, the sketch (or sketch-space image) of the column factored
+    next, one product S[:, first:c+1]^t [s, y_next] reads S once for p and
+    for that column's coefficients S[:, first:c+1]^t y_next.  _sweep passes
+    a zero y_next at a panel's last column, so every p comes from the same
+    kernel and a run on fewer columns keeps a longer run's bits.  Returns
+    the HouseholderStep and those coefficients (None without y_next)."""
     step = rh_vector(w, y, c + 1, scaling, policy)
     U[:, c] = step.u
     S[:, c] = step.s
     hi = policy.high_dtype
-    p = S[:, first:c].T @ step.s
+    if y_next is None:
+        p, coef = S[:, first:c].T @ step.s, None
+    else:
+        B = np.stack((step.s, y_next), dtype=hi)
+        G = S[:, first:c + 1].T @ B.T
+        p, coef = G[:c - first, 0], G[:, 1]
     _extend_t(T[first:, first:], p, step.beta, c - first, hi)
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
-    return step
+    return step, coef
 
 
 @dataclass
@@ -172,7 +185,9 @@ class RHQRFactors:
 
     def prefix(self, j):
         """Factors of the leading j columns: the sweeps' first j reflectors
-        never look at later columns, and rec_rhqr's lift is triangular."""
+        never look at later columns, and rec_rhqr's lift is triangular.  j
+        must be an integer in 0..m."""
+        j = check_prefix(j, self.R.shape[1])
         return RHQRFactors(U=self.U[:, :j], S=self.S[:, :j], T=self.T[:j, :j],
                            R=self.R[:j, :j], psi=self.psi)
 
@@ -192,9 +207,16 @@ def sketch_q(factors):
 
 
 def lsq_via_implicit_q(factors, b, policy=DOUBLE_POLICY):
-    """argmin_x of the sketched residual ||Psi(W x - b)|| via the compact form."""
+    """argmin_x of the sketched residual ||Psi(W x - b)|| via the compact form.
+
+    b, a vector or a block of n rows, is checked before any arithmetic: a
+    NaN or an inf raises BreakdownError (nonfinite_input) at its column."""
+    b = as_array(b)
+    n = factors.U.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"b must have n={n} rows, got shape {b.shape}")
     c = apply_reflectors_compact(
-        factors.U, factors.S, factors.T, as_array(b), factors.psi,
+        factors.U, factors.S, factors.T, check_finite(b), factors.psi,
         transpose_t=True, policy=policy,
     )
     m = factors.R.shape[1]
@@ -210,13 +232,16 @@ def _sweep(W, omega, block_size, scaling, policy):
     brought up to date by every earlier reflector in one compact-form
     update, whose coefficients Z = T^t S^t Yp also give the sketch-space
     image Yp - S Z of the updated panel.  Column c of the panel starting
-    at j0 then gets the panel's own reflectors j0..c-1, whose coefficients
-    come from its column of that sketch (or image), and every column but
-    column 0 is sketched once more after its update: 2m-1 sketched columns
-    for any block size.  During a panel T grows only in its diagonal block
-    T[j0:c+1, j0:c+1]; after it, T[:j0, j0:j1] = -T[:j0, :j0] (S[:, :j0]^t
-    S[:, j0:j1]) T[j0:j1, j0:j1] by GEMMs (the UT transform, _extend_t's
-    block form).  Returns the fields of RHQRFactors.
+    at j0 then gets the panel's own reflectors j0..c-1.  Their
+    coefficients S[:, j0:c]^t y, y its column of that sketch (or image),
+    come from column c-1's step, which forms them with T's new column in
+    one product over a column-major S (_add_reflector's y_next).  Every
+    column but column 0 is sketched once more after its update: 2m-1
+    sketched columns for any block size.  During a panel T grows only in
+    its diagonal block T[j0:c+1, j0:c+1]; after it, T[:j0, j0:j1] =
+    -T[:j0, :j0] (S[:, :j0]^t S[:, j0:j1]) T[j0:j1, j0:j1] by GEMMs (the UT
+    transform, _extend_t's block form).  Returns the fields of
+    RHQRFactors.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
@@ -226,8 +251,10 @@ def _sweep(W, omega, block_size, scaling, policy):
     if block_size is None:
         block_size = max(m, 1)
     U = low_storage(n, m, lo)
-    S = np.zeros((psi.out_dim, m), dtype=hi)
+    # not low_storage: half keeps numpy's float16 loop over S, and its bits
+    S = np.zeros((m, psi.out_dim), dtype=hi).T
     T, R = np.zeros((2, m, m), dtype=hi)
+    zero = np.zeros(psi.out_dim, dtype=hi)
     for j0 in range(0, m, block_size):
         j1 = min(j0 + block_size, m)
         panel = Wl[:, j0:j1]
@@ -235,20 +262,20 @@ def _sweep(W, omega, block_size, scaling, policy):
         # Gaussian)
         Yp = psi.apply(panel, dtype=lo)
         if j0:
-            panel, Z = _compact_update(U[:, :j0], S[:, :j0], T[:j0, :j0], panel, Yp, True,
-                                       policy)
+            panel, Z = _compact_update(U[:, :j0], T[:j0, :j0], panel,
+                                       S[:, :j0].T @ to_dtype(Yp, hi), True, policy)
             Yp = to_dtype(Yp, hi) - matmul_in(S[:, :j0], Z, hi)
         for c in range(j0, j1):
-            # y is copied out contiguous, as a single apply returns it, and
-            # w is only read
+            # w is only read; column 0's y is copied out contiguous, as a
+            # single apply returns it
             w = panel[:, c - j0]
-            y = Yp[:, c - j0].copy()
             if c > j0:
                 w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
-                                             transpose_t=True, policy=policy, Y=y)
-            if c:
-                y = psi.apply(w, dtype=lo)
-            _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0)
+                                             transpose_t=True, policy=policy, C=coef)
+            y = psi.apply(w, dtype=lo) if c else Yp[:, 0].copy()
+            y_next = Yp[:, c + 1 - j0] if c + 1 < j1 else zero
+            coef = _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0,
+                                  y_next=y_next)[1]
         if j0:
             _extend_t(T, S[:, :j0].T @ S[:, j0:j1], T[j0:j1, j0:j1], j0, hi)
     return dict(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi)
@@ -279,7 +306,7 @@ def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     for c in range(m):
         # the trailing block's sketch, read in float64 as rh_vector reads y
         Y = to_dtype(psi.apply(Wl[:, c:], dtype=lo), np.float64)
-        step = _add_reflector(Wl[:, c], Y[:, 0], c, U, S, T, R, scaling, policy)
+        step = _add_reflector(Wl[:, c], Y[:, 0], c, U, S, T, R, scaling, policy)[0]
         if c + 1 < m:
             coef = hi(step.beta) * (step.s @ to_dtype(Y[:, 1:], hi))
             Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))

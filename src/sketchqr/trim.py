@@ -28,6 +28,7 @@ from .linalg import (
     BreakdownError,
     _extend_t,
     as_array,
+    check_prefix,
     check_scaling,
     check_sketch,
     compact_q,
@@ -185,7 +186,8 @@ class TrimFactors:
 
     def prefix(self, j):
         """Factors of the leading j columns; valid because every table grows
-        by one row/column per reflector."""
+        by one row/column per reflector.  j must be an integer in 0..m."""
+        j = check_prefix(j, self.R.shape[1])
         return TrimFactors(
             U=self.U[:, :j], S=self.S[:, :j], T=self.T[:j, :j],
             T_tilde=self.T_tilde[:j, :j], R=self.R[:j, :j], L=self.L[:j, :j],

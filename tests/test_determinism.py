@@ -18,7 +18,8 @@ import pytest
 from sketchqr.baselines import householder_qr, rgs
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.precision import policy_from_tag
-from sketchqr.sketching import make_sketch
+from sketchqr.rhqr import rhqr_left
+from sketchqr.sketching import IdentitySketch, make_sketch
 from sketchqr.trim import normalize_leading_columns, trim_rhqr_left
 
 SINGLE = policy_from_tag("single")
@@ -59,6 +60,23 @@ def test_single_prefix_run_is_the_leading_block(cmatrix, factor, kind):
         for whole, part in zip(full, factor(cmatrix[:, :j], kind)):
             lead = whole[:j, :j] if whole.shape[0] == whole.shape[1] else whole[:, :j]
             assert np.array_equal(lead, part), (j, whole.shape)
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed", "half"])
+def test_left_prefix_run_under_the_identity_is_the_leading_block(tag):
+    # under the identity both runs see Psi = I_n, so the sketch-space store
+    # has n rows whatever the width: the prefix run's last column must form
+    # T's new column as the full run forms it there, next to a coefficient
+    # product for a column that the prefix run does not have
+    W = gen_cmatrix(512, 40)
+    n, m = W.shape
+    policy = policy_from_tag(tag)
+    full = rhqr_left(W, IdentitySketch(n - m), policy=policy)
+    for j in (1, 7, 20, 39):
+        part = rhqr_left(W[:, :j], IdentitySketch(n - j), policy=policy)
+        lead = full.prefix(j)
+        for name in ("U", "S", "T", "R"):
+            assert np.array_equal(getattr(lead, name), getattr(part, name)), (j, name)
 
 
 _DESK_RUNS = """

@@ -313,12 +313,13 @@ def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
 
 
 # the store-backed n-dimensional fields, handed back as their column-major
-# stores (linalg.low_storage); householder_qr's aux["U"] is a C-contiguous
-# copy, and H is a strided view of the Arnoldi R.  Every other field is
-# C-contiguous
+# stores (linalg.low_storage), and the left sweeps' S, column-major for
+# their paired coefficient product; householder_qr's aux["U"] is a
+# C-contiguous copy, and H is a strided view of the Arnoldi R.  Every other
+# field is C-contiguous
 _COLUMN_MAJOR = {"rhqr_left.U", "rhqr_block.U", "rhqr_right.U", "trim_rhqr_left.U",
                  "trim_rhqr_right.U", "rhqr_arnoldi.U", "cgs.Q", "mgs.Q", "rgs.Q",
-                 "blas2_rgs.Q", "rgs_arnoldi.Q"}
+                 "blas2_rgs.Q", "rgs_arnoldi.Q", "rhqr_left.S", "rhqr_block.S"}
 _STRIDED = {"rhqr_arnoldi.H", "rgs_arnoldi.H"}
 
 

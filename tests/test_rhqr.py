@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -376,14 +378,17 @@ def test_trim_left_sketches_the_updates_once(rng):
 # single and mixed-trim entries were recorded again when every basis store
 # became column-major (again the same at 1, 2 and 4 threads).  All were
 # recorded again when the SRHT's transform became Kronecker-factored GEMMs
+# (the same at 1 and 2 threads).  The double, single and mixed rhqr_left
+# entries were recorded again when the sweep began to form T's new column
+# and the next column's coefficients in one product over a column-major S
 # (the same at 1 and 2 threads).
 LEFT_SWEEP_DIGESTS = {
-    ("rhqr_left", "double", "sqrt2"): "96908410a2b42e5c379b2c9258e86d6d",
-    ("rhqr_left", "double", "unit"): "e8e278e588aa9c023060ee1ae4533272",
-    ("rhqr_left", "single", "sqrt2"): "8729e6301f310204136cfc885156aa19",
-    ("rhqr_left", "single", "unit"): "08b214f964aa8c5fb1c36b4dbab4ca0f",
-    ("rhqr_left", "mixed", "sqrt2"): "67da0f301a600104c66c18bd80257dbd",
-    ("rhqr_left", "mixed", "unit"): "72c2cebe333fd1faf109151e0c1ad38d",
+    ("rhqr_left", "double", "sqrt2"): "cf1b2130a328f9c8c494e2fbd6af529f",
+    ("rhqr_left", "double", "unit"): "d4d044fcc2a7e443f99e86489553c0d1",
+    ("rhqr_left", "single", "sqrt2"): "74ed1cb1f3fbc9dda49674ed150c2f16",
+    ("rhqr_left", "single", "unit"): "9f3960f6bbecc27ff371157f5f762cdb",
+    ("rhqr_left", "mixed", "sqrt2"): "73c8ff399eb9723cb92c2db7e826067c",
+    ("rhqr_left", "mixed", "unit"): "f8ddb2c404ef55e6889bc53521d0c85c",
     ("rhqr_left", "half", "sqrt2"): "4c0ddf374328595fb6017a9d6160332f",
     ("rhqr_left", "half", "unit"): "1bdc1c7ee44e6b6c6debfae97a6d3e4e",
     ("trim_rhqr_left", "double", "sqrt2"): "c1bcbe25a08d2ed926966d4a13330bff",
@@ -561,6 +566,34 @@ def test_prefix_consistency(rng):
     errs = factorization_errors(W[:, :6], thin_q(F6), F6.R)
     assert errs.fro_rel_err <= 1e-12
     assert np.allclose(F6.T, t_factor_from_sketches(F6.S), atol=1e-11)
+
+
+@pytest.mark.parametrize("j", [-1, 7, 2.5])
+def test_prefix_refuses_a_width_outside_the_factors(rng, j):
+    # a negative or too large j used to slice silently (prefix(-1) gave 5
+    # columns of 6, prefix(9) all 6)
+    F = rhqr_left(rng.standard_normal((40, 6)), SRHTSketch(16, 34, 3))
+    with pytest.raises(ValueError, match=rf"j={j}.*m=6"):
+        F.prefix(j)
+    assert F.prefix(np.int64(6)).U.shape == (40, 6) and F.prefix(0).R.shape == (0, 0)
+
+
+def test_lsq_via_implicit_q_gates_b(rng):
+    # a non-finite b used to reach the solve through a matmul warning and
+    # scipy's untyped ValueError
+    n, m = 40, 6
+    F = rhqr_left(rng.standard_normal((n, m)), SRHTSketch(16, n - m, 3))
+    for bad in (np.inf, np.nan):
+        b = rng.standard_normal(n)
+        b[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BreakdownError) as err:
+                lsq_via_implicit_q(F, b)
+        assert err.value.reason == "nonfinite_input" and err.value.column == 1
+    for shape in ((n - 1,), (n + 1, 2), (n, 2, 1), ()):
+        with pytest.raises(ValueError, match=re.escape(f"n={n} rows, got shape {shape}")):
+            lsq_via_implicit_q(F, np.ones(shape))
 
 
 def test_breakdown_on_dependent_column():

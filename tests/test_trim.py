@@ -269,6 +269,16 @@ def test_prefix_matches_truncated_run(rng):
         assert np.allclose(a, b, atol=1e-12 * max(1.0, np.linalg.norm(b)))
 
 
+@pytest.mark.parametrize("j", [-1, 7, 2.5])
+def test_prefix_refuses_a_width_outside_the_factors(rng, j):
+    # a negative or too large j used to slice silently (prefix(-2) gave 4
+    # columns of 6)
+    F = trim_rhqr_left(rng.standard_normal((40, 6)), SRHTSketch(16, 40, 3))
+    with pytest.raises(ValueError, match=rf"j={j}.*m=6"):
+        F.prefix(j)
+    assert F.prefix(6).U.shape == (40, 6) and F.prefix(0).R.shape == (0, 0)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         trim_rhqr_left(np.ones(5), GaussianSketch(4, 5, 1))
