@@ -119,7 +119,11 @@ def _rhs_vector(form, n):
     if form == "ones":
         return np.ones(n)
     if form.startswith("random:"):
-        return np.random.default_rng(int(form.split(":", 1)[1])).standard_normal(n)
+        try:
+            rng = np.random.default_rng(int(form.split(":", 1)[1]))
+        except ValueError:
+            raise SystemExit(f"cannot parse --rhs {form!r}") from None
+        return rng.standard_normal(n)
     if form.startswith("file:"):
         v = _load(form.split(":", 1)[1])
         if scipy.sparse.issparse(v):

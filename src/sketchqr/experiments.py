@@ -1,13 +1,14 @@
 """Benchmark sweeps: factorize growing column prefixes (or iterate a GMRES
 solve) and emit per-step stability metrics as CSV.
 
-All metrics are computed in double on explicitly materialized thin-Q
-factors, whatever precision the algorithm itself ran in, and errors are
+All metrics are computed in double on an explicitly materialized thin-Q
+factor, whatever precision the algorithm itself ran in, and errors are
 measured against the storage-rounded input (the matrix the low-precision
 run actually saw).  Every factorization is triangular in the columns (its
-leading j columns of Q and R[:j, :j] factor W[:, :j]), so each is run once
-and sampled at its column prefixes.  ALGOS wires each algorithm name to its
-call and its sketch.
+leading j columns of Q and R[:j, :j] factor W[:, :j]), so each is run
+once, its Q is formed once at the widest sampled width, and every width is
+read off leading blocks, exactly in exact arithmetic (_measure).  ALGOS
+wires each algorithm name to its call and its sketch.
 """
 
 import time
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .baselines import blas2_rgs, cgs, householder_qr, mgs, rand_cholesky_qr, rgs
@@ -33,8 +35,6 @@ from .linalg import (
     check_matrix,
     check_scaling,
     cond_number,
-    factorization_errors,
-    orthogonality_error,
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
@@ -139,7 +139,7 @@ def gen_cmatrix(n, m):
 
 def sample_widths(m, every):
     js = list(range(every, m + 1, every))
-    if not js or js[-1] != m:
+    if m and (not js or js[-1] != m):
         js.append(m)
     return js
 
@@ -148,22 +148,56 @@ def _nan_row(j, status):
     return MetricRow(j, np.nan, np.nan, np.nan, np.nan, np.nan, status)
 
 
-def _measure(j, Wl, Q, R, SQ, status="ok"):
-    errs = factorization_errors(Wl[:, :j], Q, R)
-    return MetricRow(
-        j=j,
-        cond_q=cond_number(Q),
-        cond_sq=cond_number(SQ),
-        fro_rel_err=errs.fro_rel_err,
-        max_col_rel_err=errs.max_col_rel_err,
-        orth_err=orthogonality_error(SQ),
-        status=status,
-    )
+def _householder_r(A):
+    """R of a Householder QR of the float64 matrix A, min(p, k) x k for a
+    p x k A: LAPACK's xGEQRT with one block, on a copy of A."""
+    r = min(A.shape)
+    a, _, _ = scipy.linalg.lapack.dgeqrt(r, A)
+    return np.triu(a[:r])
+
+
+def _measure(Wl, out, widths):
+    """Metric rows of run `out` at each width j of widths, from one thin Q
+    of the widest: a width-j metric is read off the leading block.  With
+    Q = Q_H R_Q and Psi Q = Q_S R_S Householder QRs, cond(Q[:, :j]) is
+    cond(R_Q[:j, :j]) and cond(Psi Q[:, :j]) that of R_S's leading
+    min(j, rows) x j block; the residual's column norms and
+    G = (Psi Q)^t Psi Q - I give the error metrics of every prefix."""
+    k = widths[-1]
+    Q, R, SQ = _q_r_sq(out, k)
+    unsketched = SQ is Q
+    Q = as_array(Q)
+    SQ = Q if unsketched else as_array(SQ)
+    D = Q @ as_array(R)
+    np.subtract(Wl[:, :k], D, out=D)
+    col_d = np.linalg.norm(D, axis=0)
+    del D
+    col_w = np.linalg.norm(Wl[:, :k], axis=0)
+    G = SQ.T @ SQ
+    G[np.diag_indices(k)] -= 1.0
+    RQ = _householder_r(Q)
+    RS = RQ if unsketched else _householder_r(SQ)
+    rows = []
+    for j in widths:
+        wf, df = np.linalg.norm(col_w[:j]), np.linalg.norm(col_d[:j])
+        # a zero column of W is measured against ||W||_F, as in factorization_errors
+        rel = col_d[:j] / np.where(col_w[:j] == 0.0, wf or 1.0, col_w[:j])
+        rows.append(MetricRow(
+            j=j,
+            cond_q=cond_number(RQ[:j, :j]),
+            cond_sq=cond_number(RS[:min(j, RS.shape[0]), :j]),
+            fro_rel_err=float(df / wf) if wf else float(df),
+            max_col_rel_err=float(rel.max()),
+            orth_err=float(np.linalg.norm(G[:j, :j])),
+            status="ok",
+        ))
+    return rows
 
 
 def run_factor_experiment(W, config):
     """Metric rows for config.algo on the leading j columns of W,
-    j = every, 2*every, ..., m, all read off one run on W.  A breakdown at
+    j = every, 2*every, ..., m, all read off one run on W and one thin Q
+    of it (see _measure); an n x 0 W has no rows.  A breakdown at
     column c yields rows with a 'breakdown@c' status (and NaN metrics) from
     the first affected width on.  W's columns are checked once up front:
     from the first column c holding a NaN or an infinity on, rows get NaN
@@ -198,8 +232,10 @@ def run_factor_experiment(W, config):
             col = getattr(exc, "column", attained)
             broke = broke or f"breakdown@{col}"
             attained = min(col - 1, attained - 1)
-    return [_nan_row(j, broke or status) if j > attained
-            else _measure(j, Wl, *_q_r_sq(out, j)) for j in sample_widths(m, config.every)]
+    widths = sample_widths(m, config.every)
+    done = [j for j in widths if j <= attained]
+    rows = _measure(Wl, out, done) if done else []
+    return rows + [_nan_row(j, broke or status) for j in widths[len(done):]]
 
 
 def _q_r_sq(out, j):

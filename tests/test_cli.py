@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from sketchqr.cli import build_parser, main
-from sketchqr.experiments import GMRES_ALGOS, ExperimentConfig, gen_cmatrix, run_gmres_experiment
+from sketchqr.experiments import GMRES_ALGOS, ExperimentConfig, MetricRow, gen_cmatrix, run_gmres_experiment
 from sketchqr.linalg import SCALINGS
 from sketchqr.mmio import load_matrix_market, write_matrix_market
 from sketchqr.precision import PRECISION_TAGS
@@ -52,6 +52,16 @@ def test_factor_matrix_file_input(tmp_path, rng):
     header, rows = csv_rows(out)
     assert [r["j"] for r in rows] == ["4", "8"]
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_factor_on_no_columns_writes_a_header_only_csv(tmp_path):
+    mtx = tmp_path / "w.mtx"
+    write_matrix_market(str(mtx), np.zeros((8, 0)))
+    out = tmp_path / "m.csv"
+    assert main(["factor", "--algo", "rhqr-left", "--matrix", str(mtx), "--out", str(out)]) == 0
+    header, rows = csv_rows(out)
+    assert header == list(MetricRow._fields)
+    assert rows == []
 
 
 def test_factor_input_sources_are_exclusive(tmp_path):
@@ -108,10 +118,11 @@ def test_gmres_input_errors(tmp_path, rng):
         main(["gmres", "--algo", "rhqr", "--matrix", str(p),
               "--rhs", f"file:{short}", "--iters", "4",
               "--out", str(tmp_path / "x.csv")])
-    with pytest.raises(SystemExit, match="cannot parse"):
-        main(["gmres", "--algo", "rhqr", "--matrix", str(p),
-              "--rhs", "bogus:3", "--iters", "4",
-              "--out", str(tmp_path / "x.csv")])
+    for rhs in ("bogus:3", "random:abc", "random:-1", "random:"):
+        with pytest.raises(SystemExit, match=f"^cannot parse --rhs '{rhs}'$"):
+            main(["gmres", "--algo", "rhqr", "--matrix", str(p),
+                  "--rhs", rhs, "--iters", "4",
+                  "--out", str(tmp_path / "x.csv")])
     rect = tmp_path / "rect.mtx"
     write_matrix_market(str(rect), np.ones((6, 4)))
     with pytest.raises(SystemExit, match="square"):

@@ -21,7 +21,7 @@ from sketchqr.experiments import (
     sample_widths,
     write_csv,
 )
-from sketchqr.linalg import BreakdownError
+from sketchqr.linalg import BreakdownError, cond_number, factorization_errors, orthogonality_error
 from sketchqr.precision import policy_from_tag
 from sketchqr.sketching import GaussianSketch, SRHTSketch
 
@@ -136,6 +136,7 @@ def test_sample_widths():
     assert sample_widths(10, 3) == [3, 6, 9, 10]
     assert sample_widths(5, 10) == [5]
     assert sample_widths(8, 8) == [8]
+    assert sample_widths(0, 5) == []
 
 
 def test_config_validation():
@@ -254,6 +255,57 @@ def test_rec_rhqr_rows_measure_the_sweeps_embedding(rng):
     for a, b in zip(rec, left):
         assert a.status == b.status == "ok"
         assert abs(a.cond_q - b.cond_q) <= 1e-10 * b.cond_q
+
+
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_a_run_on_no_columns_has_no_rows(algo):
+    assert run_factor_experiment(np.zeros((16, 0)), ExperimentConfig(algo=algo)) == []
+
+
+@pytest.mark.parametrize("algo", ["rhqr-left", "rec-rhqr", "trim-left", "trim-right"])
+@pytest.mark.parametrize("every", [1, 24])
+def test_a_sweep_materializes_q_once(monkeypatch, algo, every):
+    # every width is read off the leading block of one thin Q
+    calls = []
+    for name in ("thin_q", "trim_thin_q"):
+        def counted(f, _run=getattr(experiments, name)):
+            calls.append(f.R.shape[1])
+            return _run(f)
+        monkeypatch.setattr(experiments, name, counted)
+    rows = run_factor_experiment(gen_cmatrix(256, 24), ExperimentConfig(
+        algo=algo, every=every, ell=16 if algo.startswith("trim") else 0))
+    assert len(rows) == 24 // every
+    assert calls == [24]
+
+
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_rows_match_per_width_metrics(monkeypatch, algo):
+    # the leading-block reading agrees with the metric functions run on
+    # each width's own Q, R and Psi Q; trim's l = 16 < m makes its R_S wide
+    runs = []
+    measure = experiments._measure
+
+    def kept(Wl, out, widths):
+        runs.append(out)
+        return measure(Wl, out, widths)
+
+    monkeypatch.setattr(experiments, "_measure", kept)
+    W = gen_cmatrix(256, 32)
+    rows = run_factor_experiment(W, ExperimentConfig(
+        algo=algo, seed=3, every=7, ell=16 if algo.startswith("trim") else 0))
+    assert [r.j for r in rows] == [7, 14, 21, 28, 32]
+    # rounding-level: the error metrics measure the rounding of the
+    # products being regrouped, about 1e-16 to 1e-15 here
+    atol = 1e-14
+    for r in rows:
+        assert r.status == "ok"
+        Q, R, SQ = experiments._q_r_sq(runs[0], r.j)
+        errs = factorization_errors(W[:, :r.j], Q, R)
+        assert abs(r.cond_q - cond_number(Q)) <= 1e-12 * cond_number(Q)
+        assert abs(r.cond_sq - cond_number(SQ)) <= 1e-12 * cond_number(SQ)
+        assert abs(r.fro_rel_err - errs.fro_rel_err) <= atol
+        assert abs(r.max_col_rel_err - errs.max_col_rel_err) <= atol
+        assert abs(r.orth_err - orthogonality_error(SQ)) <= atol
 
 
 @pytest.mark.parametrize("algo", list(ALGOS))
@@ -510,84 +562,88 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
 # recorded again, the same at 1 and 2 threads.  The 13 rhqr-left and
 # rhqr-block entries but half that moved when the left sweeps began to form
 # T's new column and the next column's coefficients in one product over a
-# column-major S were recorded again, the same at 1 and 2 threads.
+# column-major S were recorded again, the same at 1 and 2 threads.  All 76
+# entries were recorded again when the runner began to read every width off
+# one thin Q: cond from the leading blocks of the Householder R of Q and of
+# Psi Q (scipy's LAPACK xGEQRT, which they now pin too), the errors from the
+# residual's column norms and one Gram matrix; the same at 1 and 2 threads.
 RUNNER_DIGESTS = {
-    ("rhqr-left", "double"): "e223fc4ea2946dad24e2cb68764a1da6",
-    ("rhqr-left", "single"): "404001cd5f12915265114400de5c359d",
-    ("rhqr-left", "mixed"): "ceafbcc61df76b1141c5090a03562daa",
-    ("rhqr-left", "half"): "d3a8d177be2ac1697d10be403f1375bf",
-    ("rhqr-right", "double"): "b7390097c6c383281e9a9162083c83e2",
-    ("rhqr-right", "single"): "faca065aaa97424b2c16fb37cb1e966e",
-    ("rhqr-right", "mixed"): "b7fa7e892c81d56fbdda902d6e3e6db0",
-    ("rhqr-right", "half"): "1637784a098ad5ed9434656acc03a46e",
-    ("rhqr-block", "double"): "e223fc4ea2946dad24e2cb68764a1da6",
-    ("rhqr-block", "single"): "404001cd5f12915265114400de5c359d",
-    ("rhqr-block", "mixed"): "ceafbcc61df76b1141c5090a03562daa",
-    ("rhqr-block", "half"): "d3a8d177be2ac1697d10be403f1375bf",
-    ("rec-rhqr", "double"): "b000f6ccd2c3bea9f8708fa6c4bb39a3",
-    ("rec-rhqr", "single"): "7de702da6d7dc8deab45e519a8fb585b",
-    ("rec-rhqr", "mixed"): "9c2f91c60aeeb9b9e741681c88e61e76",
-    ("rec-rhqr", "half"): "2aeb1c5cb525d2ab16c4454a58c57b4b",
-    ("trim-left", "double"): "45e9e6e53ebca2d0bacee752da98a301",
-    ("trim-left", "single"): "e21c725e611a189bcf0e2c255d29aab4",
-    ("trim-left", "mixed"): "73a0b517cfd87fe878db982bf4d5f726",
-    ("trim-left", "half"): "024588d85aca3602c0828793b94b5211",
-    ("trim-right", "double"): "94fa3885b3b5abf3f340596590c2503e",
-    ("trim-right", "single"): "bf579c4ae38e05f270a6adfd26508b36",
-    ("trim-right", "mixed"): "bb24e82e61c9ca3e6e83b1127a5dded6",
-    ("trim-right", "half"): "bb05195b238fcb2251c3ef63e3b85bb7",
-    ("rgs", "double"): "7ad8d26967715708489139cc8373eabc",
-    ("rgs", "single"): "e865a341292bc4f4766a018e428522c8",
-    ("rgs", "mixed"): "51618c51307a67aae475448799d95c54",
-    ("rgs", "half"): "130db28e39ed816170201f6c424c4dda",
-    ("blas2-rgs", "double"): "b4a0909f415711d638ffb6e0b23376b3",
-    ("blas2-rgs", "single"): "09424001324d6b9f9f833af9819f5574",
-    ("blas2-rgs", "mixed"): "8c36e96a530b9149a831f824cb062822",
-    ("blas2-rgs", "half"): "2bc5b2157265905b992df030dd9ba2a4",
-    ("cgs", "double"): "b9d9e6b648d862d2382f31edaf819c57",
-    ("cgs", "single"): "e53e042205fdaebdd6dfd4c6de28fbd8",
-    ("cgs", "mixed"): "deb39b6c26d28c2f6e27a6fe45f56cb5",
-    ("cgs", "half"): "add6753eb288ef5659e66b17ad0cf25d",
-    ("mgs", "double"): "7d71b2bc579ecae06f59bb31f659f3d0",
-    ("mgs", "single"): "932c5d4cb82ebce85659669486f52920",
-    ("mgs", "mixed"): "cee76c7a24242fd1fb99e1092198bdd4",
-    ("mgs", "half"): "bf370155dc120fdbf23323a4a493fdd9",
-    ("hqr", "double"): "0ba5bc2b533d2254fe1b85aba188afd0",
-    ("hqr", "single"): "4ebac71e5c44b2868f5e04c529684196",
-    ("hqr", "mixed"): "9b6fb659cdaa8c26741cd4f36cfc9256",
-    ("hqr", "half"): "cde36beb089e0c0cb177dc55db9efbec",
-    ("rcholqr", "double"): "1dd558e70a846c0cb930b9e4725ffb4b",
-    ("rcholqr", "single"): "55389bb47da35828eff64830473cf17f",
-    ("rcholqr", "mixed"): "772a34561dd44d5e2dcca361fd9f6518",
-    ("rcholqr", "half"): "c9b4fad4d2bdecdd44f3ef6c05a3d6ec",
-    ("rhqr-left", "unit"): "0a95a7816ff84db412050804615a71d6",
-    ("rhqr-right", "unit"): "574fe1727988e4496d673b6b57a8e001",
-    ("rhqr-block", "unit"): "0a95a7816ff84db412050804615a71d6",
-    ("rec-rhqr", "unit"): "da0c505d8efbe4a65c7d8b11c27d6841",
-    ("trim-left", "unit"): "2079d95bf07a25021da532a5b0ad25d9",
-    ("trim-right", "unit"): "2369bb5c3c1fc6aec5da904f9bd08af7",
-    ("rgs", "unit"): "7ad8d26967715708489139cc8373eabc",
-    ("blas2-rgs", "unit"): "b4a0909f415711d638ffb6e0b23376b3",
-    ("cgs", "unit"): "b9d9e6b648d862d2382f31edaf819c57",
-    ("mgs", "unit"): "7d71b2bc579ecae06f59bb31f659f3d0",
-    ("hqr", "unit"): "c2afe8e518f3c937225d9555ae7d8346",
-    ("rcholqr", "unit"): "1dd558e70a846c0cb930b9e4725ffb4b",
-    ("rhqr-block", "block5"): "1992434581be68c9092bfcdaadebbed6",
-    ("rhqr-block", "block5-single"): "b215ae0b50ad263bbb62acb76617a46a",
-    ("rhqr-block", "block5-mixed"): "c32b6df520e2713a1218e4ba011b6e4b",
-    ("rhqr-block", "block5-half"): "13c5c78e2c05d7dccd03343de3d8b4d7",
-    ("rhqr-left", "zero-column"): "2b3b84809743116355f5168ffa94de76",
-    ("rhqr-right", "zero-column"): "de19dc48ab06495f4f889ede8fa182de",
-    ("rhqr-block", "zero-column"): "2b3b84809743116355f5168ffa94de76",
-    ("rec-rhqr", "zero-column"): "57512f56a5ef75e542c11e18026e0197",
-    ("trim-left", "zero-column"): "c5b85229e2c55b58b9aaaa3af9caa080",
-    ("trim-right", "zero-column"): "8afdd8d61ff81b2e3f5b44e905f4147f",
-    ("rgs", "zero-column"): "599fec7002b4011c630b8b69212b7ffe",
-    ("blas2-rgs", "zero-column"): "2aed83f68778e96978538b3330b8756d",
-    ("cgs", "zero-column"): "e51b50516719ec602b5faa9346489adf",
-    ("mgs", "zero-column"): "aa91159e1d7231f369dddfa461e32f00",
-    ("hqr", "zero-column"): "82dda0f9e3dbc0dad78294fc6f0dce56",
-    ("rcholqr", "zero-column"): "56221e1cce7ad098e2f29f9a19aa5b7a",
+    ("rhqr-left", "double"): "683953dc0fada4038722d1c42227a2d9",
+    ("rhqr-left", "single"): "de62616d00341c600d7993286b26f4d0",
+    ("rhqr-left", "mixed"): "54942f03567f7629b602713f0eaa2edc",
+    ("rhqr-left", "half"): "b3dfac42592af4abf34af56892e8a092",
+    ("rhqr-right", "double"): "845d2538faf05595b14162807448d3b2",
+    ("rhqr-right", "single"): "545a6dfb86a0c923425fa3a55495b3b1",
+    ("rhqr-right", "mixed"): "284366248d17298e76e6a96287a767d7",
+    ("rhqr-right", "half"): "ff389c96ac834021f5cc6fbf1f5187c2",
+    ("rhqr-block", "double"): "683953dc0fada4038722d1c42227a2d9",
+    ("rhqr-block", "single"): "de62616d00341c600d7993286b26f4d0",
+    ("rhqr-block", "mixed"): "54942f03567f7629b602713f0eaa2edc",
+    ("rhqr-block", "half"): "b3dfac42592af4abf34af56892e8a092",
+    ("rec-rhqr", "double"): "1fb81c862cf5814dd629867ba942cc6f",
+    ("rec-rhqr", "single"): "50205b5fe97868bfe178e4086ff106a4",
+    ("rec-rhqr", "mixed"): "c9f9096e4bb6a534ce836c2658385557",
+    ("rec-rhqr", "half"): "6d082880e9c2ba1bee7a59989e8b854a",
+    ("trim-left", "double"): "ea64c8e25c926495f405c4c01a949b38",
+    ("trim-left", "single"): "d77dc79c0c711ad3d7eaff9158b69329",
+    ("trim-left", "mixed"): "322c40a5d4b5234d4c9e1891bb049251",
+    ("trim-left", "half"): "426cc437a5f6b6369a4cbc3f06febd8d",
+    ("trim-right", "double"): "86ff274722ea3119f55a8e215332a2d1",
+    ("trim-right", "single"): "6dab57cd21aee7bb87c9b198ba455e50",
+    ("trim-right", "mixed"): "e45b54ad8cd2ff34ad7257ce9818d744",
+    ("trim-right", "half"): "4055291f0380f02de6135b53a70f5f90",
+    ("rgs", "double"): "33c534cd9c40f7c010b4a79e1d3437c5",
+    ("rgs", "single"): "53c44d6709b6e0b1e69e6edba32e103e",
+    ("rgs", "mixed"): "29a43db88bc15d45684f12ea2436ba7e",
+    ("rgs", "half"): "f13d8f6d9c943ab6393034a4fe1c12f9",
+    ("blas2-rgs", "double"): "64298ee86f89c34256319dafd7997ba4",
+    ("blas2-rgs", "single"): "27da4f57cdc37a41d749c00b1cb972fd",
+    ("blas2-rgs", "mixed"): "df868696dc37cca43430f354398d9a3a",
+    ("blas2-rgs", "half"): "797ef34600bbb6b4d1a88fd5ef67211a",
+    ("cgs", "double"): "bb24f963586b8bcaef3abf06f332f70f",
+    ("cgs", "single"): "1450698c13f5ab9ff4e3c1b8e4d1c750",
+    ("cgs", "mixed"): "4a77fe5fdb02767bb0d11006bcaa0114",
+    ("cgs", "half"): "2592e9e4f604a11602d62017b30799cb",
+    ("mgs", "double"): "9d29c34406862cd2ee0760a090c63710",
+    ("mgs", "single"): "d88c297dbfd851746294542867791183",
+    ("mgs", "mixed"): "c3bb4cc329cd9ac96ebaef482643a7be",
+    ("mgs", "half"): "c408ae91ccf436b2ccbee87ceec977a9",
+    ("hqr", "double"): "516e9e4575381428f764820a3ae49a92",
+    ("hqr", "single"): "2ac9a97b2bcc6e8ea18421544bbf1fe6",
+    ("hqr", "mixed"): "c5dc5ce84723a26449bd64ad2852c676",
+    ("hqr", "half"): "8f62efd36e8201c3da419d6b214f3933",
+    ("rcholqr", "double"): "c2b174a6b8e4c22cda7d4fc34c5a2656",
+    ("rcholqr", "single"): "2f915d567c29aba85db8c0e9597cb04c",
+    ("rcholqr", "mixed"): "5f0b28a5537896360e575a5d924141aa",
+    ("rcholqr", "half"): "ea68eebabdfe5793afdb8a61f4d5e32c",
+    ("rhqr-left", "unit"): "ccfb84b0e02feee819d882a135d7bd6e",
+    ("rhqr-right", "unit"): "29d615d5a64782a4b23cd6c82c81b861",
+    ("rhqr-block", "unit"): "ccfb84b0e02feee819d882a135d7bd6e",
+    ("rec-rhqr", "unit"): "de35fa2f0c5359828c4c09b4e436266d",
+    ("trim-left", "unit"): "8699c62909500706b9155167849ea8d4",
+    ("trim-right", "unit"): "e85988ac02efe50cbbc2f542f445d2e8",
+    ("rgs", "unit"): "33c534cd9c40f7c010b4a79e1d3437c5",
+    ("blas2-rgs", "unit"): "64298ee86f89c34256319dafd7997ba4",
+    ("cgs", "unit"): "bb24f963586b8bcaef3abf06f332f70f",
+    ("mgs", "unit"): "9d29c34406862cd2ee0760a090c63710",
+    ("hqr", "unit"): "cf7080ccc4f764b82bc2f3082d5fa2fe",
+    ("rcholqr", "unit"): "c2b174a6b8e4c22cda7d4fc34c5a2656",
+    ("rhqr-block", "block5"): "e42471f30e67b4d1b507d43ad288dc9f",
+    ("rhqr-block", "block5-single"): "67325be9b9d6028e1b64ab8824e0a98d",
+    ("rhqr-block", "block5-mixed"): "43758961ac7018cb3045650e19c56238",
+    ("rhqr-block", "block5-half"): "61456e3681524aceb2c4dbc6d1df2d6e",
+    ("rhqr-left", "zero-column"): "0d229c0f2c4db0fbd6a4af3b933b94dd",
+    ("rhqr-right", "zero-column"): "0ab5f5e9aa13c685bde837955a9ffec1",
+    ("rhqr-block", "zero-column"): "0d229c0f2c4db0fbd6a4af3b933b94dd",
+    ("rec-rhqr", "zero-column"): "8c7e6243882199643fc7938beaeb641b",
+    ("trim-left", "zero-column"): "8a34b68aab10369f29bf06f2f970daca",
+    ("trim-right", "zero-column"): "b9c59d75882e713a283fd2f6fcf97ef1",
+    ("rgs", "zero-column"): "9184f612b227aba8414369561d614f1c",
+    ("blas2-rgs", "zero-column"): "20ecd666a9599af1ab35ee6a64953ca9",
+    ("cgs", "zero-column"): "7f01bdd7a8895215d63f45e15f17f4b7",
+    ("mgs", "zero-column"): "2c29a3f6900b0dad9653fcd2b1f70167",
+    ("hqr", "zero-column"): "2417feea663637fa9e5cee3d03165bc4",
+    ("rcholqr", "zero-column"): "3aa90db5b3c02f4880d3e89af35e8417",
 }
 
 
