@@ -13,6 +13,8 @@ from .experiments import (
     FACTOR_ALGOS,
     GMRES_ALGOS,
     ExperimentConfig,
+    GmresRow,
+    MetricRow,
     gen_cmatrix,
     run_factor_experiment,
     run_gmres_experiment,
@@ -147,7 +149,7 @@ def main(argv=None):
                          block_size=args.block_size)
         W = _factor_input(args)
         rows = _one_line("cannot run", run_factor_experiment, W, config)
-        write_csv(args.out, rows, config, extra=f"input {W.shape[0]}x{W.shape[1]}")
+        write_csv(args.out, rows, MetricRow, config, extra=f"input {W.shape[0]}x{W.shape[1]}")
         print(f"wrote {len(rows)} metric rows to {args.out}")
         return 0
     config = _config(args)
@@ -159,7 +161,7 @@ def main(argv=None):
         raise SystemExit(f"gmres needs a square operator, got {A.shape[0]}x{A.shape[1]}")
     b = _rhs_vector(args.rhs, n)
     rows = _one_line("cannot run", run_gmres_experiment, A, b, args.iters, config)
-    write_csv(args.out, rows, config, extra=f"operator {n}x{n}, rhs {args.rhs}")
+    write_csv(args.out, rows, GmresRow, config, extra=f"operator {n}x{n}, rhs {args.rhs}")
     print(f"wrote {len(rows)} iteration rows to {args.out}")
     return 0
 

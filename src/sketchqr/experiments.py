@@ -38,7 +38,7 @@ from .linalg import (
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
-from .sketching import SKETCH_KINDS, SparseSignSketch, _integer, make_sketch
+from .sketching import SKETCH_KINDS, EmbeddedSketch, SparseSignSketch, _integer, make_sketch
 from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 # Sketch rows: TRAILING sketches the n-m rows under the identity block of
@@ -210,6 +210,9 @@ def run_factor_experiment(W, config):
     policy = policy_from_tag(config.precision)
     W = check_matrix(as_array(W))
     n, m = W.shape
+    if sketch_rows == TRAILING and n <= m:
+        raise ValueError(f"{config.algo} needs n > m: its sketch takes the n - m = {n - m} "
+                         f"rows below the identity block")
     ell = config.sampling_size(m)
     if sketch_rows and config.sketch == "sparse":
         SparseSignSketch.nonzeros(config.s, ell)
@@ -217,18 +220,21 @@ def run_factor_experiment(W, config):
     Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))
     bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
     attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")
-    out = broke = None
+    omega = out = broke = None
+    if sketch_rows and attained:
+        omega = make_sketch(config.sketch, ell, n - m if sketch_rows == TRAILING else n,
+                            config.seed, s=config.s)
     while attained > 0:
-        omega = None
-        if sketch_rows:
-            omega = make_sketch(config.sketch, ell, n - attained if sketch_rows == TRAILING else n,
-                                config.seed, s=config.s)
+        # a run on W[:, :c] sketches its n - c trailing rows by [I_{m-c}; Omega]:
+        # [I_c; [I_{m-c}; Omega]] is the full run's [I_m; Omega] row for row
+        psi = omega
+        if sketch_rows == TRAILING and attained < m:
+            psi = EmbeddedSketch(m - attained, omega)
         try:
-            out = call(W[:, :attained], omega, config, policy)
+            out = call(W[:, :attained], psi, config, policy)
             break
         except (BreakdownError, PrecisionRangeError) as exc:
             # measure the columns before the failure by a run on them alone
-            # (an [I; Omega] embedding is rebuilt for its width)
             col = getattr(exc, "column", attained)
             broke = broke or f"breakdown@{col}"
             attained = min(col - 1, attained - 1)
@@ -272,6 +278,8 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     ell = config.sampling_size(m + 1)
     anorm = _operator_fro_norm(A)
     if config.algo == "rhqr":
+        if m > n - 2:
+            raise ValueError(f"the rhqr solver needs iters <= n - 2 = {n - 2}, got {m}")
         omega = make_sketch(config.sketch, ell, n - m - 1, config.seed, s=config.s)
         bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=config.scaling,
                               policy=policy)
@@ -314,10 +322,12 @@ def _operator_fro_norm(A):
     return float(np.linalg.norm(as_array(A)))
 
 
-def write_csv(path, rows, config=None, extra=None):
-    """Rows to CSV with 17 significant digits; a commented header echoes the
-    config and, unless the config is deterministic, a timestamp."""
-    fields = rows[0]._fields if rows else MetricRow._fields
+def write_csv(path, rows, row_type, config=None, extra=None):
+    """Rows of row_type (MetricRow or GmresRow) to CSV with 17 significant
+    digits, under row_type's header even when there are none; a commented
+    header echoes the config and, unless the config is deterministic, a
+    timestamp."""
+    fields = row_type._fields
     with open(path, "w") as fh:
         if config is not None:
             fh.write(f"# {config}\n")

@@ -152,7 +152,7 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     psi = EmbeddedSketch(m + 1, check_sketch(omega, n - m - 1, m + 1))
     # rh_vector already rounds u to policy.low, so storing U there is exact
     U = low_storage(n, m + 1, lo)
-    S = np.zeros((psi.out_dim, m + 1), dtype=hi)
+    S = np.zeros((psi.ell, m + 1), dtype=hi)
     T, R = np.zeros((2, m + 1, m + 1), dtype=hi)
     attained = None
     w = _start(matvec, b, x0, policy.low)

@@ -254,6 +254,18 @@ def _extend_t(T, p, beta, c, hi=np.float64):
     T[c, c] = beta
 
 
+def _compact_update(U, T, X, C, transpose_t, policy):
+    """The compact-form step's arithmetic on a block X given its
+    coefficient product C = S^t Psi X in policy.high: returns X - U T C in
+    policy.low and the coefficients T C (T^t C with transpose_t) in
+    policy.high.  apply_reflectors_compact, _sweep's panel update and the
+    right-looking sweeps' trailing updates all run through it."""
+    lo = policy.low_dtype
+    C = matmul_in(T.T if transpose_t else T, C, policy.high_dtype)
+    P = matmul_in(U, C, lo)  # X - P lands in P's buffer: one n-row temporary
+    return np.subtract(to_dtype(X, lo), P, out=P), C
+
+
 def low_storage(n, m, dtype):
     """Zeroed n x m storage for columns kept in `dtype`: the transpose of a
     C-contiguous m x n array, so each column is contiguous and products

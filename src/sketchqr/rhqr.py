@@ -24,6 +24,7 @@ from .baselines import sketch_qr
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _compact_update,
     _extend_t,
     as_array,
     check_finite,
@@ -132,16 +133,6 @@ def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_P
     return out[:, 0] if vec else out
 
 
-def _compact_update(U, T, X, C, transpose_t, policy):
-    """apply_reflectors_compact's arithmetic on a block X given its
-    coefficient product C = S^t Psi X in policy.high: returns X - U T C in
-    policy.low and the coefficients T C (T^t C with transpose_t) in
-    policy.high."""
-    lo = policy.low_dtype
-    C = matmul_in(T.T if transpose_t else T, C, policy.high_dtype)
-    return to_dtype(X, lo) - matmul_in(U, C, lo), C
-
-
 def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0, y_next=None):
     """The column step of the left- and right-looking sweeps and of
     rhqr_arnoldi: the reflector that eliminates entries c+1.. of y = Psi w
@@ -155,7 +146,7 @@ def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0, y_next=None):
     for that column's coefficients S[:, first:c+1]^t y_next.  _sweep passes
     a zero y_next at a panel's last column, so every p comes from the same
     kernel and a run on fewer columns keeps a longer run's bits.  Returns
-    the HouseholderStep and those coefficients (None without y_next)."""
+    those coefficients (None without y_next)."""
     step = rh_vector(w, y, c + 1, scaling, policy)
     U[:, c] = step.u
     S[:, c] = step.s
@@ -169,7 +160,7 @@ def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0, y_next=None):
     _extend_t(T[first:, first:], p, step.beta, c - first, hi)
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho
-    return step, coef
+    return coef
 
 
 @dataclass
@@ -252,9 +243,9 @@ def _sweep(W, omega, block_size, scaling, policy):
         block_size = max(m, 1)
     U = low_storage(n, m, lo)
     # not low_storage: half keeps numpy's float16 loop over S, and its bits
-    S = np.zeros((m, psi.out_dim), dtype=hi).T
+    S = np.zeros((m, psi.ell), dtype=hi).T
     T, R = np.zeros((2, m, m), dtype=hi)
-    zero = np.zeros(psi.out_dim, dtype=hi)
+    zero = np.zeros(psi.ell, dtype=hi)
     for j0 in range(0, m, block_size):
         j1 = min(j0 + block_size, m)
         panel = Wl[:, j0:j1]
@@ -275,7 +266,7 @@ def _sweep(W, omega, block_size, scaling, policy):
             y = psi.apply(w, dtype=lo) if c else Yp[:, 0].copy()
             y_next = Yp[:, c + 1 - j0] if c + 1 < j1 else zero
             coef = _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0,
-                                  y_next=y_next)[1]
+                                  y_next=y_next)
         if j0:
             _extend_t(T, S[:, :j0].T @ S[:, j0:j1], T[j0:j1, j0:j1], j0, hi)
     return dict(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi)
@@ -294,22 +285,26 @@ def rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 def rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Right-looking variant: the left sweeps' column step (_add_reflector,
     so T grows as it does there), then a rank-1 update of the trailing
-    block, which is re-sketched wholesale at every step."""
-    lo = policy.low_dtype
-    hi = policy.high_dtype
-    Wl = np.require(factor_input(W, policy, scaling), requirements="W")
-    n, m = Wl.shape
+    block through the compact-form kernel (_compact_update).  W is sketched
+    once; its trailing block's image Y in sketch space (Psi(W - u z^t) =
+    Y - s z^t) feeds only the coefficients z = beta s^t Y, and each
+    reflector is built from a fresh sketch of its updated column: 2m-1
+    sketched columns, as in rhqr_left."""
+    lo, hi = policy.low_dtype, policy.high_dtype
+    X = factor_input(W, policy, scaling)
+    n, m = X.shape
     psi = EmbeddedSketch(m, check_sketch(omega, n - m, m))
     U = low_storage(n, m, lo)
-    S = np.zeros((psi.out_dim, m), dtype=hi)
+    S = np.zeros((psi.ell, m), dtype=hi)
     T, R = np.zeros((2, m, m), dtype=hi)
+    Y = to_dtype(psi.apply(X, dtype=lo), hi)
     for c in range(m):
-        # the trailing block's sketch, read in float64 as rh_vector reads y
-        Y = to_dtype(psi.apply(Wl[:, c:], dtype=lo), np.float64)
-        step = _add_reflector(Wl[:, c], Y[:, 0], c, U, S, T, R, scaling, policy)[0]
-        if c + 1 < m:
-            coef = hi(step.beta) * (step.s @ to_dtype(Y[:, 1:], hi))
-            Wl[:, c + 1:] -= np.outer(step.u, to_dtype(coef, lo))
+        # X holds the updated columns c.., Y[:, c:] their image
+        y = psi.apply(X[:, 0], dtype=lo) if c else Y[:, 0].copy()
+        _add_reflector(X[:, 0], y, c, U, S, T, R, scaling, policy)
+        X, z = _compact_update(U[:, c:c + 1], T[c:c + 1, c:c + 1], X[:, 1:],
+                               S[:, c:c + 1].T @ Y[:, c + 1:], False, policy)
+        Y[:, c + 1:] -= matmul_in(S[:, c:c + 1], z, hi)
     return RHQRFactors(U=as_array(U), S=as_array(S), T=as_array(T), R=as_array(R), psi=psi)
 
 

@@ -324,11 +324,11 @@ class EmbeddedSketch:
         self.m = int(m)
         self.omega = omega
         self.n = self.m + omega.n
-        self.out_dim = self.m + omega.ell
+        self.ell = self.m + omega.ell
 
     @property
     def shape(self):
-        return (self.out_dim, self.n)
+        return (self.ell, self.n)
 
     def apply(self, X, dtype=np.float64):
         X, vec = _columns(X, self.n)

@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    _compact_update,
     _extend_t,
     as_array,
     check_prefix,
@@ -211,7 +212,7 @@ def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
     w's tail (trim_rh_vector) becomes column c of U and S, and w's head with
     the new diagonal -sigma*rho column c of R.  Row c of L gets
     <Omega u_c, Omega e_k> for k < c, from Eh (E held in policy.high), and
-    T and T~ grow by _extend_t.  Returns the TrimStep."""
+    T and T~ grow by _extend_t."""
     hi = policy.high_dtype
     step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
     U[c:, c] = step.v
@@ -223,34 +224,34 @@ def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
     p = S[:, :c].T @ step.s
     _extend_t(T, p, step.beta, c, hi=hi)
     _extend_t(Tt, p - to_dtype(U[:c, :c], hi).T @ lrow, step.beta, c, hi=hi)
-    return step
 
 
 def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Right-looking trimmed factorization: trim_rhqr_left's column step,
-    then an update of the trailing columns through the masked sketch: rows
-    1..j-1 are dropped before sketching, matching the [0 Omega_{j:n}]
-    operator of the elimination.
+    then an update of the trailing columns through the compact-form kernel
+    (_compact_update).  After column c, its coefficients take the masked
+    sketch of W[:, c+1:] with rows :c dropped, read off the image Z of one
+    block sketch Omega W[:, 1:] as Z[:, c:] - E[:, :c] W[:c, c+1:];
+    Z -= s z^t then follows the update W -= u z^t, since s = Omega u.
     """
     lo = policy.low_dtype
     hi = policy.high_dtype
-    Wl = np.require(factor_input(W, policy, scaling), requirements="W")
-    n, m = Wl.shape
+    X = factor_input(W, policy, scaling)
+    n, m = X.shape
     omega = normalize_leading_columns(check_sketch(omega, n), m)
     E = omega.unit_column_sketches[:, :m].copy()
     Eh = to_dtype(E, hi)
     U = low_storage(n, m, lo)
     S = np.zeros((omega.ell, m), dtype=hi)
     R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
+    Z = to_dtype(omega.apply(X[:, 1:], dtype=lo), hi)
     for c in range(m):
-        step = _add_trim_reflector(Wl[:, c], c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
-        if c + 1 < m:
-            Y = Wl[:, c + 1:]
-            masked = Y.copy()
-            masked[:c] = 0.0
-            X = omega.apply(masked, dtype=lo)
-            coef = hi(step.beta) * (step.s @ to_dtype(X, hi))
-            Y -= np.outer(to_dtype(U[:, c], lo), to_dtype(coef, lo))
+        # X holds the updated columns c.., Z the image of columns c+1..
+        _add_trim_reflector(X[:, 0], c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
+        masked = Z[:, c:] - matmul_in(Eh[:, :c], X[:c, 1:], hi)
+        X, z = _compact_update(U[:, c:c + 1], T[c:c + 1, c:c + 1], X[:, 1:],
+                               S[:, c:c + 1].T @ masked, False, policy)
+        Z[:, c:] -= matmul_in(S[:, c:c + 1], z, hi)
     return TrimFactors(
         U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),
         L=as_array(L), E=E, omega=omega)

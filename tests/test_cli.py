@@ -8,7 +8,14 @@ import pytest
 import scipy.sparse
 
 from sketchqr.cli import build_parser, main
-from sketchqr.experiments import GMRES_ALGOS, ExperimentConfig, MetricRow, gen_cmatrix, run_gmres_experiment
+from sketchqr.experiments import (
+    GMRES_ALGOS,
+    ExperimentConfig,
+    GmresRow,
+    MetricRow,
+    gen_cmatrix,
+    run_gmres_experiment,
+)
 from sketchqr.linalg import SCALINGS
 from sketchqr.mmio import load_matrix_market, write_matrix_market
 from sketchqr.precision import PRECISION_TAGS
@@ -94,6 +101,17 @@ def test_gmres_end_to_end(tmp_path, rng):
     first, last = float(rows[0]["true_resid"]), float(rows[-1]["true_resid"])
     assert last < 0.2 * first
     assert all(float(r["relation_err"]) < 1e-11 for r in rows)
+
+
+@pytest.mark.parametrize("algo", GMRES_ALGOS)
+def test_gmres_with_no_iterations_writes_the_gmres_header(tmp_path, rng, algo):
+    p, _ = spd_mtx(tmp_path, rng)
+    out = tmp_path / "g.csv"
+    assert main(["gmres", "--algo", algo, "--matrix", str(p), "--iters", "0",
+                 "--out", str(out)]) == 0
+    header, rows = csv_rows(out)
+    assert header == list(GmresRow._fields)
+    assert rows == []
 
 
 def test_gmres_rhs_forms(tmp_path, rng):
@@ -296,3 +314,27 @@ def test_a_negative_iteration_count_ends_in_one_line(tmp_path, rng):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "iters=-1 must be >= 0" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["rhqr-left", "rhqr-right", "rhqr-block", "rec-rhqr"])
+def test_a_square_input_to_a_trailing_sketch_names_the_rows(tmp_path, algo):
+    # the [I; Omega] embedding sketches the n - m rows below its identity block
+    out = tmp_path / "x.csv"
+    msg = (f"cannot run: {algo} needs n > m: its sketch takes the n - m = 0 rows "
+           f"below the identity block")
+    with pytest.raises(SystemExit, match=f"^{re.escape(msg)}$"):
+        main(["factor", "--algo", algo, "--gen-n", "20", "--gen-m", "20", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_too_many_rhqr_iterations_name_the_bound(tmp_path):
+    # rhqr-Arnoldi's sketch takes the n - iters - 1 rows below its m + 1 columns
+    mtx = tmp_path / "a.mtx"
+    write_matrix_market(str(mtx), np.eye(6) * 2.0)
+    out = tmp_path / "x.csv"
+    argv = ["gmres", "--algo", "rhqr", "--matrix", str(mtx), "--out", str(out)]
+    with pytest.raises(SystemExit, match=re.escape(
+            "cannot run: the rhqr solver needs iters <= n - 2 = 4, got 5")):
+        main(argv + ["--iters", "5"])
+    assert not out.exists()
+    assert main(argv + ["--iters", "4", "--sketch", "gauss"]) == 0

@@ -19,7 +19,7 @@ from sketchqr.baselines import householder_qr, rgs
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.precision import policy_from_tag
 from sketchqr.rhqr import rhqr_left
-from sketchqr.sketching import IdentitySketch, make_sketch
+from sketchqr.sketching import EmbeddedSketch, IdentitySketch, make_sketch
 from sketchqr.trim import normalize_leading_columns, trim_rhqr_left
 
 SINGLE = policy_from_tag("single")
@@ -77,6 +77,21 @@ def test_left_prefix_run_under_the_identity_is_the_leading_block(tag):
         lead = full.prefix(j)
         for name in ("U", "S", "T", "R"):
             assert np.array_equal(getattr(lead, name), getattr(part, name)), (j, name)
+
+
+@pytest.mark.parametrize("tag", ["double", "single", "mixed"])
+@pytest.mark.parametrize("kind", ["srht", "sparse", "gauss"])
+def test_left_prefix_run_under_the_nested_embedding_is_the_leading_block(cmatrix, kind, tag):
+    # [I_c; [I_{m-c}; Omega]] is [I_m; Omega] row for row, so a run on the
+    # leading c columns under EmbeddedSketch(m - c, Omega), as the runner
+    # makes below a failure, is the full run's prefix
+    n, m = cmatrix.shape
+    omega = make_sketch(kind, 4 * m, n - m, 7)
+    policy = policy_from_tag(tag)
+    lead = rhqr_left(cmatrix, omega, policy=policy).prefix(50)
+    part = rhqr_left(cmatrix[:, :50], EmbeddedSketch(m - 50, omega), policy=policy)
+    for name in ("U", "S", "T", "R"):
+        assert np.array_equal(getattr(lead, name), getattr(part, name)), name
 
 
 _DESK_RUNS = """

@@ -197,7 +197,8 @@ def test_breakdown_rows_are_flagged(rng):
 
 @pytest.mark.parametrize("algo", FACTOR_ALGOS)
 def test_nonfinite_columns_stop_every_algorithm(rng, algo):
-    W = rng.standard_normal((64, 8))
+    W0 = rng.standard_normal((64, 8))
+    W = W0.copy()
     W[5, 5] = np.nan
     cfg = ExperimentConfig(algo=algo, every=2, seed=1, ell=16)
     rows = run_factor_experiment(W, cfg)
@@ -206,14 +207,36 @@ def test_nonfinite_columns_stop_every_algorithm(rng, algo):
     assert all(np.isnan(r.cond_q) and np.isnan(r.orth_err) for r in rows[2:])
     # an infinity counts the same; the widths before it are measured as a
     # breakdown there would leave them, by a run on the columns before it
+    # under the sketch of a run on the unbroken W
     W[0, 2] = -np.inf
     rows = run_factor_experiment(W, cfg)
-    assert rows[0] == run_factor_experiment(W[:, :2], cfg)[0]
+    ref = run_factor_experiment(W0, cfg)[0]
+    np.testing.assert_allclose(rows[0][1:3], ref[1:3], rtol=1e-10)
     assert [r.status for r in rows] == ["ok"] + ["nonfinite@3"] * 3
     # a breakdown before the first non-finite column names the rows
     W[:, 1] = 0.0
     rows = run_factor_experiment(W, cfg)
     assert [r.status for r in rows] == ["breakdown@2"] * 4
+
+
+@pytest.mark.parametrize("algo", [a for a, (_, rows) in ALGOS.items() if rows == TRAILING])
+def test_rows_before_a_failure_measure_the_full_runs_embedding(algo):
+    # one Omega per run: the run on W[:, :c] below a failure at column c + 1
+    # takes [I_{m-c}; Omega], so its [I_c; [I_{m-c}; Omega]] is the full
+    # run's [I_m; Omega] and cond(Q), cond(Psi Q) are the full run's.  The
+    # error metrics sit at the rounding level, where only an absolute bound
+    # says anything
+    W0 = gen_cmatrix(512, 40)
+    cfg = ExperimentConfig(algo=algo, ell=80, seed=3, every=5, block_size=16)
+    full = run_factor_experiment(W0, cfg)
+    for bad in (0.0, np.nan):
+        W = W0.copy()
+        W[:, 30] = bad
+        rows = run_factor_experiment(W, cfg)
+        assert rows[6].status in ("breakdown@31", "nonfinite@31")
+        got, ref = np.array([r[1:6] for r in rows[:6]]), np.array([r[1:6] for r in full[:6]])
+        np.testing.assert_allclose(got[:, :2], ref[:, :2], rtol=1e-10)
+        np.testing.assert_allclose(got[:, 2:], ref[:, 2:], rtol=0, atol=1e-13)
 
 
 def test_sketch_then_factor_algorithms_sweep(rng):
@@ -494,7 +517,7 @@ def test_csv_round_trip(tmp_path, rng):
     cfg = ExperimentConfig(algo="mgs", every=2)
     rows = run_factor_experiment(W, cfg)
     p = tmp_path / "out.csv"
-    write_csv(str(p), rows, config=cfg, extra="n=64")
+    write_csv(str(p), rows, MetricRow, config=cfg, extra="n=64")
     comments, header, data = read_back(str(p))
     assert header == list(MetricRow._fields)
     assert any("mgs" in c for c in comments)
@@ -509,13 +532,13 @@ def test_csv_deterministic_flag(tmp_path, rng):
     det = ExperimentConfig(algo="mgs", every=3, deterministic=True)
     rows = run_factor_experiment(W, det)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(str(a), rows, config=det)
-    write_csv(str(b), rows, config=det)
+    write_csv(str(a), rows, MetricRow, config=det)
+    write_csv(str(b), rows, MetricRow, config=det)
     assert a.read_bytes() == b.read_bytes()
 
     stamped = ExperimentConfig(algo="mgs", every=3)
     c = tmp_path / "c.csv"
-    write_csv(str(c), rows, config=stamped)
+    write_csv(str(c), rows, MetricRow, config=stamped)
     assert any(ln.startswith("# written") for ln in c.read_text().splitlines())
     strip = lambda path: [ln for ln in path.read_text().splitlines()
                           if not ln.startswith("#")]
@@ -527,7 +550,7 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
         np.eye(16), rng.standard_normal(16), 3,
         ExperimentConfig(algo="rhqr", sketch="gauss", seed=4))
     p = tmp_path / "g.csv"
-    write_csv(str(p), rows)
+    write_csv(str(p), rows, GmresRow)
     _, header, data = read_back(str(p))
     assert header == list(GmresRow._fields)
     assert data[0][header.index("status")] == rows[0].status
@@ -567,15 +590,21 @@ def test_gmres_csv_uses_solver_fields(tmp_path, rng):
 # one thin Q: cond from the leading blocks of the Householder R of Q and of
 # Psi Q (scipy's LAPACK xGEQRT, which they now pin too), the errors from the
 # residual's column norms and one Gram matrix; the same at 1 and 2 threads.
+# The 12 rhqr-right and trim-right entries were recorded again when the
+# right sweeps began to keep their trailing block's sketch as an image in
+# sketch space and to update through the compact-form kernel, and the
+# zero-column entries of rhqr-left, rhqr-block and rec-rhqr when the runner
+# began to build one Omega per run (the run below a breakdown takes
+# [I; Omega] nested in the full run's); the same at 1 and 2 threads.
 RUNNER_DIGESTS = {
     ("rhqr-left", "double"): "683953dc0fada4038722d1c42227a2d9",
     ("rhqr-left", "single"): "de62616d00341c600d7993286b26f4d0",
     ("rhqr-left", "mixed"): "54942f03567f7629b602713f0eaa2edc",
     ("rhqr-left", "half"): "b3dfac42592af4abf34af56892e8a092",
-    ("rhqr-right", "double"): "845d2538faf05595b14162807448d3b2",
-    ("rhqr-right", "single"): "545a6dfb86a0c923425fa3a55495b3b1",
-    ("rhqr-right", "mixed"): "284366248d17298e76e6a96287a767d7",
-    ("rhqr-right", "half"): "ff389c96ac834021f5cc6fbf1f5187c2",
+    ("rhqr-right", "double"): "e3091ca2c4143c3b86f8ac2a8f684382",
+    ("rhqr-right", "single"): "6286c34e7efc247dcf38507bb1c4b2e4",
+    ("rhqr-right", "mixed"): "e169bb852617b58dd5a1bc3fa1bffb6e",
+    ("rhqr-right", "half"): "708cf338f880357a06ed041eab2fd48a",
     ("rhqr-block", "double"): "683953dc0fada4038722d1c42227a2d9",
     ("rhqr-block", "single"): "de62616d00341c600d7993286b26f4d0",
     ("rhqr-block", "mixed"): "54942f03567f7629b602713f0eaa2edc",
@@ -588,10 +617,10 @@ RUNNER_DIGESTS = {
     ("trim-left", "single"): "d77dc79c0c711ad3d7eaff9158b69329",
     ("trim-left", "mixed"): "322c40a5d4b5234d4c9e1891bb049251",
     ("trim-left", "half"): "426cc437a5f6b6369a4cbc3f06febd8d",
-    ("trim-right", "double"): "86ff274722ea3119f55a8e215332a2d1",
-    ("trim-right", "single"): "6dab57cd21aee7bb87c9b198ba455e50",
-    ("trim-right", "mixed"): "e45b54ad8cd2ff34ad7257ce9818d744",
-    ("trim-right", "half"): "4055291f0380f02de6135b53a70f5f90",
+    ("trim-right", "double"): "1723d81072f0d8c6f6c1c00af54a9163",
+    ("trim-right", "single"): "a1a422b3aa9794d9e1637d3d76ccc5b9",
+    ("trim-right", "mixed"): "50bc4769b5eae650099d7efde5ddc9f6",
+    ("trim-right", "half"): "705ea773233f7c8259152753f85618e8",
     ("rgs", "double"): "33c534cd9c40f7c010b4a79e1d3437c5",
     ("rgs", "single"): "53c44d6709b6e0b1e69e6edba32e103e",
     ("rgs", "mixed"): "29a43db88bc15d45684f12ea2436ba7e",
@@ -617,11 +646,11 @@ RUNNER_DIGESTS = {
     ("rcholqr", "mixed"): "5f0b28a5537896360e575a5d924141aa",
     ("rcholqr", "half"): "ea68eebabdfe5793afdb8a61f4d5e32c",
     ("rhqr-left", "unit"): "ccfb84b0e02feee819d882a135d7bd6e",
-    ("rhqr-right", "unit"): "29d615d5a64782a4b23cd6c82c81b861",
+    ("rhqr-right", "unit"): "92a1fdba8d129cb66a657eedacf00e4f",
     ("rhqr-block", "unit"): "ccfb84b0e02feee819d882a135d7bd6e",
     ("rec-rhqr", "unit"): "de35fa2f0c5359828c4c09b4e436266d",
     ("trim-left", "unit"): "8699c62909500706b9155167849ea8d4",
-    ("trim-right", "unit"): "e85988ac02efe50cbbc2f542f445d2e8",
+    ("trim-right", "unit"): "a09b005cba7fef641023abd721a6922a",
     ("rgs", "unit"): "33c534cd9c40f7c010b4a79e1d3437c5",
     ("blas2-rgs", "unit"): "64298ee86f89c34256319dafd7997ba4",
     ("cgs", "unit"): "bb24f963586b8bcaef3abf06f332f70f",
@@ -632,12 +661,12 @@ RUNNER_DIGESTS = {
     ("rhqr-block", "block5-single"): "67325be9b9d6028e1b64ab8824e0a98d",
     ("rhqr-block", "block5-mixed"): "43758961ac7018cb3045650e19c56238",
     ("rhqr-block", "block5-half"): "61456e3681524aceb2c4dbc6d1df2d6e",
-    ("rhqr-left", "zero-column"): "0d229c0f2c4db0fbd6a4af3b933b94dd",
-    ("rhqr-right", "zero-column"): "0ab5f5e9aa13c685bde837955a9ffec1",
-    ("rhqr-block", "zero-column"): "0d229c0f2c4db0fbd6a4af3b933b94dd",
-    ("rec-rhqr", "zero-column"): "8c7e6243882199643fc7938beaeb641b",
+    ("rhqr-left", "zero-column"): "ffdd0a7be11709f78ebc538bea051414",
+    ("rhqr-right", "zero-column"): "5f2506b5c6723e741b47811ecd088493",
+    ("rhqr-block", "zero-column"): "ffdd0a7be11709f78ebc538bea051414",
+    ("rec-rhqr", "zero-column"): "9ec72d0ebe85d3f15b12a431e651f618",
     ("trim-left", "zero-column"): "8a34b68aab10369f29bf06f2f970daca",
-    ("trim-right", "zero-column"): "b9c59d75882e713a283fd2f6fcf97ef1",
+    ("trim-right", "zero-column"): "8d647485c3807eaf74a5a50e5455bfb6",
     ("rgs", "zero-column"): "9184f612b227aba8414369561d614f1c",
     ("blas2-rgs", "zero-column"): "20ecd666a9599af1ab35ee6a64953ca9",
     ("cgs", "zero-column"): "7f01bdd7a8895215d63f45e15f17f4b7",

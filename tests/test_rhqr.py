@@ -27,7 +27,7 @@ from sketchqr.rhqr import (
     sketch_q,
     thin_q,
 )
-from sketchqr.experiments import gen_cmatrix
+from sketchqr.experiments import ExperimentConfig, gen_cmatrix, run_factor_experiment
 from sketchqr.sketching import (
     EmbeddedSketch,
     GaussianSketch,
@@ -124,7 +124,7 @@ def test_apply_reflectors_empty_and_involution(rng):
     n, m = 40, 5
     psi = EmbeddedSketch(m, GaussianSketch(16, n - m, 4))
     X = rng.standard_normal((n, 3))
-    out = apply_reflectors_compact(np.zeros((n, 0)), np.zeros((psi.out_dim, 0)),
+    out = apply_reflectors_compact(np.zeros((n, 0)), np.zeros((psi.ell, 0)),
                                    np.zeros((0, 0)), X, psi)
     assert np.array_equal(out, X)
     F = rhqr_left(rng.standard_normal((n, m)), GaussianSketch(16, n - m, 4))
@@ -356,6 +356,53 @@ def test_left_sketches_w_once(rng):
     rhqr_left(rng.standard_normal((n, m)), om)
     # one m-wide block, then the re-sketch of every updated column
     assert om.widths == [m] + [1] * (m - 1)
+
+
+def test_right_sketches_what_the_left_sweep_does(rng):
+    # the trailing block's sketch is kept as an image in sketch space, so
+    # the right sweep sketches W once and then each updated column once:
+    # 2m-1 columns where a re-sketch of the trailing block took m(m+1)/2
+    n, m = 80, 20
+    W = rng.standard_normal((n, m))
+    widths = []
+    for sweep in (rhqr_left, rhqr_right):
+        om = CountingSketch(SRHTSketch(60, n - m, 41))
+        sweep(W, om)
+        widths.append(om.widths)
+    assert widths[1] == widths[0] == [m] + [1] * (m - 1)
+
+
+def test_trim_right_sketches_what_trim_left_does(rng):
+    n, m = 80, 9
+    W = rng.standard_normal((n, m))
+    widths = []
+    for sweep in (trim_rhqr_left, trim_rhqr_right):
+        om = CountingSketch(SRHTSketch(40, n, 42))
+        wrapped = normalize_leading_columns(om, m)
+        om.widths.clear()
+        sweep(W, wrapped)
+        widths.append(om.widths)
+    assert widths[1] == widths[0], widths
+
+
+@pytest.mark.parametrize("tag", ["double", "single"])
+def test_right_sweeps_are_as_accurate_as_the_left_at_desk_size(tag):
+    # the sketch-space image feeds only the coefficients, every reflector is
+    # built from a fresh sketch of its column: each right sweep's cond(Q),
+    # max column error and (for rhqr) orth(Psi Q) at width 300 stay within
+    # 2x of its left sweep's
+    W = gen_cmatrix(4096, 300)
+    got = {}
+    for algo in ("rhqr-left", "rhqr-right", "trim-left", "trim-right"):
+        trim = algo.startswith("trim")
+        cfg = ExperimentConfig(algo=algo, ell=200 if trim else 1200, seed=42 if trim else 43,
+                               every=300, precision=tag)
+        got[algo], = run_factor_experiment(W, cfg)
+    for left, right in (("rhqr-left", "rhqr-right"), ("trim-left", "trim-right")):
+        fields = ("cond_q", "max_col_rel_err") + (("orth_err",) if left == "rhqr-left" else ())
+        for f in fields:
+            a, b = getattr(got[left], f), getattr(got[right], f)
+            assert b <= 2 * a and a <= 2 * b, (right, f, a, b)
 
 
 def test_trim_left_sketches_the_updates_once(rng):
