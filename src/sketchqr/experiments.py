@@ -214,7 +214,8 @@ def run_factor_experiment(W, config):
         raise ValueError(f"{config.algo} needs n > m: its sketch takes the n - m = {n - m} "
                          f"rows below the identity block")
     ell = config.sampling_size(m)
-    if sketch_rows and config.sketch == "sparse":
+    # s is checked before the non-finite scan, unless W has no columns
+    if sketch_rows and config.sketch == "sparse" and m:
         SparseSignSketch.nonzeros(config.s, ell)
     # errors are measured in float64 against the storage-rounded input
     Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))

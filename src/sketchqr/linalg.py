@@ -258,8 +258,8 @@ def _compact_update(U, T, X, C, transpose_t, policy):
     """The compact-form step's arithmetic on a block X given its
     coefficient product C = S^t Psi X in policy.high: returns X - U T C in
     policy.low and the coefficients T C (T^t C with transpose_t) in
-    policy.high.  apply_reflectors_compact, _sweep's panel update and the
-    right-looking sweeps' trailing updates all run through it."""
+    policy.high.  apply_reflectors_compact, _sweep's panel update, both right
+    sweeps' trailing updates and trim_rhqr_left's update run through it."""
     lo = policy.low_dtype
     C = matmul_in(T.T if transpose_t else T, C, policy.high_dtype)
     P = matmul_in(U, C, lo)  # X - P lands in P's buffer: one n-row temporary

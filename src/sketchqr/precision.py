@@ -105,10 +105,6 @@ class PrecisionPolicy:
     def u_high(self):
         return UNIT_ROUNDOFF[self.high]
 
-    @property
-    def u_low(self):
-        return UNIT_ROUNDOFF[self.low]
-
 
 DOUBLE_POLICY = PrecisionPolicy()
 

@@ -147,43 +147,25 @@ class SketchOperator:
 
 
 class GaussianSketch(SketchOperator):
-    """Dense N(0, 1/ell) operator.
+    """Dense N(0, 1/ell) operator, drawn once when it is built.
 
-    Rows are generated from per-row-keyed Philox streams so the same (seed,
-    ell, n) always yields the same matrix no matter how the application is
-    chunked.  Matrices up to _CACHE_ENTRIES entries are kept; larger ones are
-    regenerated in row blocks on each apply.
+    Row i comes from its own Philox stream, keyed by (seed, i), so the same
+    (seed, ell, n) always yields the same matrix.  It is held in float64,
+    ell * n * 8 bytes, with a float32 copy made on first use in single or
+    half; an apply is one product.
     """
-
-    _CACHE_ENTRIES = 1 << 23
 
     def __init__(self, ell, n, seed):
         super().__init__(ell, n, seed)
-        self._cache = {}
-        if self.ell * self.n <= self._CACHE_ENTRIES:
-            self._cache[np.dtype(np.float64)] = self._rows(0, self.ell)
-
-    def _rows(self, i0, i1):
-        G = np.empty((i1 - i0, self.n))
-        c = self.ell ** -0.5
-        for i in range(i0, i1):
+        self._matrix = np.empty((self.ell, self.n))
+        for i in range(self.ell):
             g = np.random.Generator(np.random.Philox(key=[self.seed, i]))
-            G[i - i0] = g.standard_normal(self.n)
-        G *= c
-        return G
+            self._matrix[i] = g.standard_normal(self.n)
+        self._matrix *= self.ell ** -0.5
+        self._cast = {}
 
     def _apply(self, X, dtype):
-        cached = self._cache.get(np.dtype(np.float64))
-        if cached is not None:
-            return _matmul_in(self._cache, cached, X, dtype)
-        adtype = np.float32 if dtype == np.float16 else dtype
-        Y = np.empty((self.ell, X.shape[1]), dtype=adtype)
-        Xa = X.astype(adtype)
-        step = max(1, self._CACHE_ENTRIES // self.n)
-        for i0 in range(0, self.ell, step):
-            i1 = min(i0 + step, self.ell)
-            Y[i0:i1] = self._rows(i0, i1).astype(adtype) @ Xa
-        return Y.astype(dtype)
+        return _matmul_in(self._cast, self._matrix, X, dtype)
 
 
 class SRHTSketch(SketchOperator):

@@ -55,10 +55,6 @@ class TrimStep:
     beta: float
 
 
-# unit vectors sketched per block by normalize_leading_columns
-_CHUNK = 256
-
-
 def normalize_leading_columns(omega, m):
     """Wrap omega so its first m columns sketch to exactly unit norm.
 
@@ -73,12 +69,7 @@ def normalize_leading_columns(omega, m):
     n = omega.n
     if m > n:
         raise ValueError(f"cannot normalize {m} leading columns of {n} inputs")
-    cols = np.empty((omega.ell, m))
-    for k0 in range(0, m, _CHUNK):
-        k1 = min(k0 + _CHUNK, m)
-        eye_blk = np.zeros((n, k1 - k0))
-        eye_blk[np.arange(k0, k1), np.arange(k1 - k0)] = 1.0
-        cols[:, k0:k1] = omega.apply(eye_blk)
+    cols = omega.apply(np.eye(n, m))
     norms = np.linalg.norm(cols, axis=0)
     if np.any(norms == 0.0):
         dead = int(np.argmin(norms)) + 1
@@ -260,7 +251,7 @@ def trim_rhqr_right(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     """Left-looking trimmed factorization maintaining both triangles.
 
-    Column j is transformed in one shot by the reversed compact form,
+    Column j is transformed in one shot by _compact_update's reversed form,
     w -= U T~^t (S^t (Omega w) - L w_head), then the column step
     (_add_trim_reflector) makes the reflector from its tail.  The updates'
     sketches of columns 2..m come from one block sketch of W[:, 1:]; each
@@ -284,7 +275,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             z = Z[:, c - 1].copy()
             h = S[:, :c].T @ to_dtype(z, hi)
             h -= L[:c, :c] @ to_dtype(w[:c], hi)
-            w = w - matmul_in(U[:, :c], Tt[:c, :c].T @ h, lo)
+            w = _compact_update(U[:, :c], Tt[:c, :c], w, h, True, policy)[0]
         _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy)
     return TrimFactors(
         U=as_array(U), S=as_array(S), T=as_array(T), T_tilde=as_array(Tt), R=as_array(R),

@@ -28,7 +28,7 @@ from sketchqr.baselines import (
 from sketchqr.experiments import gen_cmatrix, sample_widths
 from sketchqr.krylov import arnoldi_q, hessenberg_lstsq, rhqr_arnoldi
 from sketchqr.linalg import cond_number, factorization_errors, orthogonality_error
-from sketchqr.precision import policy_from_tag, round_to
+from sketchqr.precision import UNIT_ROUNDOFF, policy_from_tag, round_to
 from sketchqr.rhqr import (
     apply_reflectors_compact,
     rec_rhqr,
@@ -389,7 +389,7 @@ def test_criterion_11_half_storage_desk_run(desk):
     Q = thin_q(out)
     orth = orthogonality_error(out.psi.apply(Q))
     cq = cond_number(Q)
-    bound = 100.0 * 300**1.5 * pol.u_low
+    bound = 100.0 * 300**1.5 * UNIT_ROUNDOFF[pol.low]
     dt = time.perf_counter() - t0
     ok = orth <= bound and cq < 3.0 and dt < 180
     report(11, ok, f"orth {orth:.2e} (<= {bound:.2e}), cond(Q) {cq:.3f} (< 3), "

@@ -23,7 +23,7 @@ from sketchqr.experiments import (
 )
 from sketchqr.linalg import BreakdownError, cond_number, factorization_errors, orthogonality_error
 from sketchqr.precision import policy_from_tag
-from sketchqr.sketching import GaussianSketch, SRHTSketch
+from sketchqr.sketching import SKETCH_KINDS, GaussianSketch, SRHTSketch
 
 
 @pytest.mark.parametrize("algo", list(ALGOS))
@@ -282,7 +282,9 @@ def test_rec_rhqr_rows_measure_the_sweeps_embedding(rng):
 
 @pytest.mark.parametrize("algo", list(ALGOS))
 def test_a_run_on_no_columns_has_no_rows(algo):
-    assert run_factor_experiment(np.zeros((16, 0)), ExperimentConfig(algo=algo)) == []
+    for kind in SKETCH_KINDS:
+        cfg = ExperimentConfig(algo=algo, sketch=kind)
+        assert run_factor_experiment(np.zeros((16, 0)), cfg) == [], kind
 
 
 @pytest.mark.parametrize("algo", ["rhqr-left", "rec-rhqr", "trim-left", "trim-right"])

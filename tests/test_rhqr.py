@@ -15,7 +15,7 @@ from sketchqr.linalg import (
     BreakdownError,
     factorization_errors,
 )
-from sketchqr.precision import policy_from_tag, round_to
+from sketchqr.precision import UNIT_ROUNDOFF, policy_from_tag, round_to
 from sketchqr.rhqr import (
     apply_reflectors_compact,
     lsq_via_implicit_q,
@@ -290,8 +290,8 @@ def test_multi_panel_block_agrees_with_left(rng, kind, scaling, tag):
         F = rhqr_block(W, om, block_size=bs, scaling=scaling, policy=policy)
         for name in ("U", "S", "T", "R"):
             got, want = getattr(F, name), getattr(ref, name)
-            assert np.linalg.norm(got - want) <= 20 * policy.u_low * np.linalg.norm(want), \
-                (bs, name)
+            bound = 20 * UNIT_ROUNDOFF[policy.low] * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= bound, (bs, name)
 
 
 def test_block_matches_unblocked(rng):

@@ -314,12 +314,23 @@ def test_gaussian_statistics():
     assert G.var() * op.ell == pytest.approx(1.0, rel=0.02)
 
 
-def test_gaussian_chunked_matches_cached(rng):
-    X = rng.standard_normal((50, 3))
-    op = GaussianSketch(8, 50, seed=2)
-    cached = op.apply(X)
-    op._cache.clear()  # force the row-block regeneration path
-    assert np.allclose(op.apply(X), cached, rtol=1e-15, atol=0)
+def test_gaussian_draws_its_rows_once(monkeypatch, rng):
+    # one Philox stream per row, all opened when the operator is built and
+    # none by an apply, also past 2**23 entries
+    streams = []
+
+    def counted(*args, _philox=np.random.Philox, **kwargs):
+        streams.append(kwargs.get("key"))
+        return _philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    op = GaussianSketch(2100, 4000, seed=1)
+    assert op.ell * op.n > 2**23
+    assert streams == [[1, i] for i in range(2100)]
+    x = rng.standard_normal(4000)
+    for _ in range(2):
+        op.apply(x)
+        assert len(streams) == 2100
 
 
 def test_srht_padding_and_subset():
