@@ -198,11 +198,12 @@ def run_factor_experiment(W, config):
     """Metric rows for config.algo on the leading j columns of W,
     j = every, 2*every, ..., m, all read off one run on W and one thin Q
     of it (see _measure); an n x 0 W has no rows.  A breakdown at
-    column c yields rows with a 'breakdown@c' status (and NaN metrics) from
-    the first affected width on.  W's columns are checked once up front:
-    from the first column c holding a NaN or an infinity on, rows get NaN
-    metrics and status 'nonfinite@c', unless a breakdown at an earlier
-    column names them.  A W that is not a matrix with n >= m raises ValueError.
+    column c (or a range overflow whose narrowest failing width is c) yields
+    rows of status 'breakdown@c' and NaN metrics from the first affected
+    width on.  W's columns are checked once up front: from the first column
+    c holding a NaN or an infinity on, rows get NaN metrics and status
+    'nonfinite@c', unless a breakdown at an earlier column names them.  A W
+    that is not a matrix with n >= m raises ValueError.
     """
     if config.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
@@ -221,7 +222,7 @@ def run_factor_experiment(W, config):
     Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))
     bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
     attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")
-    omega = out = broke = None
+    omega, out, cols = None, None, []
     if sketch_rows and attained:
         omega = make_sketch(config.sketch, ell, n - m if sketch_rows == TRAILING else n,
                             config.seed, s=config.s)
@@ -235,14 +236,15 @@ def run_factor_experiment(W, config):
             out = call(W[:, :attained], psi, config, policy)
             break
         except (BreakdownError, PrecisionRangeError) as exc:
-            # measure the columns before the failure by a run on them alone
-            col = getattr(exc, "column", attained)
-            broke = broke or f"breakdown@{col}"
-            attained = min(col - 1, attained - 1)
+            # measure the columns before the failure by a run on them alone; one
+            # that names no column is placed at the narrowest width that still fails
+            cols.append(getattr(exc, "column", None))
+            attained = min(cols[-1] or attained, attained) - 1
+    status = f"breakdown@{cols[0] or attained + 1}" if cols else status
     widths = sample_widths(m, config.every)
     done = [j for j in widths if j <= attained]
     rows = _measure(Wl, out, done) if done else []
-    return rows + [_nan_row(j, broke or status) for j in widths[len(done):]]
+    return rows + [_nan_row(j, status) for j in widths[len(done):]]
 
 
 def _q_r_sq(out, j):
@@ -296,22 +298,27 @@ def run_gmres_experiment(A, b, m, config, x0=None):
         def apply_basis(y):
             return Qext[:, :y.shape[0]] @ y
     k = H.shape[1]
+    if not k:
+        return []
     matvec = _as_operator(A)
-    AQ = np.stack([matvec(Qext[:, i]) for i in range(min(k, Qext.shape[1]))], axis=1) \
-        if k else np.zeros((n, 0))
+    # H is Hessenberg, so column i of A Q_k - Qext H involves only q_1 ..
+    # q_{i+2}: every width's relation residual is a leading block of this
+    # one, and cond(Q_{j+1}) is that of R_Q's leading block, as in _measure
+    D = np.stack([matvec(Qext[:, i]) for i in range(k)], axis=1)
+    D -= Qext @ H[:Qext.shape[1]]
+    col_d, col_q = np.linalg.norm(D, axis=0), np.linalg.norm(Qext, axis=0)
+    RQ = _householder_r(Qext)
     rows = []
     status = "ok" if k == m else f"closed@{k}"
     for j in range(1, k + 1):
         x, hist = _gmres_solve(H[: j + 1, :j], beta, x0, apply_basis)
-        ncols = min(j + 1, Qext.shape[1])
-        rel = np.linalg.norm(AQ[:, :j] - Qext[:, :ncols] @ H[:ncols, :j])
-        rel /= anorm * max(np.linalg.norm(Qext[:, :j]), 1e-300)
+        rel = np.linalg.norm(col_d[:j]) / (anorm * max(np.linalg.norm(col_q[:j]), 1e-300))
         rows.append(GmresRow(
             j=j,
             sketched_resid=float(hist[-1]),
             true_resid=float(np.linalg.norm(b - matvec(x))),
             relation_err=float(rel),
-            cond_basis=cond_number(Qext[:, :ncols]),
+            cond_basis=cond_number(RQ[:j + 1, :j + 1]),
             status=status,
         ))
     return rows

@@ -198,9 +198,12 @@ def hessenberg_lstsq(H, beta):
     Returns (y, resid, hist) with resid the magnitude of the last rotated
     right-hand-side entry and hist the running residuals
     [|beta|, after column 1, ..., after column k].  A zero subcolumn skips
-    its rotation and the dependent coordinate gets a zero coefficient.
+    its rotation; a zero rotated pivot zeroes its coordinate and warns
+    (RuntimeWarning).  An H that is not (k+1) x k raises ValueError.
     """
     H = as_array(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] + 1:
+        raise ValueError(f"Hessenberg H must be (k+1) x k, got shape {H.shape}")
     p, k = H.shape
     R = H.copy()
     g = np.zeros(p)
@@ -224,10 +227,11 @@ def hessenberg_lstsq(H, beta):
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
         if R[i, i] == 0.0:
+            warnings.warn("Hessenberg system is rank deficient; dependent "
+                          "coordinates were zeroed", RuntimeWarning)
             continue
         y[i] = (g[i] - R[i, i + 1: k] @ y[i + 1:]) / R[i, i]
-    resid = float(abs(g[k])) if p > k else 0.0
-    return y, resid, hist
+    return y, float(hist[-1]), hist
 
 
 def _gmres_solve(H, beta, x0, apply_basis):
@@ -235,9 +239,6 @@ def _gmres_solve(H, beta, x0, apply_basis):
     apply_basis(y) computes Q_k y; returns (x, resid_history) as
     hessenberg_lstsq's history gives it."""
     y, _, hist = hessenberg_lstsq(H, beta)
-    if np.any(np.diagonal(H) == 0.0):
-        warnings.warn("Hessenberg system is rank deficient; dependent "
-                      "coordinates were zeroed", RuntimeWarning)
     if H.shape[1] == 0:
         return x0.copy(), hist
     return x0 + apply_basis(y), hist

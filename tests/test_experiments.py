@@ -21,9 +21,10 @@ from sketchqr.experiments import (
     sample_widths,
     write_csv,
 )
+from sketchqr.krylov import arnoldi_q, rgs_arnoldi, rhqr_arnoldi
 from sketchqr.linalg import BreakdownError, cond_number, factorization_errors, orthogonality_error
 from sketchqr.precision import policy_from_tag
-from sketchqr.sketching import SKETCH_KINDS, GaussianSketch, SRHTSketch
+from sketchqr.sketching import SKETCH_KINDS, GaussianSketch, SRHTSketch, make_sketch
 
 
 @pytest.mark.parametrize("algo", list(ALGOS))
@@ -74,6 +75,15 @@ def test_a_tiny_column_breaks_down_or_stays_finite(algo):
             assert np.isfinite(r[1:-1]).all(), r
         else:
             assert r.status == "breakdown@3", r
+
+
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_a_range_overflow_is_placed_at_the_narrowest_failing_width(algo):
+    # rho ~ 1.6e5 of column 1 overflows half in the norm rounding; the
+    # overflow names no column, so the reruns down to width 1 place it
+    W = gen_cmatrix(512, 40) * 3e3
+    rows = run_factor_experiment(W, ExperimentConfig(algo=algo, precision="half", every=10))
+    assert [r.status for r in rows] == ["breakdown@1"] * 4
 
 
 @pytest.mark.parametrize("column", [1, 4])
@@ -409,6 +419,66 @@ def test_gmres_clustered_spectrum_converges(rng, algo):
     for r in rows:
         assert r.relation_err <= 1e-11
         assert r.cond_basis < 10.0
+
+
+def gmres_reference(A, b, m, cfg):
+    """(relation_err, cond_basis) of every iteration by the per-width
+    formulas, on the basis and Hessenberg of the runner's Arnoldi run."""
+    n, ell, policy = b.shape[0], cfg.sampling_size(m + 1), policy_from_tag(cfg.precision)
+    if cfg.algo == "rhqr":
+        bun = rhqr_arnoldi(A, b, None, m, make_sketch(cfg.sketch, ell, n - m - 1, cfg.seed),
+                           scaling=cfg.scaling, policy=policy)
+        Q, H = arnoldi_q(bun), bun.H
+    else:
+        Q, H, _, _ = rgs_arnoldi(A, b, None, m, make_sketch(cfg.sketch, ell, n, cfg.seed),
+                                 policy=policy)
+    out = []
+    for j in range(1, H.shape[1] + 1):
+        p = min(j + 1, Q.shape[1])
+        rel = np.linalg.norm(A @ Q[:, :j] - Q[:, :p] @ H[:p, :j])
+        out.append((rel / (np.linalg.norm(A) * np.linalg.norm(Q[:, :j])),
+                    cond_number(Q[:, :p])))
+    return out
+
+
+@pytest.mark.parametrize("algo", GMRES_ALGOS)
+def test_gmres_rows_match_the_per_width_formulas(rng, algo):
+    # relation_err and cond_basis are read off one relation residual and one
+    # R of the basis; in single the residual is set by the float32
+    # recurrence, far above the rounding of either way of evaluating it
+    n, m = 300, 25
+    A = rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n)
+    b = rng.standard_normal(n)
+    cfg = ExperimentConfig(algo=algo, sketch="gauss", seed=5, precision="single")
+    rows = run_gmres_experiment(A, b, m, cfg)
+    ref = np.array(gmres_reference(A, b, m, cfg))
+    assert [r.j for r in rows] == list(range(1, m + 1))
+    np.testing.assert_allclose([r.relation_err for r in rows], ref[:, 0], rtol=1e-8)
+    np.testing.assert_allclose([r.cond_basis for r in rows], ref[:, 1], rtol=1e-10)
+    # a space that closes early has k columns, not k + 1, to measure
+    rows = run_gmres_experiment(np.eye(n), b, m, cfg)
+    assert [(r.j, r.status) for r in rows] == [(1, "closed@1")]
+    ref = gmres_reference(np.eye(n), b, m, cfg)
+    np.testing.assert_allclose([rows[0].relation_err, rows[0].cond_basis], ref[0], rtol=1e-10)
+    assert run_gmres_experiment(A, b, 0, cfg) == []
+
+
+@pytest.mark.parametrize("algo", GMRES_ALGOS)
+def test_gmres_conds_take_no_n_row_basis(monkeypatch, algo):
+    # cond(Q_{j+1}) comes from a leading block of one R of the basis, never
+    # from an SVD of the n-row basis itself
+    n, m = 200, 12
+    shapes = []
+
+    def record(M):
+        shapes.append(np.shape(M))
+        return cond_number(M)
+
+    monkeypatch.setattr(experiments, "cond_number", record)
+    A = np.diag(np.linspace(1.0, 3.0, n))
+    rows = run_gmres_experiment(A, np.ones(n), m, ExperimentConfig(algo=algo, sketch="gauss"))
+    assert len(rows) == m
+    assert shapes and max(rows_in for rows_in, _ in shapes) <= m + 1
 
 
 @pytest.mark.parametrize("algo", GMRES_ALGOS)
