@@ -359,14 +359,18 @@ def test_grown_basis_solve_matches_pivoted_solve(c, extra, tag, seed):
 def test_grown_basis_solve_zeroes_a_dependent_column(c, extra, data, tag, seed):
     # the leading k columns (near the identity there) and column d live in
     # the leading k rows, so d lies in the span of the first k and its tail
-    # is exactly zero
+    # is exactly zero.  The perturbation of the identity is scaled to 2-norm
+    # 0.2, so the leading block's singular values lie in [0.8, 1.2]: an
+    # unscaled 0.2 * G can come near singular (cond 1.3e3 at k = 8), past
+    # what the conditioning-free tolerance below allows any solver
     k = data.draw(st.integers(1, c - 2))
     d = data.draw(st.integers(k, c - 1))
     policy = policy_from_tag(tag)
     hi = policy.high_dtype
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((2 * c + extra, c))
-    B[:k, :k] = np.eye(k) + 0.2 * B[:k, :k]
+    E = B[:k, :k]
+    B[:k, :k] = np.eye(k) + 0.2 * E / np.linalg.norm(E, 2)
     B[k:, :k] = 0.0
     B[k:, d] = 0.0
     B = (B / np.linalg.norm(B, axis=0)).astype(hi)
