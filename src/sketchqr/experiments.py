@@ -31,6 +31,7 @@ from .krylov import (
 )
 from .linalg import (
     BreakdownError,
+    _relative_errors,
     as_array,
     check_matrix,
     check_scaling,
@@ -179,15 +180,13 @@ def _measure(Wl, out, widths):
     RS = RQ if unsketched else _householder_r(SQ)
     rows = []
     for j in widths:
-        wf, df = np.linalg.norm(col_w[:j]), np.linalg.norm(col_d[:j])
-        # a zero column of W is measured against ||W||_F, as in factorization_errors
-        rel = col_d[:j] / np.where(col_w[:j] == 0.0, wf or 1.0, col_w[:j])
+        fro, worst = _relative_errors(col_w[:j], col_d[:j])
         rows.append(MetricRow(
             j=j,
             cond_q=cond_number(RQ[:j, :j]),
             cond_sq=cond_number(RS[:min(j, RS.shape[0]), :j]),
-            fro_rel_err=float(df / wf) if wf else float(df),
-            max_col_rel_err=float(rel.max()),
+            fro_rel_err=fro,
+            max_col_rel_err=worst,
             orth_err=float(np.linalg.norm(G[:j, :j])),
             status="ok",
         ))
@@ -266,7 +265,8 @@ def _q_r_sq(out, j):
 def run_gmres_experiment(A, b, m, config, x0=None):
     """Per-iteration GMRES metrics for an algo of GMRES_ALGOS: sketched and
     true residuals, the scaled Arnoldi relation error
-    ||A Q_j - Q_{j+1} H_j||_F / (||A||_F ||Q_j||_F), and cond(Q_{j+1}).
+    ||A Q_j - Q_{j+1} H_j||_F / (||A||_F ||Q_j||_F) (unscaled when A = 0, as
+    a zero W is in _relative_errors), and cond(Q_{j+1}).
 
     A is a scipy sparse or a dense matrix; a callable has no Frobenius norm
     to scale by and raises TypeError.  A non-finite Krylov column, r0
@@ -312,12 +312,12 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     status = "ok" if k == m else f"closed@{k}"
     for j in range(1, k + 1):
         x, hist = _gmres_solve(H[: j + 1, :j], beta, x0, apply_basis)
-        rel = np.linalg.norm(col_d[:j]) / (anorm * max(np.linalg.norm(col_q[:j]), 1e-300))
+        df, scale = np.linalg.norm(col_d[:j]), anorm * np.linalg.norm(col_q[:j])
         rows.append(GmresRow(
             j=j,
             sketched_resid=float(hist[-1]),
             true_resid=float(np.linalg.norm(b - matvec(x))),
-            relation_err=float(rel),
+            relation_err=float(df / scale if scale else df),
             cond_basis=cond_number(RQ[:j + 1, :j + 1]),
             status=status,
         ))

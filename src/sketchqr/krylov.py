@@ -77,9 +77,7 @@ def _as_operator(A):
     vectors read as float64."""
     if callable(A):
         return lambda v: A(as_array(v))
-    if scipy.sparse.issparse(A):
-        return lambda v: A @ as_array(v)
-    M = as_array(A)
+    M = A if scipy.sparse.issparse(A) else as_array(A)
     return lambda v: M @ as_array(v)
 
 
@@ -195,11 +193,12 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
 def hessenberg_lstsq(H, beta):
     """min_y ||beta e_1 - H y|| for upper-Hessenberg H by Givens rotations.
 
-    Returns (y, resid, hist) with resid the magnitude of the last rotated
-    right-hand-side entry and hist the running residuals
-    [|beta|, after column 1, ..., after column k].  A zero subcolumn skips
-    its rotation; a zero rotated pivot zeroes its coordinate and warns
-    (RuntimeWarning).  An H that is not (k+1) x k raises ValueError.
+    Returns (y, resid, hist) with hist the running residuals [|beta|, after
+    column 1, ..., after column k] and resid its last: the norm of the
+    right-hand-side entries no column reduces, the last rotated one and
+    those a zero subcolumn leaves when it skips its rotation.  A zero
+    rotated pivot zeroes its coordinate and warns (RuntimeWarning).  An H
+    that is not (k+1) x k raises ValueError.
     """
     H = as_array(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1] + 1:
@@ -210,12 +209,14 @@ def hessenberg_lstsq(H, beta):
     g[0] = float(beta)
     hist = np.zeros(k + 1)
     hist[0] = abs(float(beta))
+    lost = 0.0  # the norm of the entries skipped rotations leave
     for j in range(k):
         a = R[j, j]
         t = R[j + 1, j]
         r = float(np.hypot(a, t))
         if r == 0.0:
             cs, sn = 1.0, 0.0
+            lost = np.hypot(lost, g[j])
         else:
             cs, sn = a / r, t / r
         row1 = R[j, j:k].copy()
@@ -223,7 +224,7 @@ def hessenberg_lstsq(H, beta):
         R[j, j:k] = cs * row1 + sn * row2
         R[j + 1, j:k] = -sn * row1 + cs * row2
         g[j], g[j + 1] = cs * g[j] + sn * g[j + 1], -sn * g[j] + cs * g[j + 1]
-        hist[j + 1] = abs(g[j + 1])
+        hist[j + 1] = np.hypot(lost, g[j + 1])
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
         if R[i, i] == 0.0:

@@ -202,22 +202,21 @@ def factorization_errors(W, Q, R):
     and reported in flagged_columns.
     """
     W = as_array(W)
-    Q = as_array(Q)
-    R = as_array(R)
-    D = Q @ R
+    D = as_array(Q) @ as_array(R)
     np.subtract(W, D, out=D)
-    wf = np.linalg.norm(W)
-    fro = float(np.linalg.norm(D) / wf) if wf else float(np.linalg.norm(D))
     col_w = np.linalg.norm(W, axis=0)
-    col_d = np.linalg.norm(D, axis=0)
-    zero = col_w == 0.0
-    denom = np.where(zero, wf if wf else 1.0, col_w)
-    rel = col_d / denom
-    return FactorizationErrors(
-        fro_rel_err=fro,
-        max_col_rel_err=float(rel.max()) if rel.size else 0.0,
-        flagged_columns=tuple(np.nonzero(zero)[0].tolist()),
-    )
+    fro, worst = _relative_errors(col_w, np.linalg.norm(D, axis=0))
+    return FactorizationErrors(fro_rel_err=fro, max_col_rel_err=worst,
+                               flagged_columns=tuple(np.nonzero(col_w == 0.0)[0].tolist()))
+
+
+def _relative_errors(col_w, col_d):
+    """(Frobenius, largest column) relative error of a residual D of W, from
+    the column norms of W and of D.  A zero column of W is measured against
+    ||W||_F, and a zero W leaves both unscaled."""
+    wf, df = np.linalg.norm(col_w), np.linalg.norm(col_d)
+    rel = col_d / np.where(col_w == 0.0, wf or 1.0, col_w)
+    return float(df / wf) if wf else float(df), float(rel.max()) if rel.size else 0.0
 
 
 def orthogonality_error(Q):
@@ -235,6 +234,16 @@ def sign(v):
 def to_dtype(a, dtype):
     a = np.asarray(a)
     return a if a.dtype == dtype else a.astype(dtype)
+
+
+class ReflectorStep(NamedTuple):
+    """A column step's reflector: u (rh_vector: n long; trim_rh_vector: the
+    tail from the pivot on), s, the sketch of u, and the update's scalars."""
+    u: np.ndarray
+    s: np.ndarray
+    sigma: float
+    rho: float
+    beta: float
 
 
 def _extend_t(T, p, beta, c, hi=np.float64):
@@ -258,8 +267,8 @@ def _compact_update(U, T, X, C, transpose_t, policy):
     """The compact-form step's arithmetic on a block X given its
     coefficient product C = S^t Psi X in policy.high: returns X - U T C in
     policy.low and the coefficients T C (T^t C with transpose_t) in
-    policy.high.  apply_reflectors_compact, _sweep's panel update, both right
-    sweeps' trailing updates and trim_rhqr_left's update run through it."""
+    policy.high.  apply_reflectors_compact (which forms C) and every
+    randomized sweep's update run through it."""
     lo = policy.low_dtype
     C = matmul_in(T.T if transpose_t else T, C, policy.high_dtype)
     P = matmul_in(U, C, lo)  # X - P lands in P's buffer: one n-row temporary

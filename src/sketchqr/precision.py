@@ -89,10 +89,6 @@ class PrecisionPolicy:
     def uniform(cls, tag):
         return cls(high=tag, low=tag)
 
-    @classmethod
-    def mixed(cls, high=DOUBLE, low=HALF):
-        return cls(high=high, low=low)
-
     @property
     def high_dtype(self):
         return DTYPES[self.high]
@@ -115,5 +111,5 @@ def policy_from_tag(tag):
     if tag not in PRECISION_TAGS:
         raise ValueError(f"unknown precision {tag!r}, expected one of {PRECISION_TAGS}")
     if tag == MIXED:
-        return PrecisionPolicy.mixed()
+        return PrecisionPolicy(high=DOUBLE, low=HALF)
     return PrecisionPolicy.uniform(tag)

@@ -24,6 +24,7 @@ from .baselines import sketch_qr
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    ReflectorStep,
     _compact_update,
     _extend_t,
     as_array,
@@ -42,18 +43,6 @@ from .linalg import (
 )
 from .precision import DOUBLE_POLICY, round_to
 from .sketching import EmbeddedSketch, _integer
-
-
-@dataclass
-class HouseholderStep:
-    """One reflector: vectors u and s = Psi u and the scalars the update
-    needs."""
-
-    u: np.ndarray
-    s: np.ndarray
-    sigma: float
-    rho: float
-    beta: float
 
 
 def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -104,33 +93,22 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         beta = float(hi(sigma * gamma / rho))  # |gamma|/rho
     u = round_to(u, policy.low)
     s = round_to(s, policy.high)
-    return HouseholderStep(u=u, s=s, sigma=sigma, rho=rho, beta=beta)
+    return ReflectorStep(u, s, sigma, rho, beta)
 
 
-def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY,
-                             C=None):
-    """(I - U T S^t Psi) X, or the reversed product with transpose_t=True,
-    returned in policy.low_dtype.
+def apply_reflectors_compact(U, S, T, X, psi, transpose_t=False, policy=DOUBLE_POLICY):
+    """(I - U T S^t Psi) X for a vector or a block X, or the reversed
+    product with transpose_t=True, returned in policy.low_dtype.
 
-    The compact-form step every sweep repeats: the sketch and the
-    n-dimensional update run in policy.low, the coefficient products in
-    policy.high.  U may be a block of linalg.low_storage.  X is rounded to
-    policy.low for the update; the sketch keeps its leading rows as given
-    (EmbeddedSketch).  C, shaped as X but with one row per reflector,
-    stands in for the coefficient product S^t Psi X when the caller has
-    formed it (the left-looking sweep forms it with T's new column,
-    _add_reflector); X is then not sketched.
+    The sketch in front of the compact-form kernel (linalg._compact_update),
+    for callers that do not hold the coefficients S^t Psi X: X is sketched
+    in policy.low and the coefficient products run in policy.high.  U may
+    be a block of linalg.low_storage.  X is rounded to policy.low for the
+    update; the sketch keeps its leading rows as given (EmbeddedSketch).
     """
-    X = np.asarray(X)
-    vec = X.ndim == 1
-    Xc = X[:, None] if vec else X
-    if C is None:
-        hi = policy.high_dtype
-        C = to_dtype(S, hi).T @ to_dtype(psi.apply(Xc, dtype=policy.low_dtype), hi)
-    elif vec:
-        C = C[:, None]
-    out = _compact_update(U, T, Xc, C, transpose_t, policy)[0]
-    return out[:, 0] if vec else out
+    hi = policy.high_dtype
+    C = to_dtype(S, hi).T @ to_dtype(psi.apply(X, dtype=policy.low_dtype), hi)
+    return _compact_update(U, T, X, C, transpose_t, policy)[0]
 
 
 def _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=0, y_next=None):
@@ -261,8 +239,7 @@ def _sweep(W, omega, block_size, scaling, policy):
             # single apply returns it
             w = panel[:, c - j0]
             if c > j0:
-                w = apply_reflectors_compact(U[:, j0:c], S[:, j0:c], T[j0:c, j0:c], w, psi,
-                                             transpose_t=True, policy=policy, C=coef)
+                w = _compact_update(U[:, j0:c], T[j0:c, j0:c], w, coef, True, policy)[0]
             y = psi.apply(w, dtype=lo) if c else Yp[:, 0].copy()
             y_next = Yp[:, c + 1 - j0] if c + 1 < j1 else zero
             coef = _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0,

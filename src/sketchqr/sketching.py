@@ -110,17 +110,6 @@ def _integer(name, v):
         raise ValueError(f"{name}={v!r} must be an integer") from None
 
 
-def _matmul_in(cast, M, X, dtype):
-    """M @ X in dtype's arithmetic (float32 for half, rounded to half once
-    at the end).  M is cast to that format on first use and kept in the
-    cast dict, so an apply does not copy the operator."""
-    adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
-    Ma = cast.get(adtype)
-    if Ma is None:
-        Ma = cast[adtype] = M.astype(adtype, copy=False)
-    return (Ma @ to_dtype(X, adtype)).astype(dtype, copy=False)
-
-
 class SketchOperator:
     """Base class: seeded linear map R^n -> R^ell applied column by column."""
 
@@ -130,6 +119,7 @@ class SketchOperator:
         self.seed = _integer("seed", seed)
         if self.ell < 1 or self.n < 1:
             raise ValueError(f"invalid sketch dimensions {ell} x {n}")
+        self._kept = {}
 
     @property
     def shape(self):
@@ -142,8 +132,19 @@ class SketchOperator:
         Y = self._apply(X, np.dtype(dtype))
         return Y[:, 0] if vec else Y
 
+    def _per_dtype(self, dtype, make):
+        """make(), made on the first apply in dtype and kept: an array of
+        the operator cast to the format that apply works in."""
+        if dtype not in self._kept:
+            self._kept[dtype] = make()
+        return self._kept[dtype]
+
     def _apply(self, X, dtype):
-        raise NotImplementedError
+        # an operator held as a matrix (Gaussian, sparse sign): one product
+        # in dtype's arithmetic, float32 for half, rounded to half once
+        adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
+        M = self._per_dtype(adtype, lambda: self._matrix.astype(adtype, copy=False))
+        return (M @ to_dtype(X, adtype)).astype(dtype, copy=False)
 
 
 class GaussianSketch(SketchOperator):
@@ -162,10 +163,6 @@ class GaussianSketch(SketchOperator):
             g = np.random.Generator(np.random.Philox(key=[self.seed, i]))
             self._matrix[i] = g.standard_normal(self.n)
         self._matrix *= self.ell ** -0.5
-        self._cast = {}
-
-    def _apply(self, X, dtype):
-        return _matmul_in(self._cast, self._matrix, X, dtype)
 
 
 class SRHTSketch(SketchOperator):
@@ -192,16 +189,13 @@ class SRHTSketch(SketchOperator):
         self.signs = (rng.integers(0, 2, self.n_pad) * 2 - 1).astype(np.float64)
         self.indices = rng.permutation(self.n_pad)[: self.ell].copy()
         self.scale = float(np.sqrt(self.n_pad / self.ell))
-        self._signed_scale = {}
 
     def _apply(self, X, dtype):
         adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
-        ss = self._signed_scale.get(dtype)
-        if ss is None:
-            # sign * scale: rounding is symmetric, so x * (sign * scale) has
-            # the bits of (x * scale) * sign
-            ss = self.signs[: self.n, None].astype(dtype) * dtype.type(self.scale)
-            self._signed_scale[dtype] = ss
+        # sign * scale: rounding is symmetric, so x * (sign * scale) has the
+        # bits of (x * scale) * sign
+        ss = self._per_dtype(dtype, lambda: self.signs[: self.n, None].astype(dtype)
+                             * dtype.type(self.scale))
         norm = adtype.type(self.n_pad) ** -0.5
         k = X.shape[1]
         Y = np.empty((self.ell, k), dtype=dtype)
@@ -243,7 +237,6 @@ class SparseSignSketch(SketchOperator):
         self._matrix = scipy.sparse.csc_array(
             (vals.T.ravel(), rows.T.ravel(), np.arange(0, s * n + 1, s)), shape=(ell, n)
         )
-        self._cast = {}
 
     @staticmethod
     def nonzeros(s, ell):
@@ -252,9 +245,6 @@ class SparseSignSketch(SketchOperator):
         if not 1 <= s <= ell:
             raise ValueError(f"nonzeros per column s={s} must lie in [1, ell={ell}]")
         return s
-
-    def _apply(self, X, dtype):
-        return _matmul_in(self._cast, self._matrix, X, dtype)
 
 
 class IdentitySketch(SketchOperator):
@@ -280,16 +270,13 @@ class ColumnScaledSketch(SketchOperator):
         self.m = int(m)
         self.scales = np.asarray(scales, dtype=np.float64)
         self.unit_column_sketches = unit_column_sketches
-        self._cast = {}
 
     def _apply(self, X, dtype):
-        scales = self._cast.get(dtype)
-        if scales is None:
-            # half scales are kept as float32: the product of two halves is
-            # exact there and is rounded to half once
-            adtype = np.float32 if dtype == np.float16 else dtype
-            scales = self.scales[:, None].astype(dtype).astype(adtype, copy=False)
-            self._cast[dtype] = scales
+        # half scales are kept as float32: the product of two halves is exact
+        # there and is rounded to half once
+        adtype = np.float32 if dtype == np.float16 else dtype
+        scales = self._per_dtype(dtype, lambda: self.scales[:, None].astype(dtype)
+                                 .astype(adtype, copy=False))
         Xs = (X.astype(dtype, copy=False) * scales).astype(dtype, copy=False)
         return self.base.apply(Xs, dtype=dtype)
 

@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     SCALE_SQRT2,
     BreakdownError,
+    ReflectorStep,
     _compact_update,
     _extend_t,
     as_array,
@@ -41,18 +42,6 @@ from .linalg import (
 )
 from .precision import DOUBLE_POLICY, round_to
 from .sketching import ColumnScaledSketch
-
-
-@dataclass
-class TrimStep:
-    """One trimmed reflector at 1-based column j: tail vector v of length
-    n-j+1, its sketch s = Omega [0; v], and the update scalars."""
-
-    v: np.ndarray
-    s: np.ndarray
-    sigma: float
-    rho: float
-    beta: float
 
 
 def normalize_leading_columns(omega, m):
@@ -92,7 +81,8 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     proceed, matching the main algorithm's convention.  sqrt2 scaling also
     stops when the scale 2/||Omega v||^2 overflows (scale_nonfinite), unit
     scaling on an exactly zero sketched pivot, or when dividing by it leaves
-    a non-finite value.  v comes back in policy.low_dtype and s in
+    a non-finite value.  Returns a ReflectorStep whose u is the tail vector
+    v, of length n-j+1, in policy.low_dtype, and s = Omega [0; v] in
     policy.high_dtype.
     """
     check_scaling(scaling)
@@ -152,7 +142,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
             )
     v = round_to(v, policy.low)
     vs = round_to(vs, policy.high)
-    return TrimStep(v=v, s=vs, sigma=sigma, rho=rho, beta=beta)
+    return ReflectorStep(v, vs, sigma, rho, beta)
 
 
 @dataclass
@@ -206,7 +196,7 @@ def _add_trim_reflector(w, c, omega, Eh, U, S, T, Tt, L, R, scaling, policy):
     T and T~ grow by _extend_t."""
     hi = policy.high_dtype
     step = trim_rh_vector(w[c:], omega, c + 1, scaling=scaling, policy=policy)
-    U[c:, c] = step.v
+    U[c:, c] = step.u
     S[:, c] = step.s
     R[:c, c] = w[:c]
     R[c, c] = -step.sigma * step.rho

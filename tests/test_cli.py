@@ -117,15 +117,20 @@ def test_gmres_with_no_iterations_writes_the_gmres_header(tmp_path, rng, algo):
 def test_gmres_rhs_forms(tmp_path, rng):
     p, A = spd_mtx(tmp_path, rng)
     v = rng.standard_normal(64)
-    vp = tmp_path / "b.mtx"
+    vp, sp = tmp_path / "b.mtx", tmp_path / "s.mtx"
     write_matrix_market(str(vp), v)
-    for rhs in ("random:7", f"file:{vp}"):
+    # a coordinate n x 1 file reads as its dense column
+    write_matrix_market(str(sp), scipy.sparse.csc_array(v[:, None]))
+    runs = []
+    for rhs in ("random:7", f"file:{vp}", f"file:{sp}"):
         out = tmp_path / "r.csv"
         rc = main(["gmres", "--algo", "rgs", "--matrix", str(p), "--rhs", rhs,
                    "--iters", "5", "--sketch", "gauss", "--out", str(out)])
         assert rc == 0
         _, rows = csv_rows(out)
         assert len(rows) == 5
+        runs.append(rows)
+    assert runs[1] == runs[2]
 
 
 def test_gmres_input_errors(tmp_path, rng):

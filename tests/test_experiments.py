@@ -464,6 +464,20 @@ def test_gmres_rows_match_the_per_width_formulas(rng, algo):
 
 
 @pytest.mark.parametrize("algo", GMRES_ALGOS)
+def test_gmres_zero_operator_reports_its_residuals(algo):
+    # the space closes at once; its one row keeps the residual of r0, and a
+    # zero ||A||_F leaves the (zero) relation residual unscaled
+    cfg = ExperimentConfig(algo=algo, sketch="gauss", seed=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_gmres_experiment(np.zeros((12, 12)), np.ones(12), 3, cfg)
+    assert [str(w.message) for w in caught if "rank deficient" not in str(w.message)] == []
+    assert [(r.j, r.status, r.relation_err) for r in rows] == [(1, "closed@1", 0.0)]
+    assert rows[0].sketched_resid > 0.0
+    assert rows[0].true_resid == pytest.approx(np.sqrt(12.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("algo", GMRES_ALGOS)
 def test_gmres_conds_take_no_n_row_basis(monkeypatch, algo):
     # cond(Q_{j+1}) comes from a leading block of one R of the basis, never
     # from an SVD of the n-row basis itself

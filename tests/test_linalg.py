@@ -74,6 +74,13 @@ def test_round_to_overflow_raises():
         round_to(1e39, "single")
     # infinities pass through untouched
     assert np.isposinf(round_to(np.inf, "half"))
+    with pytest.raises(ValueError, match="^unknown precision 'quad'"):
+        round_to(1.0, "quad")
+
+
+def test_round_to_reads_integers_as_float64():
+    r = round_to(np.array([1, 2049, -3]), "half")
+    assert r.dtype == np.float16 and r.tolist() == [1.0, 2048.0, -3.0]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -98,7 +105,7 @@ def test_unit_roundoffs():
 
 
 def test_policy_validation():
-    p = PrecisionPolicy.mixed()
+    p = policy_from_tag("mixed")
     assert p.high == DOUBLE and p.low == HALF
     p = PrecisionPolicy.uniform("single")
     assert p.high == SINGLE and p.low == SINGLE
@@ -151,6 +158,16 @@ def test_cond_number():
     assert cond_number(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-14)
     assert cond_number(np.zeros((4, 2))) == np.inf
     assert cond_number(np.diag([1.0, 0.0])) == np.inf
+    assert cond_number(np.array([[1.0, np.nan], [0.0, 1.0]])) == np.inf
+
+
+def test_right_tri_solve_refuses_a_b_it_cannot_overwrite():
+    R = np.eye(3)
+    fixed = np.ones((2, 3))
+    fixed.flags.writeable = False
+    for B in (fixed, np.ones((3, 2)).T):
+        with pytest.raises(ValueError, match="writable C-contiguous B"):
+            right_tri_solve(B, R)
 
 
 def test_cond_number_against_jacobi(rng):

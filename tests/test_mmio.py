@@ -312,6 +312,9 @@ COORD = "%%MatrixMarket matrix coordinate real general"
     ((COORD, "2 2"), "line 2: coordinate size line needs 3 integers, got '2 2'"),
     ((COORD, "2 x 1"), "line 2: coordinate size line needs integers, got '2 x 1'"),
     ((COORD, "2 2 -1"), "line 2: coordinate size line must be nonnegative"),
+    # indices past int64: the line walk finds no fault where loadtxt fails
+    ((COORD, "100000000000000000000 1 1", "99999999999999999999 1 1.0"),
+     "line 2: body after the size line does not parse"),
 ])
 def test_bad_entry_reports_its_line(tmp_path, lines, message):
     p = write_lines(tmp_path / "b.mtx", *lines)

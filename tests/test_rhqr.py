@@ -332,6 +332,22 @@ def test_block_refuses_a_non_integer_block_size(rng, bs):
         rhqr_block(W, SRHTSketch(32, 32, 1), block_size=bs)
 
 
+def test_block_refuses_a_block_size_below_one(rng):
+    with pytest.raises(ValueError, match="^block_size=0 must be >= 1$"):
+        rhqr_block(rng.standard_normal((40, 8)), SRHTSketch(32, 32, 1), block_size=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rec_rhqr_stops_on_a_singular_lift(seed):
+    # column 4 scaled into the subnormals leaves the lifting triangle a
+    # diagonal entry below the smallest normal
+    W = np.random.default_rng(seed).standard_normal((64, 6))
+    W[:, 3] *= 1e-310
+    with pytest.raises(BreakdownError, match="zero diagonal at column 4") as exc:
+        rec_rhqr(W, SRHTSketch(24, 58, 1))
+    assert (exc.value.column, exc.value.reason) == (4, "reconstruction_singular")
+
+
 @pytest.mark.parametrize("bs", [4, 7, 20])
 def test_block_sketches_each_panel_once(rng, bs):
     n, m = 80, 20

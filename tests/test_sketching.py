@@ -452,6 +452,20 @@ def test_sketches_reject_non_integer_dimensions_and_seed(make, name):
         make()
 
 
+def test_sketches_refuse_empty_dimensions():
+    for ell, n in ((0, 4), (4, 0)):
+        with pytest.raises(ValueError, match=f"^invalid sketch dimensions {ell} x {n}$"):
+            GaussianSketch(ell, n, 1)
+
+
+@pytest.mark.parametrize("cls", [SRHTSketch, GaussianSketch, SparseSignSketch])
+def test_sketches_read_an_integer_operand_as_float64(cls):
+    op = cls(8, 20, 3)
+    X = np.arange(40).reshape(20, 2)
+    for A in (X, X[:, 0]):
+        assert np.array_equal(op.apply(A), op.apply(A.astype(np.float64)))
+
+
 @pytest.mark.parametrize("cls", [SRHTSketch, GaussianSketch, SparseSignSketch])
 def test_sketches_accept_numpy_integers(cls):
     op = cls(np.int64(8), np.int32(20), np.uint8(3))

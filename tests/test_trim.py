@@ -99,7 +99,7 @@ def _check_single_column_matches_vector_kernel(rng, base):
     om = normalize_leading_columns(base, 1)
     step = trim_rh_vector(w, om, 1)
     F = trim_rhqr_left(w[:, None], om)
-    assert np.allclose(F.U[:, 0], step.v, atol=1e-14)
+    assert np.allclose(F.U[:, 0], step.u, atol=1e-14)
     assert np.allclose(F.S[:, 0], step.s, atol=1e-14)
     assert F.R[0, 0] == pytest.approx(-step.sigma * step.rho, rel=1e-14)
 
@@ -183,7 +183,7 @@ def test_single_reflector_eliminates_tail(rng):
     head = w[: j - 1].copy()
     step = trim_rh_vector(w[j - 1:], om, j)
     Om = dense_operator_matrix(om)
-    H = dense_trim_reflector(step.v, Om, j)
+    H = dense_trim_reflector(step.u, Om, j)
     out = H @ w
     # coordinates before j never move, the tail collapses onto the pivot
     assert np.array_equal(out[: j - 1], head)
@@ -204,7 +204,7 @@ def test_sketch_commutation(seed, j):
     Omj = Om.copy()
     Omj[:, : j - 1] = 0.0
     x = g.standard_normal(n)
-    H = dense_trim_reflector(step.v, Om, j)
+    H = dense_trim_reflector(step.u, Om, j)
     vs = step.s
     P = np.eye(Om.shape[0]) - (2.0 / (vs @ vs)) * np.outer(vs, vs)
     assert np.allclose(Omj @ (H @ x), P @ (Omj @ x), atol=1e-12 * np.linalg.norm(x))
@@ -224,6 +224,28 @@ def test_normalize_leading_columns(rng):
     dead[:, 2] = 0.0
     with pytest.raises(ValueError, match="column 3"):
         normalize_leading_columns(MatrixSketch(dead), 5)
+    with pytest.raises(ValueError, match="^cannot normalize 13 leading columns of 12 inputs$"):
+        normalize_leading_columns(MatrixSketch(dead), 13)
+
+
+@pytest.mark.parametrize("j", [0, 5])
+def test_trim_rh_vector_refuses_an_index_outside_the_coordinates(j):
+    om = normalize_leading_columns(GaussianSketch(3, 4, 1), 2)
+    with pytest.raises(ValueError, match=f"^elimination index {j} outside 4 coordinates$"):
+        trim_rh_vector(np.ones(4), om, j)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sweep", [trim_rhqr_left, trim_rhqr_right])
+def test_unit_scaling_stops_when_its_pivot_overflows_the_reflector(sweep, seed):
+    # column 3 scaled by 1e-160 has a sketched reflector norm whose square
+    # underflows, so the scale 2/||Omega v||^2 overflows and beta stays inf
+    # after the division by the (finite) pivot
+    W = np.random.default_rng(seed).standard_normal((64, 6))
+    W[:, 2] *= 1e-160
+    with pytest.raises(BreakdownError, match="unit scaling degenerated at column 3") as exc:
+        sweep(W, SRHTSketch(24, 64, 2), scaling=SCALE_UNIT)
+    assert (exc.value.column, exc.value.reason) == (3, "scale_nonfinite")
 
 
 def test_breakdown_on_exact_dependence():
