@@ -342,18 +342,20 @@ def _gram_schmidt(W, policy, modified):
 
 
 def _rgs_step(w, p, c, Q, R, basis, omega, policy):
-    """The randomized Gram-Schmidt column step: the coefficients of p = Omega w
-    in the sketched basis (basis.lstsq) become R[:c, c], w is updated against
-    Q[:, :c] and sketched again, and its sketched norm h becomes R[c, c].
-    Returns (w, Omega w, h); an h that is not finite raises BreakdownError
-    (scale_nonfinite), and what a zero or tiny h means, and the
-    normalization, are left to the caller."""
+    """The randomized Gram-Schmidt column step on w, held in policy.low and
+    not written to: the coefficients of p = Omega w in the sketched basis
+    (basis.lstsq) become R[:c, c], w is updated against Q[:, :c] (in the
+    product's buffer) and sketched again, and its sketched norm h becomes
+    R[c, c].  Returns (w, Omega w, h); an h that is not finite raises
+    BreakdownError (scale_nonfinite), and what a zero or tiny h means, and
+    the normalization, are left to the caller."""
     lo = policy.low_dtype
     z = p
     if c:
         r = basis.lstsq(p)
         R[:c, c] = r
-        w = w - matmul_in(Q[:, :c], r, lo)
+        P = matmul_in(Q[:, :c], r, lo)
+        w = np.subtract(w, P, out=P)
         z = omega.apply(w, dtype=lo)
     h = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
     if not np.isfinite(h):

@@ -25,6 +25,7 @@ from .krylov import (
     _as_operator,
     _gmres_solve,
     _krylov_input,
+    _operand,
     arnoldi_q,
     rgs_arnoldi,
     rhqr_arnoldi,
@@ -280,11 +281,13 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     n = b.shape[0]
     ell = config.sampling_size(m + 1)
     anorm = _operator_fro_norm(A)
+    # the solve and the measurements below share one conversion of A
+    op = _operand(A)
     if config.algo == "rhqr":
         if m > n - 2:
             raise ValueError(f"the rhqr solver needs iters <= n - 2 = {n - 2}, got {m}")
         omega = make_sketch(config.sketch, ell, n - m - 1, config.seed, s=config.s)
-        bundle = rhqr_arnoldi(A, b, x0, m, omega, scaling=config.scaling,
+        bundle = rhqr_arnoldi(op, b, x0, m, omega, scaling=config.scaling,
                               policy=policy)
         H, beta = bundle.H, bundle.beta
         Qext = arnoldi_q(bundle)
@@ -293,14 +296,14 @@ def run_gmres_experiment(A, b, m, config, x0=None):
             return _apply_basis(bundle, y, policy)
     else:
         omega = make_sketch(config.sketch, ell, n, config.seed, s=config.s)
-        Qext, H, beta, _ = rgs_arnoldi(A, b, x0, m, omega, policy=policy)
+        Qext, H, beta, _ = rgs_arnoldi(op, b, x0, m, omega, policy=policy)
 
         def apply_basis(y):
             return Qext[:, :y.shape[0]] @ y
     k = H.shape[1]
     if not k:
         return []
-    matvec = _as_operator(A)
+    matvec = _as_operator(op)
     # H is Hessenberg, so column i of A Q_k - Qext H involves only q_1 ..
     # q_{i+2}: every width's relation residual is a leading block of this
     # one, and cond(Q_{j+1}) is that of R_Q's leading block, as in _measure
@@ -326,7 +329,9 @@ def run_gmres_experiment(A, b, m, config, x0=None):
 
 def _operator_fro_norm(A):
     if scipy.sparse.issparse(A):
-        return float(np.sqrt(A.multiply(A).sum()))
+        # summed in CSC order, so a matrix and its CSR copy give one norm
+        C = A.tocsc()
+        return float(np.sqrt(C.multiply(C).sum()))
     return float(np.linalg.norm(as_array(A)))
 
 

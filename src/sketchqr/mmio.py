@@ -6,8 +6,8 @@ digits so a write/read round trip reproduces doubles bit for bit.
 
 Accepted grammar.  Line 1 is the banner.  Then come comment lines (first
 non-blank character '%') and blank lines, then the size line: 'rows cols
-nnz' for coordinate files, 'rows cols' for array files, nonnegative
-integers only.  Every later line is an entry, a comment or blank.  An entry
+nnz' for coordinate files, 'rows cols' for array files, integers from 0 to
+2^63 - 1 only.  Every later line is an entry, a comment or blank.  An entry
 holds 'i j value' (coordinate; 1-based indices, and for symmetric storage
 i >= j) or one 'value' (array; column-major, and for symmetric storage the
 lower triangle only).  Tokens are separated by whitespace, lines end at a
@@ -31,6 +31,8 @@ import scipy.sparse
 BANNER = "%%MatrixMarket"
 
 _COORD = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# the largest size the body's int64 index fields can be checked against
+_INT64_MAX = np.iinfo(np.int64).max
 # entries formatted per write() call by the writer
 _CHUNK = 4096
 
@@ -69,6 +71,8 @@ def _ints(lineno, line, count, what):
         _fail(lineno, f"{what} needs integers, got {line.strip()!r}")
     if any(v < 0 for v in vals):
         _fail(lineno, f"{what} must be nonnegative")
+    if any(v > _INT64_MAX for v in vals):
+        _fail(lineno, f"{what} holds an integer past int64, got {line.strip()!r}")
     return vals
 
 

@@ -312,9 +312,15 @@ COORD = "%%MatrixMarket matrix coordinate real general"
     ((COORD, "2 2"), "line 2: coordinate size line needs 3 integers, got '2 2'"),
     ((COORD, "2 x 1"), "line 2: coordinate size line needs integers, got '2 x 1'"),
     ((COORD, "2 2 -1"), "line 2: coordinate size line must be nonnegative"),
-    # indices past int64: the line walk finds no fault where loadtxt fails
+    # a size past int64 is refused on its own line, before the body is read
     ((COORD, "100000000000000000000 1 1", "99999999999999999999 1 1.0"),
-     "line 2: body after the size line does not parse"),
+     "line 2: coordinate size line holds an integer past int64, "
+     "got '100000000000000000000 1 1'"),
+    ((COORD, "99999999999999999999 3 1", "1 1 2.0"),
+     "line 2: coordinate size line holds an integer past int64, "
+     "got '99999999999999999999 3 1'"),
+    ((COORD, "2 2 1", "99999999999999999999 1 1.0"),
+     "line 3: row index 99999999999999999999 outside 1..2"),
 ])
 def test_bad_entry_reports_its_line(tmp_path, lines, message):
     p = write_lines(tmp_path / "b.mtx", *lines)
