@@ -12,8 +12,10 @@ machine record and, per workload, each end-to-end metric's five values
 with their median, quartiles and unit, the attempted and failed
 operations summed over the six runs, and the traced run's per-layer
 metrics.  A run that perfbench does not call correct stops the recording.
-Nothing here imports perfbench or sketchqr.  A recording takes
-about 12 minutes.
+It then runs bench/reference.py in its own process and keeps its JSON (the
+in-process reference lines and one Tier-1 wall time) under "reference".
+Nothing here imports perfbench or sketchqr.  A recording takes about 16
+minutes.
 """
 
 import argparse
@@ -54,6 +56,13 @@ def git(*args):
                           text=True).stdout.strip()
 
 
+def reference():
+    """The JSON that bench/reference.py prints on its last stdout line."""
+    out = subprocess.run(["python3", os.path.join("bench", "reference.py")], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def record(label):
     contract = load_json("BENCHMARK.json")
     seconds = contract["run_seconds"]
@@ -91,6 +100,7 @@ def record(label):
         "run_seconds": seconds,
         "seeds": list(SEEDS),
         "workloads": workloads,
+        "reference": reference(),
     }
 
 

@@ -2,10 +2,13 @@
 classical/modified Gram-Schmidt, randomized Gram-Schmidt (one-sketch and
 BLAS-2 variants), and randomized Cholesky QR.
 
-householder_qr deliberately does not share reflector internals with the
+householder_qr deliberately shares no reflector arithmetic with the
 randomized module, not even the T recursion linalg._extend_t that the RGS
-solvers (_BasisQR, _TBasis) use: the equivalence of the two on sketched inputs is
-one of the things the test suite checks, so the routes stay separate.
+solvers (_BasisQR, _TBasis) use: the equivalence of the two on sketched
+inputs is one of the things the test suite checks, so its sign, gamma,
+beta, scaling and T stay its own.  It shares only the stop rule on the
+pivot norm, linalg.column_norm, as every column step does: kept apart,
+the copies of that rule went wrong in the same way.
 sketch_qr, which rec_rhqr and rand_cholesky_qr factor their sketch with,
 runs LAPACK's xGEQRT where it can; criterion 2 still compares the sweeps
 against householder_qr, a route of its own.
@@ -23,6 +26,7 @@ from .linalg import (
     as_array,
     check_scaling,
     check_sketch,
+    column_norm,
     compact_q,
     factor_input,
     low_storage,
@@ -58,9 +62,9 @@ def householder_qr(A, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     materialized as [I;0] - U T U1^t and U, T ride along in aux.  Reflector
     c's sigma is -sign(R[c, c]), its rho |R[c, c]|, its beta T[c, c].  An
     exactly zero tail (column dependent on its predecessors) raises
-    BreakdownError, and so does, with sqrt2 scaling, a tail so tiny that the
-    scale 1/(rho sigma gamma) overflows; a merely tiny tail proceeds like
-    any textbook implementation.
+    BreakdownError, and so do a tail norm that is not finite and, with
+    sqrt2 scaling, a tail so tiny that the scale 1/(rho sigma gamma)
+    overflows; a merely tiny tail proceeds like any textbook implementation.
     """
     U, T, R = _householder(A, scaling, policy)
     # aux["U"] is a C-contiguous copy, made before Q so the store is freed
@@ -89,10 +93,7 @@ def _householder(A, scaling, policy):
         # u is built in float64, where the norm accumulates
         u = np.zeros(p)
         u[c:] = w[c:]
-        rho = float(round_to(np.linalg.norm(u[c:]), policy.high))
-        if rho == 0.0:
-            raise BreakdownError(f"column {c + 1} exactly dependent on its predecessors",
-                                 column=c + 1, reason="dependent_column")
+        rho = column_norm(u[c:], c + 1, policy, zero="dependent_column")
         sigma = sign(u[c])
         gamma = float(hi(u[c] + sigma * rho))
         beta = float(hi(1.0 / (rho * sigma * gamma)))
@@ -326,13 +327,7 @@ def _gram_schmidt(W, policy, modified):
             r = Qw[:, :c].T @ w
             R[:c, c] = r
             w = w - matmul_in(Q[:, :c], r, lo)
-        rjj = float(round_to(np.linalg.norm(to_dtype(w, np.float64)), policy.high))
-        if not np.isfinite(rjj):
-            raise BreakdownError(f"pivot norm overflowed at column {c + 1}", column=c + 1,
-                                 reason="scale_nonfinite")
-        if rjj == 0.0:
-            raise BreakdownError(f"zero pivot norm at column {c + 1}", column=c + 1,
-                                 reason="zero_pivot")
+        rjj = column_norm(w, c + 1, policy, zero="zero_pivot")
         R[c, c] = rjj
         q = w / lo(rjj)
         Q[:, c] = q
@@ -347,8 +342,8 @@ def _rgs_step(w, p, c, Q, R, basis, omega, policy):
     (basis.lstsq) become R[:c, c], w is updated against Q[:, :c] (in the
     product's buffer) and sketched again, and its sketched norm h becomes
     R[c, c].  Returns (w, Omega w, h); an h that is not finite raises
-    BreakdownError (scale_nonfinite), and what a zero or tiny h means, and
-    the normalization, are left to the caller."""
+    BreakdownError (scale_nonfinite, linalg.column_norm), and what a zero
+    or tiny h means, and the normalization, are left to the caller."""
     lo = policy.low_dtype
     z = p
     if c:
@@ -357,10 +352,7 @@ def _rgs_step(w, p, c, Q, R, basis, omega, policy):
         P = matmul_in(Q[:, :c], r, lo)
         w = np.subtract(w, P, out=P)
         z = omega.apply(w, dtype=lo)
-    h = float(round_to(np.linalg.norm(to_dtype(z, np.float64)), policy.high))
-    if not np.isfinite(h):
-        raise BreakdownError(f"sketched norm overflowed at column {c + 1}", column=c + 1,
-                             reason="scale_nonfinite")
+    h = column_norm(z, c + 1, policy)
     R[c, c] = h
     return w, z, h
 

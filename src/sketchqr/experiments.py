@@ -25,7 +25,6 @@ from .krylov import (
     _as_operator,
     _gmres_solve,
     _krylov_input,
-    _operand,
     arnoldi_q,
     rgs_arnoldi,
     rhqr_arnoldi,
@@ -40,7 +39,7 @@ from .linalg import (
 )
 from .precision import PrecisionRangeError, policy_from_tag, round_to
 from .rhqr import RHQRFactors, rec_rhqr, rhqr_block, rhqr_left, rhqr_right, thin_q
-from .sketching import SKETCH_KINDS, EmbeddedSketch, SparseSignSketch, _integer, make_sketch
+from .sketching import SKETCH_KINDS, EmbeddedSketch, _integer, make_sketch
 from .trim import TrimFactors, trim_rhqr_left, trim_rhqr_right, trim_thin_q
 
 # Sketch rows: TRAILING sketches the n-m rows under the identity block of
@@ -200,10 +199,10 @@ def run_factor_experiment(W, config):
     of it (see _measure); an n x 0 W has no rows.  A breakdown at
     column c (or a range overflow whose narrowest failing width is c) yields
     rows of status 'breakdown@c' and NaN metrics from the first affected
-    width on.  W's columns are checked once up front: from the first column
-    c holding a NaN or an infinity on, rows get NaN metrics and status
-    'nonfinite@c', unless a breakdown at an earlier column names them.  A W
-    that is not a matrix with n >= m raises ValueError.
+    width on; the input gate's refusal of a NaN or an infinity first met in
+    column c (nonfinite_input) yields 'nonfinite@c'.  Below a failure the
+    leading columns are run alone, and the earliest failure found names the
+    rows.  A W that is not a matrix with n >= m raises ValueError.
     """
     if config.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
@@ -214,18 +213,13 @@ def run_factor_experiment(W, config):
     if sketch_rows == TRAILING and n <= m:
         raise ValueError(f"{config.algo} needs n > m: its sketch takes the n - m = {n - m} "
                          f"rows below the identity block")
-    ell = config.sampling_size(m)
-    # s is checked before the non-finite scan, unless W has no columns
-    if sketch_rows and config.sketch == "sparse" and m:
-        SparseSignSketch.nonzeros(config.s, ell)
+    omega = None
+    if sketch_rows and m:
+        omega = make_sketch(config.sketch, config.sampling_size(m),
+                            n - m if sketch_rows == TRAILING else n, config.seed, s=config.s)
     # errors are measured in float64 against the storage-rounded input
     Wl = W if policy.low_dtype == np.float64 else as_array(round_to(W, policy.low))
-    bad = np.flatnonzero(~np.isfinite(W).all(axis=0))
-    attained, status = (int(bad[0]), f"nonfinite@{bad[0] + 1}") if bad.size else (m, "ok")
-    omega, out, cols = None, None, []
-    if sketch_rows and attained:
-        omega = make_sketch(config.sketch, ell, n - m if sketch_rows == TRAILING else n,
-                            config.seed, s=config.s)
+    attained, out, status = m, None, "ok"
     while attained > 0:
         # a run on W[:, :c] sketches its n - c trailing rows by [I_{m-c}; Omega]:
         # [I_c; [I_{m-c}; Omega]] is the full run's [I_m; Omega] row for row
@@ -237,10 +231,11 @@ def run_factor_experiment(W, config):
             break
         except (BreakdownError, PrecisionRangeError) as exc:
             # measure the columns before the failure by a run on them alone; one
-            # that names no column is placed at the narrowest width that still fails
-            cols.append(getattr(exc, "column", None))
-            attained = min(cols[-1] or attained, attained) - 1
-    status = f"breakdown@{cols[0] or attained + 1}" if cols else status
+            # that names no column is placed at the narrowest width that still
+            # fails.  Each failure lies before the last, so the last names the rows
+            c = min(getattr(exc, "column", None) or attained, attained)
+            gate = getattr(exc, "reason", None) == "nonfinite_input"
+            status, attained = f"{'nonfinite' if gate else 'breakdown'}@{c}", c - 1
     widths = sample_widths(m, config.every)
     done = [j for j in widths if j <= attained]
     rows = _measure(Wl, out, done) if done else []
@@ -282,12 +277,12 @@ def run_gmres_experiment(A, b, m, config, x0=None):
     ell = config.sampling_size(m + 1)
     anorm = _operator_fro_norm(A)
     # the solve and the measurements below share one conversion of A
-    op = _operand(A)
+    matvec = _as_operator(A)
     if config.algo == "rhqr":
         if m > n - 2:
             raise ValueError(f"the rhqr solver needs iters <= n - 2 = {n - 2}, got {m}")
         omega = make_sketch(config.sketch, ell, n - m - 1, config.seed, s=config.s)
-        bundle = rhqr_arnoldi(op, b, x0, m, omega, scaling=config.scaling,
+        bundle = rhqr_arnoldi(matvec, b, x0, m, omega, scaling=config.scaling,
                               policy=policy)
         H, beta = bundle.H, bundle.beta
         Qext = arnoldi_q(bundle)
@@ -296,14 +291,13 @@ def run_gmres_experiment(A, b, m, config, x0=None):
             return _apply_basis(bundle, y, policy)
     else:
         omega = make_sketch(config.sketch, ell, n, config.seed, s=config.s)
-        Qext, H, beta, _ = rgs_arnoldi(op, b, x0, m, omega, policy=policy)
+        Qext, H, beta, _ = rgs_arnoldi(matvec, b, x0, m, omega, policy=policy)
 
         def apply_basis(y):
             return Qext[:, :y.shape[0]] @ y
     k = H.shape[1]
     if not k:
         return []
-    matvec = _as_operator(op)
     # H is Hessenberg, so column i of A Q_k - Qext H involves only q_1 ..
     # q_{i+2}: every width's relation residual is a leading block of this
     # one, and cond(Q_{j+1}) is that of R_Q's leading block, as in _measure

@@ -27,11 +27,11 @@ import scipy.sparse
 from .baselines import _BasisQR, _rgs_step
 from .linalg import (
     SCALE_SQRT2,
-    BreakdownError,
     as_array,
     check_finite,
     check_scaling,
     check_sketch,
+    column_norm,
     compact_q,
     low_storage,
     matmul_in,
@@ -81,22 +81,15 @@ def _krylov_input(A, b, x0, m):
     return b, x0, m
 
 
-def _operand(A):
-    """A as the solvers apply it: a callable as given, a scipy sparse matrix
-    as CSR, anything else as a float64 array.  CSR adds each row's products
-    in the column order CSC's scatter does, so A v keeps CSC's bits in
-    about 0.6 of its time.  The conversion leaves A as it is and returns a
-    CSR A itself."""
-    if callable(A):
-        return A
-    return A.tocsr() if scipy.sparse.issparse(A) else as_array(A)
-
-
 def _as_operator(A):
-    """v -> A v, for v read as float64, with A converted once by _operand."""
-    M = _operand(A)
-    if callable(M):
-        return lambda v: M(as_array(v))
+    """v -> A v, for v read as float64: a callable A is used as given, a
+    scipy sparse A is converted once to CSR (a CSR A is used itself), and
+    anything else is read as a float64 array.  CSR adds each row's products
+    in the column order CSC's scatter does, so A v keeps CSC's bits in
+    about 0.6 of its time."""
+    if callable(A):
+        return lambda v: A(as_array(v))
+    M = A.tocsr() if scipy.sparse.issparse(A) else as_array(A)
     return lambda v: M @ as_array(v)
 
 
@@ -117,16 +110,12 @@ class KrylovBundle:
     beta: float
     breakdown: int = None
 
-    @property
-    def dim(self):
-        return self.H.shape[1]
-
 
 def arnoldi_q(bundle, cols=None):
     """Materialize basis columns q_1..q_cols from the compact form.
 
-    cols may go up to the number of stored reflectors; cols = dim + 1 gives
-    the extended basis Q_{m+1} of the Arnoldi relation.
+    cols may go up to the number of stored reflectors; cols = k + 1, for H
+    of k columns, gives the extended basis Q_{k+1} of the Arnoldi relation.
     """
     r = np.shape(bundle.U)[1]
     c = r if cols is None else cols
@@ -176,12 +165,8 @@ def rhqr_arnoldi(A, b, x0, m, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     for c in range(m + 1):
         # the sketch is read in float64: the norms, and rh_vector's pivot
         z = to_dtype(psi.apply(w, dtype=lo), np.float64)
-        tail = float(np.linalg.norm(z[c:]))
-        nz = float(np.linalg.norm(z))
-        if not (np.isfinite(tail) and np.isfinite(nz)):
-            raise BreakdownError(f"sketched norm overflowed at column {c + 1}", column=c + 1,
-                                 reason="scale_nonfinite")
-        if tail <= 32.0 * policy.u_high * nz:
+        tail = column_norm(z[c:], c + 1, policy)
+        if tail <= 32.0 * policy.u_high * column_norm(z, c + 1, policy):
             # the new direction is numerically inside the span already: close
             # the space, finishing the current Hessenberg column with the
             # (tiny) subdiagonal the reflector would have produced
@@ -304,7 +289,7 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
     for c in range(m + 1):
         p = omega.apply(w, dtype=lo)
         w, z, h = _rgs_step(w, p, c, Q, R, basis, omega, policy)
-        if h <= 32.0 * policy.u_high * float(np.linalg.norm(to_dtype(p, np.float64))):
+        if h <= 32.0 * policy.u_high * column_norm(p, c + 1, policy):
             attained = c
             break
         Q[:, c] = w / lo(h)

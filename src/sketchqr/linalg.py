@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .precision import DOUBLE_POLICY, round_to
+from .precision import DOUBLE_POLICY, PrecisionRangeError, round_to
 
 
 BREAKDOWN_REASONS = ("tail_annihilated", "scale_nonfinite", "reflector_cancelled", "zero_pivot",
@@ -85,6 +85,24 @@ def check_finite(X, first=1):
         raise BreakdownError(f"non-finite input in column {c}", column=c,
                              reason="nonfinite_input")
     return X
+
+
+def column_norm(v, column, policy, zero=None):
+    """The pivot norm of every column step: ||v||, accumulated in float64
+    and rounded to policy.high.  A norm not finite there raises
+    BreakdownError (scale_nonfinite) at the 1-based `column`; given a reason
+    `zero`, so does an exactly zero norm, with that reason."""
+    try:
+        nrm = float(round_to(np.linalg.norm(to_dtype(v, np.float64)), policy.high))
+    except PrecisionRangeError:  # past policy.high's range
+        nrm = np.inf
+    if not np.isfinite(nrm):
+        raise BreakdownError(f"norm is not finite in {policy.high} at column {column}",
+                             column=column, reason="scale_nonfinite")
+    if nrm == 0.0 and zero is not None:
+        raise BreakdownError(f"zero norm at column {column} ({zero})", column=column,
+                             reason=zero)
+    return nrm
 
 
 def check_prefix(j, m):

@@ -32,6 +32,7 @@ from .linalg import (
     check_prefix,
     check_scaling,
     check_sketch,
+    column_norm,
     compact_q,
     factor_input,
     low_storage,
@@ -51,9 +52,9 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     j is 1-based and must lie inside the identity block of the embedding, so
     y[j-1] == w[j-1] exactly.  sign(0) = +1; rho and beta are computed in
     policy.high, u is returned in policy.low_dtype and s in
-    policy.high_dtype.  Raises BreakdownError only when
-    the sketched tail is exactly annihilated (rho == 0) or the reflector
-    scale degenerates to a non-finite number: a tail sitting at the rounding
+    policy.high_dtype.  Raises BreakdownError only when the sketched tail
+    is exactly annihilated (rho == 0), or rho (linalg.column_norm) or the
+    reflector scale is not finite: a tail sitting at the rounding
     noise floor still defines a perfectly unitary reflector, and the process
     is expected to keep going through numerically singular columns (that
     unconditional behavior is the whole point of the method).
@@ -66,10 +67,7 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     if not 0 <= jj < y.shape[0]:
         raise ValueError(f"elimination index {j} outside sketch of length {y.shape[0]}")
     hi = policy.high_dtype
-    rho = float(round_to(np.linalg.norm(y[jj:]), policy.high))
-    if rho == 0.0:
-        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
-                             reason="tail_annihilated")
+    rho = column_norm(y[jj:], j, policy, zero="tail_annihilated")
     sigma = sign(y[jj])
     gamma = float(hi(y[jj] + sigma * rho))
     beta = float(hi(1.0 / (rho * sigma * gamma)))  # == 2/||s||^2, positive for either sigma

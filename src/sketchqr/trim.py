@@ -33,6 +33,7 @@ from .linalg import (
     check_prefix,
     check_scaling,
     check_sketch,
+    column_norm,
     compact_q,
     factor_input,
     low_storage,
@@ -78,11 +79,12 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     the sketched tail is exactly annihilated (rho == 0) or when the sketched
     reflector vector cancels, which the sign choice cannot rule out once the
     pivot's sketched column may anti-align with the tail; noise-floor tails
-    proceed, matching the main algorithm's convention.  sqrt2 scaling also
-    stops when the scale 2/||Omega v||^2 overflows (scale_nonfinite), unit
-    scaling on an exactly zero sketched pivot, or when dividing by it leaves
-    a non-finite value.  Returns a ReflectorStep whose u is the tail vector
-    v, of length n-j+1, in policy.low_dtype, and s = Omega [0; v] in
+    proceed, matching the main algorithm's convention.  A sketched norm
+    that is not finite stops it (linalg.column_norm), as does sqrt2 scaling
+    when 2/||Omega v||^2 overflows (scale_nonfinite), and unit scaling on
+    an exactly zero sketched pivot or when dividing by it leaves a
+    non-finite value.  Returns a ReflectorStep whose u is the tail vector v,
+    of length n-j+1, in policy.low_dtype, and s = Omega [0; v] in
     policy.high_dtype.
     """
     check_scaling(scaling)
@@ -99,17 +101,14 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     x[jj:] = w_tail
     # the sketches, v and the norms are worked in float64
     z = to_dtype(omega.apply(x, dtype=lo), np.float64)
-    rho = float(round_to(np.linalg.norm(z), policy.high))
-    if rho == 0.0:
-        raise BreakdownError(f"sketched tail annihilated at column {j}", column=j,
-                             reason="tail_annihilated")
+    rho = column_norm(z, j, policy, zero="tail_annihilated")
     sigma = sign(w_tail[0])
     v = to_dtype(w_tail, np.float64).copy()
     v[0] += sigma * rho
     v[:] = round_to(v, policy.low)
     x[jj:] = v
     vs = to_dtype(omega.apply(x, dtype=lo), np.float64)
-    nv = float(round_to(np.linalg.norm(vs), policy.high))
+    nv = column_norm(vs, j, policy)
     if nv <= 8.0 * policy.u_high * (float(np.linalg.norm(z)) + rho):
         raise BreakdownError(
             f"sketched reflector vector cancelled at column {j} "

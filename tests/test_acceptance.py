@@ -315,7 +315,7 @@ def test_criterion_09_gmres_quasi_optimal_vs_modified_gram_schmidt():
 
     omega = GaussianSketch(4 * (m + 1), n - m - 1, 910)
     bundle = rhqr_arnoldi(A, b, x0, m, omega)
-    k = bundle.dim
+    k = bundle.H.shape[1]
     r_rh = []
     for j in range(1, k + 1):
         y, _, _ = hessenberg_lstsq(bundle.H[: j + 1, :j], bundle.beta)

@@ -26,3 +26,10 @@ def test_newest_bench_file_holds_every_workload_and_metric():
             assert len(m["values"]) == len(bench["seeds"]), (name, metric["name"])
             assert m["q1"] <= m["median"] <= m["q3"], (name, metric["name"])
             assert m["unit"] == metric["unit"], (name, metric["name"])
+
+
+def test_newest_bench_file_reference_lines_are_well_formed():
+    # the in-process reference lines (bench/reference.py), in files that hold them
+    for name, case in newest_bench().get("reference", {}).get("cases", {}).items():
+        assert case["min"] <= case["median"] <= case["max"], name
+        assert case["unit"] and case["repeats"] >= 1, name

@@ -343,3 +343,17 @@ def test_too_many_rhqr_iterations_name_the_bound(tmp_path):
         main(argv + ["--iters", "5"])
     assert not out.exists()
     assert main(argv + ["--iters", "4", "--sketch", "gauss"]) == 0
+
+
+def test_a_run_that_returns_shows_the_warnings_it_raised(tmp_path):
+    # A = 0 closes the space at once and leaves H = 0, whose least-squares
+    # solve warns of the coordinate it zeroes; the run still writes its row
+    mtx = tmp_path / "zero.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n12 12 0\n")
+    out = tmp_path / "g.csv"
+    code, err = run_cli(["gmres", "--algo", "rhqr", "--sketch", "gauss", "--seed", "1",
+                         "--iters", "3", "--matrix", str(mtx), "--out", str(out)])
+    assert code == 0
+    assert "RuntimeWarning: Hessenberg system is rank deficient" in err
+    _, rows = csv_rows(out)
+    assert [r["status"] for r in rows] == ["closed@1"]

@@ -78,12 +78,35 @@ def test_a_tiny_column_breaks_down_or_stays_finite(algo):
 
 
 @pytest.mark.parametrize("algo", list(ALGOS))
-def test_a_range_overflow_is_placed_at_the_narrowest_failing_width(algo):
-    # rho ~ 1.6e5 of column 1 overflows half in the norm rounding; the
-    # overflow names no column, so the reruns down to width 1 place it
+def test_a_range_overflow_is_placed_at_the_narrowest_failing_width(algo, monkeypatch):
+    # column 1's norm, ~1.6e5, overflows half: every column step's norm
+    # rule (linalg.column_norm) names that column, so one run places it
+    # with no reruns below it
+    call, sketch_rows = ALGOS[algo]
+    calls = []
+    monkeypatch.setitem(ALGOS, algo, (lambda *a: calls.append(1) or call(*a), sketch_rows))
     W = gen_cmatrix(512, 40) * 3e3
     rows = run_factor_experiment(W, ExperimentConfig(algo=algo, precision="half", every=10))
     assert [r.status for r in rows] == ["breakdown@1"] * 4
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_an_overflowing_norm_breaks_down_at_its_own_column(algo):
+    # np.linalg.norm of column 3 (entries ~2^520) overflows float64: every
+    # column step stops there, before the inf reaches a later column; only
+    # the entry points whose norms come from LAPACK, which scales, factor
+    W = np.random.default_rng(1).standard_normal((64, 4))
+    W[:, 2] *= 2.0 ** 520
+    call, rows = ALGOS[algo]
+    omega = SRHTSketch(16, 60 if rows == TRAILING else 64, 0)
+    try:
+        call(W, omega, ExperimentConfig(algo=algo), policy_from_tag("double"))
+    except BreakdownError as exc:
+        assert (exc.reason, exc.column) == ("scale_nonfinite", 3)
+    else:
+        assert algo in ("rec-rhqr", "rcholqr")
 
 
 @pytest.mark.parametrize("column", [1, 4])
@@ -555,7 +578,7 @@ def test_runs_check_sparse_s_against_the_sampling_size():
 
 @pytest.mark.parametrize("algo", ["rgs", "rhqr-left", "rec-rhqr"])
 def test_runs_check_sparse_s_before_the_nonfinite_scan(algo):
-    # an s above ell is refused even where no run builds its sketch
+    # an s above ell is refused before the input gate refuses column 1
     W = gen_cmatrix(64, 8)
     W[3, 0] = np.nan
     with pytest.raises(ValueError, match="s=50 must lie in \\[1, ell=32\\]"):
