@@ -11,8 +11,10 @@ and max.  The factor algorithms are the entries of experiments.ALGOS,
 called on gen_cmatrix(16384, 600) in double, each sketched algorithm with
 its SRHT of ell = 4m (seed 43); geqrf is scipy.linalg.qr(mode="raw") and
 numpy.linalg.qr forms Q and R, both on the same matrix.  The Tier-1 suite
-then runs once, in its own process and on one BLAS thread too, and its
-wall time is reported whatever its outcome, with pytest's summary line.
+then runs once, in its own process and on one BLAS thread too, with src/
+on PYTHONPATH as ROADMAP's Tier-1 command sets it (the CLI tests start
+`python -m sketchqr` in processes of their own), and its wall time is
+reported whatever its outcome, with pytest's summary line.
 Prints one JSON object; bench/record.py stores it under "reference".  One
 round of the 14 calls takes about 56 s on a 2-core x86 machine, so the
 script takes about 6 minutes, the suite's run included.
@@ -82,9 +84,13 @@ def cases():
 
 def tier1():
     """One wall time of the Tier-1 suite, as a case of one call, with
-    pytest's summary line; pyproject.toml puts src/ on its path."""
+    pytest's summary line, with src/ on PYTHONPATH for the suite and the
+    processes it starts."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     t0 = time.perf_counter()
-    r = subprocess.run(TIER1, cwd=ROOT, capture_output=True, text=True)
+    r = subprocess.run(TIER1, cwd=ROOT, capture_output=True, text=True, env=env)
     wall = time.perf_counter() - t0
     lines = r.stdout.strip().splitlines()
     return {"median": wall, "min": wall, "max": wall, "unit": "s", "repeats": 1,

@@ -28,6 +28,7 @@ from .linalg import (
     check_sketch,
     column_norm,
     compact_q,
+    elementwise_in,
     factor_input,
     low_storage,
     matmul_in,
@@ -99,7 +100,7 @@ def _householder(A, scaling, policy):
         beta = float(hi(1.0 / (rho * sigma * gamma)))
         u[c] = gamma
         if scaling == SCALE_SQRT2:
-            if not np.isfinite(beta):
+            if beta == 0.0 or not np.isfinite(beta):
                 raise BreakdownError(f"reflector scale degenerated at column {c + 1} "
                                      f"(rho={rho:.3e})", column=c + 1, reason="scale_nonfinite")
             u *= float(hi(np.sqrt(beta)))
@@ -329,7 +330,7 @@ def _gram_schmidt(W, policy, modified):
             w = w - matmul_in(Q[:, :c], r, lo)
         rjj = column_norm(w, c + 1, policy, zero="zero_pivot")
         R[c, c] = rjj
-        q = w / lo(rjj)
+        q = elementwise_in(np.divide, w, rjj, lo)
         Q[:, c] = q
         if Qw is not Q:
             Qw[:, c] = q
@@ -378,8 +379,8 @@ def _rgs(W, omega, policy, Basis):
         if h == 0.0:
             raise BreakdownError(f"sketched pivot annihilated at column {c + 1}",
                                  column=c + 1, reason="zero_pivot")
-        Q[:, c] = w / lo(h)
-        basis.append(z / lo(h))
+        Q[:, c] = elementwise_in(np.divide, w, h, lo)
+        basis.append(elementwise_in(np.divide, z, h, lo))
     return as_array(Q), as_array(R), basis
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     check_sketch,
     column_norm,
     compact_q,
+    elementwise_in,
     low_storage,
     matmul_in,
     sign,
@@ -292,8 +293,8 @@ def rgs_arnoldi(A, b, x0, m, omega, policy=DOUBLE_POLICY):
         if h <= 32.0 * policy.u_high * column_norm(p, c + 1, policy):
             attained = c
             break
-        Q[:, c] = w / lo(h)
-        basis.append(z / lo(h))
+        Q[:, c] = elementwise_in(np.divide, w, h, lo)
+        basis.append(elementwise_in(np.divide, z, h, lo))
         if c < m:
             w = _column(matvec(Q[:, c]), c + 2, policy.low)
     k = m if attained is None else attained

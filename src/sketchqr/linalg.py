@@ -343,3 +343,36 @@ def matmul_in(A, B, dtype):
         return _half_matmul(A, B)
     return to_dtype(A, dtype) @ to_dtype(B, dtype)
 
+
+def elementwise_in(op, a, b, dtype, out=None):
+    """op(a, b), a binary ufunc (np.multiply or np.divide), in the
+    arithmetic of dtype, returned as dtype (written to `out`, which may be
+    an operand, if given).  a has the result's shape.
+
+    Both operands are rounded to dtype first.  float16 runs as one float32
+    op on a float32 copy of a, rounded to half once.  That is what numpy's
+    float16 loop computes, with float32's vector loop in place of its
+    scalar one: halves widen to float32 exactly, and a float32 product or
+    quotient of two halves rounded to half is the correctly rounded half
+    result, since 24 >= 2 * 11 + 2 significand bits (Figueroa, SIGNUM
+    Newsletter 30(3), 1995).  As in _half_matmul, a float32 operand must
+    already hold half values (the SRHT's float32 copy of its half scales),
+    and a NaN made from two NaNs may come out with the other sign; every
+    other bit is numpy's.  An `out` of float16 or float32 takes the
+    rounded result.
+    """
+    if dtype != np.float16:
+        return op(to_dtype(a, dtype), to_dtype(b, dtype), out=out)
+    r = _halves(a).astype(np.float32)
+    op(r, _halves(b), out=r)
+    if out is None:
+        return r.astype(np.float16)
+    out[...] = r if out.dtype == np.float16 else r.astype(np.float16)
+    return out
+
+
+def _halves(x):
+    """x's half values: x itself if it is float16 or float32 (taken to hold
+    halves), else x rounded to half."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else to_dtype(x, np.float16)

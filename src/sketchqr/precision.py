@@ -7,12 +7,15 @@ widens, and rounding through the native numpy dtype gives correctly rounded
 (round-to-nearest-even) results per elementary operation, which is the
 emulation model used by all the precision sweeps.  Norms accumulate in
 float64, and the entry points return float64 results.  Half arithmetic
-runs as float32 with one rounding to half per sum over the column count
-(linalg.matmul_in, an ordered einsum), bitwise equal to numpy's float16
-operations (but for the sign of a NaN made from two NaNs) and faster:
-numpy's float16 loops are several times slower than its float32 ones, and
-float16 has no BLAS kernel.  The sketches accumulate in float32 and round
-their result to half once (sketching.py).
+runs as float32, rounded to half once: per sum over the column count
+(linalg.matmul_in, an ordered einsum) and per elementwise product or
+quotient (linalg.elementwise_in: one float32 multiply or divide).  Both
+are bitwise equal to numpy's float16 operations (but for the sign of a
+NaN made from two NaNs), which compute the same, and faster: numpy's
+float16 loops are scalar, and float16 has no BLAS kernel.  Half
+subtracts, where float32 gains nothing, and half products that sum over n
+or ell keep numpy's float16 loop.  The sketches accumulate in float32 and
+round their result to half once (sketching.py).
 """
 
 from dataclasses import dataclass
@@ -60,6 +63,8 @@ def round_to(a, tag):
         return a.astype(dtype)
     with np.errstate(over="ignore"):
         r = a.astype(dtype)
+    if np.isfinite(r).all():
+        return r
     overflowed = np.isfinite(a) & ~np.isfinite(r)
     if np.any(overflowed):
         worst = np.max(np.abs(np.extract(overflowed, a)))

@@ -71,7 +71,9 @@ def rh_vector(w, y, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     sigma = sign(y[jj])
     gamma = float(hi(y[jj] + sigma * rho))
     beta = float(hi(1.0 / (rho * sigma * gamma)))  # == 2/||s||^2, positive for either sigma
-    if not np.isfinite(beta):
+    # in sqrt2 scaling a beta that rounds to 0 would make u = 0 and the
+    # reflector the identity
+    if not np.isfinite(beta) or (beta == 0.0 and scaling == SCALE_SQRT2):
         raise BreakdownError(f"reflector scale degenerated at column {j} (rho={rho:.3e})",
                              column=j, reason="scale_nonfinite")
     u = np.zeros(w.shape[0])

@@ -11,9 +11,10 @@ Half arithmetic accumulates in float32 and rounds the result to half once,
 which is how half-precision hardware behaves.  The matmul-based operators
 (gaussian, sparse sign) multiply a float32 copy of the operator.  The
 SRHT's operand is its scaled and sign-flipped input, a product of two
-halves rounded to half (numpy's float16 multiply); its transform,
-normalization and gather run in float32 as fwht's do, and the result is
-rounded to half once.
+halves, exact in float32, rounded to half once (linalg.elementwise_in,
+with the bits of numpy's float16 multiply); its transform, normalization
+and gather run in float32 as fwht's do, and the result is rounded to half
+once.
 """
 
 import operator
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import as_array, orthogonality_error, to_dtype
+from .linalg import as_array, elementwise_in, orthogonality_error, to_dtype
 
 
 # columns per SRHT work array: a block is transformed this many at a time
@@ -193,9 +194,10 @@ class SRHTSketch(SketchOperator):
     def _apply(self, X, dtype):
         adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
         # sign * scale: rounding is symmetric, so x * (sign * scale) has the
-        # bits of (x * scale) * sign
-        ss = self._per_dtype(dtype, lambda: self.signs[: self.n, None].astype(dtype)
-                             * dtype.type(self.scale))
+        # bits of (x * scale) * sign.  In half it is held as float32, which
+        # elementwise_in reads as half values
+        ss = self._per_dtype(dtype, lambda: (self.signs[: self.n, None].astype(dtype)
+                                             * dtype.type(self.scale)).astype(adtype))
         norm = adtype.type(self.n_pad) ** -0.5
         k = X.shape[1]
         Y = np.empty((self.ell, k), dtype=dtype)
@@ -203,9 +205,10 @@ class SRHTSketch(SketchOperator):
             b = min(a + _CHUNK, k)
             work = np.empty((self.n_pad, b - a), dtype=adtype)
             work[self.n:] = 0
-            # both operands in dtype: in half, numpy's float16 multiply
-            # rounds the product to half before it is written as float32
-            np.multiply(X[:, a:b].astype(dtype, copy=False), ss, out=work[: self.n])
+            # in half, the product of two halves, exact in float32, is
+            # rounded to half once and written as float32
+            elementwise_in(np.multiply, X[:, a:b].astype(dtype, copy=False), ss, dtype,
+                           out=work[: self.n])
             out = _transform(work)
             np.multiply(out[:, self.indices].T, norm, out=Y[:, a:b])
         return Y
@@ -260,24 +263,26 @@ class IdentitySketch(SketchOperator):
 class ColumnScaledSketch(SketchOperator):
     """Wraps an operator so its m leading input coordinates are rescaled first.
 
-    Used to give the wrapped operator exactly unit-norm leading column
-    sketches; `unit_column_sketches` caches those ell x m sketched columns.
+    `scales` holds the m factors, one per leading coordinate; the rest of
+    the input passes unscaled.  Used to give the wrapped operator exactly
+    unit-norm leading column sketches; `unit_column_sketches` caches those
+    ell x m sketched columns.
     """
 
-    def __init__(self, base, scales, m, unit_column_sketches):
+    def __init__(self, base, scales, unit_column_sketches):
         super().__init__(base.ell, base.n, base.seed)
         self.base = base
-        self.m = int(m)
         self.scales = np.asarray(scales, dtype=np.float64)
+        self.m = self.scales.shape[0]
+        if self.scales.ndim != 1 or self.m > self.n:
+            raise ValueError(f"{self.scales.shape} scales for {self.n} input coordinates")
         self.unit_column_sketches = unit_column_sketches
 
     def _apply(self, X, dtype):
-        # half scales are kept as float32: the product of two halves is exact
-        # there and is rounded to half once
-        adtype = np.float32 if dtype == np.float16 else dtype
-        scales = self._per_dtype(dtype, lambda: self.scales[:, None].astype(dtype)
-                                 .astype(adtype, copy=False))
-        Xs = (X.astype(dtype, copy=False) * scales).astype(dtype, copy=False)
+        # in half, the product of two halves rounded once
+        scales = self._per_dtype(dtype, lambda: self.scales[:, None].astype(dtype))
+        Xs = X.astype(dtype)
+        elementwise_in(np.multiply, Xs[: self.m], scales, dtype, out=Xs[: self.m])
         return self.base.apply(Xs, dtype=dtype)
 
 

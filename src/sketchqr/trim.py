@@ -64,9 +64,7 @@ def normalize_leading_columns(omega, m):
     if np.any(norms == 0.0):
         dead = int(np.argmin(norms)) + 1
         raise ValueError(f"leading column {dead} sketches to zero")
-    scales = np.ones(n)
-    scales[:m] = 1.0 / norms
-    return ColumnScaledSketch(omega, scales, m, cols / norms)
+    return ColumnScaledSketch(omega, 1.0 / norms, cols / norms)
 
 
 def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
@@ -97,17 +95,17 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         raise ValueError(f"elimination index {j} outside {n} coordinates")
     if w_tail.shape[0] != n - jj:
         raise ValueError(f"tail has {w_tail.shape[0]} entries, expected {n - jj}")
-    x = np.zeros(n, dtype=np.result_type(w_tail.dtype, lo))
+    # the tail is sketched in policy.low; v is that tail with sigma*rho
+    # added to its pivot, the one entry rounded again
+    x = np.zeros(n, dtype=lo)
     x[jj:] = w_tail
     # the sketches, v and the norms are worked in float64
     z = to_dtype(omega.apply(x, dtype=lo), np.float64)
     rho = column_norm(z, j, policy, zero="tail_annihilated")
     sigma = sign(w_tail[0])
-    v = to_dtype(w_tail, np.float64).copy()
-    v[0] += sigma * rho
-    v[:] = round_to(v, policy.low)
-    x[jj:] = v
+    x[jj] = round_to(float(w_tail[0]) + sigma * rho, policy.low)
     vs = to_dtype(omega.apply(x, dtype=lo), np.float64)
+    v = to_dtype(x[jj:], np.float64)
     nv = column_norm(vs, j, policy)
     if nv <= 8.0 * policy.u_high * (float(np.linalg.norm(z)) + rho):
         raise BreakdownError(
@@ -117,7 +115,7 @@ def trim_rh_vector(w_tail, omega, j, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
         )
     beta = float(hi(2.0 / (nv * nv)))
     if scaling == SCALE_SQRT2:
-        if not np.isfinite(beta):
+        if beta == 0.0 or not np.isfinite(beta):
             raise BreakdownError(f"reflector scale degenerated at column {j} (norm {nv:.3e})",
                                  column=j, reason="scale_nonfinite")
         f = float(hi(np.sqrt(beta)))

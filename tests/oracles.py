@@ -126,6 +126,27 @@ def hadamard_reference(x):
     return a
 
 
+def srht_apply_reference(op, X, dtype):
+    """SRHTSketch op's apply of X in dtype, one column at a time, with the
+    scaled input formed by numpy's own multiply in dtype: in half, numpy's
+    float16 loop.  The transform is sketchqr's (sketching._transform), so
+    this checks the fill and the gather around it, not the transform."""
+    from sketchqr.sketching import _transform
+
+    dtype = np.dtype(dtype)
+    adtype = np.dtype(np.float32) if dtype == np.float16 else dtype
+    X = np.asarray(X)
+    cols = X[:, None] if X.ndim == 1 else X
+    ss = op.signs[: op.n, None].astype(dtype) * dtype.type(op.scale)
+    norm = adtype.type(op.n_pad) ** -0.5
+    Y = np.empty((op.ell, cols.shape[1]), dtype=dtype)
+    for j in range(cols.shape[1]):
+        work = np.zeros((op.n_pad, 1), dtype=adtype)
+        np.multiply(cols[:, j:j + 1].astype(dtype), ss, out=work[: op.n])
+        np.multiply(_transform(work)[:, op.indices].T, norm, out=Y[:, j:j + 1])
+    return Y[:, 0] if X.ndim == 1 else Y
+
+
 def dense_operator_matrix(op):
     """Materialize a sketch operator by applying it to the identity."""
     return op.apply(np.eye(op.n))

@@ -77,6 +77,29 @@ def test_a_tiny_column_breaks_down_or_stays_finite(algo):
             assert r.status == "breakdown@3", r
 
 
+def _half_scale_underflow_input():
+    # rho = 5000 at column 1: in half the sqrt2 scale beta = 1/(rho sigma
+    # gamma) ~ 2e-8 (trim's 2/||Omega v||^2 alike) rounds to 0, which would
+    # make u = 0 and the reflector the identity
+    W = np.random.default_rng(0).standard_normal((64, 4))
+    W[0, 0] = 5000.0
+    return W
+
+
+@pytest.mark.parametrize("algo", ["rhqr-left", "rhqr-right", "rhqr-block", "trim-left",
+                                  "trim-right", "hqr"])
+def test_a_half_sqrt2_scale_that_rounds_to_zero_breaks_down_at_its_column(algo, monkeypatch):
+    # one run, and every row filed as a breakdown at column 1, where the
+    # identity reflector gave ok rows with fro_rel_err 2.0
+    call, sketch_rows = ALGOS[algo]
+    calls = []
+    monkeypatch.setitem(ALGOS, algo, (lambda *a: calls.append(1) or call(*a), sketch_rows))
+    rows = run_factor_experiment(_half_scale_underflow_input(),
+                                 ExperimentConfig(algo=algo, precision="half", every=1, ell=16))
+    assert [r.status for r in rows] == ["breakdown@1"] * 4
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("algo", list(ALGOS))
 def test_a_range_overflow_is_placed_at_the_narrowest_failing_width(algo, monkeypatch):
     # column 1's norm, ~1.6e5, overflows half: every column step's norm

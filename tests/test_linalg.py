@@ -30,6 +30,7 @@ from sketchqr.linalg import (
     BreakdownError,
     SingularFactorError,
     cond_number,
+    elementwise_in,
     factor_input,
     factorization_errors,
     low_storage,
@@ -76,6 +77,17 @@ def test_round_to_overflow_raises():
     assert np.isposinf(round_to(np.inf, "half"))
     with pytest.raises(ValueError, match="^unknown precision 'quad'"):
         round_to(1.0, "quad")
+
+
+def test_round_to_names_the_worst_finite_overflow_and_passes_inf_and_nan():
+    # the message names the largest finite value past the range, whatever
+    # infinities or NaNs sit beside it; those alone pass through unchanged
+    x = np.array([1.0, -80000.0, np.inf, 70000.0, np.nan])
+    with pytest.raises(PrecisionRangeError, match=r"^value 80000 overflows half range$"):
+        round_to(x, "half")
+    r = round_to(np.array([np.inf, -np.inf, np.nan, 2049.0]), "half")
+    assert r.dtype == np.float16 and np.isposinf(r[0]) and np.isneginf(r[1])
+    assert np.isnan(r[2]) and r[3] == 2048.0
 
 
 def test_round_to_reads_integers_as_float64():
@@ -326,6 +338,57 @@ def test_half_matmul_is_numpy_float16_matmul(n, c, cols, data):
         assert _half_bits(ref)[0] == 0  # +0, not -0
     if data is None and c > 2:
         assert np.all(ref == 2048.0)
+
+
+def _fixed_halves():
+    # 256 halves: zero, the smallest subnormal, the largest subnormal, the
+    # smallest normal, one, the largest half and infinity, each with both
+    # signs, NaN, then seeded bit patterns
+    edges = np.array([0.0, 2.0 ** -24, 2.0 ** -14 - 2.0 ** -24, 2.0 ** -14, 1.0, 65504.0, np.inf],
+                     dtype=np.float16)
+    fixed = np.concatenate([edges, -edges, [np.float16(np.nan)]])
+    bits = np.random.default_rng(35).integers(0, 2 ** 16, 256 - fixed.size, dtype=np.uint16)
+    return np.concatenate([fixed, bits.view(np.float16)])
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.divide], ids=lambda op: op.__name__)
+def test_half_elementwise_is_numpy_float16_op(op):
+    """elementwise_in(op, a, b, float16) against numpy's float16 op on every
+    half a and 256 fixed halves b, bit for bit but the sign of a NaN: as a
+    new float16 array, into a float16 `out` that is either operand (trim's
+    leading-column scaling writes into a), and, for the product, with b
+    held as float32 into a float32 `out` (the SRHT's scaled input)."""
+    every = np.arange(2 ** 16, dtype=np.uint16).view(np.float16)[:, None]
+    fixed = _fixed_halves()
+    assert fixed.size == 256 and np.isnan(fixed).any()
+    with np.errstate(all="ignore"):
+        for b in np.split(fixed[None, :], 8, axis=1):
+            a = np.broadcast_to(every, (every.shape[0], b.shape[1]))
+            ref = _half_bits(op(a, b))
+            out = elementwise_in(op, a, b, np.float16)
+            assert out.dtype == np.float16 and np.array_equal(_half_bits(out), ref)
+            buf = np.repeat(b, a.shape[0], axis=0)
+            assert elementwise_in(op, a, buf, np.float16, out=buf) is buf
+            assert np.array_equal(_half_bits(buf), ref)
+            buf = a.copy()
+            assert elementwise_in(op, buf, b, np.float16, out=buf) is buf
+            assert np.array_equal(_half_bits(buf), ref)
+            if op is np.multiply:
+                # held as float32, the values must be halves already
+                held = np.empty(ref.shape, dtype=np.float32)
+                elementwise_in(op, a, b.astype(np.float32), np.float16, out=held)
+                assert np.array_equal(held, out.astype(np.float32), equal_nan=True)
+                assert np.array_equal(_half_bits(held), ref)
+
+
+def test_elementwise_in_other_formats_is_the_plain_op():
+    # float32 and float64 round both operands to dtype and run numpy's op
+    a = np.linspace(-3.0, 3.0, 7)
+    b = np.float64(1.0 / 3.0)
+    for dtype in (np.float32, np.float64):
+        out = elementwise_in(np.divide, a, b, dtype)
+        assert out.dtype == dtype
+        assert np.array_equal(out, a.astype(dtype) / dtype(b))
 
 
 

@@ -134,6 +134,25 @@ def test_apply_reflectors_empty_and_involution(rng):
     assert np.allclose(back, x, atol=1e-12 * np.linalg.norm(x))
 
 
+@pytest.mark.parametrize("tag", ["half", "mixed"])
+def test_apply_reflectors_rounds_a_float32_block_to_half(rng, tag):
+    # a float32 X whose trailing rows hold no half values is rounded to
+    # half for the update as for the sketch of those rows: the bits of the
+    # same X given as float16 (the embedding keeps the leading rows as
+    # given, so those are halves here)
+    n, m = 40, 5
+    policy = policy_from_tag(tag)
+    F = rhqr_left(rng.standard_normal((n, m)), SRHTSketch(16, n - m, 4), policy=policy)
+    X = rng.standard_normal((n, 3)).astype(np.float32)
+    X[:m] = X[:m].astype(np.float16)
+    assert not np.array_equal(X.astype(np.float16), X)
+    for transpose_t in (False, True):
+        out = apply_reflectors_compact(F.U, F.S, F.T, X, F.psi, transpose_t, policy)
+        ref = apply_reflectors_compact(F.U, F.S, F.T, X.astype(np.float16), F.psi,
+                                       transpose_t, policy)
+        assert out.dtype == np.float16 and out.tobytes() == ref.tobytes()
+
+
 def test_single_reflector_matches_dense(rng):
     n, m = 24, 4
     psi = EmbeddedSketch(m, GaussianSketch(10, n - m, 6))
@@ -156,6 +175,30 @@ def test_identity_block_input(rng):
         Q = thin_q(F)
         assert np.allclose(Q[:m], -np.eye(m), atol=1e-14)
         assert np.allclose(Q[m:], 0.0, atol=1e-14)
+
+
+def _rhqr_left_half(W, scaling):
+    f = rhqr_left(W, SRHTSketch(16, 60, 0), scaling=scaling, policy=policy_from_tag("half"))
+    return thin_q(f), f.R
+
+
+def _householder_qr_half(W, scaling):
+    out = householder_qr(W, scaling=scaling, policy=policy_from_tag("half"))
+    return out.Q, out.R
+
+
+@pytest.mark.parametrize("factor", [_rhqr_left_half, _householder_qr_half])
+def test_a_half_sqrt2_scale_that_rounds_to_zero_breaks_down(factor):
+    # rho = 5000: beta = 1/(rho sigma gamma) ~ 2e-8 rounds to 0 in half,
+    # so the sqrt2 reflector would be u = 0 and Q = I, with no error
+    W = np.random.default_rng(0).standard_normal((64, 4))
+    W[0, 0] = 5000.0
+    with pytest.raises(BreakdownError) as err:
+        factor(W, SCALE_SQRT2)
+    assert (err.value.reason, err.value.column) == ("scale_nonfinite", 1)
+    # unit scaling never takes sqrt(beta), and goes on
+    Q, R = factor(W, SCALE_UNIT)
+    assert factorization_errors(W, Q, R).fro_rel_err < 1e-3
 
 
 def test_identity_embedding_degenerates_to_householder(rng):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2, chi2_contingency
 
 from sketchqr.precision import round_to
+from sketchqr.trim import normalize_leading_columns
 from sketchqr.sketching import (
     ColumnScaledSketch,
     EmbeddedSketch,
@@ -23,6 +24,7 @@ from oracles import (
     dense_embedded_matrix,
     dense_operator_matrix,
     hadamard_reference,
+    srht_apply_reference,
 )
 
 
@@ -515,6 +517,43 @@ def test_mat_vec_consistency(rng):
                         assert np.array_equal(block, cols), (n, kind, op, dtype, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 700).filter(lambda n: n & (n - 1)),
+    k=st.sampled_from([None, 1, 2, 33]),
+    x_dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+    dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    data=st.data(),
+)
+@example(n=1898, k=1, x_dtype=np.float16, dtype=np.float16, seed=0, data=None)
+@example(n=600, k=33, x_dtype=np.float64, dtype=np.float16, seed=1, data=None)
+def test_srht_apply_matches_the_reference_fill(n, k, x_dtype, dtype, seed, data):
+    # the SRHT (and the trim wrapper around it, which scales only its m
+    # leading coordinates) against the apply that forms the scaled input
+    # with numpy's own multiply in dtype, bit for bit, on a vector and on
+    # blocks, for non-power-of-two n and inputs in any format
+    ell = min(n, 600 if data is None else data.draw(st.integers(8, 64)))
+    op = SRHTSketch(ell, n, seed)
+    rng = np.random.default_rng(seed)
+    shape = (n,) if k is None else (n, k)
+    # halves from 2^-12 up, and no sum past the half range
+    X = (rng.standard_normal(shape) * 2.0 ** rng.integers(-12, 4, shape)).astype(x_dtype)
+    Y = op.apply(X, dtype=dtype)
+    assert Y.dtype == dtype
+    assert Y.tobytes() == srht_apply_reference(op, X, dtype).tobytes()
+    m = min(4, n)
+    wrapped = normalize_leading_columns(op, m)
+    adtype = np.float32 if dtype == np.float16 else dtype
+    scales = np.ones(n)
+    scales[:m] = wrapped.scales
+    scales = scales.astype(dtype).astype(adtype)
+    cols = X if k is not None else X[:, None]
+    scaled = (cols.astype(dtype) * scales[:, None]).astype(dtype)
+    ref = srht_apply_reference(op, scaled, dtype)
+    assert wrapped.apply(X, dtype=dtype).tobytes() == ref.tobytes()
+
+
 # one of every operator, all taking 20 coordinates
 _OPERATORS = [
     GaussianSketch(8, 20, 1),
@@ -522,7 +561,7 @@ _OPERATORS = [
     SparseSignSketch(8, 20, 1, s=4),
     IdentitySketch(20),
     MatrixSketch(np.ones((8, 20))),
-    ColumnScaledSketch(SRHTSketch(8, 20, 1), np.full(20, 2.0), 4, None),
+    ColumnScaledSketch(SRHTSketch(8, 20, 1), np.full(4, 2.0), None),
     EmbeddedSketch(3, SRHTSketch(8, 17, 1)),
 ]
 
@@ -574,9 +613,11 @@ def test_column_scaled_wrapper(rng):
     base = GaussianSketch(12, 9, seed=8)
     scales = np.ones(9)
     scales[:4] = [2.0, 0.5, 1.0, 4.0]
-    op = ColumnScaledSketch(base, scales, 4, unit_column_sketches=None)
+    op = ColumnScaledSketch(base, scales[:4], unit_column_sketches=None)
     X = rng.standard_normal((9, 2))
     assert np.allclose(op.apply(X), base.apply(X * scales[:, None]), atol=1e-14)
+    with pytest.raises(ValueError):
+        ColumnScaledSketch(base, np.ones(10), unit_column_sketches=None)
 
 
 def test_check_embedding():
