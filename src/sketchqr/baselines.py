@@ -28,6 +28,7 @@ from .linalg import (
     check_sketch,
     column_norm,
     compact_q,
+    contiguous_columns,
     elementwise_in,
     factor_input,
     low_storage,
@@ -85,8 +86,7 @@ def _householder(A, scaling, policy):
     U = np.zeros((m, p), dtype=hi).T
     Ul = U if lo == hi and lo != np.float16 else low_storage(p, m, lo)
     T, R = np.zeros((2, m, m), dtype=hi)
-    for c in range(m):
-        w = Al[:, c].copy()
+    for c, w in contiguous_columns(Al):
         Uc = U[:, :c]
         if c:
             coef = T[:c, :c].T @ (Uc.T @ to_dtype(w, hi))
@@ -317,8 +317,7 @@ def _gram_schmidt(W, policy, modified):
     # policy.low itself, which a float16 store is not: it gets a copy
     Qw = Q if Q.dtype == lo else np.zeros((m, n), dtype=lo).T
     R = np.zeros((m, m), dtype=policy.high_dtype)
-    for c in range(m):
-        w = Wl[:, c].copy()
+    for c, w in contiguous_columns(Wl):
         if modified:
             for i in range(c):
                 rij = float(Qw[:, i] @ w)
@@ -371,8 +370,8 @@ def _rgs(W, omega, policy, Basis):
     R = np.zeros((m, m), dtype=policy.high_dtype)
     # every column's sketch in one block apply, bitwise the per-column ones
     P = omega.apply(Wl, dtype=lo)
-    for c in range(m):
-        w, z, h = _rgs_step(Wl[:, c].copy(), P[:, c].copy(), c, Q, R, basis, omega, policy)
+    for c, w in contiguous_columns(Wl):
+        w, z, h = _rgs_step(w, P[:, c].copy(), c, Q, R, basis, omega, policy)
         # only an exactly zero sketched pivot stops the sweep: past numerical
         # singularity the process is expected to keep going on noise, that is
         # the degradation the benchmarks measure

@@ -1,5 +1,10 @@
 """Shared conventions, triangular solves, and the error metrics.
 
+Layout: every n-dimensional basis store is column-major (low_storage), and
+a left-looking sweep reads the working columns of a row-major block through
+column-major slabs made by row tiles (contiguous_columns), so no step reads
+a strided n-long column.
+
 Metrics (condition numbers, orthogonality, factorization residuals) are
 always evaluated in float64 regardless of the precision an experiment ran
 in, so precision sweeps measure the stored factors rather than remeasuring
@@ -303,6 +308,37 @@ def low_storage(n, m, dtype):
     """
     held = np.float32 if dtype == np.float16 else dtype
     return np.zeros((m, n), dtype=held).T
+
+
+SLAB_COLUMNS = 16
+TILE_ROWS = 512
+
+
+def contiguous_columns(X):
+    """Yield (c, X[:, c]) for each column c of the 2-D block X, in order,
+    each column contiguous and in X's dtype.
+
+    A left-looking sweep reads its block one column at a time, and a
+    column of a row-major block is a strided read with one cache miss per
+    entry (16384 doubles: about 110 us, against 4 us contiguous, on a
+    2-core x86 machine).  The columns come instead from a column-major
+    slab of SLAB_COLUMNS columns, filled by tiles of TILE_ROWS rows: each
+    tile reads short contiguous rows and writes short contiguous columns,
+    where numpy's own transposing copies (np.asfortranarray, X.T.copy())
+    run one long strided pass (Frigo et al., "Cache-oblivious
+    algorithms", FOCS 1999).  Each column holds X[:, c].copy()'s bits in
+    its layout, so a product over it keeps the copy's bits (over a strided
+    column BLAS may sum in another order).  One slab buffer serves the
+    whole block: a column is valid only until the next one is asked for.
+    """
+    n, m = X.shape
+    buf = np.empty((min(SLAB_COLUMNS, m), n), dtype=X.dtype)
+    for a in range(0, m, SLAB_COLUMNS):
+        slab = buf[:min(m - a, SLAB_COLUMNS)]
+        for r in range(0, n, TILE_ROWS):
+            slab[:, r:r + TILE_ROWS] = X[r:r + TILE_ROWS, a:a + SLAB_COLUMNS].T
+        for k, col in enumerate(slab):
+            yield a + k, col
 
 
 def _half_matmul(A, B):

@@ -14,6 +14,10 @@ Precision policy: n-dimensional storage and updates run in policy.low,
 sketched coefficients, rho/beta and the T algebra in policy.high, and each
 array is held in the dtype of its format.  The factorizations return
 float64 factors.
+
+Layout: U and S are column-major, and the left sweep reads each panel, W's
+columns or the row-major updated block, through column-major slabs
+(linalg.contiguous_columns), so every column it works on is contiguous.
 """
 
 from dataclasses import dataclass
@@ -34,6 +38,7 @@ from .linalg import (
     check_sketch,
     column_norm,
     compact_q,
+    contiguous_columns,
     factor_input,
     low_storage,
     matmul_in,
@@ -234,14 +239,15 @@ def _sweep(W, omega, block_size, scaling, policy):
             panel, Z = _compact_update(U[:, :j0], T[:j0, :j0], panel,
                                        S[:, :j0].T @ to_dtype(Yp, hi), True, policy)
             Yp = to_dtype(Yp, hi) - matmul_in(S[:, :j0], Z, hi)
-        for c in range(j0, j1):
-            # w is only read; column 0's y is copied out contiguous, as a
-            # single apply returns it
-            w = panel[:, c - j0]
-            if c > j0:
+        # the panel (W's columns, or the row-major updated P) is read
+        # through column-major slabs; w is only read, and column 0's y is
+        # copied out contiguous, as a single apply returns it
+        for i, w in contiguous_columns(panel):
+            c = j0 + i
+            if i:
                 w = _compact_update(U[:, j0:c], T[j0:c, j0:c], w, coef, True, policy)[0]
             y = psi.apply(w, dtype=lo) if c else Yp[:, 0].copy()
-            y_next = Yp[:, c + 1 - j0] if c + 1 < j1 else zero
+            y_next = Yp[:, i + 1] if c + 1 < j1 else zero
             coef = _add_reflector(w, y, c, U, S, T, R, scaling, policy, first=j0,
                                   y_next=y_next)
         if j0:

@@ -35,6 +35,7 @@ from .linalg import (
     check_sketch,
     column_norm,
     compact_q,
+    contiguous_columns,
     factor_input,
     low_storage,
     matmul_in,
@@ -256,8 +257,7 @@ def trim_rhqr_left(W, omega, scaling=SCALE_SQRT2, policy=DOUBLE_POLICY):
     R, T, Tt, L = np.zeros((4, m, m), dtype=hi)
     # the updates' sketches, in one block apply: bitwise the per-column ones
     Z = omega.apply(Wl[:, 1:], dtype=lo)
-    for c in range(m):
-        w = Wl[:, c].copy()
+    for c, w in contiguous_columns(Wl):
         if c:
             z = Z[:, c - 1].copy()
             h = S[:, :c].T @ to_dtype(z, hi)

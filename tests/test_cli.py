@@ -1,4 +1,5 @@
 import argparse
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from sketchqr.experiments import (
 from sketchqr.linalg import SCALINGS
 from sketchqr.mmio import load_matrix_market, write_matrix_market
 from sketchqr.precision import PRECISION_TAGS
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def test_gen_writes_loadable_matrix(tmp_path, capsys):
@@ -208,14 +211,24 @@ def test_sparse_s_above_ell_ends_in_one_line(tmp_path, rng, command, ell, shown)
     assert not (tmp_path / "x.csv").exists()
 
 
+def run_cli(argv):
+    """`python -m sketchqr argv` in a fresh interpreter, with this checkout's
+    src/ first on PYTHONPATH (pytest's own pythonpath setting does not reach
+    a child process): (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-m", "sketchqr"] + argv, capture_output=True,
+                       text=True, env=env)
+    return r.returncode, r.stderr
+
+
 def test_sparse_s_above_ell_prints_no_traceback(tmp_path):
-    r = subprocess.run([sys.executable, "-m", "sketchqr", "factor", "--algo", "rhqr-left",
-                        "--gen-n", "64", "--gen-m", "8", "--sketch", "sparse", "--s", "50",
-                        "--l", "10", "--out", str(tmp_path / "x.csv")],
-                       capture_output=True, text=True)
-    assert r.returncode == 1
-    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
-    assert "s=50" in r.stderr and "ell=10" in r.stderr
+    code, err = run_cli(["factor", "--algo", "rhqr-left", "--gen-n", "64", "--gen-m", "8",
+                         "--sketch", "sparse", "--s", "50", "--l", "10",
+                         "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "s=50" in err and "ell=10" in err
 
 
 def test_unreadable_matrix_files_end_in_one_line(tmp_path):
@@ -235,29 +248,18 @@ def test_unreadable_matrix_files_end_in_one_line(tmp_path):
 
 
 def test_bad_option_value_prints_no_traceback(tmp_path):
-    r = subprocess.run([sys.executable, "-m", "sketchqr", "factor", "--algo", "mgs",
-                        "--matrix", str(tmp_path / "missing.mtx"),
-                        "--out", str(tmp_path / "x.csv")],
-                       capture_output=True, text=True)
-    assert r.returncode == 1
-    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
-    assert "No such file" in r.stderr
+    code, err = run_cli(["factor", "--algo", "mgs", "--matrix", str(tmp_path / "missing.mtx"),
+                         "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "No such file" in err
 
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "t.mtx"
-    r = subprocess.run([sys.executable, "-m", "sketchqr", "gen", "--n", "8",
-                        "--m", "4", "--out", str(out)],
-                       capture_output=True, text=True)
-    assert r.returncode == 0
+    code, _ = run_cli(["gen", "--n", "8", "--m", "4", "--out", str(out)])
+    assert code == 0
     assert load_matrix_market(str(out)).shape == (8, 4)
-
-
-def run_cli(argv):
-    """The CLI in a fresh interpreter: (exit code, stderr)."""
-    r = subprocess.run([sys.executable, "-m", "sketchqr"] + argv, capture_output=True,
-                       text=True)
-    return r.returncode, r.stderr
 
 
 def test_sketch_longer_than_the_input_ends_in_one_line(tmp_path):

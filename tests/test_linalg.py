@@ -27,9 +27,12 @@ from sketchqr.baselines import (
 from sketchqr.experiments import gen_cmatrix
 from sketchqr.krylov import rgs_arnoldi, rhqr_arnoldi
 from sketchqr.linalg import (
+    SLAB_COLUMNS,
+    TILE_ROWS,
     BreakdownError,
     SingularFactorError,
     cond_number,
+    contiguous_columns,
     elementwise_in,
     factor_input,
     factorization_errors,
@@ -463,6 +466,69 @@ def test_low_storage_is_column_major(dtype):
     assert U.shape == (7, 3) and U.flags.f_contiguous and not U.flags.c_contiguous
     assert U.dtype == (np.float32 if dtype == np.float16 else dtype)
     assert U.flags.writeable and not U.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 37, TILE_ROWS, 2 * TILE_ROWS + 45])
+@pytest.mark.parametrize("m", [1, 5, SLAB_COLUMNS, SLAB_COLUMNS + 1, 2 * SLAB_COLUMNS + 3])
+def test_contiguous_columns_yields_each_column_in_order(rng, dtype, n, m):
+    # below, at and past the slab width and the tile height, not multiples
+    # of either; C-ordered, F-ordered and strided blocks
+    base = rng.standard_normal((2 * n, 3 * m)).astype(dtype)
+    for X in (base[:n, :m].copy(), np.asfortranarray(base[:n, :m]), base[::2, ::3],
+              base[n:, m:2 * m]):
+        seen = []
+        for c, col in contiguous_columns(X):
+            assert col.dtype == dtype and col.flags.c_contiguous
+            assert col.tobytes() == X[:, c].tobytes()
+            seen.append(c)
+        assert seen == list(range(m))
+
+
+def _strided_columns(X):
+    for c in range(X.shape[1]):
+        yield c, X[:, c]
+
+
+def _copied_columns(X):
+    for c in range(X.shape[1]):
+        yield c, X[:, c].copy()
+
+
+@pytest.mark.parametrize("tag", ["double", "half"])
+def test_left_sweeps_give_the_same_bits_on_any_input_layout_and_read(tag, monkeypatch):
+    # the sweeps read W's columns through column-major slabs: neither W's own
+    # layout nor the slab reads reach a result, which is bit for bit the one
+    # that each column read on its own gives (n past one tile and odd, so
+    # slab rows do not start on 64-byte boundaries; m past two slabs).  The column reads before the slabs: _sweep a strided view,
+    # which it reads only elementwise; the others a contiguous copy, which
+    # householder_qr's gemv needs: over a strided column BLAS sums in
+    # another order from 600 rows on in double
+    policy = policy_from_tag(tag)
+    n, m = TILE_ROWS + 87, 2 * SLAB_COLUMNS + 8
+    W = round_to(gen_cmatrix(n, m), policy.low)
+    om_e = SRHTSketch(60, n - m, 5)
+    om = SRHTSketch(60, n, 6)
+    calls = {
+        "rhqr_left": lambda W: rhqr_left(W, om_e, policy=policy),
+        "rhqr_block": lambda W: rhqr_block(W, om_e, block_size=8, policy=policy),
+        "trim_rhqr_left": lambda W: trim_rhqr_left(W, SRHTSketch(24, n, 7), policy=policy),
+        "householder_qr": lambda W: householder_qr(W, policy=policy),
+        "cgs": lambda W: cgs(W, policy=policy),
+        "mgs": lambda W: mgs(W, policy=policy),
+        "rgs": lambda W: rgs(W, om, policy=policy),
+        "blas2_rgs": lambda W: blas2_rgs(W, om, policy=policy),
+    }
+    slabbed = {name: _array_fields(name, call(W)) for name, call in calls.items()}
+    f_ordered = {name: _array_fields(name, call(np.asfortranarray(W)))
+                 for name, call in calls.items()}
+    monkeypatch.setattr("sketchqr.rhqr.contiguous_columns", _strided_columns)
+    monkeypatch.setattr("sketchqr.baselines.contiguous_columns", _copied_columns)
+    monkeypatch.setattr("sketchqr.trim.contiguous_columns", _copied_columns)
+    one_by_one = {name: _array_fields(name, call(W)) for name, call in calls.items()}
+    for name in calls:
+        for (field, a), (_, b), (_, c) in zip(slabbed[name], f_ordered[name], one_by_one[name]):
+            assert a.tobytes() == b.tobytes() == c.tobytes(), field
 
 
 def test_factor_input_reads_a_matching_input_in_place(rng):
